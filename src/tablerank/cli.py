@@ -18,6 +18,8 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import benchmark as bench
 from . import corpus as corpus_mod
 from . import evaluation as ev
@@ -81,6 +83,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             values[name] = flag
     cfg = RunConfig(**values)
+    try:
+        cfg.ppr()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if not 0.0 <= cfg.tau <= 1.0:
+        raise UsageError("tau must lie in [0, 1]")
     log.info("resolved config: %s", json.dumps(asdict(cfg), sort_keys=True))
     return cfg
 
@@ -192,6 +200,8 @@ def _adopt_index_dimension(cfg: RunConfig, ix) -> None:
 
 
 def _cmd_retrieve(args, cfg: RunConfig) -> int:
+    if not args.query.strip():
+        raise UsageError("--query must contain text")
     ix = load_index(args.index)
     if args.dimension is None:
         _adopt_index_dimension(cfg, ix)
@@ -260,7 +270,8 @@ def _cmd_eval_e2e(args, cfg: RunConfig) -> int:
 def _cmd_inspect(args, cfg: RunConfig) -> int:
     ix = load_index(args.index)
     sizes = {
-        phi: [len(m) for m in ix.families[phi].members] for phi in ix.families
+        phi: np.bincount(fam.assignments, minlength=fam.n_clusters).tolist()
+        for phi, fam in ix.families.items()
     }
     print(json.dumps({
         "tables": len(ix),

@@ -29,8 +29,11 @@ from .linearize import linearize_query
 
 @dataclass
 class CoarseResult:
+    """``union_ids`` holds the candidates as sorted int64 index positions
+    (rows of the ``HypergraphIndex``), not table ids."""
+
     per_family_choice: dict[str, int]
-    union_ids: set[str]
+    union_ids: np.ndarray
     per_family_mean_scores: dict[str, list[float]]
     retained_fraction: float
     corpus_size: int
@@ -53,16 +56,6 @@ def query_features(q: Query, ix: HypergraphIndex, h: EmbedderHandle) -> NodeFeat
     return NodeFeatures(sem=sem, struct=struct, heur=heur)
 
 
-def _query_vector(qf: NodeFeatures, feature_type: str):
-    if feature_type == "sem":
-        return qf.sem
-    if feature_type == "struct":
-        return qf.struct
-    if feature_type == "heur":
-        return qf.heur
-    raise ValueError(f"unknown feature type {feature_type!r}")
-
-
 def assign_cluster(
     qf: NodeFeatures, family: ClusterFamily, ix: HypergraphIndex
 ) -> tuple[int, list[float]]:
@@ -71,15 +64,13 @@ def assign_cluster(
     Ties break toward the smaller cluster index. Every cluster is non-empty
     by construction, so the mean is always defined.
     """
-    qv = _query_vector(qf, family.feature_type)
-    means: list[float] = []
-    for typical_ids in family.typical:
-        pos = np.array([ix.position(tid) for tid in typical_ids], dtype=np.int64)
-        rows = ix.score_space_rows(family.feature_type, pos)
-        scores = scores_to_vector(rows, qv)
-        means.append(float(scores.mean()))
+    sizes = np.array([len(t) for t in family.typical])
+    rows = ix.score_space_rows(family.feature_type, np.concatenate(family.typical))
+    scores = scores_to_vector(rows, getattr(qf, family.feature_type))
+    starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
+    means = np.add.reduceat(scores, starts) / sizes
     best = int(np.argmax(means))  # first occurrence wins: smallest index on ties
-    return best, means
+    return best, means.tolist()
 
 
 def coarse_retrieve(
@@ -94,13 +85,14 @@ def coarse_retrieve(
         qf = query_features(q, ix, h)
     choices: dict[str, int] = {}
     mean_scores: dict[str, list[float]] = {}
-    union: set[str] = set()
+    in_union = np.zeros(len(ix), dtype=bool)
     for phi in FAMILY_TYPES:
         family = ix.families[phi]
         best, means = assign_cluster(qf, family, ix)
         choices[phi] = best
         mean_scores[phi] = means
-        union.update(family.members[best])
+        in_union |= family.assignments == best
+    union = np.flatnonzero(in_union)
     return CoarseResult(
         per_family_choice=choices,
         union_ids=union,

@@ -155,11 +155,11 @@ def _cell_text(value: object) -> str:
 
 
 def _table_from_record(rec: dict, lineno: int, violations: list[tuple[str, str]]) -> Table | None:
+    if not isinstance(rec, dict):
+        violations.append((f"<line {lineno}>", "record is not an object"))
+        return None
     tid = rec.get("id")
     label = str(tid) if tid else f"<line {lineno}>"
-    if not isinstance(rec, dict):
-        violations.append((label, "record is not an object"))
-        return None
     unknown = set(rec) - _RECORD_KEYS
     if unknown:
         violations.append((label, f"unknown fields {sorted(unknown)}"))

@@ -243,10 +243,6 @@ def fit_heuristic(corpus_texts: Sequence[str]) -> HeuristicVectorizer:
     return HeuristicVectorizer(vocabulary=vocab, idf=idf, doc_count=n_docs)
 
 
-def transform_heuristic(v: HeuristicVectorizer, text: str) -> sparse.csr_matrix:
-    return v.transform(text)
-
-
 def _dot(a, b) -> float:
     if sparse.issparse(a) and sparse.issparse(b):
         return float(a.multiply(b).sum())

@@ -1,9 +1,9 @@
 """Fine-grained retrieval over the coarse candidates.
 
 The candidate tables become a pairwise weighted graph: nodes in ascending
-table-id order, an edge wherever the semantic cosine of two tables clears the
-threshold tau (negative cosines clamp to 0 first, so weights stay in
-[tau, 1]). Personalized PageRank biased toward the query then ranks the
+index-position order, an edge wherever the semantic cosine of two tables
+clears the threshold tau (negative cosines clamp to 0 first, so weights stay
+in [tau, 1]). Personalized PageRank biased toward the query then ranks the
 nodes:
 
     v <- (1 - alpha) * h + alpha * P^T v,   v0 = h
@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
 from .coarse import CoarseResult, coarse_retrieve
 from .corpus import Query
-from .features import EmbedderHandle, NodeFeatures
+from .features import EmbedderHandle
 from .index import HypergraphIndex
 
 DEFAULT_ALPHA = 0.85
@@ -73,12 +72,6 @@ class LocalSubgraph:
     def __len__(self) -> int:
         return len(self.node_ids)
 
-    def edge_list(self) -> list[tuple[int, int, float]]:
-        """Undirected edges as (i, j, weight) with i < j. O(n^2); intended
-        for small graphs (tests, prompt assembly)."""
-        ii, jj = np.nonzero(np.triu(self.adjacency, 1))
-        return [(int(i), int(j), float(self.weights[i, j])) for i, j in zip(ii, jj)]
-
 
 @dataclass
 class PPRResult:
@@ -103,7 +96,18 @@ class RetrievalResult:
     zero_scores_in_ranked: bool
 
 
-def _subgraph_from_rows(node_ids: list[str], sem: np.ndarray, tau: float) -> LocalSubgraph:
+def build_local_subgraph(node_ids: list[str], sem_rows: np.ndarray, tau: float) -> LocalSubgraph:
+    """Pairwise semantic graph over the candidates, thresholded at tau.
+
+    ``sem_rows[i]`` is the sem vector of ``node_ids[i]``; node order is kept.
+    Edge (i, j) exists iff the clamped cosine of their sem vectors is >= tau;
+    isolated nodes are fine.
+    """
+    if len(node_ids) == 0:
+        raise ValueError("cannot build a subgraph from zero candidates")
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError("tau must lie in [0, 1]")
+    sem = np.asarray(sem_rows, dtype=np.float64)
     norms = np.linalg.norm(sem, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
     unit = sem / safe[:, None]
@@ -114,45 +118,25 @@ def _subgraph_from_rows(node_ids: list[str], sem: np.ndarray, tau: float) -> Loc
     adjacency = np.triu(cos >= tau, 1)
     adjacency = adjacency | adjacency.T
     weights[~adjacency] = 0.0
-    return LocalSubgraph(node_ids=node_ids, weights=weights, adjacency=adjacency, tau=tau)
-
-
-def build_local_subgraph(
-    candidates: set[str] | list[str],
-    features: Mapping[str, NodeFeatures],
-    tau: float,
-) -> LocalSubgraph:
-    """Pairwise semantic graph over the candidates, thresholded at tau.
-
-    Node order is ascending table id. Edge (i, j) exists iff the clamped
-    cosine of their sem vectors is >= tau; isolated nodes are fine.
-    """
-    if not candidates:
-        raise ValueError("cannot build a subgraph from zero candidates")
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
-    node_ids = sorted(candidates)
-    sem = np.vstack([np.asarray(features[tid].sem, dtype=np.float64) for tid in node_ids])
-    return _subgraph_from_rows(node_ids, sem, tau)
-
-
-def similarity_matrix(g: LocalSubgraph) -> np.ndarray:
-    """Dense symmetric S with S_ij = edge weight, zero diagonal."""
-    return g.weights.copy()
+    return LocalSubgraph(node_ids=list(node_ids), weights=weights, adjacency=adjacency, tau=tau)
 
 
 def transition_matrix(S: np.ndarray) -> np.ndarray:
-    """Row-normalize S. All-zero rows are left as zeros here; the PPR
-    iteration substitutes the personalization vector for them, which makes
-    the effective matrix row-stochastic."""
+    """Row-normalize S into a new array. All-zero rows are left as zeros
+    here; the PPR iteration substitutes the personalization vector for them,
+    which makes the effective matrix row-stochastic."""
     S = np.asarray(S, dtype=np.float64)
     row_sums = S.sum(axis=1)
     safe = np.where(row_sums > 0, row_sums, 1.0)
     return S / safe[:, None]
 
 
-def _personalization_from_rows(q_sem: np.ndarray, sem: np.ndarray) -> np.ndarray:
+def personalization(q_sem: np.ndarray, sem_rows: np.ndarray) -> np.ndarray:
+    """Query-biased start distribution: normalized non-negative semantic
+    scores of ``q_sem`` against each row; uniform if every score clamps to
+    zero."""
     q = np.asarray(q_sem, dtype=np.float64)
+    sem = np.asarray(sem_rows, dtype=np.float64)
     qn = np.linalg.norm(q)
     norms = np.linalg.norm(sem, axis=1)
     scores = np.zeros(sem.shape[0])
@@ -164,15 +148,6 @@ def _personalization_from_rows(q_sem: np.ndarray, sem: np.ndarray) -> np.ndarray
     if total <= 0.0:
         return np.full(sem.shape[0], 1.0 / sem.shape[0])
     return scores / total
-
-
-def personalization(
-    qf: NodeFeatures, g: LocalSubgraph, features: Mapping[str, NodeFeatures]
-) -> np.ndarray:
-    """Query-biased start distribution: normalized non-negative semantic
-    scores against each node; uniform if every score clamps to zero."""
-    sem = np.vstack([np.asarray(features[tid].sem, dtype=np.float64) for tid in g.node_ids])
-    return _personalization_from_rows(qf.sem, sem)
 
 
 def ppr(P: np.ndarray, h: np.ndarray, cfg: PPRConfig) -> PPRResult:
@@ -214,20 +189,15 @@ def fine_retrieve(
     tau: float = 0.5,
 ) -> RetrievalResult:
     """Subgraph + PPR over the coarse union; deterministic given index and config."""
-    if not coarse.union_ids:
+    if len(coarse.union_ids) == 0:
         raise ValueError("coarse result has no candidate tables")
     if coarse.query_features is None:
         raise ValueError("coarse result does not carry query features")
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
     t0 = time.perf_counter()
-    node_ids = sorted(coarse.union_ids)
-    pos = np.array([ix.position(tid) for tid in node_ids], dtype=np.int64)
-    sem_rows = np.asarray(ix.sem[pos], dtype=np.float64)
-    g = _subgraph_from_rows(node_ids, sem_rows, tau)
-    S = similarity_matrix(g)
-    P = transition_matrix(S)
-    h = _personalization_from_rows(coarse.query_features.sem, sem_rows)
+    sem_rows = ix.sem[coarse.union_ids]
+    g = build_local_subgraph([ix.table_ids[i] for i in coarse.union_ids], sem_rows, tau)
+    P = transition_matrix(g.weights)
+    h = personalization(coarse.query_features.sem, sem_rows)
     result = ppr(P, h, cfg)
     elapsed = time.perf_counter() - t0
     ranked = _rank(g.node_ids, result.scores, cfg.top_n)

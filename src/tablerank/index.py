@@ -24,7 +24,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy import sparse
@@ -35,6 +35,7 @@ from .features import (
     STRUCT_DIM,
     HeuristicVectorizer,
     NodeFeatures,
+    scores_to_vector,
     standardize_struct,
     struct_stats,
 )
@@ -184,59 +185,22 @@ def kmeans(vectors, K: int, seed: int, max_iter: int = 100, n_init: int = 1) -> 
     return best
 
 
-def _cosine_to_centroid(space_rows, centroid: np.ndarray) -> np.ndarray:
-    dots = space_rows @ centroid
-    if sparse.issparse(dots):
-        dots = dots.toarray()
-    dots = np.asarray(dots).ravel()
-    norms = np.sqrt(_row_sq_norms(space_rows))
-    c_norm = float(np.linalg.norm(centroid))
-    if c_norm == 0.0:
-        return np.zeros(space_rows.shape[0])
-    out = np.zeros(space_rows.shape[0])
-    nz = norms > 0
-    out[nz] = dots[nz] / (norms[nz] * c_norm)
-    return out
-
-
-def select_typical(
-    members: Sequence[tuple[str, object]], centroid: np.ndarray, k: int
-) -> list[str]:
-    """Top-k member ids by cosine to the centroid; ties break on id ascending."""
-    scored = []
-    for tid, vec in members:
-        if sparse.issparse(vec):
-            row = np.asarray(vec.todense()).ravel()
-        else:
-            row = np.asarray(vec).ravel()
-        c_norm = float(np.linalg.norm(centroid))
-        v_norm = float(np.linalg.norm(row))
-        score = 0.0 if c_norm == 0.0 or v_norm == 0.0 else float(row @ centroid) / (v_norm * c_norm)
-        scored.append((tid, score))
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return [tid for tid, _ in scored[: min(k, len(scored))]]
-
-
 @dataclass
 class ClusterFamily:
-    """One hyperedge family: the K clusters of a single feature type."""
+    """One hyperedge family: the K clusters of a single feature type.
+
+    ``assignments[i]`` is the cluster of index row i; ``typical[j]`` holds the
+    index rows of cluster j's typical nodes, best first.
+    """
 
     feature_type: str
-    assignments: dict[str, int]
+    assignments: np.ndarray
     centroids: np.ndarray
-    typical: list[list[str]]
-    members: list[list[str]]
+    typical: list[np.ndarray]
 
     @property
     def n_clusters(self) -> int:
         return self.centroids.shape[0]
-
-
-def _members_from_assignments(table_ids: Sequence[str], assign: np.ndarray, k: int) -> list[list[str]]:
-    members: list[list[str]] = [[] for _ in range(k)]
-    for tid, j in zip(table_ids, assign):
-        members[int(j)].append(tid)
-    return members
 
 
 @dataclass
@@ -286,18 +250,10 @@ class HypergraphIndex:
     families: dict[str, ClusterFamily]
 
     def __post_init__(self):
-        self._pos = {tid: i for i, tid in enumerate(self.table_ids)}
         self._struct_z: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.table_ids)
-
-    def position(self, table_id: str) -> int:
-        return self._pos[table_id]
-
-    def node_features(self, table_id: str) -> NodeFeatures:
-        i = self._pos[table_id]
-        return NodeFeatures(sem=self.sem[i], struct=self.struct_raw[i], heur=self.heur[i])
 
     def struct_z(self) -> np.ndarray:
         if self._struct_z is None:
@@ -338,9 +294,9 @@ class HypergraphIndex:
         for phi in FAMILY_TYPES:
             a, b = self.families[phi], other.families[phi]
             if (
-                a.assignments != b.assignments
+                not np.array_equal(a.assignments, b.assignments)
                 or not np.array_equal(a.centroids, b.centroids)
-                or a.typical != b.typical
+                or not all(np.array_equal(x, y) for x, y in zip(a.typical, b.typical))
             ):
                 return False
         return True
@@ -410,22 +366,18 @@ def build_index(
     for fam_idx, phi in enumerate(FAMILY_TYPES):
         child_seed = int(np.random.SeedSequence([seed, fam_idx]).generate_state(1)[0])
         result = kmeans(spaces[phi], ks[phi], seed=child_seed, max_iter=max_iter, n_init=n_init)
-        members = _members_from_assignments(table_ids, result.assignments, ks[phi])
-        typical: list[list[str]] = []
+        typical: list[np.ndarray] = []
         for j in range(ks[phi]):
             pos = np.flatnonzero(result.assignments == j)
-            rows = spaces[phi][pos]
-            scores = _cosine_to_centroid(rows, result.centroids[j])
-            ranked = sorted(
-                zip((table_ids[p] for p in pos), scores), key=lambda pair: (-pair[1], pair[0])
-            )
-            typical.append([tid for tid, _ in ranked[: min(k, len(ranked))]])
+            scores = scores_to_vector(spaces[phi][pos], result.centroids[j])
+            # Top-k by cosine to the centroid; ties break on table id.
+            order = sorted(range(len(pos)), key=lambda i: (-scores[i], table_ids[pos[i]]))
+            typical.append(pos[order[:k]])
         families[phi] = ClusterFamily(
             feature_type=phi,
-            assignments={tid: int(a) for tid, a in zip(table_ids, result.assignments)},
+            assignments=result.assignments,
             centroids=result.centroids,
             typical=typical,
-            members=members,
         )
 
     # The fitted vectorizer travels with the index so queries embed identically.
@@ -471,13 +423,6 @@ def _vectorizer_from_features(features) -> HeuristicVectorizer:
 # ---------------------------------------------------------------------------
 
 
-def _array_manifest(arrays: list[tuple[str, np.ndarray]]) -> list[dict]:
-    manifest = []
-    for name, arr in arrays:
-        manifest.append({"dtype": arr.dtype.str, "name": name, "shape": list(arr.shape)})
-    return manifest
-
-
 def save_index(ix: HypergraphIndex, path: str | Path) -> None:
     """Write the versioned binary container. Byte-deterministic."""
     vocab_tokens = sorted(ix.vectorizer.vocabulary, key=ix.vectorizer.vocabulary.get)
@@ -493,15 +438,17 @@ def save_index(ix: HypergraphIndex, path: str | Path) -> None:
     ]
     for phi in FAMILY_TYPES:
         fam = ix.families[phi]
-        assign = np.array([fam.assignments[tid] for tid in ix.table_ids], dtype="<i8")
-        arrays.append((f"assign_{phi}", assign))
+        arrays.append((f"assign_{phi}", np.ascontiguousarray(fam.assignments, dtype="<i8")))
         arrays.append((f"centroids_{phi}", np.ascontiguousarray(fam.centroids, dtype="<f8")))
 
     header = {
-        "arrays": _array_manifest(arrays),
+        "arrays": [{"dtype": a.dtype.str, "name": name, "shape": list(a.shape)} for name, a in arrays],
         "corpus_digest": ix.corpus_digest,
         "doc_count": ix.vectorizer.doc_count,
-        "families": {phi: {"typical": ix.families[phi].typical} for phi in FAMILY_TYPES},
+        "families": {
+            phi: {"typical": [[ix.table_ids[p] for p in t] for t in ix.families[phi].typical]}
+            for phi in FAMILY_TYPES
+        },
         "format_version": ix.format_version,
         "params": ix.params.to_json(),
         "source_tag": ix.source_tag,
@@ -565,22 +512,26 @@ def load_index(path: str | Path) -> HypergraphIndex:
         idf=arrs["idf"],
         doc_count=int(header["doc_count"]),
     )
-    n = len(header["table_ids"])
+    table_ids = list(header["table_ids"])
     heur = sparse.csr_matrix(
         (arrs["heur_data"], arrs["heur_indices"], arrs["heur_indptr"]),
-        shape=(n, len(vocab_tokens)),
+        shape=(len(table_ids), len(vocab_tokens)),
     )
-    table_ids = list(header["table_ids"])
+    pos = {tid: i for i, tid in enumerate(table_ids)}
     families: dict[str, ClusterFamily] = {}
     for phi in FAMILY_TYPES:
-        assign = arrs[f"assign_{phi}"]
-        centroids = arrs[f"centroids_{phi}"]
+        try:
+            typical = [
+                np.array([pos[tid] for tid in t], dtype=np.int64)
+                for t in header["families"][phi]["typical"]
+            ]
+        except KeyError as exc:
+            raise IOFailure(f"{p} lists typical node {exc} that is not an indexed table") from exc
         families[phi] = ClusterFamily(
             feature_type=phi,
-            assignments={tid: int(a) for tid, a in zip(table_ids, assign)},
-            centroids=centroids,
-            typical=[list(t) for t in header["families"][phi]["typical"]],
-            members=_members_from_assignments(table_ids, assign, centroids.shape[0]),
+            assignments=arrs[f"assign_{phi}"],
+            centroids=arrs[f"centroids_{phi}"],
+            typical=typical,
         )
     return HypergraphIndex(
         format_version=version,

@@ -40,7 +40,6 @@ from tablerank.fine import (
     build_local_subgraph,
     ppr,
     retrieve,
-    similarity_matrix,
     transition_matrix,
 )
 from tablerank.index import build_index, save_index
@@ -48,7 +47,7 @@ from tablerank.linearize import linearize_query
 from tablerank.prompting import build_prompt, parse_response
 
 from conftest import make_angle_corpus, make_table, make_topic_corpus, make_topic_query
-from test_fine import feature_map, solve_ppr_oracle
+from test_fine import solve_ppr_oracle
 
 
 def _report(name: str, detail: str) -> None:
@@ -83,8 +82,8 @@ def test_ppr_oracle_equivalence():
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
         tau = float(rng.uniform(0.0, 1.0))
         ids = [f"n{i:03d}" for i in range(n)]
-        g = build_local_subgraph(ids, feature_map(dict(zip(ids, vecs))), tau)
-        P = transition_matrix(similarity_matrix(g))
+        g = build_local_subgraph(ids, vecs, tau)
+        P = transition_matrix(g.weights)
         h = rng.dirichlet(np.ones(n))
         alpha = (0.3, 0.85, 0.95)[trial % 3]
         got = ppr(P, h, PPRConfig(alpha=alpha, epsilon=1e-12, max_iter=5000)).scores

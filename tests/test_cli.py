@@ -76,6 +76,13 @@ class TestIngest:
         assert main(["ingest", "--input", str(bad), "--out", str(tmp_path / "o.jsonl")]) == 1
         assert "SchemaViolation" in capsys.readouterr().err
 
+    def test_non_object_record_is_violation(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("[1,2]\n")
+        assert main(["ingest", "--input", str(bad), "--out", str(tmp_path / "o.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert "SchemaViolation" in err and "<line 1>: record is not an object" in err
+
 
 class TestRetrieve:
     def test_build_then_retrieve_prints_ranked_ids(self, index_file, capsys):
@@ -111,6 +118,16 @@ class TestRetrieve:
         out = json.loads(capsys.readouterr().out)
         assert set(out) == {"chosen_clusters", "union_size", "retained_fraction"}
         assert 0.0 < out["retained_fraction"] <= 1.0
+
+    @pytest.mark.parametrize("flags", [
+        ["--query", "   "],
+        ["--query", "tp1c00", "--top-n", "0"],
+        ["--query", "tp1c00", "--alpha", "1.5"],
+        ["--query", "tp1c00", "--tau", "2"],
+    ])
+    def test_out_of_range_input_exits_2(self, index_file, capsys, flags):
+        assert main(["retrieve", "--index", str(index_file), *flags]) == 2
+        assert "error: usage:" in capsys.readouterr().err
 
     def test_unknown_flag_exits_2(self, index_file):
         with pytest.raises(SystemExit) as err:

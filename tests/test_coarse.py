@@ -19,20 +19,17 @@ def indexed(handle):
     return corpus, feats, ix
 
 
-def _swap_sem(ix, vectors: np.ndarray, assignments: np.ndarray, typical: list[list[str]]):
-    """White-box surgery: replace the sem family with handcrafted geometry."""
+def _swap_sem(ix, vectors: np.ndarray, assignments: np.ndarray, typical: list[list[int]]):
+    """White-box surgery: replace the sem family with handcrafted geometry.
+    ``typical`` lists index positions per cluster."""
     ix.sem = vectors
     k = int(assignments.max()) + 1
-    members = [[] for _ in range(k)]
-    for tid, j in zip(ix.table_ids, assignments):
-        members[int(j)].append(tid)
     centroids = np.vstack([vectors[assignments == j].mean(axis=0) for j in range(k)])
     ix.families["sem"] = ClusterFamily(
         feature_type="sem",
-        assignments={tid: int(j) for tid, j in zip(ix.table_ids, assignments)},
+        assignments=assignments,
         centroids=centroids,
-        typical=typical,
-        members=members,
+        typical=[np.asarray(t, dtype=np.int64) for t in typical],
     )
 
 
@@ -88,7 +85,7 @@ class TestAssignCluster:
         vectors[0, 0] = 1.0          # the sole typical node of cluster 0
         assignments = np.ones(n, dtype=np.int64)
         assignments[0] = 0
-        typical = [[ix.table_ids[0]], [ix.table_ids[1]]]
+        typical = [[0], [1]]
         _swap_sem(ix, vectors, assignments, typical)
         qf = NodeFeatures(sem=vectors[0].copy(), struct=np.zeros(20), heur=sparse.csr_matrix((1, 1)))
         best, means = assign_cluster(qf, ix.families["sem"], ix)
@@ -106,8 +103,7 @@ class TestAssignCluster:
         assignments = np.repeat(np.arange(3), [n - 2 * (n // 3), n // 3, n // 3])[:n]
         typical = []
         for j in range(3):
-            ids = [tid for tid, a in zip(ix.table_ids, assignments) if a == j][:2]
-            typical.append(ids)
+            typical.append(np.flatnonzero(assignments == j)[:2].tolist())
         _swap_sem(ix, vectors, assignments, typical)
         for trial in range(25):
             qv = rng.normal(size=8)
@@ -115,7 +111,7 @@ class TestAssignCluster:
             best, means = assign_cluster(qf, ix.families["sem"], ix)
             brute = [
                 float(np.mean([
-                    representative_score(vectors[ix.position(tid)], qv) for tid in typical[j]
+                    representative_score(vectors[i], qv) for i in typical[j]
                 ]))
                 for j in range(3)
             ]
@@ -129,7 +125,7 @@ class TestAssignCluster:
         vectors[:, 1] = 1.0
         assignments = np.zeros(n, dtype=np.int64)
         assignments[n // 2:] = 1
-        typical = [[ix.table_ids[0]], [ix.table_ids[n // 2]]]
+        typical = [[0], [n // 2]]
         _swap_sem(ix, vectors, assignments, typical)
         qf = NodeFeatures(sem=np.array([0.0, 1.0, 0.0, 0.0]), struct=np.zeros(20),
                           heur=sparse.csr_matrix((1, 1)))
@@ -142,17 +138,18 @@ class TestCoarseRetrieve:
     def test_union_covers_each_chosen_cluster(self, indexed, handle):
         _, _, ix = indexed
         result = coarse_retrieve(make_topic_query(2, seed=5), ix, handle)
-        all_ids = set(ix.table_ids)
-        assert result.union_ids <= all_ids
+        union = set(result.union_ids.tolist())
+        assert union <= set(range(len(ix)))
+        assert result.union_ids.tolist() == sorted(union)
         for phi, j in result.per_family_choice.items():
-            assert set(ix.families[phi].members[j]) <= result.union_ids
+            assert set(np.flatnonzero(ix.families[phi].assignments == j).tolist()) <= union
 
     def test_k1_union_is_whole_corpus(self, handle):
         corpus = make_topic_corpus(15, 3, seed=2)
         feats = extract_all(corpus, handle)
         ix = build_index(corpus, feats, K=1, k=100, seed=0)
         result = coarse_retrieve(make_topic_query(0, seed=3), ix, handle)
-        assert result.union_ids == set(corpus.ids())
+        assert result.union_ids.tolist() == list(range(len(corpus)))
         assert result.retained_fraction == pytest.approx(1.0)
 
     def test_identical_choices_union_idempotent(self, indexed, handle):
@@ -163,7 +160,7 @@ class TestCoarseRetrieve:
         vectors[5:, 1] = 1.0
         assignments = np.zeros(n, dtype=np.int64)
         assignments[5:] = 1
-        typical = [[tid for tid in ix.table_ids[:5]], [ix.table_ids[5]]]
+        typical = [[0, 1, 2, 3, 4], [5]]
         _swap_sem(ix, vectors, assignments, typical)
         # Make struct and heur mirror the sem family exactly.
         fam = ix.families["sem"]
@@ -175,17 +172,16 @@ class TestCoarseRetrieve:
         ix.heur = heur
         for phi in ("struct", "heur"):
             ix.families[phi] = ClusterFamily(
-                feature_type=phi, assignments=dict(fam.assignments),
+                feature_type=phi, assignments=fam.assignments.copy(),
                 centroids=np.eye(2, 4) if phi == "heur" else np.eye(2, 20),
-                typical=[list(t) for t in fam.typical],
-                members=[list(m) for m in fam.members],
+                typical=[t.copy() for t in fam.typical],
             )
         ix.families["heur"].centroids = np.eye(2)
         qf = NodeFeatures(sem=np.array([1.0, 0, 0, 0]), struct=struct_z[0],
                           heur=sparse.csr_matrix(np.array([[1.0, 0.0]])))
         result = coarse_retrieve(None, ix, None, qf=qf)
         assert result.per_family_choice == {"sem": 0, "struct": 0, "heur": 0}
-        assert result.union_ids == set(ix.table_ids[:5])
+        assert result.union_ids.tolist() == [0, 1, 2, 3, 4]
         assert len(result.union_ids) == 5
 
     def test_disjoint_choices_union_adds_up(self, indexed):
@@ -203,15 +199,11 @@ class TestCoarseRetrieve:
 
         def family(phi, mask):
             assignments = np.where(mask, 0, 1).astype(np.int64)
-            members = [[], []]
-            for tid, a in zip(ix.table_ids, assignments):
-                members[a].append(tid)
             return ClusterFamily(
                 feature_type=phi,
-                assignments={tid: int(a) for tid, a in zip(ix.table_ids, assignments)},
+                assignments=assignments,
                 centroids=np.zeros((2, 6)) if phi != "struct" else np.zeros((2, 20)),
-                typical=[[members[0][0]], [members[1][0]]],
-                members=members,
+                typical=[np.flatnonzero(assignments == j)[:1] for j in range(2)],
             )
 
         mask_sem = np.arange(n) < 3

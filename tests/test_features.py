@@ -16,7 +16,6 @@ from tablerank.features import (
     fit_heuristic,
     representative_score,
     scores_to_vector,
-    transform_heuristic,
 )
 
 
@@ -145,19 +144,19 @@ class TestHeuristic:
 
     def test_transform_out_of_vocab_is_zero(self):
         v = fit_heuristic(["team wins"])
-        out = transform_heuristic(v, "completely unrelated words")
+        out = v.transform("completely unrelated words")
         assert out.nnz == 0
 
     def test_transform_tf_times_idf(self):
         v = fit_heuristic(["team wins", "team city"])
-        out = transform_heuristic(v, "team team")
+        out = v.transform("team team")
         idx = v.vocabulary["team"]
         assert out[0, idx] == pytest.approx(2.0 * v.idf[idx])
         assert v.idf[idx] == pytest.approx(1.0)
 
     def test_case_folding(self):
         v = fit_heuristic(["team wins"])
-        out = transform_heuristic(v, "Team")
+        out = v.transform("Team")
         assert out[0, v.vocabulary["team"]] > 0
 
     def test_non_negative_and_zero_outside_vocab(self):
@@ -165,7 +164,7 @@ class TestHeuristic:
         rng = np.random.default_rng(0)
         for _ in range(20):
             text = " ".join(rng.choice(list("abcdefg"), size=6))
-            out = transform_heuristic(v, text)
+            out = v.transform(text)
             if out.nnz:
                 assert out.data.min() >= 0
             dense = np.asarray(out.todense()).ravel()

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from scipy import sparse
 
 from tablerank.corpus import Query, TaskType
-from tablerank.features import NodeFeatures, extract_all, representative_score, embed_semantic
+from tablerank.features import extract_all, representative_score, embed_semantic
 from tablerank.fine import (
     PPRConfig,
     build_local_subgraph,
@@ -11,7 +10,6 @@ from tablerank.fine import (
     personalization,
     ppr,
     retrieve,
-    similarity_matrix,
     transition_matrix,
 )
 from tablerank.index import build_index
@@ -20,13 +18,20 @@ from tablerank.linearize import linearize_query
 from conftest import make_angle_corpus, make_topic_corpus
 
 
-def nf(vec) -> NodeFeatures:
-    return NodeFeatures(sem=np.asarray(vec, dtype=float), struct=np.zeros(20),
-                        heur=sparse.csr_matrix((1, 1)))
+def subgraph(vectors: dict[str, np.ndarray], tau: float):
+    """Subgraph over the vectors, nodes in ascending id order."""
+    ids = sorted(vectors)
+    return build_local_subgraph(ids, np.vstack([vectors[tid] for tid in ids]), tau)
 
 
-def feature_map(vectors: dict[str, np.ndarray]) -> dict[str, NodeFeatures]:
-    return {tid: nf(v) for tid, v in vectors.items()}
+def sem_rows(g, vectors: dict[str, np.ndarray]) -> np.ndarray:
+    return np.vstack([vectors[tid] for tid in g.node_ids])
+
+
+def edge_list(g) -> list[tuple[int, int, float]]:
+    """Undirected edges as (i, j, weight) with i < j."""
+    ii, jj = np.nonzero(np.triu(g.adjacency, 1))
+    return [(int(i), int(j), float(g.weights[i, j])) for i, j in zip(ii, jj)]
 
 
 def solve_ppr_oracle(P: np.ndarray, h: np.ndarray, alpha: float) -> np.ndarray:
@@ -44,7 +49,7 @@ def random_graph(rng, max_nodes=64):
     vecs /= np.linalg.norm(vecs, axis=1)[:, None]
     tau = float(rng.uniform(0.0, 1.0))
     ids = [f"n{i:03d}" for i in range(n)]
-    g = build_local_subgraph(ids, feature_map(dict(zip(ids, vecs))), tau)
+    g = build_local_subgraph(ids, vecs, tau)
     h = rng.dirichlet(np.ones(n))
     return g, h
 
@@ -66,14 +71,14 @@ class TestBuildLocalSubgraph:
         rng = np.random.default_rng(0)
         ids = [f"n{i}" for i in range(6)]
         vecs = {tid: rng.normal(size=8) for tid in ids}
-        g = build_local_subgraph(set(ids), feature_map(vecs), tau=0.0)
-        assert len(g.edge_list()) == 6 * 5 // 2
+        g = subgraph(vecs, tau=0.0)
+        assert len(edge_list(g)) == 6 * 5 // 2
         assert not g.adjacency.diagonal().any()
 
     def test_tau_one_keeps_only_parallel_pairs(self):
         vecs = {"a": np.array([1.0, 0.0]), "b": np.array([2.0, 0.0]), "c": np.array([0.0, 1.0])}
-        g = build_local_subgraph(set(vecs), feature_map(vecs), tau=1.0)
-        edges = {(g.node_ids[i], g.node_ids[j]) for i, j, _ in g.edge_list()}
+        g = subgraph(vecs, tau=1.0)
+        edges = {(g.node_ids[i], g.node_ids[j]) for i, j, _ in edge_list(g)}
         assert edges == {("a", "b")}
 
     def test_matches_brute_force_pairwise_filter(self):
@@ -83,8 +88,8 @@ class TestBuildLocalSubgraph:
             ids = [f"n{i}" for i in range(4)]
             vecs = {tid: rng.normal(size=5) for tid in ids}
             tau = float(rng.uniform(0, 1))
-            g = build_local_subgraph(set(ids), feature_map(vecs), tau)
-            got = {(g.node_ids[i], g.node_ids[j]) for i, j, _ in g.edge_list()}
+            g = subgraph(vecs, tau)
+            got = {(g.node_ids[i], g.node_ids[j]) for i, j, _ in edge_list(g)}
             expect = set()
             ordered = sorted(ids)
             for i, a in enumerate(ordered):
@@ -98,22 +103,24 @@ class TestBuildLocalSubgraph:
         rng = np.random.default_rng(3)
         ids = [f"x{i}" for i in range(10)]
         vecs = {tid: rng.normal(size=6) for tid in ids}
-        g = build_local_subgraph(set(ids), feature_map(vecs), tau=0.3)
+        g = subgraph(vecs, tau=0.3)
         assert g.node_ids == sorted(ids)
-        for _, _, w in g.edge_list():
+        backwards = ids[::-1]
+        assert build_local_subgraph(backwards, np.vstack([vecs[t] for t in backwards]), 0.3).node_ids == backwards
+        for _, _, w in edge_list(g):
             assert 0.3 <= w <= 1.0 + 1e-12
 
 
 class TestSimilarityMatrix:
     def test_edgeless_graph_zero_matrix(self):
         vecs = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
-        g = build_local_subgraph(set(vecs), feature_map(vecs), tau=0.5)
-        assert np.array_equal(similarity_matrix(g), np.zeros((2, 2)))
+        g = subgraph(vecs, tau=0.5)
+        assert np.array_equal(g.weights, np.zeros((2, 2)))
 
     def test_single_edge_two_entries(self):
         vecs = {"a": np.array([1.0, 0.1]), "b": np.array([1.0, 0.0]), "c": np.array([0.0, 1.0])}
-        g = build_local_subgraph(set(vecs), feature_map(vecs), tau=0.9)
-        S = similarity_matrix(g)
+        g = subgraph(vecs, tau=0.9)
+        S = g.weights
         assert np.count_nonzero(S) == 2
         assert S[0, 1] == S[1, 0] > 0.9
 
@@ -121,7 +128,7 @@ class TestSimilarityMatrix:
         rng = np.random.default_rng(13)
         for _ in range(10):
             g, _ = random_graph(rng, max_nodes=20)
-            S = similarity_matrix(g)
+            S = g.weights
             assert np.array_equal(S, S.T)
             assert np.all(S.diagonal() == 0)
 
@@ -155,14 +162,14 @@ class TestTransitionMatrix:
 class TestPersonalization:
     def test_single_node(self):
         vecs = {"only": np.array([1.0, 0.0])}
-        g = build_local_subgraph(set(vecs), feature_map(vecs), tau=0.0)
-        h = personalization(nf([1.0, 0.0]), g, feature_map(vecs))
+        g = subgraph(vecs, tau=0.0)
+        h = personalization([1.0, 0.0], sem_rows(g, vecs))
         assert np.allclose(h, [1.0])
 
     def test_equal_scores_split_evenly(self):
         vecs = {"a": np.array([1.0, 0.0]), "b": np.array([1.0, 0.0])}
-        g = build_local_subgraph(set(vecs), feature_map(vecs), tau=0.0)
-        h = personalization(nf([1.0, 0.0]), g, feature_map(vecs))
+        g = subgraph(vecs, tau=0.0)
+        h = personalization([1.0, 0.0], sem_rows(g, vecs))
         assert np.allclose(h, [0.5, 0.5])
 
     def test_clamped_scores_normalized(self):
@@ -171,19 +178,19 @@ class TestPersonalization:
             "b": np.array([0.2, 0.0, 0.9]),
             "c": np.array([-1.0, 0.0, 0.0]),  # negative cosine clamps to 0
         }
-        g = build_local_subgraph(set(vecs), feature_map(vecs), tau=0.0)
+        g = subgraph(vecs, tau=0.0)
         q = np.array([1.0, 0.0, 0.0])
         raw = {tid: max(0.0, representative_score(v, q)) for tid, v in vecs.items()}
         total = sum(raw.values())
-        h = personalization(nf(q), g, feature_map(vecs))
+        h = personalization(q, sem_rows(g, vecs))
         for i, tid in enumerate(g.node_ids):
             assert h[i] == pytest.approx(raw[tid] / total)
         assert h[g.node_ids.index("c")] == 0.0
 
     def test_all_zero_scores_fall_back_to_uniform(self):
         vecs = {"a": np.array([0.0, 1.0]), "b": np.array([0.0, 1.0])}
-        g = build_local_subgraph(set(vecs), feature_map(vecs), tau=0.0)
-        h = personalization(nf([1.0, 0.0]), g, feature_map(vecs))
+        g = subgraph(vecs, tau=0.0)
+        h = personalization([1.0, 0.0], sem_rows(g, vecs))
         assert np.allclose(h, [0.5, 0.5])
 
 
@@ -216,7 +223,7 @@ class TestPPR:
         rng = np.random.default_rng(21)
         for _ in range(20):
             g, h = random_graph(rng, max_nodes=32)
-            P = transition_matrix(similarity_matrix(g))
+            P = transition_matrix(g.weights)
             result = ppr(P, h, PPRConfig(alpha=0.85))
             assert result.scores.min() >= 0
             assert result.scores.sum() == pytest.approx(1.0, abs=1e-6)
@@ -225,7 +232,7 @@ class TestPPR:
         # Truncating at increasing max_iter exposes each intermediate iterate.
         rng = np.random.default_rng(27)
         g, h = random_graph(rng, max_nodes=16)
-        P = transition_matrix(similarity_matrix(g))
+        P = transition_matrix(g.weights)
         for cap in range(1, 12):
             result = ppr(P, h, PPRConfig(alpha=0.9, epsilon=1e-30, max_iter=cap))
             assert result.scores.min() >= 0
@@ -235,7 +242,7 @@ class TestPPR:
         rng = np.random.default_rng(22)
         for _ in range(10):
             g, h = random_graph(rng, max_nodes=32)
-            P = transition_matrix(similarity_matrix(g))
+            P = transition_matrix(g.weights)
             result = ppr(P, h, PPRConfig(alpha=0.9, epsilon=1e-12, max_iter=500))
             r = result.residuals
             assert all(b <= a + 1e-12 for a, b in zip(r, r[1:]))
@@ -243,7 +250,7 @@ class TestPPR:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(23)
         g, h = random_graph(rng, max_nodes=24)
-        P = transition_matrix(similarity_matrix(g))
+        P = transition_matrix(g.weights)
         v = ppr(P, h, PPRConfig(epsilon=1e-12, max_iter=2000)).scores
         perm = rng.permutation(len(h))
         Pp = P[np.ix_(perm, perm)]
@@ -261,7 +268,7 @@ class TestPPR:
         rng = np.random.default_rng(24)
         for trial in range(20):
             g, h = random_graph(rng, max_nodes=48)
-            P = transition_matrix(similarity_matrix(g))
+            P = transition_matrix(g.weights)
             alpha = [0.3, 0.85, 0.95][trial % 3]
             got = ppr(P, h, PPRConfig(alpha=alpha, epsilon=1e-12, max_iter=5000)).scores
             expect = solve_ppr_oracle(P, h, alpha)
@@ -277,7 +284,7 @@ class TestFineRetrieve:
 
         q = Query(id="q", text="tp0c00 tp0c01 tp0c02", task_type=TaskType.SINGLE_HOP)
         coarse = coarse_retrieve(q, ix, handle)
-        coarse.union_ids = {corpus.ids()[0]}
+        coarse.union_ids = np.array([0])
         result = fine_retrieve(q, coarse, ix, PPRConfig(top_n=5), tau=0.5)
         assert result.ranked == [(corpus.ids()[0], 1.0)]
 

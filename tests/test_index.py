@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -10,10 +12,26 @@ from tablerank.index import (
     kmeans,
     load_index,
     save_index,
-    select_typical,
 )
 
 from conftest import make_topic_corpus
+
+
+def select_typical(members, centroid: np.ndarray, k: int) -> list[str]:
+    """Reference loop for typical-node selection: top-k member ids by cosine
+    to the centroid; ties break on id ascending."""
+    scored = []
+    for tid, vec in members:
+        if sparse.issparse(vec):
+            row = np.asarray(vec.todense()).ravel()
+        else:
+            row = np.asarray(vec).ravel()
+        c_norm = float(np.linalg.norm(centroid))
+        v_norm = float(np.linalg.norm(row))
+        score = 0.0 if c_norm == 0.0 or v_norm == 0.0 else float(row @ centroid) / (v_norm * c_norm)
+        scored.append((tid, score))
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return [tid for tid, _ in scored[: min(k, len(scored))]]
 
 
 def two_blobs(seed=0, per_blob=20, gap=100.0):
@@ -121,11 +139,12 @@ class TestBuildIndex:
             assert fam.n_clusters == 10
             assert len(fam.assignments) == 30
             # clusters partition the corpus
-            assert sorted(tid for members in fam.members for tid in members) == sorted(corpus.ids())
-            assert all(members for members in fam.members)
+            assert fam.assignments.min() >= 0 and fam.assignments.max() < 10
+            sizes = np.bincount(fam.assignments, minlength=10)
+            assert all(sizes > 0)
             for j, typ in enumerate(fam.typical):
-                assert set(typ) <= set(fam.members[j])
-                assert len(typ) == min(100, len(fam.members[j]))
+                assert np.all(fam.assignments[typ] == j)
+                assert len(set(typ.tolist())) == len(typ) == min(100, sizes[j])
 
     def test_k_too_large(self, handle):
         corpus = make_topic_corpus(5, 2, seed=1)
@@ -196,25 +215,30 @@ class TestPersistence:
         assert corpus_digest(c1) == corpus_digest(make_topic_corpus(10, 2, seed=3))
 
     def test_digest_free_file_refused(self, built, tmp_path):
-        import json
-
         _, ix = built
         p = tmp_path / "ix.bin"
         save_index(ix, p)
-        blob = p.read_bytes()
-        header_len = int(np.frombuffer(blob, dtype="<u8", count=1, offset=12)[0])
-        header = json.loads(blob[20 : 20 + header_len])
-        header["corpus_digest"] = ""
-        new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        stripped = (
-            blob[:12]
-            + np.uint64(len(new_header)).tobytes()
-            + new_header
-            + blob[20 + header_len :]
-        )
-        (tmp_path / "nodigest.bin").write_bytes(stripped)
         with pytest.raises(IOFailure):
-            load_index(tmp_path / "nodigest.bin")
+            load_index(_edit_header(p, lambda h: h.update(corpus_digest="")))
+
+    def test_unknown_typical_id_refused(self, built, tmp_path):
+        _, ix = built
+        p = tmp_path / "ix.bin"
+        save_index(ix, p)
+        with pytest.raises(IOFailure, match="not an indexed table"):
+            load_index(_edit_header(p, lambda h: h["families"]["sem"]["typical"][0].append("ghost")))
+
+
+def _edit_header(p, edit):
+    """Copy of the index file at ``p`` with its JSON header changed by ``edit``."""
+    blob = p.read_bytes()
+    header_len = int(np.frombuffer(blob, dtype="<u8", count=1, offset=12)[0])
+    header = json.loads(blob[20 : 20 + header_len])
+    edit(header)
+    new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    out = p.with_name("edited.bin")
+    out.write_bytes(blob[:12] + np.uint64(len(new_header)).tobytes() + new_header + blob[20 + header_len :])
+    return out
 
 
 class TestTypicalConsistency:
@@ -229,7 +253,7 @@ class TestTypicalConsistency:
             rows = ix.score_space_rows(phi)
             for j in range(fam.n_clusters):
                 members = [
-                    (tid, rows[ix.position(tid)]) for tid in fam.members[j]
+                    (ix.table_ids[i], rows[i]) for i in np.flatnonzero(fam.assignments == j)
                 ]
                 expect = select_typical(members, fam.centroids[j], k=5)
-                assert fam.typical[j] == expect
+                assert [ix.table_ids[i] for i in fam.typical[j]] == expect
