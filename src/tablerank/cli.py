@@ -15,7 +15,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +58,10 @@ class RunConfig:
         return PPRConfig(alpha=self.alpha, epsilon=self.epsilon, max_iter=self.max_iter, top_n=self.top_n)
 
 
-_CONFIG_FIELDS = set(RunConfig.__dataclass_fields__)
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}  # type names, as strings
+_ACCEPTED_TYPES = {"int": int, "float": (int, float), "str": str}
+_POSITIVE_INTS = ("K", "k", "dimension", "batch_limit")
+_FAMILY_K_FLAGS = ("K_sem", "K_struct", "K_heur")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -70,15 +73,21 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             file_values = json.loads(Path(config_path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file {config_path}: {exc}") from exc
-        unknown = set(file_values) - _CONFIG_FIELDS
+        if not isinstance(file_values, dict):
+            raise UsageError(f"config file {config_path} must hold a JSON object")
+        unknown = set(file_values) - set(_FIELD_TYPES)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in file_values.items():
+            # bool is an int subclass, but true/false is never a valid knob
+            if isinstance(value, bool) or not isinstance(value, _ACCEPTED_TYPES[_FIELD_TYPES[name]]):
+                raise UsageError(f"config key {name!r} must be of type {_FIELD_TYPES[name]}, got {value!r}")
         values.update(file_values)
     if os.environ.get(ENV_EMBEDDER):
         values["embedder"] = os.environ[ENV_EMBEDDER]
     if os.environ.get(ENV_GENERATOR):
         values["generator"] = os.environ[ENV_GENERATOR]
-    for name in _CONFIG_FIELDS:
+    for name in _FIELD_TYPES:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
@@ -89,6 +98,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(str(exc)) from exc
     if not 0.0 <= cfg.tau <= 1.0:
         raise UsageError("tau must lie in [0, 1]")
+    counts = {name: getattr(cfg, name) for name in _POSITIVE_INTS}
+    counts.update({name: getattr(args, name, None) for name in _FAMILY_K_FLAGS})
+    too_small = [name for name, n in counts.items() if n is not None and n < 1]
+    if too_small:
+        raise UsageError(f"{', '.join(too_small)} must be at least 1")
     log.info("resolved config: %s", json.dumps(asdict(cfg), sort_keys=True))
     return cfg
 

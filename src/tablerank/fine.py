@@ -14,6 +14,13 @@ also keeps the effective transition matrix row-stochastic and v a probability
 vector at every step. Iteration stops when the L1 step difference drops
 below epsilon, or at max_iter with the result flagged truncated.
 
+A query allocates two n x n float64 arrays: the weight matrix W, built in
+place from the Gram matrix of the unit sem rows, and P^T for the iteration.
+numpy computes ``unit @ unit.T`` with a symmetric rank-k update, so the Gram
+matrix, and with it W, is bitwise symmetric. Hence P^T = W / s[None, :] (s the
+row sums of W) equals the transpose of W / s[:, None] bit for bit, and no
+transpose copy is needed.
+
 Only semantic features participate here; the other families already did
 their work during coarse filtering.
 """
@@ -51,6 +58,8 @@ class PPRConfig:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
         if self.top_n < 1:
             raise ValueError("top_n must be at least 1")
 
@@ -59,18 +68,23 @@ class PPRConfig:
 class LocalSubgraph:
     """Candidate nodes plus thresholded pairwise semantic weights.
 
-    ``weights`` is the dense symmetric matrix with a zero diagonal;
-    ``adjacency`` records edge presence separately so a weight-0 edge
-    (clamped negative cosine at tau = 0) is still an edge.
+    ``weights`` is the dense, bitwise-symmetric matrix with a zero diagonal.
+    Edge presence follows from it and ``tau``: every off-diagonal pair is an
+    edge at tau = 0, where a clamped negative cosine gives a weight-0 edge;
+    above 0, exactly the pairs with a positive weight are edges.
     """
 
     node_ids: list[str]
     weights: np.ndarray
-    adjacency: np.ndarray
     tau: float
 
     def __len__(self) -> int:
         return len(self.node_ids)
+
+    def has_edge(self, i, j):
+        """Edge presence between positions i and j; ints or broadcastable
+        index arrays."""
+        return (i != j) & ((self.tau == 0.0) | (self.weights[i, j] > 0.0))
 
 
 @dataclass
@@ -101,7 +115,7 @@ def build_local_subgraph(node_ids: list[str], sem_rows: np.ndarray, tau: float) 
 
     ``sem_rows[i]`` is the sem vector of ``node_ids[i]``; node order is kept.
     Edge (i, j) exists iff the clamped cosine of their sem vectors is >= tau;
-    isolated nodes are fine.
+    isolated nodes are fine. The weights are built in one buffer.
     """
     if len(node_ids) == 0:
         raise ValueError("cannot build a subgraph from zero candidates")
@@ -111,24 +125,11 @@ def build_local_subgraph(node_ids: list[str], sem_rows: np.ndarray, tau: float) 
     norms = np.linalg.norm(sem, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
     unit = sem / safe[:, None]
-    cos = unit @ unit.T
-    np.clip(cos, 0.0, None, out=cos)
-    upper = np.triu(cos, 1)
-    weights = upper + upper.T  # bitwise-symmetric by construction
-    adjacency = np.triu(cos >= tau, 1)
-    adjacency = adjacency | adjacency.T
-    weights[~adjacency] = 0.0
-    return LocalSubgraph(node_ids=list(node_ids), weights=weights, adjacency=adjacency, tau=tau)
-
-
-def transition_matrix(S: np.ndarray) -> np.ndarray:
-    """Row-normalize S into a new array. All-zero rows are left as zeros
-    here; the PPR iteration substitutes the personalization vector for them,
-    which makes the effective matrix row-stochastic."""
-    S = np.asarray(S, dtype=np.float64)
-    row_sums = S.sum(axis=1)
-    safe = np.where(row_sums > 0, row_sums, 1.0)
-    return S / safe[:, None]
+    weights = unit @ unit.T  # bitwise symmetric: numpy computes it with syrk
+    np.clip(weights, 0.0, None, out=weights)
+    weights[weights < tau] = 0.0
+    np.fill_diagonal(weights, 0.0)
+    return LocalSubgraph(node_ids=list(node_ids), weights=weights, tau=tau)
 
 
 def personalization(q_sem: np.ndarray, sem_rows: np.ndarray) -> np.ndarray:
@@ -150,16 +151,20 @@ def personalization(q_sem: np.ndarray, sem_rows: np.ndarray) -> np.ndarray:
     return scores / total
 
 
-def ppr(P: np.ndarray, h: np.ndarray, cfg: PPRConfig) -> PPRResult:
+def ppr(W: np.ndarray, h: np.ndarray, cfg: PPRConfig) -> PPRResult:
     """Iterate personalized PageRank to the L1 tolerance.
 
-    P may contain all-zero (dangling) rows; their mass teleports to h. The
-    returned scores always sum to 1 up to floating error.
+    W is the symmetric, non-negative weight matrix; P is W row-normalized.
+    Since W equals its transpose bit for bit, P^T is W divided column-wise by
+    the row sums, built in a second buffer; W itself is left untouched.
+    All-zero (dangling) rows send their mass to h. The returned scores always
+    sum to 1 up to floating error.
     """
-    P = np.asarray(P, dtype=np.float64)
+    W = np.asarray(W, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
-    dangling = P.sum(axis=1) == 0.0
-    PT = np.ascontiguousarray(P.T)
+    row_sums = W.sum(axis=1)
+    dangling = row_sums == 0.0
+    PT = W / np.where(dangling, 1.0, row_sums)[None, :]
     v = h.copy()
     residuals: list[float] = []
     converged = False
@@ -177,8 +182,13 @@ def ppr(P: np.ndarray, h: np.ndarray, cfg: PPRConfig) -> PPRResult:
 
 
 def _rank(node_ids: list[str], scores: np.ndarray, top_n: int) -> list[tuple[str, float]]:
-    order = sorted(range(len(node_ids)), key=lambda i: (-scores[i], node_ids[i]))
-    return [(node_ids[i], float(scores[i])) for i in order[: min(top_n, len(node_ids))]]
+    """The top_n nodes by (-score, id). Only the nodes scoring at least the
+    top_n-th largest score are sorted."""
+    m = min(top_n, len(node_ids))
+    kth = np.partition(scores, len(scores) - m)[len(scores) - m]
+    head = np.flatnonzero(scores >= kth).tolist()
+    order = sorted(head, key=lambda i: (-scores[i], node_ids[i]))[:m]
+    return [(node_ids[i], float(scores[i])) for i in order]
 
 
 def fine_retrieve(
@@ -196,9 +206,8 @@ def fine_retrieve(
     t0 = time.perf_counter()
     sem_rows = ix.sem[coarse.union_ids]
     g = build_local_subgraph([ix.table_ids[i] for i in coarse.union_ids], sem_rows, tau)
-    P = transition_matrix(g.weights)
     h = personalization(coarse.query_features.sem, sem_rows)
-    result = ppr(P, h, cfg)
+    result = ppr(g.weights, h, cfg)
     elapsed = time.perf_counter() - t0
     ranked = _rank(g.node_ids, result.scores, cfg.top_n)
     return RetrievalResult(

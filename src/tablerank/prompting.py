@@ -20,6 +20,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from ._http import HttpCallError, post_json
 from .corpus import Table, TaskType
 from .errors import GeneratorUnavailable, MissingAnswerTags
@@ -105,21 +107,21 @@ def render_table_html(t: Table) -> str:
 
 
 def _graph_records(result: RetrievalResult) -> list[dict]:
-    ranked_ids = [tid for tid, _ in result.ranked]
-    alias = {tid: f"Table {i + 1}" for i, tid in enumerate(ranked_ids)}
-    pos = {tid: result.subgraph.node_ids.index(tid) for tid in ranked_ids}
+    g = result.subgraph
+    pos = np.array([g.node_ids.index(tid) for tid, _ in result.ranked])
+    edges = g.has_edge(pos[:, None], pos[None, :]).tolist()
+    weights = g.weights[np.ix_(pos, pos)].tolist()
     records: list[dict] = []
-    for a_rank, tid_a in enumerate(ranked_ids):
-        for tid_b in ranked_ids[a_rank + 1 :]:
-            i, j = pos[tid_a], pos[tid_b]
-            if result.subgraph.adjacency[i, j]:
+    for a in range(len(pos)):
+        for b in range(a + 1, len(pos)):
+            if edges[a][b]:
                 records.append(
                     {
-                        "source_node": alias[tid_a],
-                        "target_node": alias[tid_b],
+                        "source_node": f"Table {a + 1}",
+                        "target_node": f"Table {b + 1}",
                         "relationship": {
                             "type": "similarity",
-                            "score": round(float(result.subgraph.weights[i, j]), 3),
+                            "score": round(weights[a][b], 3),
                         },
                     }
                 )

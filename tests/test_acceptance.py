@@ -40,14 +40,13 @@ from tablerank.fine import (
     build_local_subgraph,
     ppr,
     retrieve,
-    transition_matrix,
 )
 from tablerank.index import build_index, save_index
 from tablerank.linearize import linearize_query
 from tablerank.prompting import build_prompt, parse_response
 
 from conftest import make_angle_corpus, make_table, make_topic_corpus, make_topic_query
-from test_fine import solve_ppr_oracle
+from test_fine import solve_ppr_oracle, transition_matrix
 
 
 def _report(name: str, detail: str) -> None:
@@ -83,11 +82,10 @@ def test_ppr_oracle_equivalence():
         tau = float(rng.uniform(0.0, 1.0))
         ids = [f"n{i:03d}" for i in range(n)]
         g = build_local_subgraph(ids, vecs, tau)
-        P = transition_matrix(g.weights)
         h = rng.dirichlet(np.ones(n))
         alpha = (0.3, 0.85, 0.95)[trial % 3]
-        got = ppr(P, h, PPRConfig(alpha=alpha, epsilon=1e-12, max_iter=5000)).scores
-        expect = solve_ppr_oracle(P, h, alpha)
+        got = ppr(g.weights, h, PPRConfig(alpha=alpha, epsilon=1e-12, max_iter=5000)).scores
+        expect = solve_ppr_oracle(transition_matrix(g.weights), h, alpha)
         worst = max(worst, float(np.max(np.abs(got - expect))))
         assert worst < 1e-6
     elapsed = time.perf_counter() - t0

@@ -124,6 +124,7 @@ class TestRetrieve:
         ["--query", "tp1c00", "--top-n", "0"],
         ["--query", "tp1c00", "--alpha", "1.5"],
         ["--query", "tp1c00", "--tau", "2"],
+        ["--query", "tp1c00", "--max-iter", "0"],
     ])
     def test_out_of_range_input_exits_2(self, index_file, capsys, flags):
         assert main(["retrieve", "--index", str(index_file), *flags]) == 2
@@ -133,6 +134,16 @@ class TestRetrieve:
         with pytest.raises(SystemExit) as err:
             main(["retrieve", "--index", str(index_file), "--query", "x", "--bogus"])
         assert err.value.code == 2
+
+
+class TestBuildIndex:
+    @pytest.mark.parametrize("flag", ["--K", "--k", "--dimension", "--batch-limit",
+                                      "--K-sem", "--K-struct", "--K-heur"])
+    def test_count_below_one_exits_2(self, tmp_path, corpus_file, capsys, flag):
+        assert main(["build-index", "--corpus", str(corpus_file),
+                     "--out", str(tmp_path / "x.idx"), flag, "0"]) == 2
+        assert "error: usage:" in capsys.readouterr().err
+        assert not (tmp_path / "x.idx").exists()
 
 
 class TestInspect:
@@ -174,6 +185,22 @@ class TestConfigPrecedence:
         cfg.write_text(json.dumps({"coolness": 11}))
         assert main(["build-index", "--corpus", str(corpus_file),
                      "--out", str(tmp_path / "x.idx"), "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("values", [
+        {"alpha": "x"},
+        {"top_n": 2.5},
+        {"max_iter": True},
+        {"tau": None},
+        {"embedder": 5},
+        {"K": "3"},
+        5,  # not an object at all
+    ])
+    def test_mistyped_config_value_is_usage_error(self, index_file, tmp_path, capsys, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert main(["retrieve", "--index", str(index_file), "--query", "tp1c00",
+                     "--config", str(cfg)]) == 2
+        assert "error: usage:" in capsys.readouterr().err
 
     def test_retrieve_adopts_index_dimension(self, tmp_path, corpus_file, capsys):
         out = tmp_path / "dim32.idx"

@@ -5,12 +5,12 @@ from tablerank.corpus import Query, TaskType
 from tablerank.features import extract_all, representative_score, embed_semantic
 from tablerank.fine import (
     PPRConfig,
+    _rank,
     build_local_subgraph,
     fine_retrieve,
     personalization,
     ppr,
     retrieve,
-    transition_matrix,
 )
 from tablerank.index import build_index
 from tablerank.linearize import linearize_query
@@ -30,8 +30,18 @@ def sem_rows(g, vectors: dict[str, np.ndarray]) -> np.ndarray:
 
 def edge_list(g) -> list[tuple[int, int, float]]:
     """Undirected edges as (i, j, weight) with i < j."""
-    ii, jj = np.nonzero(np.triu(g.adjacency, 1))
-    return [(int(i), int(j), float(g.weights[i, j])) for i, j in zip(ii, jj)]
+    ii, jj = np.triu_indices(len(g), 1)
+    present = g.has_edge(ii, jj)
+    return [(int(i), int(j), float(g.weights[i, j])) for i, j in zip(ii[present], jj[present])]
+
+
+def transition_matrix(S: np.ndarray) -> np.ndarray:
+    """Row-normalize S into a new array; all-zero rows stay zero. The
+    oracles below take this row-stochastic P."""
+    S = np.asarray(S, dtype=np.float64)
+    row_sums = S.sum(axis=1)
+    safe = np.where(row_sums > 0, row_sums, 1.0)
+    return S / safe[:, None]
 
 
 def solve_ppr_oracle(P: np.ndarray, h: np.ndarray, alpha: float) -> np.ndarray:
@@ -54,6 +64,42 @@ def random_graph(rng, max_nodes=64):
     return g, h
 
 
+def rows_with_duplicates(rng, n: int, d: int = 16) -> np.ndarray:
+    """n random rows drawn from a pool of 2n/3, so many rows repeat exactly,
+    plus one all-zero row."""
+    pool = rng.normal(size=(max(1, 2 * n // 3), d))
+    rows = pool[rng.integers(0, len(pool), size=n)]
+    rows[rng.integers(0, n)] = 0.0
+    return rows
+
+
+def reference_fine(rows: np.ndarray, tau: float, h: np.ndarray, cfg: PPRConfig):
+    """The earlier fine-stage construction, kept as the bitwise reference:
+    mirrored upper triangle, bool adjacency, row-stochastic P and a contiguous
+    transpose of it. Returns (weights, adjacency, scores, iterations)."""
+    norms = np.linalg.norm(rows, axis=1)
+    unit = rows / np.where(norms > 0, norms, 1.0)[:, None]
+    cos = unit @ unit.T
+    np.clip(cos, 0.0, None, out=cos)
+    upper = np.triu(cos, 1)
+    weights = upper + upper.T
+    adjacency = np.triu(cos >= tau, 1)
+    adjacency = adjacency | adjacency.T
+    weights[~adjacency] = 0.0
+    P = transition_matrix(weights)
+    dangling = P.sum(axis=1) == 0.0
+    PT = np.ascontiguousarray(P.T)
+    v = h.copy()
+    for it in range(1, cfg.max_iter + 1):
+        dangling_mass = float(v[dangling].sum()) if dangling.any() else 0.0
+        v_next = (1.0 - cfg.alpha) * h + cfg.alpha * (PT @ v + dangling_mass * h)
+        residual = float(np.abs(v_next - v).sum())
+        v = v_next
+        if residual < cfg.epsilon:
+            break
+    return weights, adjacency, v, it
+
+
 class TestPPRConfig:
     def test_bounds_enforced(self):
         with pytest.raises(ValueError):
@@ -64,6 +110,8 @@ class TestPPRConfig:
             PPRConfig(epsilon=0.0)
         with pytest.raises(ValueError):
             PPRConfig(top_n=0)
+        with pytest.raises(ValueError):
+            PPRConfig(max_iter=0)
 
 
 class TestBuildLocalSubgraph:
@@ -73,7 +121,7 @@ class TestBuildLocalSubgraph:
         vecs = {tid: rng.normal(size=8) for tid in ids}
         g = subgraph(vecs, tau=0.0)
         assert len(edge_list(g)) == 6 * 5 // 2
-        assert not g.adjacency.diagonal().any()
+        assert not g.has_edge(np.arange(6), np.arange(6)).any()
 
     def test_tau_one_keeps_only_parallel_pairs(self):
         vecs = {"a": np.array([1.0, 0.0]), "b": np.array([2.0, 0.0]), "c": np.array([0.0, 1.0])}
@@ -131,6 +179,30 @@ class TestSimilarityMatrix:
             S = g.weights
             assert np.array_equal(S, S.T)
             assert np.all(S.diagonal() == 0)
+        # a large Gram matrix over exactly repeated rows is bitwise symmetric too
+        rows = rows_with_duplicates(rng, 1500)
+        S = build_local_subgraph([f"n{i:04d}" for i in range(1500)], rows, 0.0).weights
+        assert np.array_equal(S, S.T)
+        assert np.all(S.diagonal() == 0)
+
+
+class TestTwoBufferEquivalence:
+    @pytest.mark.parametrize("tau", [0.0, 0.2])
+    def test_bitwise_equal_to_reference(self, tau):
+        rng = np.random.default_rng(31)
+        cfg = PPRConfig()
+        for n in (2, 40, 300, 1200):
+            rows = rows_with_duplicates(rng, n)
+            h = personalization(rng.normal(size=rows.shape[1]), rows)
+            g = build_local_subgraph([f"n{i:04d}" for i in range(n)], rows, tau)
+            weights = g.weights.copy()
+            got = ppr(g.weights, h, cfg)
+            ref_weights, ref_adjacency, ref_scores, ref_iters = reference_fine(rows, tau, h, cfg)
+            assert np.array_equal(g.weights, weights)  # ppr leaves W untouched
+            assert np.array_equal(g.weights, ref_weights)
+            assert np.array_equal(g.has_edge(*np.indices((n, n))), ref_adjacency)
+            assert np.array_equal(got.scores, ref_scores)
+            assert got.iterations == ref_iters
 
 
 class TestTransitionMatrix:
@@ -154,7 +226,7 @@ class TestTransitionMatrix:
         assert np.array_equal(P[2], np.zeros(3))
         h = np.array([0.5, 0.3, 0.2])
         cfg = PPRConfig(alpha=0.85, epsilon=1e-14, max_iter=10000)
-        got = ppr(P, h, cfg).scores
+        got = ppr(S, h, cfg).scores
         expect = solve_ppr_oracle(P, h, 0.85)
         assert np.max(np.abs(got - expect)) < 1e-6
 
@@ -213,18 +285,16 @@ class TestPPR:
         weights = [0.9, 0.4, 0.7, 0.2]
         for i, w in enumerate(weights):
             S[i, i + 1] = S[i + 1, i] = w
-        P = transition_matrix(S)
         h = np.array([0.4, 0.1, 0.2, 0.1, 0.2])
-        got = ppr(P, h, PPRConfig(alpha=0.85, epsilon=1e-14, max_iter=10000)).scores
-        expect = solve_ppr_oracle(P, h, 0.85)
+        got = ppr(S, h, PPRConfig(alpha=0.85, epsilon=1e-14, max_iter=10000)).scores
+        expect = solve_ppr_oracle(transition_matrix(S), h, 0.85)
         assert np.max(np.abs(got - expect)) < 1e-6
 
     def test_probability_vector_preserved(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             g, h = random_graph(rng, max_nodes=32)
-            P = transition_matrix(g.weights)
-            result = ppr(P, h, PPRConfig(alpha=0.85))
+            result = ppr(g.weights, h, PPRConfig(alpha=0.85))
             assert result.scores.min() >= 0
             assert result.scores.sum() == pytest.approx(1.0, abs=1e-6)
 
@@ -232,9 +302,8 @@ class TestPPR:
         # Truncating at increasing max_iter exposes each intermediate iterate.
         rng = np.random.default_rng(27)
         g, h = random_graph(rng, max_nodes=16)
-        P = transition_matrix(g.weights)
         for cap in range(1, 12):
-            result = ppr(P, h, PPRConfig(alpha=0.9, epsilon=1e-30, max_iter=cap))
+            result = ppr(g.weights, h, PPRConfig(alpha=0.9, epsilon=1e-30, max_iter=cap))
             assert result.scores.min() >= 0
             assert result.scores.sum() == pytest.approx(1.0, abs=1e-6)
 
@@ -242,37 +311,50 @@ class TestPPR:
         rng = np.random.default_rng(22)
         for _ in range(10):
             g, h = random_graph(rng, max_nodes=32)
-            P = transition_matrix(g.weights)
-            result = ppr(P, h, PPRConfig(alpha=0.9, epsilon=1e-12, max_iter=500))
+            result = ppr(g.weights, h, PPRConfig(alpha=0.9, epsilon=1e-12, max_iter=500))
             r = result.residuals
             assert all(b <= a + 1e-12 for a, b in zip(r, r[1:]))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(23)
         g, h = random_graph(rng, max_nodes=24)
-        P = transition_matrix(g.weights)
-        v = ppr(P, h, PPRConfig(epsilon=1e-12, max_iter=2000)).scores
+        v = ppr(g.weights, h, PPRConfig(epsilon=1e-12, max_iter=2000)).scores
         perm = rng.permutation(len(h))
-        Pp = P[np.ix_(perm, perm)]
-        vp = ppr(Pp, h[perm], PPRConfig(epsilon=1e-12, max_iter=2000)).scores
+        Wp = g.weights[np.ix_(perm, perm)]
+        vp = ppr(Wp, h[perm], PPRConfig(epsilon=1e-12, max_iter=2000)).scores
         assert np.allclose(vp, v[perm], atol=1e-9)
 
     def test_truncation_flagged(self):
         S = np.array([[0.0, 1.0], [1.0, 0.0]])
-        P = transition_matrix(S)
         h = np.array([0.9, 0.1])
-        result = ppr(P, h, PPRConfig(alpha=0.85, epsilon=1e-30, max_iter=3))
+        result = ppr(S, h, PPRConfig(alpha=0.85, epsilon=1e-30, max_iter=3))
         assert result.truncated and result.iterations == 3
 
     def test_oracle_equivalence_random_graphs(self):
         rng = np.random.default_rng(24)
         for trial in range(20):
             g, h = random_graph(rng, max_nodes=48)
-            P = transition_matrix(g.weights)
             alpha = [0.3, 0.85, 0.95][trial % 3]
-            got = ppr(P, h, PPRConfig(alpha=alpha, epsilon=1e-12, max_iter=5000)).scores
-            expect = solve_ppr_oracle(P, h, alpha)
+            got = ppr(g.weights, h, PPRConfig(alpha=alpha, epsilon=1e-12, max_iter=5000)).scores
+            expect = solve_ppr_oracle(transition_matrix(g.weights), h, alpha)
             assert np.max(np.abs(got - expect)) < 1e-6
+
+
+class TestRank:
+    def test_ties_straddling_cutoff(self):
+        ids = ["e", "d", "c", "b", "a", "f"]
+        scores = np.array([0.1, 0.3, 0.2, 0.2, 0.2, 0.0])
+        assert _rank(ids, scores, 3) == [("d", 0.3), ("a", 0.2), ("b", 0.2)]
+
+    def test_matches_full_sort(self):
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            n = int(rng.integers(1, 30))
+            ids = [f"t{i:02d}" for i in rng.permutation(n)]
+            scores = rng.integers(0, 4, size=n) / 4.0
+            full = sorted(range(n), key=lambda i: (-scores[i], ids[i]))
+            for top_n in range(1, n + 2):
+                assert _rank(ids, scores, top_n) == [(ids[i], float(scores[i])) for i in full[:top_n]]
 
 
 class TestFineRetrieve:

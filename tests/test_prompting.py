@@ -16,10 +16,10 @@ from tablerank.prompting import (
 from conftest import make_table
 
 
-def make_result(ids, weights: np.ndarray, scores=None) -> RetrievalResult:
+def make_result(ids, weights: np.ndarray, scores=None, tau: float = 0.1) -> RetrievalResult:
     n = len(ids)
-    adjacency = weights > 0
-    g = LocalSubgraph(node_ids=sorted(ids), weights=weights, adjacency=adjacency, tau=0.0)
+    # with tau > 0, exactly the positive weights are edges
+    g = LocalSubgraph(node_ids=sorted(ids), weights=weights, tau=tau)
     scores = scores if scores is not None else np.linspace(1.0, 0.1, n)
     scores = scores / scores.sum()
     ranked = sorted(zip(g.node_ids, scores), key=lambda p: (-p[1], p[0]))
@@ -76,6 +76,12 @@ class TestBuildPrompt:
                               TaskType.SINGLE_HOP)
         assert bundle.graph_records == []
         assert "Graph Related Information:" in bundle.user
+
+    def test_tau_zero_pair_is_a_weight_zero_edge(self):
+        result = make_result(["ta", "tb"], np.zeros((2, 2)), tau=0.0)
+        bundle = build_prompt("q?", result, [make_table("ta"), make_table("tb")],
+                              TaskType.SINGLE_HOP)
+        assert [rec["relationship"]["score"] for rec in bundle.graph_records] == [0.0]
 
     def test_tfv_instruction_contract(self):
         result = make_result(["ta"], np.zeros((1, 1)))
