@@ -98,6 +98,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(str(exc)) from exc
     if not 0.0 <= cfg.tau <= 1.0:
         raise UsageError("tau must lie in [0, 1]")
+    if cfg.seed < 0:
+        raise UsageError("seed must be non-negative")
     counts = {name: getattr(cfg, name) for name in _POSITIVE_INTS}
     counts.update({name: getattr(args, name, None) for name in _FAMILY_K_FLAGS})
     too_small = [name for name, n in counts.items() if n is not None and n < 1]

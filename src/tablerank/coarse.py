@@ -1,10 +1,13 @@
 """Coarse-grained retrieval: pick one cluster per feature family, union them.
 
 For each family, the query is scored against every cluster's typical nodes;
-the cluster with the highest mean score wins (ties go to the lower cluster
-index). The candidate set handed to fine-grained retrieval is the union of
-the three winning clusters, which typically discards the bulk of the corpus
-while keeping the relevant region from three complementary viewpoints.
+the cluster with the highest mean cosine wins (ties go to the lower cluster
+index). That mean comes from the cluster's mean unit-normalized typical
+vector, precomputed once per family, so a query costs one (K, dim) product
+per family rather than a pass over every typical node. The candidate set
+handed to fine-grained retrieval is the union of the three winning clusters,
+which typically discards the bulk of the corpus while keeping the relevant
+region from three complementary viewpoints.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .corpus import Query
 from .errors import DimensionMismatch
@@ -20,7 +24,6 @@ from .features import (
     NodeFeatures,
     embed_semantic,
     extract_structural,
-    scores_to_vector,
     standardize_struct,
 )
 from .index import FAMILY_TYPES, ClusterFamily, HypergraphIndex
@@ -59,16 +62,26 @@ def query_features(q: Query, ix: HypergraphIndex, h: EmbedderHandle) -> NodeFeat
 def assign_cluster(
     qf: NodeFeatures, family: ClusterFamily, ix: HypergraphIndex
 ) -> tuple[int, list[float]]:
-    """Mean typical-node score per cluster; returns (argmax index, all means).
+    """Mean typical-node cosine per cluster; returns (argmax index, all means).
 
-    Ties break toward the smaller cluster index. Every cluster is non-empty
-    by construction, so the mean is always defined.
+    The mean of cluster j's typical cosines to the query v equals
+    ``M[j] @ v / |v|``, where ``M = ix.typical_means(...)`` holds each
+    cluster's mean unit-normalized typical vector, so a query costs one
+    (K, dim) product per family. A zero query scores 0 everywhere. Ties break
+    toward the smaller cluster index.
     """
-    sizes = np.array([len(t) for t in family.typical])
-    rows = ix.score_space_rows(family.feature_type, np.concatenate(family.typical))
-    scores = scores_to_vector(rows, getattr(qf, family.feature_type))
-    starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
-    means = np.add.reduceat(scores, starts) / sizes
+    v = getattr(qf, family.feature_type)
+    if sparse.issparse(v):
+        v = v.toarray().ravel()
+    v_norm = np.linalg.norm(v)
+    if v_norm == 0.0:
+        means = np.zeros(len(family.typical))
+    else:
+        m = ix.typical_means(family.feature_type)
+        # Not a BLAS product for dense m: gemv may round a row differently by
+        # its position, which would split an exact tie between identical rows.
+        dots = m @ v if sparse.issparse(m) else np.einsum("ij,j->i", m, v)
+        means = dots / v_norm
     best = int(np.argmax(means))  # first occurrence wins: smallest index on ties
     return best, means.tolist()
 

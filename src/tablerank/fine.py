@@ -27,6 +27,7 @@ their work during coarse filtering.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -56,8 +57,8 @@ class PPRConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:  # also refuses NaN
+            raise ValueError("epsilon must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.top_n < 1:

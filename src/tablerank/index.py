@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -190,13 +190,18 @@ class ClusterFamily:
     """One hyperedge family: the K clusters of a single feature type.
 
     ``assignments[i]`` is the cluster of index row i; ``typical[j]`` holds the
-    index rows of cluster j's typical nodes, best first.
+    index rows of cluster j's typical nodes, best first. ``typical_means`` is
+    derived from ``typical`` and the index rows by
+    ``HypergraphIndex.typical_means`` on first use; it is never persisted.
     """
 
     feature_type: str
     assignments: np.ndarray
     centroids: np.ndarray
     typical: list[np.ndarray]
+    typical_means: np.ndarray | sparse.csr_matrix | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def n_clusters(self) -> int:
@@ -271,6 +276,28 @@ class HypergraphIndex:
         else:
             raise ValueError(f"unknown feature type {feature_type!r}")
         return src if positions is None else src[positions]
+
+    def typical_means(self, feature_type: str):
+        """(K, dim) matrix whose row j is the mean of cluster j's L2-normalized
+        typical rows in score space: dense for sem/struct, CSR for heur.
+
+        The mean cosine of cluster j's typical rows to a query v is then
+        ``typical_means[j] @ v / |v|``; a zero row counts as cosine 0. Built
+        once per family as a sparse (K, n) weight matrix times the rows, so no
+        row is gathered or copied, and kept on the family in memory only.
+        """
+        fam = self.families[feature_type]
+        if fam.typical_means is None:
+            rows = self.score_space_rows(feature_type)
+            positions = np.concatenate(fam.typical)
+            sizes = np.array([len(t) for t in fam.typical])
+            norms = np.sqrt(_row_sq_norms(rows))[positions]
+            denom = norms * np.repeat(sizes, sizes)
+            weights = np.divide(1.0, denom, out=np.zeros(len(positions)), where=norms > 0)
+            indptr = np.concatenate(([0], np.cumsum(sizes)))
+            w = sparse.csr_matrix((weights, positions, indptr), shape=(len(sizes), len(self)))
+            fam.typical_means = w @ rows
+        return fam.typical_means
 
     def equals(self, other: "HypergraphIndex") -> bool:
         if (

@@ -125,6 +125,9 @@ class TestRetrieve:
         ["--query", "tp1c00", "--alpha", "1.5"],
         ["--query", "tp1c00", "--tau", "2"],
         ["--query", "tp1c00", "--max-iter", "0"],
+        ["--query", "tp1c00", "--epsilon", "nan"],
+        ["--query", "tp1c00", "--epsilon", "inf"],
+        ["--query", "tp1c00", "--seed", "-1"],
     ])
     def test_out_of_range_input_exits_2(self, index_file, capsys, flags):
         assert main(["retrieve", "--index", str(index_file), *flags]) == 2
@@ -142,6 +145,19 @@ class TestBuildIndex:
     def test_count_below_one_exits_2(self, tmp_path, corpus_file, capsys, flag):
         assert main(["build-index", "--corpus", str(corpus_file),
                      "--out", str(tmp_path / "x.idx"), flag, "0"]) == 2
+        assert "error: usage:" in capsys.readouterr().err
+        assert not (tmp_path / "x.idx").exists()
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_negative_seed_exits_2(self, tmp_path, corpus_file, capsys, via):
+        if via == "flag":
+            extra = ["--seed", "-1"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seed": -1}))
+            extra = ["--config", str(cfg)]
+        assert main(["build-index", "--corpus", str(corpus_file),
+                     "--out", str(tmp_path / "x.idx"), *extra]) == 2
         assert "error: usage:" in capsys.readouterr().err
         assert not (tmp_path / "x.idx").exists()
 
@@ -193,6 +209,7 @@ class TestConfigPrecedence:
         {"tau": None},
         {"embedder": 5},
         {"K": "3"},
+        {"seed": -1},
         5,  # not an object at all
     ])
     def test_mistyped_config_value_is_usage_error(self, index_file, tmp_path, capsys, values):

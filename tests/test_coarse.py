@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -5,10 +7,27 @@ from scipy import sparse
 from tablerank.coarse import assign_cluster, coarse_retrieve, query_features
 from tablerank.corpus import Query, TaskType
 from tablerank.errors import DimensionMismatch
-from tablerank.features import EmbedderHandle, NodeFeatures, extract_all, representative_score
-from tablerank.index import ClusterFamily, build_index
+from tablerank.features import (
+    EmbedderHandle,
+    NodeFeatures,
+    extract_all,
+    representative_score,
+    scores_to_vector,
+)
+from tablerank.index import FAMILY_TYPES, ClusterFamily, build_index
 
 from conftest import make_topic_corpus, make_topic_query
+
+
+def reference_assign_cluster(qf, family, ix):
+    """Per-node oracle for assign_cluster: gather every typical row, score each
+    by cosine to the query, and average the scores per cluster."""
+    sizes = np.array([len(t) for t in family.typical])
+    rows = ix.score_space_rows(family.feature_type, np.concatenate(family.typical))
+    scores = scores_to_vector(rows, getattr(qf, family.feature_type))
+    starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
+    means = np.add.reduceat(scores, starts) / sizes
+    return int(np.argmax(means)), means.tolist()
 
 
 @pytest.fixture
@@ -134,6 +153,82 @@ class TestAssignCluster:
         assert best == 0
 
 
+class TestMeanVectorOracle:
+    """assign_cluster against the per-node reference on a built index, for all
+    three families: means within 1e-12 and the same choice."""
+
+    @staticmethod
+    def assert_matches_reference(qf, ix):
+        for phi in FAMILY_TYPES:
+            family = ix.families[phi]
+            best, means = assign_cluster(qf, family, ix)
+            _, ref_means = reference_assign_cluster(qf, family, ix)
+            ref = np.asarray(ref_means)
+            assert np.max(np.abs(means - ref)) <= 1e-12, phi
+            # The reference's BLAS product can round two identical typical sets
+            # apart by their row positions, so among its means within 1e-12 of
+            # the top, the lowest index is the documented choice.
+            assert best == int(np.argmax(ref >= ref.max() - 1e-12)), phi
+
+    def test_many_queries(self, indexed, handle):
+        _, _, ix = indexed
+        queries = [make_topic_query(t, seed=s) for t in range(4) for s in range(12)]
+        queries.append(Query(id="mix", text="tp0c00 tp1c01 tp2h00 tp3c02", task_type=TaskType.SINGLE_HOP))
+        exact_ties = 0
+        for q in queries:
+            qf = query_features(q, ix, handle)
+            self.assert_matches_reference(qf, ix)
+            _, means = assign_cluster(qf, ix.families["struct"], ix)
+            exact_ties += means.count(max(means)) > 1
+        # Topics share struct vectors here, so struct clusters tie exactly.
+        assert exact_ties > 0
+
+    def test_out_of_vocab_query_picks_cluster_zero(self, indexed, handle):
+        _, _, ix = indexed
+        q = Query(id="q", text="zz yy xx ww vv", task_type=TaskType.SINGLE_HOP)
+        qf = query_features(q, ix, handle)
+        self.assert_matches_reference(qf, ix)
+        best, means = assign_cluster(qf, ix.families["heur"], ix)
+        assert best == 0
+        assert means == [0.0] * len(means)
+
+    def test_zero_norm_typical_row(self, indexed, handle):
+        _, _, ix = indexed
+        ix.sem = ix.sem.copy()
+        ix._struct_z = ix.struct_z().copy()
+        ix.heur = ix.heur.copy()
+        for phi in FAMILY_TYPES:
+            p = int(ix.families[phi].typical[1][0])
+            if phi == "sem":
+                ix.sem[p] = 0.0
+            elif phi == "struct":
+                ix._struct_z[p] = 0.0
+            else:
+                ix.heur.data[ix.heur.indptr[p]:ix.heur.indptr[p + 1]] = 0.0
+        for t in range(4):
+            self.assert_matches_reference(query_features(make_topic_query(t, seed=5), ix, handle), ix)
+
+    def test_identical_typical_vectors_tie_to_lower_index(self, indexed):
+        _, _, ix = indexed
+        rng = np.random.default_rng(4)
+        n = len(ix)
+        vectors = rng.normal(size=(n, 8))
+        assignments = np.arange(n, dtype=np.int64) % 3
+        # Clusters 1 and 2 have the same typical vectors; cluster 0 points away.
+        typical = [[0, 3], [1, 4, 7], [2, 5, 8]]
+        vectors[[2, 5, 8]] = vectors[[1, 4, 7]]
+        vectors[[0, 3]] = -vectors[1]
+        _swap_sem(ix, vectors, assignments, typical)
+        for _ in range(10):
+            qv = vectors[1] + 0.1 * rng.normal(size=8)
+            qf = NodeFeatures(sem=qv, struct=np.zeros(20), heur=sparse.csr_matrix((1, 1)))
+            best, means = assign_cluster(qf, ix.families["sem"], ix)
+            assert means[1] == means[2]
+            assert best == 1
+            _, ref_means = reference_assign_cluster(qf, ix.families["sem"], ix)
+            assert np.max(np.abs(np.subtract(means, ref_means))) <= 1e-12
+
+
 class TestCoarseRetrieve:
     def test_union_covers_each_chosen_cluster(self, indexed, handle):
         _, _, ix = indexed
@@ -238,3 +333,20 @@ class TestCoarseRetrieve:
         result = coarse_retrieve(make_topic_query(0, seed=4), ix, handle)
         assert result.retained_fraction == pytest.approx(len(result.union_ids) / len(ix))
         assert result.corpus_size == len(ix)
+
+    def test_query_copies_no_typical_rows(self, handle):
+        # Every node is a typical node here, so a per-query gather of the
+        # typical rows would alone trace about ix.sem.nbytes.
+        corpus = make_topic_corpus(400, 4, seed=6)
+        feats = extract_all(corpus, handle)
+        ix = build_index(corpus, feats, K=4, k=100, seed=3)
+        q = make_topic_query(1, seed=9)
+        qf = query_features(q, ix, handle)
+        coarse_retrieve(q, ix, handle, qf=qf)  # warm-up: builds the per-family means
+        tracemalloc.start()
+        try:
+            coarse_retrieve(q, ix, handle, qf=qf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ix.sem.nbytes / 10

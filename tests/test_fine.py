@@ -109,6 +109,10 @@ class TestPPRConfig:
         with pytest.raises(ValueError):
             PPRConfig(epsilon=0.0)
         with pytest.raises(ValueError):
+            PPRConfig(epsilon=float("nan"))
+        with pytest.raises(ValueError):
+            PPRConfig(epsilon=float("inf"))
+        with pytest.raises(ValueError):
             PPRConfig(top_n=0)
         with pytest.raises(ValueError):
             PPRConfig(max_iter=0)
