@@ -20,12 +20,12 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .corpus import Query, Table, TableCorpus, TaskType, load_corpus, save_corpus
-from .errors import IOFailure, TooFewCols, TooFewQueries, TooFewRows
+from .errors import IOFailure, SchemaViolation, TooFewCols, TooFewQueries, TooFewRows
 from .features import STOPWORDS, fit_heuristic, representative_score, tokenize
 from .linearize import normalize_whitespace
 
@@ -480,56 +480,84 @@ def save_benchmark(ds: BenchmarkDataset, out_dir: str | Path) -> None:
         raise IOFailure(f"cannot write benchmark to {out}: {exc}") from exc
 
 
+def _parse_records(lines: list[str], name: str, build: Callable[[dict], object]) -> list:
+    """``build`` applied to each non-blank JSON line. Bad JSON, a non-object
+    line, a missing key and a bad value (such as an unknown task type) are
+    collected per line and raised together as one SchemaViolation."""
+    out = []
+    violations: list[tuple[str, str]] = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        where = f"<{name} line {lineno}>"
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            violations.append((where, f"invalid JSON: {exc.msg}"))
+            continue
+        if not isinstance(rec, dict):
+            violations.append((where, "record is not an object"))
+            continue
+        try:
+            out.append(build(rec))
+        except KeyError as exc:
+            violations.append((where, f"missing key {exc.args[0]!r}"))
+        except (TypeError, ValueError) as exc:
+            violations.append((where, f"malformed record: {exc}"))
+    if violations:
+        raise SchemaViolation(violations)
+    return out
+
+
+def _example_from_record(rec: dict) -> BenchmarkExample:
+    gold = set(rec["gold_table_ids"])
+    q = Query(
+        id=rec["id"],
+        text=rec["text"],
+        task_type=TaskType(rec["task_type"]),
+        gold_table_ids=gold,
+        gold_answer=rec["gold_answer"],
+    )
+    return BenchmarkExample(
+        query=q,
+        gold_table_ids=set(gold),
+        difficulty=rec["difficulty"],
+        root_table_id=rec["root_table_id"],
+    )
+
+
 def load_benchmark(in_dir: str | Path) -> BenchmarkDataset:
     src = Path(in_dir)
     tables = load_corpus(src / "tables.jsonl", format="jsonl")
-    examples: list[BenchmarkExample] = []
     try:
         lines = (src / "examples.jsonl").read_text(encoding="utf-8").splitlines()
-        stats = json.loads((src / "stats.json").read_text(encoding="utf-8"))
+        stats_text = (src / "stats.json").read_text(encoding="utf-8")
     except OSError as exc:
         raise IOFailure(f"cannot read benchmark from {src}: {exc}") from exc
-    for line in lines:
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        q = Query(
-            id=rec["id"],
-            text=rec["text"],
-            task_type=TaskType(rec["task_type"]),
-            gold_table_ids=set(rec["gold_table_ids"]),
-            gold_answer=rec["gold_answer"],
-        )
-        examples.append(
-            BenchmarkExample(
-                query=q,
-                gold_table_ids=set(rec["gold_table_ids"]),
-                difficulty=rec["difficulty"],
-                root_table_id=rec["root_table_id"],
-            )
-        )
+    try:
+        stats = json.loads(stats_text)
+    except json.JSONDecodeError as exc:
+        raise SchemaViolation([("<stats.json>", f"invalid JSON: {exc.msg}")]) from exc
+    examples = _parse_records(lines, "examples.jsonl", _example_from_record)
     return BenchmarkDataset(tables=tables, examples=examples, stats=stats)
 
 
+def _source_query_from_record(rec: dict) -> SourceQuery:
+    return SourceQuery(
+        id=str(rec["id"]),
+        root_table_id=str(rec["root_table_id"]),
+        text=str(rec["text"]),
+        task_type=TaskType(rec["task_type"]),
+        answer=rec.get("answer"),
+    )
+
+
 def load_source_queries(path: str | Path) -> list[SourceQuery]:
-    """Read raw source queries (one JSON record per line)."""
+    """Read raw source queries (one JSON record per line). Every bad line is
+    reported, by line number, in one SchemaViolation."""
     p = Path(path)
     try:
         lines = p.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise IOFailure(f"cannot read {p}: {exc}") from exc
-    out: list[SourceQuery] = []
-    for line in lines:
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        out.append(
-            SourceQuery(
-                id=str(rec["id"]),
-                root_table_id=str(rec["root_table_id"]),
-                text=str(rec["text"]),
-                task_type=TaskType(rec["task_type"]),
-                answer=rec.get("answer"),
-            )
-        )
-    return out
+    return _parse_records(lines, p.name, _source_query_from_record)

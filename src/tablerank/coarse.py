@@ -1,13 +1,15 @@
 """Coarse-grained retrieval: pick one cluster per feature family, union them.
 
 For each family, the query is scored against every cluster's typical nodes;
-the cluster with the highest mean cosine wins (ties go to the lower cluster
-index). That mean comes from the cluster's mean unit-normalized typical
-vector, precomputed once per family, so a query costs one (K, dim) product
-per family rather than a pass over every typical node. The candidate set
-handed to fine-grained retrieval is the union of the three winning clusters,
-which typically discards the bulk of the corpus while keeping the relevant
-region from three complementary viewpoints.
+the cluster with the highest mean cosine wins. Means within TIE_ULPS units in
+the last place of the largest |mean| count as tied, and the lowest tied
+cluster index wins, so the choice does not hang on rounding. That mean comes
+from the cluster's mean unit-normalized typical vector, precomputed once per
+family, so a query costs one (K, dim) product per family rather than a pass
+over every typical node. The candidate set handed to fine-grained retrieval
+is the union of the three winning clusters, which typically discards the
+bulk of the corpus while keeping the relevant region from three
+complementary viewpoints.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ from .features import (
 )
 from .index import FAMILY_TYPES, ClusterFamily, HypergraphIndex
 from .linearize import linearize_query
+
+# Clusters that share one typical vector but differ in typical count have
+# mean cosines a few ulps apart; 8 ulps of max |means| covers that spread.
+TIE_ULPS = 8
 
 
 @dataclass
@@ -67,8 +73,9 @@ def assign_cluster(
     The mean of cluster j's typical cosines to the query v equals
     ``M[j] @ v / |v|``, where ``M = ix.typical_means(...)`` holds each
     cluster's mean unit-normalized typical vector, so a query costs one
-    (K, dim) product per family. A zero query scores 0 everywhere. Ties break
-    toward the smaller cluster index.
+    (K, dim) product per family. A zero query scores 0 everywhere. Means
+    within ``TIE_ULPS * np.spacing(max |means|)`` of the best are tied, and the
+    smallest tied cluster index wins.
     """
     v = getattr(qf, family.feature_type)
     if sparse.issparse(v):
@@ -82,7 +89,8 @@ def assign_cluster(
         # its position, which would split an exact tie between identical rows.
         dots = m @ v if sparse.issparse(m) else np.einsum("ij,j->i", m, v)
         means = dots / v_norm
-    best = int(np.argmax(means))  # first occurrence wins: smallest index on ties
+    bound = TIE_ULPS * np.spacing(np.abs(means).max())
+    best = int(np.argmax(means >= means.max() - bound))  # first tied index
     return best, means.tolist()
 
 

@@ -147,6 +147,10 @@ def embed_semantic(texts: Sequence[str], h: EmbedderHandle) -> list[np.ndarray]:
             arr = np.asarray(v, dtype=np.float64)
             if arr.ndim != 1 or arr.shape[0] != h.dimension:
                 raise DimensionMismatch(h.dimension, int(arr.shape[-1] if arr.ndim else 0))
+            if not np.isfinite(arr).all():
+                raise EmbedderUnavailable(
+                    h.endpoint, "response holds a non-finite vector", batch_start=start
+                )
             out.append(arr)
     return out
 

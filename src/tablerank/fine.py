@@ -4,22 +4,33 @@ The candidate tables become a pairwise weighted graph: nodes in ascending
 index-position order, an edge wherever the semantic cosine of two tables
 clears the threshold tau (negative cosines clamp to 0 first, so weights stay
 in [tau, 1]). Personalized PageRank biased toward the query then ranks the
-nodes:
+nodes. Its scores v are the fixpoint of
 
-    v <- (1 - alpha) * h + alpha * P^T v,   v0 = h
+    v = (1 - alpha) * h + alpha * (P^T v + m(v) * h)
 
-where P is the row-normalized similarity matrix. Rows with no outgoing
-weight teleport to h (not to uniform), so the walk keeps its query bias; this
-also keeps the effective transition matrix row-stochastic and v a probability
-vector at every step. Iteration stops when the L1 step difference drops
-below epsilon, or at max_iter with the result flagged truncated.
+where P is the row-normalized weight matrix and m(v) is the mass on
+dangling nodes (rows with no weight), which teleports to h rather than to
+uniform, so the walk keeps its query bias.
 
-A query allocates two n x n float64 arrays: the weight matrix W, built in
-place from the Gram matrix of the unit sem rows, and P^T for the iteration.
-numpy computes ``unit @ unit.T`` with a symmetric rank-k update, so the Gram
-matrix, and with it W, is bitwise symmetric. Hence P^T = W / s[None, :] (s the
-row sums of W) equals the transpose of W / s[:, None] bit for bit, and no
-transpose copy is needed.
+The dangling term only adds multiples of h, so v is x / sum(x) for the
+solution x of (I - alpha * W D^-1) x = h, D the diagonal of row sums of W.
+Writing x = D^1/2 y turns that into
+
+    (I - alpha * D^-1/2 W D^-1/2) y = D^-1/2 h,
+
+a symmetric positive definite system with eigenvalues in
+[1 - alpha, 1 + alpha]. ``ppr`` solves it by conjugate gradients from
+x = h, so the iteration count is bounded by the condition number
+(1 + alpha) / (1 - alpha) rather than by the walk's mixing. Dangling rows and
+columns of W are zero, so their scale is 1 and they pass through as x_i = h_i.
+
+A query allocates one n x n float64 array, the weight matrix W, built in
+place from the Gram matrix of the unit sem rows; the solve needs only
+products of W with a vector.
+
+Tables with bitwise-identical sem rows are interchangeable nodes, so their
+exact scores are equal; computed ones differ in the last bits. Each member of
+such a group gets the group's largest score, and ties rank by table id.
 
 Only semantic features participate here; the other families already did
 their work during coarse filtering.
@@ -29,7 +40,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +60,11 @@ STAGE_FINE = "Fine-grained"
 
 @dataclass(frozen=True)
 class PPRConfig:
+    """PPR settings. ``epsilon`` bounds the fixpoint residual of the returned
+    scores: the L1 distance one power-iteration step would move them. A solve
+    that does not reach it within ``max_iter`` products with W is flagged
+    truncated."""
+
     alpha: float = DEFAULT_ALPHA
     epsilon: float = DEFAULT_EPSILON
     max_iter: int = DEFAULT_MAX_ITER
@@ -93,7 +109,7 @@ class PPRResult:
     scores: np.ndarray
     iterations: int
     converged: bool
-    residuals: list[float] = field(default_factory=list)
+    residual: float
 
     @property
     def truncated(self) -> bool:
@@ -128,7 +144,7 @@ def build_local_subgraph(node_ids: list[str], sem_rows: np.ndarray, tau: float) 
     unit = sem / safe[:, None]
     weights = unit @ unit.T  # bitwise symmetric: numpy computes it with syrk
     np.clip(weights, 0.0, None, out=weights)
-    weights[weights < tau] = 0.0
+    weights *= weights >= tau
     np.fill_diagonal(weights, 0.0)
     return LocalSubgraph(node_ids=list(node_ids), weights=weights, tau=tau)
 
@@ -153,33 +169,78 @@ def personalization(q_sem: np.ndarray, sem_rows: np.ndarray) -> np.ndarray:
 
 
 def ppr(W: np.ndarray, h: np.ndarray, cfg: PPRConfig) -> PPRResult:
-    """Iterate personalized PageRank to the L1 tolerance.
+    """Personalized PageRank of the symmetric, non-negative weight matrix W
+    and the probability vector h, by conjugate gradients (see the module
+    docstring); W is left untouched.
 
-    W is the symmetric, non-negative weight matrix; P is W row-normalized.
-    Since W equals its transpose bit for bit, P^T is W divided column-wise by
-    the row sums, built in a second buffer; W itself is left untouched.
-    All-zero (dangling) rows send their mass to h. The returned scores always
-    sum to 1 up to floating error.
+    Each pass first measures the current iterate's fixpoint residual, the L1
+    distance one power-iteration step would move the normalized scores, and
+    stops once it is below epsilon; otherwise it takes one CG step, one
+    product with W. ``iterations`` counts those products. The scores are the
+    iterate clipped at 0 and normalized, so they sum to 1 even when
+    truncated.
     """
     W = np.asarray(W, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     row_sums = W.sum(axis=1)
-    dangling = row_sums == 0.0
-    PT = W / np.where(dangling, 1.0, row_sums)[None, :]
-    v = h.copy()
-    residuals: list[float] = []
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iter + 1):
-        dangling_mass = float(v[dangling].sum()) if dangling.any() else 0.0
-        v_next = (1.0 - cfg.alpha) * h + cfg.alpha * (PT @ v + dangling_mass * h)
-        residual = float(np.abs(v_next - v).sum())
-        residuals.append(residual)
-        v = v_next
-        if residual < cfg.epsilon:
-            converged = True
+    scale = np.sqrt(np.where(row_sums > 0.0, row_sums, 1.0))  # x = scale * y
+
+    def apply(y: np.ndarray) -> np.ndarray:
+        return y - cfg.alpha * (W @ (y / scale)) / scale
+
+    b = h / scale
+    y = b.copy()
+    r = b - apply(y)
+    p = r.copy()
+    rr = float(r @ r)
+    it = 1
+    while True:
+        x = scale * y
+        # With rho = scale * r, the residual of (I - alpha W D^-1) x = h, one
+        # power step moves x / sum(x) by exactly (rho - sum(rho) h) / sum(x).
+        rho = scale * r
+        residual = float(np.abs(rho - rho.sum() * h).sum() / x.sum())
+        if residual < cfg.epsilon or it == cfg.max_iter:
             break
-    return PPRResult(scores=v, iterations=it, converged=converged, residuals=residuals)
+        Ap = apply(p)
+        step = rr / float(p @ Ap)
+        y += step * p
+        r -= step * Ap
+        rr_next = float(r @ r)
+        p = r + (rr_next / rr) * p
+        rr = rr_next
+        it += 1
+    np.clip(x, 0.0, None, out=x)
+    return PPRResult(
+        scores=x / x.sum(), iterations=it, converged=residual < cfg.epsilon, residual=residual
+    )
+
+
+def _row_hash(words: np.ndarray) -> np.ndarray:
+    """64-bit linear hash of each row of 64-bit words: a dot product with
+    fixed random odd multipliers in wrapping integer arithmetic."""
+    mult = np.random.default_rng(0).integers(0, 2**64, size=words.shape[1], dtype=np.uint64)
+    return words @ (mult | np.uint64(1))
+
+
+def _tie_duplicates(sem_rows: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Give every row the largest score among the rows bitwise equal to it.
+
+    Rows are grouped by their hash, and each claimed duplicate is checked
+    word for word against its group's first row. Only if two distinct rows
+    share a hash are they grouped by sorting one opaque void key per row,
+    which copies every row twice.
+    """
+    words = np.ascontiguousarray(sem_rows).view(np.uint64)
+    _, first, group = np.unique(_row_hash(words), return_index=True, return_inverse=True)
+    rep = first[group]
+    dup = np.flatnonzero(rep != np.arange(len(rep)))
+    if not np.array_equal(words[dup], words[rep[dup]]):
+        keys = words.view(np.dtype((np.void, words.itemsize * words.shape[1]))).ravel()
+        _, group = np.unique(keys, return_inverse=True)
+    top = np.zeros(int(group.max()) + 1)
+    np.maximum.at(top, group, scores)
+    return top[group]
 
 
 def _rank(node_ids: list[str], scores: np.ndarray, top_n: int) -> list[tuple[str, float]]:
@@ -199,7 +260,8 @@ def fine_retrieve(
     cfg: PPRConfig,
     tau: float = 0.5,
 ) -> RetrievalResult:
-    """Subgraph + PPR over the coarse union; deterministic given index and config."""
+    """Subgraph + PPR over the coarse union, duplicate rows tied; deterministic
+    given index and config."""
     if len(coarse.union_ids) == 0:
         raise ValueError("coarse result has no candidate tables")
     if coarse.query_features is None:
@@ -209,13 +271,14 @@ def fine_retrieve(
     g = build_local_subgraph([ix.table_ids[i] for i in coarse.union_ids], sem_rows, tau)
     h = personalization(coarse.query_features.sem, sem_rows)
     result = ppr(g.weights, h, cfg)
+    scores = _tie_duplicates(sem_rows, result.scores)
     elapsed = time.perf_counter() - t0
-    ranked = _rank(g.node_ids, result.scores, cfg.top_n)
+    ranked = _rank(g.node_ids, scores, cfg.top_n)
     return RetrievalResult(
         ranked=ranked,
         subgraph=g,
         timings={STAGE_FINE: elapsed},
-        all_scores=result.scores,
+        all_scores=scores,
         iterations=result.iterations,
         converged=result.converged,
         zero_scores_in_ranked=any(s == 0.0 for _, s in ranked),

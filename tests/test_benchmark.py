@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -17,7 +18,7 @@ from tablerank.benchmark import (
     split_rows,
 )
 from tablerank.corpus import Table, TableCorpus, TaskType
-from tablerank.errors import TooFewCols, TooFewQueries, TooFewRows
+from tablerank.errors import SchemaViolation, TooFewCols, TooFewQueries, TooFewRows
 from tablerank.features import STOPWORDS, tokenize
 
 
@@ -336,6 +337,33 @@ class TestBuildBenchmark:
             assert (a.query.id, a.query.text, a.gold_table_ids, a.difficulty) == (
                 b.query.id, b.query.text, b.gold_table_ids, b.difficulty)
         assert loaded.stats == ds.stats
+
+    def test_bad_example_lines_reported_together(self, tmp_path):
+        corpus, queries = _benchmark_sources()
+        save_benchmark(build_benchmark(corpus, queries, seed=3), tmp_path / "out")
+        path = tmp_path / "out" / "examples.jsonl"
+        lines = path.read_text().splitlines()
+        first, second = json.loads(lines[0]), json.loads(lines[1])
+        first["task_type"] = "Nope"
+        del second["difficulty"]
+        lines[:3] = [json.dumps(first), json.dumps(second), lines[2][:-5]]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaViolation) as info:
+            load_benchmark(tmp_path / "out")
+        assert [where for where, _ in info.value.violations] == [
+            "<examples.jsonl line 1>", "<examples.jsonl line 2>", "<examples.jsonl line 3>"]
+        reasons = [reason for _, reason in info.value.violations]
+        assert "'Nope' is not a valid TaskType" in reasons[0]
+        assert reasons[1] == "missing key 'difficulty'"
+        assert reasons[2].startswith("invalid JSON")
+
+    def test_truncated_stats_is_violation(self, tmp_path):
+        corpus, queries = _benchmark_sources()
+        save_benchmark(build_benchmark(corpus, queries, seed=3), tmp_path / "out")
+        (tmp_path / "out" / "stats.json").write_text('{"total_tables": ')
+        with pytest.raises(SchemaViolation) as info:
+            load_benchmark(tmp_path / "out")
+        assert info.value.violations[0][0] == "<stats.json>"
 
     def test_stats_shape(self):
         corpus, queries = _benchmark_sources()

@@ -261,6 +261,21 @@ class TestBenchmarkAndEval:
         assert e2e["na"] == e2e["n"]
         assert e2e["em"] == 0.0
 
+    @pytest.mark.parametrize("line, reason", [
+        ('{"id": "x", "root_table_id": "root00", "text": "t", "task_type": "Nope"}',
+         "'Nope' is not a valid TaskType"),
+        ('{"id": "x", "root_table_id": "root00", "text": "t", "task_ty', "invalid JSON"),
+        ('{"id": "x", "root_table_id": "root00", "task_type": "TFV"}', "missing key 'text'"),
+    ], ids=["unknown-task-type", "truncated", "missing-key"])
+    def test_bad_source_query_line_is_violation(self, tmp_path, capsys, line, reason):
+        src = _sources_dir(tmp_path)
+        with (src / "queries.jsonl").open("a") as f:
+            f.write(line + "\n")
+        assert main(["build-benchmark", "--sources", str(src), "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert "SchemaViolation" in err and f"<queries.jsonl line 21>: " in err and reason in err
+        assert "Traceback" not in err
+
     def test_benchmark_determinism_via_cli(self, tmp_path, capsys):
         src = _sources_dir(tmp_path)
         d1, d2 = tmp_path / "d1", tmp_path / "d2"

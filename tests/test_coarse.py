@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from tablerank.coarse import assign_cluster, coarse_retrieve, query_features
+from tablerank.coarse import TIE_ULPS, assign_cluster, coarse_retrieve, query_features
 from tablerank.corpus import Query, TaskType
 from tablerank.errors import DimensionMismatch
 from tablerank.features import (
@@ -21,13 +21,15 @@ from conftest import make_topic_corpus, make_topic_query
 
 def reference_assign_cluster(qf, family, ix):
     """Per-node oracle for assign_cluster: gather every typical row, score each
-    by cosine to the query, and average the scores per cluster."""
+    by cosine to the query, and average the scores per cluster. The choice is
+    the lowest index among the means within TIE_ULPS ulps of the best."""
     sizes = np.array([len(t) for t in family.typical])
     rows = ix.score_space_rows(family.feature_type, np.concatenate(family.typical))
     scores = scores_to_vector(rows, getattr(qf, family.feature_type))
     starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
     means = np.add.reduceat(scores, starts) / sizes
-    return int(np.argmax(means)), means.tolist()
+    tied = np.flatnonzero(means >= means.max() - TIE_ULPS * np.spacing(np.abs(means).max()))
+    return int(tied[0]), means.tolist()
 
 
 @pytest.fixture
@@ -227,6 +229,19 @@ class TestMeanVectorOracle:
             assert best == 1
             _, ref_means = reference_assign_cluster(qf, ix.families["sem"], ix)
             assert np.max(np.abs(np.subtract(means, ref_means))) <= 1e-12
+
+
+    def test_repair_duplicated_vectors_tie_by_rule(self, handle):
+        # K exceeds the distinct struct vectors here, so k-means repair leaves
+        # struct clusters 0 and 4 (and 2 and 5) sharing one vector with 10
+        # against 1 typical nodes; their means differ only by rounding.
+        corpus = make_topic_corpus(60, 4, seed=6)
+        ix = build_index(corpus, extract_all(corpus, handle), K=6, k=10, seed=3)
+        for q in (make_topic_query(t, seed=s) for t in range(4) for s in range(10)):
+            qf = query_features(q, ix, handle)
+            for phi in FAMILY_TYPES:
+                best, _ = assign_cluster(qf, ix.families[phi], ix)
+                assert best == reference_assign_cluster(qf, ix.families[phi], ix)[0], (q.id, phi)
 
 
 class TestCoarseRetrieve:

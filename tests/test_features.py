@@ -78,6 +78,21 @@ class TestRemoteEmbedder:
             with pytest.raises(EmbedderUnavailable):
                 embed_semantic(["a"], h)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vector_is_unavailable(self, monkeypatch, bad):
+        def post_json(url, payload):
+            vectors = [[1.0, 0.0]] * len(payload["texts"])
+            if payload["texts"][0] == "c":
+                vectors[1] = [0.5, bad]
+            return {"vectors": vectors, "dimension": 2}
+
+        monkeypatch.setattr("tablerank.features.post_json", post_json)
+        h = EmbedderHandle(endpoint="http://embedder.invalid", dimension=2, batch_limit=2)
+        with pytest.raises(EmbedderUnavailable) as err:
+            embed_semantic(["a", "b", "c", "d", "e"], h)
+        assert err.value.batch_start == 2
+        assert "non-finite" in err.value.cause
+
     def test_unreachable_endpoint(self):
         h = EmbedderHandle(endpoint="http://127.0.0.1:9", dimension=2)
         with pytest.raises(EmbedderUnavailable):

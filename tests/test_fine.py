@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from tablerank.coarse import coarse_retrieve
 from tablerank.corpus import Query, TaskType
 from tablerank.features import extract_all, representative_score, embed_semantic
 from tablerank.fine import (
     PPRConfig,
     _rank,
+    _tie_duplicates,
     build_local_subgraph,
     fine_retrieve,
     personalization,
@@ -15,7 +19,7 @@ from tablerank.fine import (
 from tablerank.index import build_index
 from tablerank.linearize import linearize_query
 
-from conftest import make_angle_corpus, make_topic_corpus
+from conftest import make_angle_corpus, make_topic_corpus, make_topic_query
 
 
 def subgraph(vectors: dict[str, np.ndarray], tau: float):
@@ -73,10 +77,9 @@ def rows_with_duplicates(rng, n: int, d: int = 16) -> np.ndarray:
     return rows
 
 
-def reference_fine(rows: np.ndarray, tau: float, h: np.ndarray, cfg: PPRConfig):
-    """The earlier fine-stage construction, kept as the bitwise reference:
-    mirrored upper triangle, bool adjacency, row-stochastic P and a contiguous
-    transpose of it. Returns (weights, adjacency, scores, iterations)."""
+def reference_subgraph(rows: np.ndarray, tau: float):
+    """The earlier subgraph construction, kept as the bitwise reference:
+    mirrored upper triangle and bool adjacency. Returns (weights, adjacency)."""
     norms = np.linalg.norm(rows, axis=1)
     unit = rows / np.where(norms > 0, norms, 1.0)[:, None]
     cos = unit @ unit.T
@@ -86,18 +89,50 @@ def reference_fine(rows: np.ndarray, tau: float, h: np.ndarray, cfg: PPRConfig):
     adjacency = np.triu(cos >= tau, 1)
     adjacency = adjacency | adjacency.T
     weights[~adjacency] = 0.0
-    P = transition_matrix(weights)
+    return weights, adjacency
+
+
+def power_step(P: np.ndarray, h: np.ndarray, alpha: float, v: np.ndarray) -> np.ndarray:
+    """One PPR power-iteration step over row-stochastic P; dangling rows send
+    their mass to h."""
     dangling = P.sum(axis=1) == 0.0
-    PT = np.ascontiguousarray(P.T)
+    dangling_mass = float(v[dangling].sum()) if dangling.any() else 0.0
+    return (1.0 - alpha) * h + alpha * (P.T @ v + dangling_mass * h)
+
+
+def power_iteration(W: np.ndarray, h: np.ndarray, cfg: PPRConfig):
+    """The earlier PPR solver, kept as the oracle: iterate from v0 = h until
+    the L1 step difference drops below epsilon. Returns (scores, iterations)."""
+    P = transition_matrix(W)
     v = h.copy()
     for it in range(1, cfg.max_iter + 1):
-        dangling_mass = float(v[dangling].sum()) if dangling.any() else 0.0
-        v_next = (1.0 - cfg.alpha) * h + cfg.alpha * (PT @ v + dangling_mass * h)
+        v_next = power_step(P, h, cfg.alpha, v)
         residual = float(np.abs(v_next - v).sum())
         v = v_next
         if residual < cfg.epsilon:
             break
-    return weights, adjacency, v, it
+    return v, it
+
+
+def fixpoint_residual(W: np.ndarray, h: np.ndarray, alpha: float, v: np.ndarray) -> float:
+    """L1 distance one power-iteration step moves v."""
+    return float(np.abs(power_step(transition_matrix(W), h, alpha, v) - v).sum())
+
+
+def duplicate_groups(rows: np.ndarray) -> list[list[int]]:
+    """Positions of bitwise-identical rows, one list per distinct row."""
+    groups: dict[bytes, list[int]] = {}
+    for i, row in enumerate(rows):
+        groups.setdefault(row.tobytes(), []).append(i)
+    return list(groups.values())
+
+
+def tie_by_group(scores: np.ndarray, groups: list[list[int]]) -> np.ndarray:
+    """Every member takes its group's largest score."""
+    tied = scores.copy()
+    for members in groups:
+        tied[members] = scores[members].max()
+    return tied
 
 
 class TestPPRConfig:
@@ -190,23 +225,44 @@ class TestSimilarityMatrix:
         assert np.all(S.diagonal() == 0)
 
 
-class TestTwoBufferEquivalence:
+class TestTieAwareEquivalence:
     @pytest.mark.parametrize("tau", [0.0, 0.2])
-    def test_bitwise_equal_to_reference(self, tau):
+    def test_matches_power_iteration_oracle(self, tau):
         rng = np.random.default_rng(31)
         cfg = PPRConfig()
         for n in (2, 40, 300, 1200):
             rows = rows_with_duplicates(rng, n)
+            ids = [f"n{i:04d}" for i in range(n)]
             h = personalization(rng.normal(size=rows.shape[1]), rows)
-            g = build_local_subgraph([f"n{i:04d}" for i in range(n)], rows, tau)
+            g = build_local_subgraph(ids, rows, tau)
             weights = g.weights.copy()
             got = ppr(g.weights, h, cfg)
-            ref_weights, ref_adjacency, ref_scores, ref_iters = reference_fine(rows, tau, h, cfg)
+            ref_weights, ref_adjacency = reference_subgraph(rows, tau)
             assert np.array_equal(g.weights, weights)  # ppr leaves W untouched
             assert np.array_equal(g.weights, ref_weights)
             assert np.array_equal(g.has_edge(*np.indices((n, n))), ref_adjacency)
-            assert np.array_equal(got.scores, ref_scores)
-            assert got.iterations == ref_iters
+            oracle, _ = power_iteration(ref_weights, h, cfg)
+            assert np.max(np.abs(got.scores - oracle)) < 1e-8
+            assert got.converged and got.residual < cfg.epsilon
+            assert fixpoint_residual(ref_weights, h, cfg.alpha, got.scores) < cfg.epsilon
+            groups = duplicate_groups(rows)
+            assert n == 2 or len(groups) < n  # fixture precondition: rows repeat
+            tied = _tie_duplicates(rows, got.scores)
+            assert np.array_equal(tied, tie_by_group(got.scores, groups))
+            assert all(len(set(tied[members])) == 1 for members in groups)
+            ranking = [tid for tid, _ in _rank(ids, tied, n)]
+            assert ranking == [tid for tid, _ in _rank(ids, tie_by_group(oracle, groups), n)]
+
+
+    def test_hash_collision_falls_back_to_exact_groups(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        rows = rows_with_duplicates(rng, 300)
+        scores = rng.random(300)
+        expect = tie_by_group(scores, duplicate_groups(rows))
+        assert np.array_equal(_tie_duplicates(rows, scores), expect)
+        # every row hashes alike, so the word check fails and exact grouping runs
+        monkeypatch.setattr("tablerank.fine._row_hash", lambda words: np.zeros(len(words), np.uint64))
+        assert np.array_equal(_tie_duplicates(rows, scores), expect)
 
 
 class TestTransitionMatrix:
@@ -311,13 +367,13 @@ class TestPPR:
             assert result.scores.min() >= 0
             assert result.scores.sum() == pytest.approx(1.0, abs=1e-6)
 
-    def test_residuals_non_increasing(self):
+    def test_fixpoint_residual_below_epsilon(self):
         rng = np.random.default_rng(22)
         for _ in range(10):
             g, h = random_graph(rng, max_nodes=32)
             result = ppr(g.weights, h, PPRConfig(alpha=0.9, epsilon=1e-12, max_iter=500))
-            r = result.residuals
-            assert all(b <= a + 1e-12 for a, b in zip(r, r[1:]))
+            assert result.converged and result.residual < 1e-12
+            assert fixpoint_residual(g.weights, h, 0.9, result.scores) < 1e-12
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(23)
@@ -373,6 +429,38 @@ class TestFineRetrieve:
         coarse.union_ids = np.array([0])
         result = fine_retrieve(q, coarse, ix, PPRConfig(top_n=5), tau=0.5)
         assert result.ranked == [(corpus.ids()[0], 1.0)]
+
+    def test_one_square_buffer(self, handle):
+        # K=1 keeps the whole corpus as the union. One n x n float64 array is
+        # n^2 * 8 bytes; a second one (such as a transition matrix) would
+        # push the peak past 1.5 times that.
+        corpus = make_topic_corpus(1000, 4, seed=6)
+        ix = build_index(corpus, extract_all(corpus, handle), K=1, k=10, seed=3)
+        q = make_topic_query(1, seed=9)
+        coarse = coarse_retrieve(q, ix, handle)
+        n = len(coarse.union_ids)
+        assert n >= 1000
+        tracemalloc.start()
+        try:
+            fine_retrieve(q, coarse, ix, PPRConfig(), tau=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
+
+    def test_duplicate_rows_share_group_max(self, handle):
+        corpus = make_topic_corpus(200, 4, seed=6)
+        ix = build_index(corpus, extract_all(corpus, handle), K=1, k=10, seed=3)
+        cfg = PPRConfig(top_n=len(corpus))
+        coarse, result = retrieve(make_topic_query(0, seed=2), ix, handle, cfg, tau=0.5)
+        groups = duplicate_groups(ix.sem)  # K=1: the union is every row, in order
+        assert any(len(members) > 1 for members in groups)
+        raw = ppr(result.subgraph.weights, personalization(coarse.query_features.sem, ix.sem), cfg)
+        scores = tie_by_group(raw.scores, groups)
+        assert np.array_equal(result.all_scores, scores)
+        ids = result.subgraph.node_ids
+        order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
+        assert result.ranked == [(ids[i], float(scores[i])) for i in order]
 
     def test_low_alpha_matches_cosine_ranking(self, handle):
         corpus, q = make_angle_corpus(20)
