@@ -217,18 +217,15 @@ class HeuristicVectorizer:
         return len(self.vocabulary)
 
     def transform(self, text: str) -> sparse.csr_matrix:
-        counts = Counter(tokenize(text))
-        cols: list[int] = []
-        data: list[float] = []
-        for tok, tf in counts.items():
-            idx = self.vocabulary.get(tok)
-            if idx is not None:
-                cols.append(idx)
-                data.append(tf * float(self.idf[idx]))
+        """The 1 x V tf-idf row of ``text``, built directly in canonical CSR
+        form: ascending column indices, each at most once."""
+        vocab = self.vocabulary
+        hits = sorted((vocab[tok], tf) for tok, tf in Counter(tokenize(text)).items() if tok in vocab)
+        cols = np.array([c for c, _ in hits], dtype=np.int64)
+        tf = np.array([t for _, t in hits], dtype=np.float64)
         return sparse.csr_matrix(
-            (data, (np.zeros(len(cols), dtype=np.int64), cols)),
+            (tf * self.idf[cols], cols, np.array([0, len(hits)])),
             shape=(1, self.size),
-            dtype=np.float64,
         )
 
 

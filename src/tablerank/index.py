@@ -61,9 +61,9 @@ def _row(x, i: int) -> np.ndarray:
     return np.asarray(x[i]).ravel()
 
 
-def _sq_dists_to(x, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, shape (n, K). x may be sparse."""
-    x2 = _row_sq_norms(x)
+def _sq_dists_to(x, x2: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, shape (n, K). x may be sparse; ``x2`` is
+    ``_row_sq_norms(x)``, computed once per ``kmeans`` call by the caller."""
     c2 = np.einsum("ij,ij->i", centers, centers)
     cross = x @ centers.T
     if sparse.issparse(cross):
@@ -74,13 +74,13 @@ def _sq_dists_to(x, centers: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _plus_plus_init(x, k: int, rng: np.random.Generator) -> np.ndarray:
+def _plus_plus_init(x, x2: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = x.shape[0]
     dim = x.shape[1]
     centers = np.zeros((k, dim), dtype=np.float64)
     first = int(rng.integers(n))
     centers[0] = _row(x, first)
-    d2 = _sq_dists_to(x, centers[:1])[:, 0]
+    d2 = _sq_dists_to(x, x2, centers[:1])[:, 0]
     for j in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
@@ -88,27 +88,40 @@ def _plus_plus_init(x, k: int, rng: np.random.Generator) -> np.ndarray:
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centers[j] = _row(x, idx)
-        nd2 = _sq_dists_to(x, centers[j : j + 1])[:, 0]
+        nd2 = _sq_dists_to(x, x2, centers[j : j + 1])[:, 0]
         np.minimum(d2, nd2, out=d2)
     return centers
 
 
-def _means_with_repair(x, assign: np.ndarray, k: int) -> np.ndarray:
+def _means_with_repair(x, x2: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
     """Cluster means; empty clusters absorb the point farthest from its own
-    centroid (mutates ``assign``)."""
-    n, dim = x.shape[0], x.shape[1]
-    centers = np.zeros((k, dim), dtype=np.float64)
+    centroid (mutates ``assign``).
+
+    All K means come from one product ``w @ x``, where row j of the (K, n)
+    CSR weight matrix ``w`` holds cluster j's members in ascending row order.
+    That product is bitwise equal to the per-cluster ``x[members].mean(axis=0)``:
+    both start from +0.0 and add a cluster's members one at a time in
+    ascending row order. For dense rows the weights are an exact 1.0 and the
+    sums are then divided by the counts, as numpy's ``mean`` does. For sparse
+    rows the weights are ``1/count``, because scipy's sparse ``mean`` scales
+    every entry by 1/n before it sums. (One corner differs: numpy sums a
+    single-column dense array pairwise, not in order.)
+    """
+    n = x.shape[0]
     counts = np.bincount(assign, minlength=k)
-    for j in range(k):
-        if counts[j] > 0:
-            members = np.flatnonzero(assign == j)
-            if sparse.issparse(x):
-                centers[j] = np.asarray(x[members].mean(axis=0)).ravel()
-            else:
-                centers[j] = x[members].mean(axis=0)
+    members = np.argsort(assign, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    if sparse.issparse(x):
+        w = sparse.csr_matrix((1.0 / np.repeat(counts, counts), members, indptr), shape=(k, n))
+        centers = (w @ x).toarray()
+    else:
+        w = sparse.csr_matrix((np.ones(n), members, indptr), shape=(k, n))
+        centers = w @ x
+        filled = counts > 0
+        centers[filled] /= counts[filled, None]
     empties = np.flatnonzero(counts == 0)
     if empties.size:
-        d_own = _sq_dists_to(x, centers)[np.arange(n), assign]
+        d_own = _sq_dists_to(x, x2, centers)[np.arange(n), assign]
         for j in empties:
             donor_ok = counts[assign] >= 2
             if not donor_ok.any():
@@ -132,17 +145,17 @@ class KMeansResult:
     converged: bool
 
 
-def _lloyd(vectors, K: int, rng: np.random.Generator, max_iter: int) -> KMeansResult:
+def _lloyd(vectors, x2: np.ndarray, K: int, rng: np.random.Generator, max_iter: int) -> KMeansResult:
     n = vectors.shape[0]
-    centers = _plus_plus_init(vectors, K, rng)
-    assign = np.argmin(_sq_dists_to(vectors, centers), axis=1)
+    centers = _plus_plus_init(vectors, x2, K, rng)
+    assign = np.argmin(_sq_dists_to(vectors, x2, centers), axis=1)
 
     history: list[float] = []
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        centers = _means_with_repair(vectors, assign, K)
-        d2 = _sq_dists_to(vectors, centers)
+        centers = _means_with_repair(vectors, x2, assign, K)
+        d2 = _sq_dists_to(vectors, x2, centers)
         new_assign = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(n), new_assign].sum()))
         if np.array_equal(new_assign, assign):
@@ -152,7 +165,7 @@ def _lloyd(vectors, K: int, rng: np.random.Generator, max_iter: int) -> KMeansRe
 
     if not converged:
         # Truncated: make sure the reported clustering is still repair-clean.
-        centers = _means_with_repair(vectors, assign, K)
+        centers = _means_with_repair(vectors, x2, assign, K)
     return KMeansResult(
         assignments=assign.astype(np.int64),
         centroids=centers,
@@ -168,7 +181,8 @@ def kmeans(vectors, K: int, seed: int, max_iter: int = 100, n_init: int = 1) -> 
     Deterministic for a given seed. Stops when assignments reach a fixpoint
     or after max_iter sweeps; the returned assignment never leaves a cluster
     empty. With n_init > 1, independent seeded restarts run and the one with
-    the lowest final objective wins (first on ties).
+    the lowest final objective wins (first on ties). The row norms are
+    computed once here and shared by every restart.
     """
     n = vectors.shape[0]
     if K > n:
@@ -177,9 +191,15 @@ def kmeans(vectors, K: int, seed: int, max_iter: int = 100, n_init: int = 1) -> 
         raise ValueError("K must be at least 1")
     if n_init < 1:
         raise ValueError("n_init must be at least 1")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    values = vectors.data if sparse.issparse(vectors) else vectors
+    if not np.isfinite(values).all():
+        raise ValueError("k-means input holds a non-finite value")
+    x2 = _row_sq_norms(vectors)
     best: KMeansResult | None = None
     for child in np.random.SeedSequence(seed).spawn(n_init):
-        result = _lloyd(vectors, K, np.random.default_rng(child), max_iter)
+        result = _lloyd(vectors, x2, K, np.random.default_rng(child), max_iter)
         if best is None or result.objective_history[-1] < best.objective_history[-1]:
             best = result
     return best

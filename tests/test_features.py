@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from tablerank.features import (
     fit_heuristic,
     representative_score,
     scores_to_vector,
+    tokenize,
 )
 
 
@@ -186,6 +188,39 @@ class TestHeuristic:
             for tok in "fg":  # out-of-vocabulary columns do not exist at all
                 assert tok not in v.vocabulary
             assert dense.shape == (v.size,)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "team team city team wins wins",  # repeated tokens
+            "zebra team unknown city zebra",  # out-of-vocabulary tokens among hits
+            "nothing here matches",  # no token in the vocabulary
+            "",
+        ],
+    )
+    def test_transform_equals_coo_built_row(self, text):
+        v = fit_heuristic(["team wins", "team city", "city of rain", "wins and losses"])
+        got = v.transform(text)
+        want = reference_transform(v, text)
+        assert got.shape == want.shape == (1, v.size)
+        assert got.has_canonical_format
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+
+
+def reference_transform(v, text: str) -> sparse.csr_matrix:
+    """The tf-idf row assembled as COO and converted, as transform once did."""
+    cols: list[int] = []
+    data: list[float] = []
+    for tok, tf in Counter(tokenize(text)).items():
+        idx = v.vocabulary.get(tok)
+        if idx is not None:
+            cols.append(idx)
+            data.append(tf * float(v.idf[idx]))
+    return sparse.csr_matrix(
+        (data, (np.zeros(len(cols), dtype=np.int64), cols)), shape=(1, v.size), dtype=np.float64
+    )
 
 
 class TestRepresentativeScore:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from tablerank import index
 from tablerank.errors import IOFailure, KTooLarge, VersionMismatch
-from tablerank.features import extract_all
+from tablerank.features import EmbedderHandle, extract_all, standardize_struct, struct_stats
 from tablerank.index import (
+    KMeansResult,
     build_index,
     corpus_digest,
     kmeans,
@@ -101,6 +103,180 @@ class TestKMeans:
         result_s = kmeans(sparse.csr_matrix(dense), 2, seed=1)
         assert np.array_equal(result_d.assignments, result_s.assignments)
         assert np.allclose(result_d.centroids, result_s.centroids)
+
+
+def _ref_row_sq_norms(x) -> np.ndarray:
+    if sparse.issparse(x):
+        return np.asarray(x.multiply(x).sum(axis=1)).ravel()
+    return np.einsum("ij,ij->i", x, x)
+
+
+def _ref_row(x, i: int) -> np.ndarray:
+    if sparse.issparse(x):
+        return np.asarray(x[i].todense()).ravel()
+    return np.asarray(x[i]).ravel()
+
+
+def _ref_sq_dists_to(x, centers: np.ndarray) -> np.ndarray:
+    x2 = _ref_row_sq_norms(x)
+    c2 = np.einsum("ij,ij->i", centers, centers)
+    cross = x @ centers.T
+    if sparse.issparse(cross):
+        cross = cross.toarray()
+    cross = np.asarray(cross)
+    d2 = x2[:, None] + c2[None, :] - 2.0 * cross
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def _ref_plus_plus_init(x, k: int, rng: np.random.Generator) -> np.ndarray:
+    n = x.shape[0]
+    centers = np.zeros((k, x.shape[1]), dtype=np.float64)
+    centers[0] = _ref_row(x, int(rng.integers(n)))
+    d2 = _ref_sq_dists_to(x, centers[:1])[:, 0]
+    for j in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centers[j] = _ref_row(x, idx)
+        nd2 = _ref_sq_dists_to(x, centers[j : j + 1])[:, 0]
+        np.minimum(d2, nd2, out=d2)
+    return centers
+
+
+def _ref_means_with_repair(x, assign: np.ndarray, k: int) -> np.ndarray:
+    n, dim = x.shape[0], x.shape[1]
+    centers = np.zeros((k, dim), dtype=np.float64)
+    counts = np.bincount(assign, minlength=k)
+    for j in range(k):
+        if counts[j] > 0:
+            members = np.flatnonzero(assign == j)
+            if sparse.issparse(x):
+                centers[j] = np.asarray(x[members].mean(axis=0)).ravel()
+            else:
+                centers[j] = x[members].mean(axis=0)
+    empties = np.flatnonzero(counts == 0)
+    if empties.size:
+        d_own = _ref_sq_dists_to(x, centers)[np.arange(n), assign]
+        for j in empties:
+            donor_ok = counts[assign] >= 2
+            if not donor_ok.any():
+                donor_ok = np.ones(n, dtype=bool)
+            masked = np.where(donor_ok, d_own, -np.inf)
+            i = int(np.argmax(masked))
+            counts[assign[i]] -= 1
+            assign[i] = j
+            counts[j] = 1
+            centers[j] = _ref_row(x, i)
+            d_own[i] = 0.0
+    return centers
+
+
+def _ref_lloyd(x, K: int, rng: np.random.Generator, max_iter: int) -> KMeansResult:
+    n = x.shape[0]
+    centers = _ref_plus_plus_init(x, K, rng)
+    assign = np.argmin(_ref_sq_dists_to(x, centers), axis=1)
+    history: list[float] = []
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        centers = _ref_means_with_repair(x, assign, K)
+        d2 = _ref_sq_dists_to(x, centers)
+        new_assign = np.argmin(d2, axis=1)
+        history.append(float(d2[np.arange(n), new_assign].sum()))
+        if np.array_equal(new_assign, assign):
+            converged = True
+            break
+        assign = new_assign
+    if not converged:
+        centers = _ref_means_with_repair(x, assign, K)
+    return KMeansResult(assign.astype(np.int64), centers, it, history, converged)
+
+
+def reference_kmeans(x, K: int, seed: int, max_iter: int = 100, n_init: int = 1) -> KMeansResult:
+    """k-means as it was before the row norms were shared and the means
+    vectorized: norms recomputed on every distance call, one ``mean`` per
+    cluster. The library must match it bit for bit."""
+    best = None
+    for child in np.random.SeedSequence(seed).spawn(n_init):
+        result = _ref_lloyd(x, K, np.random.default_rng(child), max_iter)
+        if best is None or result.objective_history[-1] < best.objective_history[-1]:
+            best = result
+    return best
+
+
+@pytest.fixture(scope="module")
+def clustering_spaces():
+    """The three spaces build_index clusters, from a 150-table topic corpus,
+    plus a duplicate-heavy input with only 4 distinct rows."""
+    corpus = make_topic_corpus(150, 6, seed=21)
+    feats = extract_all(corpus, EmbedderHandle(dimension=32))
+    ids = corpus.ids()
+    struct_raw = np.vstack([feats[t].struct for t in ids])
+    mean, std = struct_stats(struct_raw)
+    rng = np.random.default_rng(5)
+    distinct = index._l2_normalize_rows(rng.normal(size=(4, 6)))
+    return {
+        "sem": index._l2_normalize_rows(np.vstack([feats[t].sem for t in ids])),
+        "struct": standardize_struct(struct_raw, mean, std),
+        "heur": index._l2_normalize_rows(sparse.vstack([feats[t].heur for t in ids]).tocsr()),
+        "duplicates": distinct[rng.integers(4, size=40)],
+    }
+
+
+class TestKMeansOracle:
+    @pytest.mark.parametrize("space", ["sem", "struct", "heur", "duplicates"])
+    @pytest.mark.parametrize("K", [5, 20])
+    @pytest.mark.parametrize("n_init,max_iter", [(1, 100), (3, 100), (3, 1)])
+    def test_bitwise_equal_to_reference(self, clustering_spaces, space, K, n_init, max_iter):
+        x = clustering_spaces[space]
+        got = kmeans(x, K, seed=17, max_iter=max_iter, n_init=n_init)
+        want = reference_kmeans(x, K, seed=17, max_iter=max_iter, n_init=n_init)
+        assert np.array_equal(got.assignments, want.assignments)
+        assert np.array_equal(got.centroids.view(np.uint64), want.centroids.view(np.uint64))
+        assert got.n_iter == want.n_iter
+        assert got.objective_history == want.objective_history
+        assert got.converged == want.converged
+
+    def test_duplicates_exercise_the_repair(self, clustering_spaces):
+        # Identical rows always share their nearest centroid, so 4 distinct
+        # rows fill at most 4 of 20 clusters by assignment alone: the other
+        # 16 are filled by the empty-cluster repair that the oracle covers.
+        x = clustering_spaces["duplicates"]
+        assert len(np.unique(x, axis=0)) == 4
+        assert set(kmeans(x, 20, seed=17).assignments.tolist()) == set(range(20))
+
+    @pytest.mark.parametrize("space", ["sem", "heur"])
+    @pytest.mark.parametrize("K,n_init", [(2, 1), (20, 4)])
+    def test_row_norms_computed_once(self, clustering_spaces, monkeypatch, space, K, n_init):
+        calls = []
+        real = index._row_sq_norms
+
+        def counting(x):
+            calls.append(x.shape)
+            return real(x)
+
+        monkeypatch.setattr(index, "_row_sq_norms", counting)
+        kmeans(clustering_spaces[space], K, seed=3, n_init=n_init)
+        assert len(calls) <= 1
+
+
+class TestKMeansArguments:
+    @pytest.mark.parametrize("max_iter,n_init", [(0, 1), (0, 2), (-1, 1)])
+    def test_max_iter_below_one_rejected(self, max_iter, n_init):
+        x = two_blobs(seed=1)
+        with pytest.raises(ValueError, match="max_iter"):
+            kmeans(x, 3, seed=1, max_iter=max_iter, n_init=n_init)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("as_sparse", [False, True], ids=["dense", "sparse"])
+    def test_non_finite_input_rejected(self, bad, as_sparse):
+        x = two_blobs(seed=1)
+        x[7, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            kmeans(sparse.csr_matrix(x) if as_sparse else x, 3, seed=1)
 
 
 class TestSelectTypical:
