@@ -26,7 +26,7 @@ import numpy as np
 
 from .corpus import Query, Table, TableCorpus, TaskType, load_corpus, save_corpus
 from .errors import IOFailure, SchemaViolation, TooFewCols, TooFewQueries, TooFewRows
-from .features import STOPWORDS, fit_heuristic, representative_score, tokenize
+from .features import STOPWORDS, HeuristicVectorizer, fit_heuristic, tokenize
 from .linearize import normalize_whitespace
 
 MIN_SPLIT_DIM = 3  # tables with at most this many rows AND columns are dropped
@@ -234,6 +234,28 @@ def debias(sub_tables: Sequence[Table], mode: str, seed: int) -> list[Table]:
     return out
 
 
+# A tf-idf row as (ascending columns, values, L2 norm).
+_Row = tuple[np.ndarray, np.ndarray, float]
+
+
+def _tfidf_row(vectorizer: HeuristicVectorizer, tokens: Sequence[str]) -> _Row:
+    cols, vals = vectorizer.entries(tokens)
+    return cols, vals, float(np.sqrt(np.sum(vals * vals)))
+
+
+def _row_cosine(a: _Row, b: _Row) -> float:
+    """Cosine of two tf-idf rows, bitwise equal to ``representative_score`` on
+    their canonical CSR forms: scipy's ``multiply(...).sum()`` is ``np.sum``
+    over the products of the shared columns in ascending column order, which
+    is what is summed here. A zero row scores 0."""
+    cols, vals, norm = a
+    pcols, pvals, pnorm = b
+    if norm == 0.0 or pnorm == 0.0:
+        return 0.0
+    _, ia, ib = np.intersect1d(cols, pcols, assume_unique=True, return_indices=True)
+    return float(np.sum(vals[ia] * pvals[ib])) / (norm * pnorm)
+
+
 def filter_queries(
     queries: Sequence[SourceQuery],
     stopword_ratio: float = DEFAULT_STOPWORD_RATIO,
@@ -250,7 +272,7 @@ def filter_queries(
         return []
     vectorizer = fit_heuristic([q.text for q in queries])
     kept: list[SourceQuery] = []
-    kept_vecs: dict[str, list] = {}
+    kept_rows: dict[str, list[_Row]] = {}
     for q in queries:
         toks = tokenize(q.text)
         if len(toks) < min_tokens:
@@ -258,15 +280,12 @@ def filter_queries(
         ratio = sum(1 for t in toks if t in STOPWORDS) / len(toks)
         if ratio > stopword_ratio:
             continue
-        vec = vectorizer.transform(q.text)
-        redundant = any(
-            representative_score(vec, prev) >= redundancy_cosine
-            for prev in kept_vecs.get(q.root_table_id, [])
-        )
-        if redundant:
+        row = _tfidf_row(vectorizer, toks)
+        same_root = kept_rows.setdefault(q.root_table_id, [])
+        if any(_row_cosine(row, prev) >= redundancy_cosine for prev in same_root):
             continue
         kept.append(q)
-        kept_vecs.setdefault(q.root_table_id, []).append(vec)
+        same_root.append(row)
     return kept
 
 
@@ -543,13 +562,18 @@ def load_benchmark(in_dir: str | Path) -> BenchmarkDataset:
 
 
 def _source_query_from_record(rec: dict) -> SourceQuery:
-    return SourceQuery(
+    q = SourceQuery(
         id=str(rec["id"]),
         root_table_id=str(rec["root_table_id"]),
         text=str(rec["text"]),
         task_type=TaskType(rec["task_type"]),
         answer=rec.get("answer"),
     )
+    # combine_queries conjoins TFV labels as integers; the rule is
+    # corpus.validate_query's, except that the label is required here.
+    if q.task_type == TaskType.TFV and q.answer not in (0, 1):
+        raise ValueError(f"TFV answer must be 0 or 1, got {q.answer!r}")
+    return q
 
 
 def load_source_queries(path: str | Path) -> list[SourceQuery]:

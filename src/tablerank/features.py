@@ -50,7 +50,7 @@ STOPWORDS: frozenset[str] = frozenset(
 
 TAG_CLASSES = ("NUM", "PROPN", "PUNCT", "SYM", "STOP", "VERB", "ADJ", "OTHER")
 PUNCT_MARKS = (",", ".", ";", ":", "?", "!", "-", '"')
-_SYM_CHARS = set("$%&#@*+=^~|<>/\\")
+_SYM_CHARS = frozenset("$%&#@*+=^~|<>/\\")
 _VERB_SUFFIXES = ("ing", "ed", "s")
 _ADJ_SUFFIXES = ("able", "ous", "ive", "al")
 
@@ -96,24 +96,43 @@ class EmbedderHandle:
             raise ValueError("batch_limit must be at least 1")
 
 
-def _hash_embed(text: str, dimension: int) -> np.ndarray:
-    toks = tokenize(text)
-    grams = toks + [f"{a} {b}" for a, b in zip(toks, toks[1:])]
-    if not grams:
-        grams = [text]
-    vec = np.zeros(dimension, dtype=np.float64)
-    for g in grams:
-        digest = hashlib.blake2b(g.encode("utf-8"), digest_size=8).digest()
-        val = int.from_bytes(digest, "little")
-        sign = 1.0 if val & 1 == 0 else -1.0
-        vec[(val >> 1) % dimension] += sign
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        # Signed collisions cancelled everything out; pin a deterministic unit
-        # vector so the output norm invariant holds.
-        vec[0] = 1.0
-        norm = 1.0
-    return vec / norm
+def _hash_embed(texts: Sequence[str], dimension: int) -> list[np.ndarray]:
+    """Signed bag of 1-2 gram hashes per text, L2-normalized.
+
+    A gram's blake2b hash gives a slot and a sign, stored as one int code:
+    the slot, plus ``dimension`` for a negative sign (a tuple per gram raised
+    a 4,000-table build's peak RSS by about 4 MB). Each distinct gram is
+    hashed once per call, and the map dies with the call, so a long-lived
+    caller does not grow with the texts it has seen. A slot's value is its
+    positive minus its negative count, an exact integer, so a text's vector
+    does not depend on the rest of the batch.
+    """
+    code_of: dict[str, int] = {}
+    out: list[np.ndarray] = []
+    for text in texts:
+        toks = tokenize(text)
+        grams = toks + [f"{a} {b}" for a, b in zip(toks, toks[1:])]
+        if not grams:
+            grams = [text]
+        codes = []
+        for g in grams:
+            code = code_of.get(g)
+            if code is None:
+                digest = hashlib.blake2b(g.encode("utf-8"), digest_size=8).digest()
+                val = int.from_bytes(digest, "little")
+                code = code_of[g] = (val >> 1) % dimension + (dimension if val & 1 else 0)
+            codes.append(code)
+        counts = np.bincount(codes, minlength=2 * dimension)
+        vec = (counts[:dimension] - counts[dimension:]).astype(np.float64)
+        norm = float(np.linalg.norm(vec))
+        if norm == 0.0:
+            # Cannot happen while a text has an odd number of grams (2n - 1,
+            # or the text itself), whose +-1 counts never all cancel; the pin
+            # keeps the unit-norm invariant from resting on that.
+            vec[0] = 1.0
+            norm = 1.0
+        out.append(vec / norm)
+    return out
 
 
 def embed_semantic(texts: Sequence[str], h: EmbedderHandle) -> list[np.ndarray]:
@@ -125,7 +144,7 @@ def embed_semantic(texts: Sequence[str], h: EmbedderHandle) -> list[np.ndarray]:
             raise ValueError("cannot embed an empty text")
 
     if h.endpoint == "builtin:hash":
-        return [_hash_embed(t, h.dimension) for t in texts]
+        return _hash_embed(texts, h.dimension)
 
     out: list[np.ndarray] = []
     url = h.endpoint.rstrip("/") + "/embed"
@@ -163,7 +182,7 @@ def _tag_token(raw: str, sentence_initial: bool) -> str:
         return "NUM"
     if stripped[0].isupper() and not sentence_initial:
         return "PROPN"
-    if any(ch in _SYM_CHARS for ch in stripped):
+    if not _SYM_CHARS.isdisjoint(stripped):
         return "SYM"
     low = stripped.lower()
     if low in STOPWORDS:
@@ -216,17 +235,20 @@ class HeuristicVectorizer:
     def size(self) -> int:
         return len(self.vocabulary)
 
+    def entries(self, tokens: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending vocabulary columns of ``tokens``, each once, and their
+        tf-idf values; tokens outside the vocabulary are dropped."""
+        vocab = self.vocabulary
+        hits = sorted((vocab[tok], tf) for tok, tf in Counter(tokens).items() if tok in vocab)
+        cols = np.array([c for c, _ in hits], dtype=np.int64)
+        tf = np.array([t for _, t in hits], dtype=np.float64)
+        return cols, tf * self.idf[cols]
+
     def transform(self, text: str) -> sparse.csr_matrix:
         """The 1 x V tf-idf row of ``text``, built directly in canonical CSR
         form: ascending column indices, each at most once."""
-        vocab = self.vocabulary
-        hits = sorted((vocab[tok], tf) for tok, tf in Counter(tokenize(text)).items() if tok in vocab)
-        cols = np.array([c for c, _ in hits], dtype=np.int64)
-        tf = np.array([t for _, t in hits], dtype=np.float64)
-        return sparse.csr_matrix(
-            (tf * self.idf[cols], cols, np.array([0, len(hits)])),
-            shape=(1, self.size),
-        )
+        cols, vals = self.entries(tokenize(text))
+        return sparse.csr_matrix((vals, cols, np.array([0, len(cols)])), shape=(1, self.size))
 
 
 def fit_heuristic(corpus_texts: Sequence[str]) -> HeuristicVectorizer:

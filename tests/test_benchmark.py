@@ -4,8 +4,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import tablerank.benchmark as benchmark
 from tablerank.benchmark import (
     SourceQuery,
+    _row_cosine,
+    _tfidf_row,
     build_benchmark,
     combine_queries,
     debias,
@@ -13,13 +16,14 @@ from tablerank.benchmark import (
     filter_queries,
     filter_small,
     load_benchmark,
+    load_source_queries,
     save_benchmark,
     split_cols,
     split_rows,
 )
 from tablerank.corpus import Table, TableCorpus, TaskType
 from tablerank.errors import SchemaViolation, TooFewCols, TooFewQueries, TooFewRows
-from tablerank.features import STOPWORDS, tokenize
+from tablerank.features import STOPWORDS, HeuristicVectorizer, fit_heuristic, representative_score, tokenize
 
 
 
@@ -185,6 +189,164 @@ class TestFilterQueries:
         ]
         kept = filter_queries(queries)
         assert [q.id for q in kept] == ["q1", "q2", "q3"]
+
+
+def reference_filter_queries(queries, stopword_ratio=0.7, min_tokens=5, redundancy_cosine=0.9):
+    """The filter as it was when it compared 1 x V scipy rows per pair."""
+    if not queries:
+        return []
+    vectorizer = fit_heuristic([q.text for q in queries])
+    kept = []
+    kept_vecs = {}
+    for q in queries:
+        toks = tokenize(q.text)
+        if len(toks) < min_tokens:
+            continue
+        ratio = sum(1 for t in toks if t in STOPWORDS) / len(toks)
+        if ratio > stopword_ratio:
+            continue
+        vec = vectorizer.transform(q.text)
+        redundant = any(
+            representative_score(vec, prev) >= redundancy_cosine
+            for prev in kept_vecs.get(q.root_table_id, [])
+        )
+        if redundant:
+            continue
+        kept.append(q)
+        kept_vecs.setdefault(q.root_table_id, []).append(vec)
+    return kept
+
+
+def _gold_style_queries(seed, n_roots=6, per_root=5):
+    """Same-root queries from the gold source template that differ in one
+    token (a header or an entity), so same-root cosines sit near 0.9."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for r in range(n_roots):
+        caption = " ".join([f"domain{r % 3}"] * 4 + [f"ent{r}a", f"ent{r}b", f"ent{r}c", "records"])
+        for qn in range(per_root):
+            header = f"h{r}x{int(rng.integers(0, 3))}"
+            ent = f"ent{r}{'abc'[int(rng.integers(0, 3))]}"
+            text = f"what is the value of {header} for {ent} in the {caption} table?"
+            out.append(sq(f"root{r}-q{qn}", f"root{r}", text))
+    return out
+
+
+def _duplicate_queries(seed):
+    rng = np.random.default_rng(seed)
+    base = [f"which player scored goal number {i} in match {i + 1} overall" for i in range(4)]
+    return [sq(f"q{i}", f"r{int(rng.integers(0, 2))}", base[int(rng.integers(0, 4))]) for i in range(16)]
+
+
+def _cross_root_queries(seed):
+    rng = np.random.default_rng(seed)
+    text = "how many medals did the national team win in total"
+    return [sq(f"q{i}", f"root{int(rng.integers(0, 5))}", text) for i in range(10)]
+
+
+def _vague_queries(seed):
+    rng = np.random.default_rng(seed)
+    words = sorted(STOPWORDS) + ["team", "score", "player", "season", "goals", "coach"]
+    out = []
+    for i in range(40):
+        n = int(rng.integers(1, 9))
+        out.append(sq(f"q{i}", f"r{i % 4}", " ".join(rng.choice(words, size=n))))
+    return out
+
+
+_QUERY_SETS = {
+    "gold-style": _gold_style_queries,
+    "duplicates": _duplicate_queries,
+    "cross-root": _cross_root_queries,
+    "vague": _vague_queries,
+}
+
+
+def _same_root_pairs(queries):
+    by_root = {}
+    for q in queries:
+        by_root.setdefault(q.root_table_id, []).append(q)
+    return [(a, b) for group in by_root.values() for i, a in enumerate(group) for b in group[:i]]
+
+
+def _row(v: HeuristicVectorizer, text: str):
+    return _tfidf_row(v, tokenize(text))
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
+class TestFilterQueriesOracle:
+    @pytest.mark.parametrize("name", sorted(_QUERY_SETS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_kept_ids_as_reference(self, name, seed):
+        queries = _QUERY_SETS[name](seed)
+        got = [q.id for q in filter_queries(queries)]
+        assert got == [q.id for q in reference_filter_queries(queries)]
+
+    def test_fixtures_reach_every_branch(self):
+        # The oracle cases above only mean something if they drop queries
+        # for each reason and keep some.
+        gold = _gold_style_queries(0)
+        v = fit_heuristic([q.text for q in gold])
+        cosines = [representative_score(v.transform(a.text), v.transform(b.text)) for a, b in _same_root_pairs(gold)]
+        assert any(0.8 < c < 0.9 for c in cosines) and any(c >= 0.9 for c in cosines)
+        vague = _vague_queries(0)
+        assert 0 < len(filter_queries(vague)) < len(vague)
+        dups = _duplicate_queries(0)
+        assert 0 < len(filter_queries(dups)) < len(dups)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_threshold_on_both_sides_of_a_pair_cosine(self, seed):
+        queries = _gold_style_queries(seed, n_roots=1, per_root=2)
+        v = fit_heuristic([q.text for q in queries])
+        a, b = queries
+        c = representative_score(v.transform(b.text), v.transform(a.text))
+        assert 0.0 < c < 1.0
+        for threshold, n_kept in ((np.nextafter(c, 0.0), 1), (c, 1), (np.nextafter(c, 2.0), 2)):
+            got = filter_queries(queries, redundancy_cosine=float(threshold))
+            assert [q.id for q in got] == [q.id for q in reference_filter_queries(queries, redundancy_cosine=float(threshold))]
+            assert len(got) == n_kept
+
+    @pytest.mark.parametrize("name", sorted(_QUERY_SETS))
+    def test_pair_cosines_bitwise_equal_representative_score(self, name):
+        queries = _QUERY_SETS[name](0)
+        v = fit_heuristic([q.text for q in queries])
+        pairs = _same_root_pairs(queries)
+        assert pairs
+        for a, b in pairs:
+            got = _row_cosine(_row(v, b.text), _row(v, a.text))
+            want = representative_score(v.transform(b.text), v.transform(a.text))
+            assert _bits(got) == _bits(want), (a.text, b.text)
+
+    def test_zero_row_scores_zero(self):
+        v = fit_heuristic(["team wins", "city rain"])
+        empty = _row(v, "nothing known")
+        assert empty[2] == 0.0
+        assert _row_cosine(empty, _row(v, "team wins")) == 0.0
+        assert _row_cosine(_row(v, "team wins"), empty) == 0.0
+
+
+def test_filter_queries_builds_no_scipy_rows(monkeypatch):
+    """The filter compares plain (columns, values) arrays: no pair goes
+    through representative_score and no query becomes a 1 x V scipy row."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(benchmark, "representative_score",
+                        counting("score", representative_score), raising=False)
+    monkeypatch.setattr(HeuristicVectorizer, "transform",
+                        counting("transform", HeuristicVectorizer.transform))
+    queries = _gold_style_queries(0)
+    kept = filter_queries(queries)
+    assert 0 < len(kept) < len(queries)
+    assert calls == Counter()
 
 
 class TestCombineQueries:
@@ -390,3 +552,32 @@ def _was_row_split(ds, t):
     return all(tuple(s.headers) == tuple(siblings[0].headers) for s in siblings) and len(
         set(tuple(s.headers) for s in siblings)
     ) == 1
+
+
+class TestLoadSourceQueries:
+    def test_tfv_answer_must_be_zero_or_one(self, tmp_path):
+        def rec(qid, **answer):
+            return json.dumps({"id": qid, "root_table_id": "r", "text": f"claim {qid} holds",
+                               "task_type": "TFV", **answer})
+
+        lines = [rec("a", answer=1), rec("b", answer="yes"), rec("c"), rec("d", answer=0),
+                 rec("e", answer=2), rec("f", answer=None)]
+        path = tmp_path / "queries.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaViolation) as info:
+            load_source_queries(path)
+        assert info.value.violations == [
+            ("<queries.jsonl line 2>", "malformed record: TFV answer must be 0 or 1, got 'yes'"),
+            ("<queries.jsonl line 3>", "malformed record: TFV answer must be 0 or 1, got None"),
+            ("<queries.jsonl line 5>", "malformed record: TFV answer must be 0 or 1, got 2"),
+            ("<queries.jsonl line 6>", "malformed record: TFV answer must be 0 or 1, got None"),
+        ]
+
+    def test_valid_tfv_labels_and_unlabelled_qa_load(self, tmp_path):
+        path = tmp_path / "queries.jsonl"
+        path.write_text(
+            json.dumps({"id": "a", "root_table_id": "r", "text": "t", "task_type": "TFV", "answer": 1}) + "\n"
+            + json.dumps({"id": "b", "root_table_id": "r", "text": "t", "task_type": "TFV", "answer": 0}) + "\n"
+            + json.dumps({"id": "c", "root_table_id": "r", "text": "t", "task_type": "SingleHopTQA"}) + "\n"
+        )
+        assert [(q.id, q.answer) for q in load_source_queries(path)] == [("a", 1), ("b", 0), ("c", None)]

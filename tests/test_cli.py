@@ -276,6 +276,27 @@ class TestBenchmarkAndEval:
         assert "SchemaViolation" in err and f"<queries.jsonl line 21>: " in err and reason in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("answer, shown", [("yes", "'yes'"), (None, "None")],
+                             ids=["word-label", "missing-label"])
+    def test_bad_tfv_label_is_violation(self, tmp_path, capsys, answer, shown):
+        # root09's queries become two TFV claims, so combine_queries would
+        # conjoin the bad label with the good one.
+        src = _sources_dir(tmp_path)
+        path = src / "queries.jsonl"
+        lines = [ln for ln in path.read_text().splitlines() if '"root09"' not in ln]
+        good = {"id": "root09-c0", "root_table_id": "root09", "task_type": "TFV", "answer": 1,
+                "text": "the stored value of h9x0 for ent9a is v9r0c0"}
+        bad = {"id": "root09-c1", "root_table_id": "root09", "task_type": "TFV",
+               "text": "ent9b topics list more than four rows of values"}
+        if answer is not None:
+            bad["answer"] = answer
+        path.write_text("\n".join(lines + [json.dumps(good), json.dumps(bad)]) + "\n")
+        assert main(["build-benchmark", "--sources", str(src), "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert "SchemaViolation: 1 schema violation(s): <queries.jsonl line 20>: " in err
+        assert f"TFV answer must be 0 or 1, got {shown}" in err
+        assert "Traceback" not in err
+
     def test_benchmark_determinism_via_cli(self, tmp_path, capsys):
         src = _sources_dir(tmp_path)
         d1, d2 = tmp_path / "d1", tmp_path / "d2"

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import string
 from collections import Counter
 
 import numpy as np
@@ -7,9 +9,12 @@ from scipy import sparse
 
 from tablerank.errors import DimensionMismatch, EmbedderUnavailable, EmptyCorpus
 from tablerank.features import (
+    _SYM_CHARS,
+    PUNCT_MARKS,
     STRUCT_DIM,
     STRUCT_FIELDS,
     STOPWORDS,
+    TAG_CLASSES,
     EmbedderHandle,
     embed_semantic,
     extract_all,
@@ -44,6 +49,86 @@ class TestBuiltinEmbedder:
             embed_semantic([], handle)
         with pytest.raises(ValueError):
             embed_semantic([""], handle)
+
+
+def reference_hash_embed(text: str, dimension: int) -> np.ndarray:
+    """The builtin embedder as it was: one blake2b call per gram occurrence,
+    counts added one by one."""
+    toks = tokenize(text)
+    grams = toks + [f"{a} {b}" for a, b in zip(toks, toks[1:])]
+    if not grams:
+        grams = [text]
+    vec = np.zeros(dimension, dtype=np.float64)
+    for g in grams:
+        digest = hashlib.blake2b(g.encode("utf-8"), digest_size=8).digest()
+        val = int.from_bytes(digest, "little")
+        sign = 1.0 if val & 1 == 0 else -1.0
+        vec[(val >> 1) % dimension] += sign
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        vec[0] = 1.0
+        norm = 1.0
+    return vec / norm
+
+
+def _slot_sign(gram: str, dimension: int) -> tuple[int, float]:
+    val = int.from_bytes(hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest(), "little")
+    return (val >> 1) % dimension, 1.0 if val & 1 == 0 else -1.0
+
+
+def _cancelling_text(dimension: int, seed: int) -> str:
+    """A seeded text in which two grams hit one slot with opposite signs.
+
+    Every text has an odd number of grams (2n - 1 for n tokens, or the text
+    itself when it has none), so its signed counts sum to an odd number and
+    never cancel everywhere; this is the nearest case, a slot that cancels.
+    """
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(40)]
+    for _ in range(1000):
+        toks = list(rng.choice(words, size=3))
+        grams = toks + [f"{a} {b}" for a, b in zip(toks, toks[1:])]
+        touched: dict[int, list[float]] = {}
+        for g in grams:
+            slot, sign = _slot_sign(g, dimension)
+            touched.setdefault(slot, []).append(sign)
+        if any(len(signs) >= 2 and sum(signs) == 0.0 for signs in touched.values()):
+            return " ".join(toks)
+    raise AssertionError("no cancelling text found")
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestHashEmbedOracle:
+    TEXTS = [
+        "team team team wins wins team",  # repeated unigrams and bigrams
+        "a b a b a b a b",
+        "!!!",  # no token: the text itself is the only gram
+        "Denver Broncos 2019 season | wins 12 | losses 4",
+        "x",
+    ]
+
+    @pytest.mark.parametrize("dimension", [1, 8, 64, 512])
+    def test_batch_equals_reference(self, dimension):
+        got = embed_semantic(self.TEXTS, EmbedderHandle(dimension=dimension))
+        for text, vec in zip(self.TEXTS, got):
+            assert _same_bits(vec, reference_hash_embed(text, dimension)), text
+
+    @pytest.mark.parametrize("dimension", [2, 8, 64])
+    def test_cancelling_slot_equals_reference(self, dimension):
+        texts = [_cancelling_text(dimension, seed) for seed in range(3)]
+        got = embed_semantic(texts, EmbedderHandle(dimension=dimension))
+        for text, vec in zip(texts, got):
+            assert _same_bits(vec, reference_hash_embed(text, dimension)), text
+
+    def test_alone_equals_in_batch(self):
+        h = EmbedderHandle(dimension=16)
+        texts = self.TEXTS + [_cancelling_text(16, 0)] + self.TEXTS[::-1]
+        batch = embed_semantic(texts, h)
+        for text, vec in zip(texts, batch):
+            assert _same_bits(vec, embed_semantic([text], h)[0]), text
 
 
 class TestRemoteEmbedder:
@@ -136,6 +221,76 @@ class TestStructural:
 
     def test_stopword_list_has_fifty_entries(self):
         assert len(STOPWORDS) == 50
+
+
+def reference_tag_token(raw: str, sentence_initial: bool) -> str:
+    """The structural tagger as it was, with a per-character symbol scan."""
+    stripped = raw.strip(string.punctuation)
+    if not stripped:
+        return "PUNCT" if raw else "OTHER"
+    if stripped.isdigit():
+        return "NUM"
+    if stripped[0].isupper() and not sentence_initial:
+        return "PROPN"
+    if any(ch in set("$%&#@*+=^~|<>/\\") for ch in stripped):
+        return "SYM"
+    low = stripped.lower()
+    if low in STOPWORDS:
+        return "STOP"
+    if low.endswith(("ing", "ed", "s")):
+        return "VERB"
+    if low.endswith(("able", "ous", "ive", "al")):
+        return "ADJ"
+    return "OTHER"
+
+
+def reference_extract_structural(text: str) -> np.ndarray:
+    vec = np.zeros(STRUCT_DIM, dtype=np.float64)
+    raw_tokens = text.split()
+    vec[0] = len(raw_tokens)
+    vec[1] = len({t.lower() for t in raw_tokens})
+    vec[2] = len(text)
+    vec[3] = sum(1 for t in raw_tokens if t.strip(string.punctuation).isdigit())
+    tag_counts = Counter()
+    sentence_initial = True
+    for raw in raw_tokens:
+        tag_counts[reference_tag_token(raw, sentence_initial)] += 1
+        sentence_initial = raw.endswith((".", "!", "?"))
+    for i, cls in enumerate(TAG_CLASSES):
+        vec[4 + i] = tag_counts.get(cls, 0)
+    for i, mark in enumerate(PUNCT_MARKS):
+        vec[4 + len(TAG_CLASSES) + i] = text.count(mark)
+    return vec
+
+
+class TestStructuralOracle:
+    SYMS = "".join(sorted(_SYM_CHARS))
+
+    def test_symbol_set_unchanged(self):
+        assert _SYM_CHARS == frozenset("$%&#@*+=^~|<>/\\")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            " ".join(f"a{ch}b" for ch in sorted(_SYM_CHARS)),  # every symbol inside a word
+            " ".join(sorted(_SYM_CHARS)),  # every symbol alone (all are punctuation)
+            "".join(sorted(_SYM_CHARS)) + " x" + "".join(sorted(_SYM_CHARS)) + "y",
+            "... !!! ?? -- , ; : \" ' ( ) [ ]",  # punctuation-only tokens
+            "Team wins. Denver Broncos lost! Tied? Yes; Coach said Sunday's game.",  # sentence-initial capitals
+            "The $5 fee. Price=10 at 50% off! A|B or C/D? E<F> G~H ^I",
+            "running famous active global reliable the of 2019 12.5 #1 @home",
+            "",
+        ],
+    )
+    def test_equals_reference(self, text):
+        assert _same_bits(extract_structural(text), reference_extract_structural(text))
+
+    def test_random_blobs_equal_reference(self):
+        rng = np.random.default_rng(8)
+        alphabet = list(string.ascii_letters + string.digits + string.punctuation + "  \n") + sorted(_SYM_CHARS) * 3
+        for _ in range(200):
+            text = "".join(rng.choice(alphabet, size=int(rng.integers(0, 60))))
+            assert _same_bits(extract_structural(text), reference_extract_structural(text)), text
 
 
 class TestHeuristic:
