@@ -1,7 +1,7 @@
 """tablerank: graph-based retrieval over corpora of individual tables."""
 
 from .corpus import Query, Table, TableCorpus, TaskType, load_corpus, save_corpus, validate_table
-from .features import EmbedderHandle, NodeFeatures, extract_all, representative_score
+from .features import EmbedderHandle, NodeFeatures, extract_all
 from .index import HypergraphIndex, build_index, kmeans, load_index, save_index
 from .coarse import CoarseResult, coarse_retrieve, query_features
 from .fine import LocalSubgraph, PPRConfig, RetrievalResult, fine_retrieve, ppr, retrieve
@@ -67,7 +67,6 @@ __all__ = [
     "query_features",
     "recall_at_k",
     "render_table_html",
-    "representative_score",
     "retrieve",
     "run_e2e_eval",
     "run_retrieval_eval",

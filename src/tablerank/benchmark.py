@@ -244,10 +244,11 @@ def _tfidf_row(vectorizer: HeuristicVectorizer, tokens: Sequence[str]) -> _Row:
 
 
 def _row_cosine(a: _Row, b: _Row) -> float:
-    """Cosine of two tf-idf rows, bitwise equal to ``representative_score`` on
-    their canonical CSR forms: scipy's ``multiply(...).sum()`` is ``np.sum``
-    over the products of the shared columns in ascending column order, which
-    is what is summed here. A zero row scores 0."""
+    """Cosine of two tf-idf rows, bitwise equal to the pairwise sparse cosine
+    ``a.multiply(b).sum() / (|a| * |b|)`` of their canonical CSR forms:
+    scipy's ``multiply(...).sum()`` is ``np.sum`` over the products of the
+    shared columns in ascending column order, which is what is summed here.
+    A zero row scores 0."""
     cols, vals, norm = a
     pcols, pvals, pnorm = b
     if norm == 0.0 or pnorm == 0.0:

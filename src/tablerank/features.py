@@ -12,8 +12,8 @@ Every table (and every query) gets three views of the same linearized text:
   index format; see STRUCT_FIELDS.
 * ``heur``   -- a sparse TF-IDF row over the corpus vocabulary.
 
-Similarity between any two same-type vectors is their cosine
-(``representative_score``); zero vectors score 0 by convention so empty
+Similarity between same-type vectors is their cosine (``scores_to_vector``
+scores rows against one vector); zero vectors score 0 by convention so empty
 inputs rank last instead of crashing.
 """
 
@@ -266,37 +266,14 @@ def fit_heuristic(corpus_texts: Sequence[str]) -> HeuristicVectorizer:
     return HeuristicVectorizer(vocabulary=vocab, idf=idf, doc_count=n_docs)
 
 
-def _dot(a, b) -> float:
-    if sparse.issparse(a) and sparse.issparse(b):
-        return float(a.multiply(b).sum())
-    if sparse.issparse(a):
-        return float(a.dot(np.asarray(b).ravel())[0])
-    if sparse.issparse(b):
-        return float(b.dot(np.asarray(a).ravel())[0])
-    return float(np.dot(np.asarray(a).ravel(), np.asarray(b).ravel()))
-
-
 def _norm(a) -> float:
     if sparse.issparse(a):
         return float(np.sqrt(a.multiply(a).sum()))
     return float(np.linalg.norm(np.asarray(a).ravel()))
 
 
-def representative_score(a, b) -> float:
-    """Cosine similarity between two same-type feature vectors.
-
-    Accepts dense 1-D arrays or 1 x V sparse rows. A zero vector on either
-    side scores 0 by convention rather than raising.
-    """
-    na = _norm(a)
-    nb = _norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return _dot(a, b) / (na * nb)
-
-
 def scores_to_vector(rows, v) -> np.ndarray:
-    """representative_score of every row of ``rows`` against ``v``, vectorized.
+    """Cosine of every row of ``rows`` against ``v``.
 
     Rows may be a dense (m, d) array or a (m, V) sparse matrix; ``v`` a dense
     1-D vector or a 1 x V sparse row. Zero rows (and a zero ``v``) score 0.

@@ -6,9 +6,9 @@ clears the threshold tau (negative cosines clamp to 0 first, so weights stay
 in [tau, 1]). Personalized PageRank biased toward the query then ranks the
 nodes. Its scores v are the fixpoint of
 
-    v = (1 - alpha) * h + alpha * (P^T v + m(v) * h)
+    v = (1 - alpha) * h + alpha * (P^T v + mu(v) * h)
 
-where P is the row-normalized weight matrix and m(v) is the mass on
+where P is the row-normalized weight matrix and mu(v) is the mass on
 dangling nodes (rows with no weight), which teleports to h rather than to
 uniform, so the walk keeps its query bias.
 
@@ -24,13 +24,28 @@ x = h, so the iteration count is bounded by the condition number
 (1 + alpha) / (1 - alpha) rather than by the walk's mixing. Dangling rows and
 columns of W are zero, so their scale is 1 and they pass through as x_i = h_i.
 
-A query allocates one n x n float64 array, the weight matrix W, built in
-place from the Gram matrix of the unit sem rows; the solve needs only
-products of W with a vector.
+Tables with bitwise-identical sem rows are interchangeable nodes, and their
+exact scores are equal. ``fine_retrieve`` therefore groups the n candidates
+by sem row before the graph is built: u distinct rows, group a holding m_a
+nodes. The weight matrix W is u x u: W_ab is the weight between any member
+of group a and any member of group b, and the diagonal W_aa the weight
+between two distinct members of group a (0 for a singleton, which has none).
+For a vector z that is constant on each group, the node-level product and
+row sums are
 
-Tables with bitwise-identical sem rows are interchangeable nodes, so their
-exact scores are equal; computed ones differ in the last bits. Each member of
-such a group gets the group's largest score, and ties rank by table id.
+    (W_node z)_a = sum_b m_b W_ab z_b - W_aa z_a,
+    d_a = sum_b m_b W_ab - W_aa,
+
+and inner products over the n nodes weight each group by m_a. Conjugate
+gradients from x = h stay among such vectors, so ``ppr`` runs the n-node
+solve with u-vectors and a u x u matrix: the same iterates in exact
+arithmetic, the same iteration count and residual. Members of a group get
+their group's score, and ties rank by table id. With every node in its own
+group (m = 1), W is the plain n x n weight matrix with a zero diagonal.
+
+A query allocates one u x u float64 array, W, built in place from the Gram
+matrix of the unit distinct rows; the solve needs only products of W with a
+vector.
 
 Only semantic features participate here; the other families already did
 their work during coarse filtering.
@@ -85,23 +100,33 @@ class PPRConfig:
 class LocalSubgraph:
     """Candidate nodes plus thresholded pairwise semantic weights.
 
-    ``weights`` is the dense, bitwise-symmetric matrix with a zero diagonal.
-    Edge presence follows from it and ``tau``: every off-diagonal pair is an
-    edge at tau = 0, where a clamped negative cosine gives a weight-0 edge;
-    above 0, exactly the pairs with a positive weight are edges.
+    Node i belongs to group ``group[i]``; nodes in one group share a sem row.
+    ``weights`` is the dense, bitwise-symmetric u x u group matrix: entry
+    (a, b) is the weight between any member of group a and any member of
+    group b, the diagonal the weight between two distinct members of one
+    group (0 for a singleton). Edge presence follows from it and ``tau``:
+    every pair of distinct nodes is an edge at tau = 0, where a clamped
+    negative cosine gives a weight-0 edge; above 0, exactly the pairs with a
+    positive weight are edges.
     """
 
     node_ids: list[str]
+    group: np.ndarray
     weights: np.ndarray
     tau: float
 
     def __len__(self) -> int:
         return len(self.node_ids)
 
+    def weight(self, i, j):
+        """Weight between node positions i and j, 0 when i == j; ints or
+        broadcastable index arrays."""
+        return np.where(i != j, self.weights[self.group[i], self.group[j]], 0.0)
+
     def has_edge(self, i, j):
-        """Edge presence between positions i and j; ints or broadcastable
-        index arrays."""
-        return (i != j) & ((self.tau == 0.0) | (self.weights[i, j] > 0.0))
+        """Edge presence between node positions i and j; ints or
+        broadcastable index arrays."""
+        return (i != j) & ((self.tau == 0.0) | (self.weights[self.group[i], self.group[j]] > 0.0))
 
 
 @dataclass
@@ -127,34 +152,42 @@ class RetrievalResult:
     zero_scores_in_ranked: bool
 
 
-def build_local_subgraph(node_ids: list[str], sem_rows: np.ndarray, tau: float) -> LocalSubgraph:
+def build_local_subgraph(
+    node_ids: list[str], sem_rows: np.ndarray, tau: float, group: np.ndarray | None = None
+) -> LocalSubgraph:
     """Pairwise semantic graph over the candidates, thresholded at tau.
 
-    ``sem_rows[i]`` is the sem vector of ``node_ids[i]``; node order is kept.
-    Edge (i, j) exists iff the clamped cosine of their sem vectors is >= tau;
-    isolated nodes are fine. The weights are built in one buffer.
+    Node i has sem row ``sem_rows[group[i]]``; ``group=None`` gives every node
+    its own row, ``sem_rows[i]``. Node order is kept. Edge (i, j) exists iff
+    the clamped cosine of their sem rows is >= tau; isolated nodes are fine.
+    The weights are built in one buffer, one row and column per sem row.
     """
     if len(node_ids) == 0:
         raise ValueError("cannot build a subgraph from zero candidates")
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
     sem = np.asarray(sem_rows, dtype=np.float64)
+    group = np.arange(len(node_ids)) if group is None else np.asarray(group)
     norms = np.linalg.norm(sem, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
     unit = sem / safe[:, None]
     weights = unit @ unit.T  # bitwise symmetric: numpy computes it with syrk
+    del unit  # freed before the threshold mask is made
     np.clip(weights, 0.0, None, out=weights)
     weights *= weights >= tau
-    np.fill_diagonal(weights, 0.0)
-    return LocalSubgraph(node_ids=list(node_ids), weights=weights, tau=tau)
+    singletons = np.flatnonzero(np.bincount(group, minlength=len(sem)) == 1)
+    weights[singletons, singletons] = 0.0
+    return LocalSubgraph(node_ids=list(node_ids), group=group, weights=weights, tau=tau)
 
 
-def personalization(q_sem: np.ndarray, sem_rows: np.ndarray) -> np.ndarray:
+def personalization(q_sem: np.ndarray, sem_rows: np.ndarray, sizes: np.ndarray | None = None) -> np.ndarray:
     """Query-biased start distribution: normalized non-negative semantic
     scores of ``q_sem`` against each row; uniform if every score clamps to
-    zero."""
+    zero. With ``sizes``, row a stands for sizes[a] nodes and the node
+    values sum to 1: ``(h * sizes).sum() == 1``."""
     q = np.asarray(q_sem, dtype=np.float64)
     sem = np.asarray(sem_rows, dtype=np.float64)
+    m = np.ones(sem.shape[0]) if sizes is None else np.asarray(sizes, dtype=np.float64)
     qn = np.linalg.norm(q)
     norms = np.linalg.norm(sem, axis=1)
     scores = np.zeros(sem.shape[0])
@@ -162,16 +195,22 @@ def personalization(q_sem: np.ndarray, sem_rows: np.ndarray) -> np.ndarray:
         nz = norms > 0
         scores[nz] = (sem[nz] @ q) / (norms[nz] * qn)
     np.clip(scores, 0.0, None, out=scores)
-    total = scores.sum()
+    total = (scores * m).sum()
     if total <= 0.0:
-        return np.full(sem.shape[0], 1.0 / sem.shape[0])
+        return np.full(sem.shape[0], 1.0 / m.sum())
     return scores / total
 
 
-def ppr(W: np.ndarray, h: np.ndarray, cfg: PPRConfig) -> PPRResult:
+def ppr(W: np.ndarray, h: np.ndarray, cfg: PPRConfig, sizes: np.ndarray | None = None) -> PPRResult:
     """Personalized PageRank of the symmetric, non-negative weight matrix W
     and the probability vector h, by conjugate gradients (see the module
     docstring); W is left untouched.
+
+    With ``sizes``, entry a of W, h and the scores stands for sizes[a] nodes
+    that share one value, and W is a group matrix as in ``LocalSubgraph``:
+    the solve is that of the node graph, and h and the scores sum to 1 over
+    nodes, ``(scores * sizes).sum() == 1``. ``sizes=None`` makes every entry
+    one node, and W the node graph itself.
 
     Each pass first measures the current iterate's fixpoint residual, the L1
     distance one power-iteration step would move the normalized scores, and
@@ -182,65 +221,43 @@ def ppr(W: np.ndarray, h: np.ndarray, cfg: PPRConfig) -> PPRResult:
     """
     W = np.asarray(W, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
-    row_sums = W.sum(axis=1)
+    m = np.ones(len(h)) if sizes is None else np.asarray(sizes, dtype=np.float64)
+    own = np.zeros(len(h)) if sizes is None else W.diagonal()  # weight to a fellow member
+    # The node-level row sums; with m = 1 the correction is exactly 0.
+    row_sums = W.sum(axis=1) + (W @ (m - 1.0) - own)
     scale = np.sqrt(np.where(row_sums > 0.0, row_sums, 1.0))  # x = scale * y
 
     def apply(y: np.ndarray) -> np.ndarray:
-        return y - cfg.alpha * (W @ (y / scale)) / scale
+        z = y / scale
+        return y - cfg.alpha * (W @ (m * z) - own * z) / scale
 
     b = h / scale
     y = b.copy()
     r = b - apply(y)
     p = r.copy()
-    rr = float(r @ r)
+    rr = float((m * r) @ r)
     it = 1
     while True:
         x = scale * y
         # With rho = scale * r, the residual of (I - alpha W D^-1) x = h, one
         # power step moves x / sum(x) by exactly (rho - sum(rho) h) / sum(x).
         rho = scale * r
-        residual = float(np.abs(rho - rho.sum() * h).sum() / x.sum())
+        moved = np.abs(rho - (m * rho).sum() * h)
+        residual = float((m * moved).sum() / (m * x).sum())
         if residual < cfg.epsilon or it == cfg.max_iter:
             break
         Ap = apply(p)
-        step = rr / float(p @ Ap)
+        step = rr / float((m * p) @ Ap)
         y += step * p
         r -= step * Ap
-        rr_next = float(r @ r)
+        rr_next = float((m * r) @ r)
         p = r + (rr_next / rr) * p
         rr = rr_next
         it += 1
     np.clip(x, 0.0, None, out=x)
     return PPRResult(
-        scores=x / x.sum(), iterations=it, converged=residual < cfg.epsilon, residual=residual
+        scores=x / (m * x).sum(), iterations=it, converged=residual < cfg.epsilon, residual=residual
     )
-
-
-def _row_hash(words: np.ndarray) -> np.ndarray:
-    """64-bit linear hash of each row of 64-bit words: a dot product with
-    fixed random odd multipliers in wrapping integer arithmetic."""
-    mult = np.random.default_rng(0).integers(0, 2**64, size=words.shape[1], dtype=np.uint64)
-    return words @ (mult | np.uint64(1))
-
-
-def _tie_duplicates(sem_rows: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Give every row the largest score among the rows bitwise equal to it.
-
-    Rows are grouped by their hash, and each claimed duplicate is checked
-    word for word against its group's first row. Only if two distinct rows
-    share a hash are they grouped by sorting one opaque void key per row,
-    which copies every row twice.
-    """
-    words = np.ascontiguousarray(sem_rows).view(np.uint64)
-    _, first, group = np.unique(_row_hash(words), return_index=True, return_inverse=True)
-    rep = first[group]
-    dup = np.flatnonzero(rep != np.arange(len(rep)))
-    if not np.array_equal(words[dup], words[rep[dup]]):
-        keys = words.view(np.dtype((np.void, words.itemsize * words.shape[1]))).ravel()
-        _, group = np.unique(keys, return_inverse=True)
-    top = np.zeros(int(group.max()) + 1)
-    np.maximum.at(top, group, scores)
-    return top[group]
 
 
 def _rank(node_ids: list[str], scores: np.ndarray, top_n: int) -> list[tuple[str, float]]:
@@ -260,18 +277,20 @@ def fine_retrieve(
     cfg: PPRConfig,
     tau: float = 0.5,
 ) -> RetrievalResult:
-    """Subgraph + PPR over the coarse union, duplicate rows tied; deterministic
-    given index and config."""
+    """Subgraph + PPR over the coarse union, one group per distinct sem row;
+    deterministic given index and config."""
     if len(coarse.union_ids) == 0:
         raise ValueError("coarse result has no candidate tables")
     if coarse.query_features is None:
         raise ValueError("coarse result does not carry query features")
     t0 = time.perf_counter()
-    sem_rows = ix.sem[coarse.union_ids]
-    g = build_local_subgraph([ix.table_ids[i] for i in coarse.union_ids], sem_rows, tau)
-    h = personalization(coarse.query_features.sem, sem_rows)
-    result = ppr(g.weights, h, cfg)
-    scores = _tie_duplicates(sem_rows, result.scores)
+    union = coarse.union_ids
+    reps, group, sizes = np.unique(ix.sem_leaders()[union], return_inverse=True, return_counts=True)
+    sem_rows = ix.sem[reps]
+    g = build_local_subgraph([ix.table_ids[i] for i in union], sem_rows, tau, group)
+    h = personalization(coarse.query_features.sem, sem_rows, sizes)
+    result = ppr(g.weights, h, cfg, sizes)
+    scores = result.scores[group]
     elapsed = time.perf_counter() - t0
     ranked = _rank(g.node_ids, scores, cfg.top_n)
     return RetrievalResult(

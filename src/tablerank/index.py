@@ -276,6 +276,7 @@ class HypergraphIndex:
 
     def __post_init__(self):
         self._struct_z: np.ndarray | None = None
+        self._sem_leaders: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.table_ids)
@@ -284,6 +285,25 @@ class HypergraphIndex:
         if self._struct_z is None:
             self._struct_z = standardize_struct(self.struct_raw, self.struct_mean, self.struct_std)
         return self._struct_z
+
+    def sem_leaders(self) -> np.ndarray:
+        """(n,) int64: for each row, the lowest position whose sem row is
+        bitwise equal to it (so -0.0 and 0.0 differ). Built once by sorting
+        the rows' 64-bit words lexicographically and comparing adjacent
+        sorted rows one column at a time; kept in memory only."""
+        if self._sem_leaders is None:
+            words = np.ascontiguousarray(self.sem, dtype="<f8").view(np.uint64)
+            order = np.lexsort(words.T)  # stable: equal rows stay in position order
+            starts = np.zeros(len(order), dtype=bool)
+            starts[:1] = True
+            for col in words.T:
+                sorted_col = col[order]
+                starts[1:] |= sorted_col[1:] != sorted_col[:-1]
+            first = order[starts]
+            leaders = np.empty(len(order), dtype=np.int64)
+            leaders[order] = first[np.cumsum(starts) - 1]
+            self._sem_leaders = leaders
+        return self._sem_leaders
 
     def score_space_rows(self, feature_type: str, positions: np.ndarray | None = None):
         """Node vectors in the space cosine scores are computed in."""

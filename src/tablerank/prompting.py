@@ -110,7 +110,7 @@ def _graph_records(result: RetrievalResult) -> list[dict]:
     g = result.subgraph
     pos = np.array([g.node_ids.index(tid) for tid, _ in result.ranked])
     edges = g.has_edge(pos[:, None], pos[None, :]).tolist()
-    weights = g.weights[np.ix_(pos, pos)].tolist()
+    weights = g.weight(pos[:, None], pos[None, :]).tolist()
     records: list[dict] = []
     for a in range(len(pos)):
         for b in range(a + 1, len(pos)):

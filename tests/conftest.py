@@ -7,9 +7,33 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from tablerank.corpus import Query, Table, TableCorpus, TaskType
-from tablerank.features import EmbedderHandle
+from tablerank.features import EmbedderHandle, _norm
+
+
+def _dot(a, b) -> float:
+    if sparse.issparse(a) and sparse.issparse(b):
+        return float(a.multiply(b).sum())
+    if sparse.issparse(a):
+        return float(a.dot(np.asarray(b).ravel())[0])
+    if sparse.issparse(b):
+        return float(b.dot(np.asarray(a).ravel())[0])
+    return float(np.dot(np.asarray(a).ravel(), np.asarray(b).ravel()))
+
+
+def representative_score(a, b) -> float:
+    """Reference cosine of two same-type feature vectors, one pair at a time.
+
+    Accepts dense 1-D arrays or 1 x V sparse rows. A zero vector on either
+    side scores 0 by convention rather than raising.
+    """
+    na = _norm(a)
+    nb = _norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return _dot(a, b) / (na * nb)
 
 
 def make_table(tid: str, caption: str = "caption", headers=None, entries=None, metadata=None) -> Table:

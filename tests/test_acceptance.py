@@ -34,7 +34,7 @@ from tablerank.evaluation import (
     run_retrieval_eval,
     token_f1,
 )
-from tablerank.features import EmbedderHandle, embed_semantic, extract_all, representative_score
+from tablerank.features import EmbedderHandle, embed_semantic, extract_all
 from tablerank.fine import (
     PPRConfig,
     build_local_subgraph,
@@ -45,7 +45,7 @@ from tablerank.index import build_index, save_index
 from tablerank.linearize import linearize_query
 from tablerank.prompting import build_prompt, parse_response
 
-from conftest import make_angle_corpus, make_table, make_topic_corpus, make_topic_query
+from conftest import make_angle_corpus, make_table, make_topic_corpus, make_topic_query, representative_score
 from test_fine import solve_ppr_oracle, transition_matrix
 
 

@@ -23,7 +23,9 @@ from tablerank.benchmark import (
 )
 from tablerank.corpus import Table, TableCorpus, TaskType
 from tablerank.errors import SchemaViolation, TooFewCols, TooFewQueries, TooFewRows
-from tablerank.features import STOPWORDS, HeuristicVectorizer, fit_heuristic, representative_score, tokenize
+from tablerank.features import STOPWORDS, HeuristicVectorizer, fit_heuristic, tokenize
+
+from conftest import representative_score
 
 
 

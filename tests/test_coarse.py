@@ -11,12 +11,11 @@ from tablerank.features import (
     EmbedderHandle,
     NodeFeatures,
     extract_all,
-    representative_score,
     scores_to_vector,
 )
 from tablerank.index import FAMILY_TYPES, ClusterFamily, build_index
 
-from conftest import make_topic_corpus, make_topic_query
+from conftest import make_topic_corpus, make_topic_query, representative_score
 
 
 def reference_assign_cluster(qf, family, ix):

@@ -20,10 +20,11 @@ from tablerank.features import (
     extract_all,
     extract_structural,
     fit_heuristic,
-    representative_score,
     scores_to_vector,
     tokenize,
 )
+
+from conftest import representative_score
 
 
 class TestBuiltinEmbedder:

@@ -5,11 +5,10 @@ import pytest
 
 from tablerank.coarse import coarse_retrieve
 from tablerank.corpus import Query, TaskType
-from tablerank.features import extract_all, representative_score, embed_semantic
+from tablerank.features import extract_all, embed_semantic
 from tablerank.fine import (
     PPRConfig,
     _rank,
-    _tie_duplicates,
     build_local_subgraph,
     fine_retrieve,
     personalization,
@@ -19,7 +18,7 @@ from tablerank.fine import (
 from tablerank.index import build_index
 from tablerank.linearize import linearize_query
 
-from conftest import make_angle_corpus, make_topic_corpus, make_topic_query
+from conftest import make_angle_corpus, make_topic_corpus, make_topic_query, representative_score
 
 
 def subgraph(vectors: dict[str, np.ndarray], tau: float):
@@ -36,7 +35,7 @@ def edge_list(g) -> list[tuple[int, int, float]]:
     """Undirected edges as (i, j, weight) with i < j."""
     ii, jj = np.triu_indices(len(g), 1)
     present = g.has_edge(ii, jj)
-    return [(int(i), int(j), float(g.weights[i, j])) for i, j in zip(ii[present], jj[present])]
+    return [(int(i), int(j), float(g.weight(i, j))) for i, j in zip(ii[present], jj[present])]
 
 
 def transition_matrix(S: np.ndarray) -> np.ndarray:
@@ -133,6 +132,39 @@ def tie_by_group(scores: np.ndarray, groups: list[list[int]]) -> np.ndarray:
     for members in groups:
         tied[members] = scores[members].max()
     return tied
+
+
+def group_rows(rows: np.ndarray):
+    """(distinct rows, group of each row, group sizes), the distinct rows in
+    order of first appearance, as fine_retrieve groups the candidates."""
+    leaders = np.empty(len(rows), dtype=np.int64)
+    for members in duplicate_groups(rows):
+        leaders[members] = members[0]
+    reps, group, sizes = np.unique(leaders, return_inverse=True, return_counts=True)
+    return rows[reps], group, sizes
+
+
+def rows_with_zero_group(rng, n: int) -> np.ndarray:
+    """rows_with_duplicates with a second all-zero row, so the zero rows are
+    a group of at least two nodes that has no weight to any node."""
+    rows = rows_with_duplicates(rng, n)
+    zero = int(np.flatnonzero(~rows.any(axis=1))[0])
+    rows[(zero + 1) % n] = 0.0
+    return rows
+
+
+def clamped_self_cosine(rows: np.ndarray) -> np.ndarray:
+    """The diagonal of the clamped cosine matrix, computed as the reference
+    does (a zero row has cosine 0 with itself)."""
+    norms = np.linalg.norm(rows, axis=1)
+    unit = rows / np.where(norms > 0, norms, 1.0)[:, None]
+    return np.clip((unit @ unit.T).diagonal(), 0.0, None)
+
+
+def node_matrix(g):
+    """The node-level weight matrix and adjacency of a subgraph."""
+    nodes = np.indices((len(g), len(g)))
+    return g.weight(*nodes), g.has_edge(*nodes)
 
 
 class TestPPRConfig:
@@ -233,7 +265,8 @@ class TestTieAwareEquivalence:
         for n in (2, 40, 300, 1200):
             rows = rows_with_duplicates(rng, n)
             ids = [f"n{i:04d}" for i in range(n)]
-            h = personalization(rng.normal(size=rows.shape[1]), rows)
+            q = rng.normal(size=rows.shape[1])
+            h = personalization(q, rows)
             g = build_local_subgraph(ids, rows, tau)
             weights = g.weights.copy()
             got = ppr(g.weights, h, cfg)
@@ -247,22 +280,84 @@ class TestTieAwareEquivalence:
             assert fixpoint_residual(ref_weights, h, cfg.alpha, got.scores) < cfg.epsilon
             groups = duplicate_groups(rows)
             assert n == 2 or len(groups) < n  # fixture precondition: rows repeat
-            tied = _tie_duplicates(rows, got.scores)
-            assert np.array_equal(tied, tie_by_group(got.scores, groups))
+            # the grouped path gives every member of a group one score
+            distinct, group, sizes = group_rows(rows)
+            grouped = build_local_subgraph(ids, distinct, tau, group)
+            tied = ppr(grouped.weights, personalization(q, distinct, sizes), cfg, sizes).scores[group]
             assert all(len(set(tied[members])) == 1 for members in groups)
             ranking = [tid for tid, _ in _rank(ids, tied, n)]
             assert ranking == [tid for tid, _ in _rank(ids, tie_by_group(oracle, groups), n)]
 
 
-    def test_hash_collision_falls_back_to_exact_groups(self, monkeypatch):
-        rng = np.random.default_rng(32)
-        rows = rows_with_duplicates(rng, 300)
-        scores = rng.random(300)
-        expect = tie_by_group(scores, duplicate_groups(rows))
-        assert np.array_equal(_tie_duplicates(rows, scores), expect)
-        # every row hashes alike, so the word check fails and exact grouping runs
-        monkeypatch.setattr("tablerank.fine._row_hash", lambda words: np.zeros(len(words), np.uint64))
-        assert np.array_equal(_tie_duplicates(rows, scores), expect)
+class TestGroupedPath:
+    """The path fine_retrieve takes: one weight row and column per distinct
+    sem row, each group weighted by its size in the solve."""
+
+    @pytest.mark.parametrize("tau", [0.0, 0.2])
+    @pytest.mark.parametrize("n", [2, 40, 300, 1200])
+    def test_equals_full_graph(self, n, tau):
+        rng = np.random.default_rng(n)
+        rows = rows_with_zero_group(rng, n)
+        ids = [f"n{i:04d}" for i in range(n)]
+        distinct, group, sizes = group_rows(rows)
+        zero = np.flatnonzero(~distinct.any(axis=1))
+        assert len(zero) == 1 and sizes[zero[0]] >= 2  # fixture precondition
+        assert n == 2 or len(distinct) < n             # fixture precondition: rows repeat
+        g = build_local_subgraph(ids, distinct, tau, group)
+        assert g.weights.shape == (len(distinct), len(distinct))
+        weight, edge = node_matrix(g)
+
+        # bitwise: the distinct rows' reference, expanded through group; two
+        # members of one group have the row's clamped self-cosine
+        ref_weights, ref_adjacency = reference_subgraph(distinct, tau)
+        own = clamped_self_cosine(distinct)
+        same = group[:, None] == group[None, :]
+        off = ~np.eye(n, dtype=bool)
+        expect_weight = np.where(same, (own * (own >= tau))[group][:, None], ref_weights[np.ix_(group, group)])
+        expect_edge = np.where(same, (own >= tau)[group][:, None], ref_adjacency[np.ix_(group, group)])
+        assert np.array_equal(weight, expect_weight * off)
+        assert np.array_equal(edge, expect_edge & off)
+
+        # against the reference over all n rows: the same edges, and weights
+        # within 4 ulps of 1.0, the scale of a cosine's rounding error (BLAS
+        # output bits depend on the matrix shape)
+        full_weights, full_adjacency = reference_subgraph(rows, tau)
+        assert np.array_equal(edge, full_adjacency)
+        assert np.max(np.abs(weight - full_weights)) <= 4 * np.spacing(1.0)
+
+        cfg = PPRConfig()
+        q = rng.normal(size=rows.shape[1])
+        h = personalization(q, distinct, sizes)
+        assert (h * sizes).sum() == pytest.approx(1.0, abs=1e-15)
+        assert np.allclose(h[group], personalization(q, rows), rtol=1e-14, atol=0.0)
+        got = ppr(g.weights, h, cfg, sizes)
+        plain = ppr(weight, h[group], cfg)
+        oracle, _ = power_iteration(weight, h[group], cfg)
+        scores = got.scores[group]
+        assert got.iterations == plain.iterations
+        assert got.converged and got.residual < cfg.epsilon
+        assert np.max(np.abs(scores - oracle)) < 1e-8
+        assert scores.sum() == pytest.approx(1.0, abs=1e-12)
+        groups = duplicate_groups(rows)
+        assert all(len(set(scores[members])) == 1 for members in groups)
+        ranking = [tid for tid, _ in _rank(ids, scores, n)]
+        assert ranking == [tid for tid, _ in _rank(ids, tie_by_group(oracle, groups), n)]
+
+    def test_singletons_are_the_plain_graph(self):
+        rng = np.random.default_rng(5)
+        rows = rng.normal(size=(50, 8))
+        ids = [f"n{i:02d}" for i in range(50)]
+        plain = build_local_subgraph(ids, rows, 0.2)
+        grouped = build_local_subgraph(ids, rows, 0.2, np.arange(50))
+        assert np.array_equal(plain.weights, grouped.weights)
+        q = rng.normal(size=8)
+        ones = np.ones(50, dtype=np.int64)
+        h = personalization(q, rows)
+        assert np.array_equal(personalization(q, rows, ones), h)
+        a = ppr(plain.weights, h, PPRConfig())
+        b = ppr(grouped.weights, h, PPRConfig(), ones)
+        assert np.array_equal(a.scores, b.scores)
+        assert (a.iterations, a.residual) == (b.iterations, b.residual)
 
 
 class TestTransitionMatrix:
@@ -448,19 +543,42 @@ class TestFineRetrieve:
             tracemalloc.stop()
         assert peak < 1.5 * n * n * 8
 
-    def test_duplicate_rows_share_group_max(self, handle):
+    def test_grouped_buffer_is_under_half_a_square(self, handle):
+        # K=1 keeps the whole corpus as the union; its 1,200 tables hold fewer
+        # than 600 distinct sem rows, so the u x u weights fit in a quarter of
+        # an n x n array. A full-size weight matrix alone would break the bound.
+        corpus = make_topic_corpus(1200, 3, seed=6)
+        ix = build_index(corpus, extract_all(corpus, handle), K=1, k=10, seed=3)
+        q = make_topic_query(1, seed=9)
+        coarse = coarse_retrieve(q, ix, handle)
+        n = len(coarse.union_ids)
+        assert n >= 1000
+        assert len(duplicate_groups(ix.sem[coarse.union_ids])) <= n / 2  # fixture precondition
+        ix.sem_leaders()  # built once per index, before the first query
+        tracemalloc.start()
+        try:
+            fine_retrieve(q, coarse, ix, PPRConfig(), tau=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 2
+
+    def test_duplicate_rows_match_the_full_graph(self, handle):
         corpus = make_topic_corpus(200, 4, seed=6)
         ix = build_index(corpus, extract_all(corpus, handle), K=1, k=10, seed=3)
         cfg = PPRConfig(top_n=len(corpus))
         coarse, result = retrieve(make_topic_query(0, seed=2), ix, handle, cfg, tau=0.5)
         groups = duplicate_groups(ix.sem)  # K=1: the union is every row, in order
         assert any(len(members) > 1 for members in groups)
-        raw = ppr(result.subgraph.weights, personalization(coarse.query_features.sem, ix.sem), cfg)
+        assert len(result.subgraph.weights) == len(groups)
+        full = build_local_subgraph(result.subgraph.node_ids, ix.sem, 0.5)
+        raw = ppr(full.weights, personalization(coarse.query_features.sem, ix.sem), cfg)
+        assert np.max(np.abs(result.all_scores - raw.scores)) < 1e-15
+        assert all(len(set(result.all_scores[members])) == 1 for members in groups)
         scores = tie_by_group(raw.scores, groups)
-        assert np.array_equal(result.all_scores, scores)
         ids = result.subgraph.node_ids
         order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
-        assert result.ranked == [(ids[i], float(scores[i])) for i in order]
+        assert [tid for tid, _ in result.ranked] == [ids[i] for i in order]
 
     def test_low_alpha_matches_cosine_ranking(self, handle):
         corpus, q = make_angle_corpus(20)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from tablerank.index import (
 )
 
 from conftest import make_topic_corpus
+from test_fine import duplicate_groups
 
 
 def select_typical(members, centroid: np.ndarray, k: int) -> list[str]:
@@ -403,6 +405,31 @@ class TestPersistence:
         save_index(ix, p)
         with pytest.raises(IOFailure, match="not an indexed table"):
             load_index(_edit_header(p, lambda h: h["families"]["sem"]["typical"][0].append("ghost")))
+
+
+class TestSemLeaders:
+    def test_equals_brute_force_groups(self, handle, tmp_path):
+        corpus = make_topic_corpus(300, 3, seed=4)
+        built = build_index(corpus, extract_all(corpus, handle), K=3, k=10, seed=1)
+        sem = built.sem.copy()
+        sem[[5, 17]] = 0.0      # all-zero rows: one group
+        sem[[40, 41]] = -0.0    # all -0.0 rows: bitwise distinct from the zero rows
+        sem[[60, 61]] = sem[62]
+        sem[[60, 61, 62], 3] = [0.0, -0.0, 0.0]  # 60 and 62 agree; 61 differs in one sign bit
+        ix = dataclasses.replace(built, sem=sem)
+        expect = np.empty(len(sem), dtype=np.int64)
+        for members in duplicate_groups(sem):
+            expect[members] = members[0]
+        assert (expect != np.arange(len(sem))).sum() > 20  # fixture precondition: many repeats
+        assert (expect[17], expect[41], expect[61], expect[62]) == (5, 40, 61, 60)
+        assert np.array_equal(ix.sem_leaders(), expect)
+        path = tmp_path / "ix.bin"
+        save_index(ix, path)
+        assert np.array_equal(load_index(path).sem_leaders(), expect)
+        # the map is never persisted: the bytes do not depend on it
+        fresh = tmp_path / "fresh.bin"
+        save_index(dataclasses.replace(built, sem=sem), fresh)
+        assert path.read_bytes() == fresh.read_bytes()
 
 
 def _edit_header(p, edit):

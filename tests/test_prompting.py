@@ -19,7 +19,7 @@ from conftest import make_table
 def make_result(ids, weights: np.ndarray, scores=None, tau: float = 0.1) -> RetrievalResult:
     n = len(ids)
     # with tau > 0, exactly the positive weights are edges
-    g = LocalSubgraph(node_ids=sorted(ids), weights=weights, tau=tau)
+    g = LocalSubgraph(node_ids=sorted(ids), group=np.arange(n), weights=weights, tau=tau)
     scores = scores if scores is not None else np.linspace(1.0, 0.1, n)
     scores = scores / scores.sum()
     ranked = sorted(zip(g.node_ids, scores), key=lambda p: (-p[1], p[0]))
