@@ -1,7 +1,7 @@
 """tablerank: graph-based retrieval over corpora of individual tables."""
 
 from .corpus import Query, Table, TableCorpus, TaskType, load_corpus, save_corpus, validate_table
-from .features import EmbedderHandle, NodeFeatures, extract_all
+from .features import CorpusFeatures, EmbedderHandle, NodeFeatures, extract_all
 from .index import HypergraphIndex, build_index, kmeans, load_index, save_index
 from .coarse import CoarseResult, coarse_retrieve, query_features
 from .fine import LocalSubgraph, PPRConfig, RetrievalResult, fine_retrieve, ppr, retrieve
@@ -34,6 +34,7 @@ __all__ = [
     "BenchmarkDataset",
     "BenchmarkExample",
     "CoarseResult",
+    "CorpusFeatures",
     "EmbedderHandle",
     "HypergraphIndex",
     "LocalSubgraph",

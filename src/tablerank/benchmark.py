@@ -23,10 +23,11 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .corpus import Query, Table, TableCorpus, TaskType, load_corpus, save_corpus
 from .errors import IOFailure, SchemaViolation, TooFewCols, TooFewQueries, TooFewRows
-from .features import STOPWORDS, HeuristicVectorizer, fit_heuristic, tokenize
+from .features import STOPWORDS, fit_heuristic, tokenize
 from .linearize import normalize_whitespace
 
 MIN_SPLIT_DIM = 3  # tables with at most this many rows AND columns are dropped
@@ -238,8 +239,10 @@ def debias(sub_tables: Sequence[Table], mode: str, seed: int) -> list[Table]:
 _Row = tuple[np.ndarray, np.ndarray, float]
 
 
-def _tfidf_row(vectorizer: HeuristicVectorizer, tokens: Sequence[str]) -> _Row:
-    cols, vals = vectorizer.entries(tokens)
+def _tfidf_row(m: sparse.csr_matrix, i: int) -> _Row:
+    """Row i of a canonical CSR tf-idf matrix as plain arrays."""
+    lo, hi = m.indptr[i], m.indptr[i + 1]
+    cols, vals = m.indices[lo:hi], m.data[lo:hi]
     return cols, vals, float(np.sqrt(np.sum(vals * vals)))
 
 
@@ -271,17 +274,17 @@ def filter_queries(
     """
     if not queries:
         return []
-    vectorizer = fit_heuristic([q.text for q in queries])
+    token_lists = [tokenize(q.text) for q in queries]
+    tfidf = fit_heuristic(token_lists).matrix(token_lists)
     kept: list[SourceQuery] = []
     kept_rows: dict[str, list[_Row]] = {}
-    for q in queries:
-        toks = tokenize(q.text)
+    for i, (q, toks) in enumerate(zip(queries, token_lists)):
         if len(toks) < min_tokens:
             continue
         ratio = sum(1 for t in toks if t in STOPWORDS) / len(toks)
         if ratio > stopword_ratio:
             continue
-        row = _tfidf_row(vectorizer, toks)
+        row = _tfidf_row(tfidf, i)
         same_root = kept_rows.setdefault(q.root_table_id, [])
         if any(_row_cosine(row, prev) >= redundancy_cosine for prev in same_root):
             continue

@@ -191,6 +191,7 @@ def _cmd_build_index(args, cfg: RunConfig) -> int:
     corpus = corpus_mod.load_corpus(args.corpus)
     t0 = time.perf_counter()
     features = extract_all(corpus, cfg.handle())
+    t_extract = time.perf_counter()
     k_per_family = {}
     for phi, flag in (("sem", args.K_sem), ("struct", args.K_struct), ("heur", args.K_heur)):
         if flag is not None:
@@ -203,9 +204,20 @@ def _cmd_build_index(args, cfg: RunConfig) -> int:
         seed=cfg.seed,
         k_per_family=k_per_family or None,
     )
+    t_cluster = time.perf_counter()
     save_index(ix, args.out)
-    dt = time.perf_counter() - t0
-    print(json.dumps({"tables": len(corpus), "out": args.out, "build_seconds": round(dt, 3)}))
+    # Round the timestamps, then difference them, so the parts never sum
+    # past the total.
+    at_extract, at_cluster, at_end = (
+        round(t - t0, 3) for t in (t_extract, t_cluster, time.perf_counter())
+    )
+    print(json.dumps({
+        "tables": len(corpus),
+        "out": args.out,
+        "build_seconds": at_end,
+        "extract_seconds": at_extract,
+        "cluster_seconds": round(at_cluster - at_extract, 3),
+    }))
     return 0
 
 

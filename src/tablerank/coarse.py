@@ -27,6 +27,7 @@ from .features import (
     embed_semantic,
     extract_structural,
     standardize_struct,
+    tokenize,
 )
 from .index import FAMILY_TYPES, ClusterFamily, HypergraphIndex
 from .linearize import linearize_query
@@ -54,14 +55,16 @@ def query_features(q: Query, ix: HypergraphIndex, h: EmbedderHandle) -> NodeFeat
 
     The struct vector comes back already projected through the index's stored
     standardization so it is directly comparable with node vectors; sem and
-    heur are raw (cosine is scale-invariant).
+    heur are raw (cosine is scale-invariant). The text goes through the
+    corpus featurizers as a batch of one.
     """
     if h.dimension != ix.params.embedder_dimension:
         raise DimensionMismatch(ix.params.embedder_dimension, h.dimension)
-    text = linearize_query(q)
-    sem = embed_semantic([text], h)[0]
-    struct = standardize_struct(extract_structural(text), ix.struct_mean, ix.struct_std)
-    heur = ix.vectorizer.transform(text)
+    texts = [linearize_query(q)]
+    token_lists = [tokenize(texts[0])]
+    sem = embed_semantic(texts, h, token_lists)[0]
+    struct = standardize_struct(extract_structural(texts)[0], ix.struct_mean, ix.struct_std)
+    heur = ix.vectorizer.matrix(token_lists)
     return NodeFeatures(sem=sem, struct=struct, heur=heur)
 
 

@@ -24,7 +24,7 @@ import re
 import string
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -49,6 +49,7 @@ STOPWORDS: frozenset[str] = frozenset(
 )
 
 TAG_CLASSES = ("NUM", "PROPN", "PUNCT", "SYM", "STOP", "VERB", "ADJ", "OTHER")
+_TAG_SLOT = {cls: i for i, cls in enumerate(TAG_CLASSES)}
 PUNCT_MARKS = (",", ".", ";", ":", "?", "!", "-", '"')
 _SYM_CHARS = frozenset("$%&#@*+=^~|<>/\\")
 _VERB_SUFFIXES = ("ing", "ed", "s")
@@ -74,7 +75,7 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass
 class NodeFeatures:
-    """The three one-way feature vectors of a single node."""
+    """The three feature vectors of a single query."""
 
     sem: np.ndarray
     struct: np.ndarray
@@ -96,47 +97,59 @@ class EmbedderHandle:
             raise ValueError("batch_limit must be at least 1")
 
 
-def _hash_embed(texts: Sequence[str], dimension: int) -> list[np.ndarray]:
-    """Signed bag of 1-2 gram hashes per text, L2-normalized.
+def _gram_codes(grams: Iterable[str], dimension: int) -> list[int]:
+    """Each gram's blake2b hash as one int: its slot, plus ``dimension`` when
+    its sign is negative."""
+    codes = []
+    for g in grams:
+        val = int.from_bytes(hashlib.blake2b(g.encode("utf-8"), digest_size=8).digest(), "little")
+        codes.append((val >> 1) % dimension + (dimension if val & 1 else 0))
+    return codes
 
-    A gram's blake2b hash gives a slot and a sign, stored as one int code:
-    the slot, plus ``dimension`` for a negative sign (a tuple per gram raised
-    a 4,000-table build's peak RSS by about 4 MB). Each distinct gram is
-    hashed once per call, and the map dies with the call, so a long-lived
-    caller does not grow with the texts it has seen. A slot's value is its
-    positive minus its negative count, an exact integer, so a text's vector
-    does not depend on the rest of the batch.
+
+def _hash_embed(
+    texts: Sequence[str], token_lists: Sequence[Sequence[str]], dimension: int
+) -> np.ndarray:
+    """Signed bag of 1-2 gram hashes per text, L2-normalized; (n, dimension).
+
+    A text's grams are its tokens and the pairs of adjacent tokens within it,
+    or the text itself when it has no token. That is 2n - 1 grams for n
+    tokens, or 1: always an odd number of +-1 counts, so they never all
+    cancel and no vector is zero.
+
+    Tokens get ids and pairs of token ids within a text get ids, so each
+    distinct gram is hashed once per call, and no bigram string is built per
+    occurrence; nothing outlives the call. A text's vector comes from its own
+    ``bincount`` of gram codes (positive minus negative counts, exact
+    integers) and its own 1-D norm, so it does not depend on the rest of the
+    batch. The per-text work stays in plain Python lists: a query is a batch
+    of one, and a fixed run of numpy calls would cost it more than it saves.
     """
-    code_of: dict[str, int] = {}
-    out: list[np.ndarray] = []
-    for text in texts:
-        toks = tokenize(text)
-        grams = toks + [f"{a} {b}" for a, b in zip(toks, toks[1:])]
-        if not grams:
-            grams = [text]
-        codes = []
-        for g in grams:
-            code = code_of.get(g)
-            if code is None:
-                digest = hashlib.blake2b(g.encode("utf-8"), digest_size=8).digest()
-                val = int.from_bytes(digest, "little")
-                code = code_of[g] = (val >> 1) % dimension + (dimension if val & 1 else 0)
-            codes.append(code)
-        counts = np.bincount(codes, minlength=2 * dimension)
-        vec = (counts[:dimension] - counts[dimension:]).astype(np.float64)
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            # Cannot happen while a text has an odd number of grams (2n - 1,
-            # or the text itself), whose +-1 counts never all cancel; the pin
-            # keeps the unit-norm invariant from resting on that.
-            vec[0] = 1.0
-            norm = 1.0
-        out.append(vec / norm)
+    token_id: dict[str, int] = {}
+    pair_id: dict[tuple[int, int], int] = {}
+    grams = []  # per text: its token ids and its pair ids
+    for text, toks in zip(texts, token_lists):
+        ids = [token_id.setdefault(t, len(token_id)) for t in toks or (text,)]
+        grams.append((ids, [pair_id.setdefault(p, len(pair_id)) for p in zip(ids, ids[1:])]))
+    tokens = list(token_id)
+    unigram_code = _gram_codes(tokens, dimension)
+    bigram_code = _gram_codes((f"{tokens[a]} {tokens[b]}" for a, b in pair_id), dimension)
+
+    out = np.empty((len(texts), dimension), dtype=np.float64)
+    for row, (ids, pairs) in zip(out, grams):
+        codes = [unigram_code[i] for i in ids] + [bigram_code[p] for p in pairs]
+        slot_counts = np.bincount(codes, minlength=2 * dimension)
+        vec = (slot_counts[:dimension] - slot_counts[dimension:]).astype(np.float64)
+        row[:] = vec / np.linalg.norm(vec)
     return out
 
 
-def embed_semantic(texts: Sequence[str], h: EmbedderHandle) -> list[np.ndarray]:
-    """Embed texts in order, batching remote calls at the handle's limit."""
+def embed_semantic(
+    texts: Sequence[str], h: EmbedderHandle, token_lists: Sequence[Sequence[str]] | None = None
+) -> np.ndarray:
+    """Embed texts in order into an (n, dimension) array, batching remote
+    calls at the handle's limit. The builtin encoder reads ``token_lists``
+    (``tokenize`` of each text) when the caller already has them."""
     if not texts:
         raise ValueError("embed_semantic requires at least one text")
     for t in texts:
@@ -144,7 +157,9 @@ def embed_semantic(texts: Sequence[str], h: EmbedderHandle) -> list[np.ndarray]:
             raise ValueError("cannot embed an empty text")
 
     if h.endpoint == "builtin:hash":
-        return _hash_embed(texts, h.dimension)
+        if token_lists is None:
+            token_lists = [tokenize(t) for t in texts]
+        return _hash_embed(texts, token_lists, h.dimension)
 
     out: list[np.ndarray] = []
     url = h.endpoint.rstrip("/") + "/embed"
@@ -171,7 +186,7 @@ def embed_semantic(texts: Sequence[str], h: EmbedderHandle) -> list[np.ndarray]:
                     h.endpoint, "response holds a non-finite vector", batch_start=start
                 )
             out.append(arr)
-    return out
+    return np.vstack(out)
 
 
 def _tag_token(raw: str, sentence_initial: bool) -> str:
@@ -194,29 +209,39 @@ def _tag_token(raw: str, sentence_initial: bool) -> str:
     return "OTHER"
 
 
-def extract_structural(text: str) -> np.ndarray:
-    """Surface-shape counts in the fixed STRUCT_FIELDS order.
+def extract_structural(texts: Sequence[str]) -> np.ndarray:
+    """Surface-shape counts of each text, (n, STRUCT_DIM) in the fixed
+    STRUCT_FIELDS order.
 
-    Total on any input, including empty strings and control characters.
+    Total on any input, including empty strings and control characters. A
+    raw token's tag depends only on the token and on whether it opens a
+    sentence, so each such pair is tagged once per call; ``digit_tokens`` is
+    the NUM tag count (a token stripped of punctuation that is all digits).
     """
-    vec = np.zeros(STRUCT_DIM, dtype=np.float64)
-    raw_tokens = text.split()
-    vec[0] = len(raw_tokens)
-    vec[1] = len({t.lower() for t in raw_tokens})
-    vec[2] = len(text)
-    vec[3] = sum(1 for t in raw_tokens if t.strip(string.punctuation).isdigit())
-
-    tag_counts = Counter()
-    sentence_initial = True
-    for raw in raw_tokens:
-        tag_counts[_tag_token(raw, sentence_initial)] += 1
-        sentence_initial = raw.endswith((".", "!", "?"))
-    for i, cls in enumerate(TAG_CLASSES):
-        vec[4 + i] = tag_counts.get(cls, 0)
-
-    for i, mark in enumerate(PUNCT_MARKS):
-        vec[4 + len(TAG_CLASSES) + i] = text.count(mark)
-    return vec
+    if isinstance(texts, str):
+        raise TypeError("extract_structural takes a sequence of texts, not one string")
+    slot_of: tuple[dict[str, int], dict[str, int]] = ({}, {})  # [sentence_initial][raw]
+    rows = []
+    for text in texts:
+        raw_tokens = text.split()
+        tags = [0] * len(TAG_CLASSES)
+        sentence_initial = True
+        for raw in raw_tokens:
+            memo = slot_of[sentence_initial]
+            slot = memo.get(raw)
+            if slot is None:
+                slot = memo[raw] = _TAG_SLOT[_tag_token(raw, sentence_initial)]
+            tags[slot] += 1
+            sentence_initial = raw.endswith((".", "!", "?"))
+        rows.append([
+            len(raw_tokens),
+            len({t.lower() for t in raw_tokens}),
+            len(text),
+            tags[_TAG_SLOT["NUM"]],
+            *tags,
+            *(text.count(mark) for mark in PUNCT_MARKS),
+        ])
+    return np.array(rows, dtype=np.float64).reshape(len(texts), STRUCT_DIM)
 
 
 @dataclass
@@ -235,31 +260,39 @@ class HeuristicVectorizer:
     def size(self) -> int:
         return len(self.vocabulary)
 
-    def entries(self, tokens: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending vocabulary columns of ``tokens``, each once, and their
-        tf-idf values; tokens outside the vocabulary are dropped."""
+    def matrix(self, token_lists: Sequence[Sequence[str]]) -> sparse.csr_matrix:
+        """The (n, V) tf-idf rows of n token lists in canonical CSR form:
+        ascending columns, each at most once per row. Tokens outside the
+        vocabulary are dropped.
+
+        One ``np.unique`` over the keys ``row * V + column`` of every token
+        gives the term counts in CSR order, and the matrix is one constructor
+        call; a value is ``tf * idf[column]``.
+        """
         vocab = self.vocabulary
-        hits = sorted((vocab[tok], tf) for tok, tf in Counter(tokens).items() if tok in vocab)
-        cols = np.array([c for c, _ in hits], dtype=np.int64)
-        tf = np.array([t for _, t in hits], dtype=np.float64)
-        return cols, tf * self.idf[cols]
+        n, width = len(token_lists), max(self.size, 1)
+        keys = np.fromiter(
+            (row * width + c for row, toks in enumerate(token_lists) for t in toks if (c := vocab.get(t)) is not None),
+            dtype=np.int64,
+        )
+        keys, tf = np.unique(keys, return_counts=True)
+        col = keys % width
+        indptr = np.searchsorted(keys, np.arange(n + 1) * width)
+        return sparse.csr_matrix((tf * self.idf[col], col, indptr), shape=(n, self.size))
 
-    def transform(self, text: str) -> sparse.csr_matrix:
-        """The 1 x V tf-idf row of ``text``, built directly in canonical CSR
-        form: ascending column indices, each at most once."""
-        cols, vals = self.entries(tokenize(text))
-        return sparse.csr_matrix((vals, cols, np.array([0, len(cols)])), shape=(1, self.size))
 
-
-def fit_heuristic(corpus_texts: Sequence[str]) -> HeuristicVectorizer:
-    """Fit the vocabulary and idf weights over the whole corpus."""
-    if not corpus_texts:
+def fit_heuristic(token_lists: Sequence[Sequence[str]]) -> HeuristicVectorizer:
+    """Fit the vocabulary and idf weights over the whole corpus, given as
+    one token list (``tokenize`` of a text) per document."""
+    if not token_lists:
         raise EmptyCorpus("cannot fit a vectorizer on zero documents")
     df: Counter[str] = Counter()
-    for text in corpus_texts:
-        df.update(set(tokenize(text)))
+    for toks in token_lists:
+        if isinstance(toks, str):
+            raise TypeError("fit_heuristic takes token lists; tokenize each text first")
+        df.update(set(toks))
     vocab = {tok: i for i, tok in enumerate(sorted(df))}
-    n_docs = len(corpus_texts)
+    n_docs = len(token_lists)
     idf = np.zeros(len(vocab), dtype=np.float64)
     for tok, i in vocab.items():
         idf[i] = np.log((1.0 + n_docs) / (1.0 + df[tok])) + 1.0
@@ -299,40 +332,42 @@ def scores_to_vector(rows, v) -> np.ndarray:
     return out
 
 
-class FeatureMap(dict):
-    """table_id -> NodeFeatures mapping that also carries its fitted vectorizer."""
+@dataclass
+class CorpusFeatures:
+    """The three feature views of a whole corpus; row i belongs to the
+    corpus's i-th table."""
 
-    def __init__(self, items: Mapping[str, NodeFeatures], vectorizer: HeuristicVectorizer):
-        super().__init__(items)
-        self.vectorizer = vectorizer
+    sem: np.ndarray               # (n, d) embeddings
+    struct: np.ndarray            # (n, STRUCT_DIM) raw counts
+    heur: sparse.csr_matrix       # (n, V) tf-idf rows
+    vectorizer: HeuristicVectorizer  # fitted over the corpus; V = vectorizer.size
 
 
-def extract_all(corpus: TableCorpus, h: EmbedderHandle) -> FeatureMap:
-    """Compute all three feature vectors for every table in the corpus.
+def extract_all(corpus: TableCorpus, h: EmbedderHandle) -> CorpusFeatures:
+    """Compute all three feature views for every table, in corpus order.
 
-    The heuristic vectorizer is fitted over the full linearized corpus before
-    any document is transformed. Any embedding failure aborts the build,
-    naming the first table of the failed batch.
+    Each linearized table is tokenized once; the heuristic vectorizer is
+    fitted over every table before any row is built. Any embedding failure
+    aborts the build, naming the first table of the failed batch.
     """
     ordered = list(corpus)
     sequences = [linearize(t).sequence for t in ordered]
-    vectorizer = fit_heuristic(sequences)
+    token_lists = [tokenize(seq) for seq in sequences]
+    vectorizer = fit_heuristic(token_lists)
     try:
-        sems = embed_semantic(sequences, h)
+        sem = embed_semantic(sequences, h, token_lists)
     except EmbedderUnavailable as exc:
         at = exc.batch_start or 0
         tid = ordered[at].id if at < len(ordered) else "?"
         raise EmbedderUnavailable(
             exc.endpoint, f"{exc.cause} (first table of failed batch: {tid})", exc.batch_start
         ) from exc
-    out: dict[str, NodeFeatures] = {}
-    for t, seq, sem in zip(ordered, sequences, sems):
-        out[t.id] = NodeFeatures(
-            sem=sem,
-            struct=extract_structural(seq),
-            heur=vectorizer.transform(seq),
-        )
-    return FeatureMap(out, vectorizer)
+    return CorpusFeatures(
+        sem=sem,
+        struct=extract_structural(sequences),
+        heur=vectorizer.matrix(token_lists),
+        vectorizer=vectorizer,
+    )
 
 
 def standardize_struct(vec: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:

@@ -33,8 +33,8 @@ from .corpus import TableCorpus, table_record_bytes
 from .errors import IOFailure, KTooLarge, VersionMismatch
 from .features import (
     STRUCT_DIM,
+    CorpusFeatures,
     HeuristicVectorizer,
-    NodeFeatures,
     scores_to_vector,
     standardize_struct,
     struct_stats,
@@ -395,7 +395,7 @@ def vocabulary_digest(vectorizer: HeuristicVectorizer) -> str:
 
 def build_index(
     corpus: TableCorpus,
-    features: Mapping[str, NodeFeatures],
+    features: CorpusFeatures,
     K: int = DEFAULT_CLUSTERS,
     k: int = DEFAULT_TYPICAL,
     seed: int = 0,
@@ -405,21 +405,27 @@ def build_index(
 ) -> HypergraphIndex:
     """Cluster every feature family and assemble the persistent index.
 
-    ``k_per_family`` optionally overrides the cluster count of individual
-    families (experimental); every family defaults to K. Each family's
-    clustering runs n_init seeded restarts, keeping the best objective.
+    ``features`` holds one row per table in corpus order, as ``extract_all``
+    returns them. ``k_per_family`` optionally overrides the cluster count of
+    individual families (experimental); every family defaults to K. Each
+    family's clustering runs n_init seeded restarts, keeping the best
+    objective.
     """
     table_ids = corpus.ids()
-    missing = [tid for tid in table_ids if tid not in features]
-    if missing:
-        raise ValueError(f"features missing for tables: {missing[:5]}")
+    sem = np.asarray(features.sem, dtype=np.float64)
+    struct_raw = np.asarray(features.struct, dtype=np.float64)
+    heur = features.heur
+    # The fitted vectorizer travels with the index so queries embed identically.
+    vectorizer = features.vectorizer
+    rows = {"sem": sem.shape[0], "struct": struct_raw.shape[0], "heur": heur.shape[0]}
+    if any(r != len(table_ids) for r in rows.values()):
+        raise ValueError(f"feature rows {rows} do not match the corpus's {len(table_ids)} tables")
+    if heur.shape[1] != vectorizer.size:
+        raise ValueError(
+            f"heur matrix has {heur.shape[1]} columns but the vectorizer has {vectorizer.size} terms"
+        )
     if k < 1:
         raise ValueError("typical-node count k must be at least 1")
-
-    sem = np.vstack([np.asarray(features[tid].sem, dtype=np.float64) for tid in table_ids])
-    struct_raw = np.vstack([np.asarray(features[tid].struct, dtype=np.float64) for tid in table_ids])
-    heur = sparse.vstack([features[tid].heur for tid in table_ids]).tocsr()
-    heur.sort_indices()
 
     mean, std = struct_stats(struct_raw)
     spaces = {
@@ -447,9 +453,6 @@ def build_index(
             typical=typical,
         )
 
-    # The fitted vectorizer travels with the index so queries embed identically.
-    vectorizer = _vectorizer_from_features(features)
-
     params = IndexParams(
         k_per_family=ks,
         typical_k=k,
@@ -471,17 +474,6 @@ def build_index(
         heur=heur,
         vectorizer=vectorizer,
         families=families,
-    )
-
-
-def _vectorizer_from_features(features) -> HeuristicVectorizer:
-    # extract_all returns a FeatureMap carrying its fitted vectorizer.
-    vec = getattr(features, "vectorizer", None)
-    if isinstance(vec, HeuristicVectorizer):
-        return vec
-    raise ValueError(
-        "feature map does not carry its fitted vectorizer; "
-        "use features.extract_all or wrap the mapping in features.FeatureMap"
     )
 
 

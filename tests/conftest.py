@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import string
 import threading
+from collections import Counter
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -9,8 +12,20 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from tablerank.benchmark import SourceQuery, build_benchmark
 from tablerank.corpus import Query, Table, TableCorpus, TaskType
-from tablerank.features import EmbedderHandle, _norm
+from tablerank.features import (
+    PUNCT_MARKS,
+    STOPWORDS,
+    STRUCT_DIM,
+    TAG_CLASSES,
+    CorpusFeatures,
+    EmbedderHandle,
+    HeuristicVectorizer,
+    _norm,
+    tokenize,
+)
+from tablerank.linearize import linearize
 
 
 def _dot(a, b) -> float:
@@ -34,6 +49,108 @@ def representative_score(a, b) -> float:
     if na == 0.0 or nb == 0.0:
         return 0.0
     return _dot(a, b) / (na * nb)
+
+
+# ---------------------------------------------------------------------------
+# Feature oracles: the per-table featurization the library once ran (every
+# table tokenized by each feature, one 1 x V CSR row per table stacked with
+# ``sparse.vstack``, one embedding and one structural vector per text, no
+# memo). The one-pass ``extract_all`` must match them bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_fit_heuristic(texts) -> HeuristicVectorizer:
+    df = Counter()
+    for text in texts:
+        df.update(set(tokenize(text)))
+    vocab = {tok: i for i, tok in enumerate(sorted(df))}
+    idf = np.zeros(len(vocab), dtype=np.float64)
+    for tok, i in vocab.items():
+        idf[i] = np.log((1.0 + len(texts)) / (1.0 + df[tok])) + 1.0
+    return HeuristicVectorizer(vocabulary=vocab, idf=idf, doc_count=len(texts))
+
+
+def reference_transform(v: HeuristicVectorizer, text: str) -> sparse.csr_matrix:
+    """One text's 1 x V tf-idf row, built on its own as canonical CSR."""
+    hits = sorted((v.vocabulary[tok], tf) for tok, tf in Counter(tokenize(text)).items() if tok in v.vocabulary)
+    cols = np.array([c for c, _ in hits], dtype=np.int64)
+    tf = np.array([t for _, t in hits], dtype=np.float64)
+    return sparse.csr_matrix((tf * v.idf[cols], cols, np.array([0, len(cols)])), shape=(1, v.size))
+
+
+def reference_hash_embed(text: str, dimension: int) -> np.ndarray:
+    """The builtin embedder on one text: one blake2b call per gram
+    occurrence, counts added one by one."""
+    toks = tokenize(text)
+    grams = toks + [f"{a} {b}" for a, b in zip(toks, toks[1:])]
+    if not grams:
+        grams = [text]
+    vec = np.zeros(dimension, dtype=np.float64)
+    for g in grams:
+        digest = hashlib.blake2b(g.encode("utf-8"), digest_size=8).digest()
+        val = int.from_bytes(digest, "little")
+        sign = 1.0 if val & 1 == 0 else -1.0
+        vec[(val >> 1) % dimension] += sign
+    return vec / float(np.linalg.norm(vec))
+
+
+def reference_tag_token(raw: str, sentence_initial: bool) -> str:
+    """The structural tagger with a per-character symbol scan."""
+    stripped = raw.strip(string.punctuation)
+    if not stripped:
+        return "PUNCT" if raw else "OTHER"
+    if stripped.isdigit():
+        return "NUM"
+    if stripped[0].isupper() and not sentence_initial:
+        return "PROPN"
+    if any(ch in set("$%&#@*+=^~|<>/\\") for ch in stripped):
+        return "SYM"
+    low = stripped.lower()
+    if low in STOPWORDS:
+        return "STOP"
+    if low.endswith(("ing", "ed", "s")):
+        return "VERB"
+    if low.endswith(("able", "ous", "ive", "al")):
+        return "ADJ"
+    return "OTHER"
+
+
+def reference_extract_structural(text: str) -> np.ndarray:
+    vec = np.zeros(STRUCT_DIM, dtype=np.float64)
+    raw_tokens = text.split()
+    vec[0] = len(raw_tokens)
+    vec[1] = len({t.lower() for t in raw_tokens})
+    vec[2] = len(text)
+    vec[3] = sum(1 for t in raw_tokens if t.strip(string.punctuation).isdigit())
+    tag_counts = Counter()
+    sentence_initial = True
+    for raw in raw_tokens:
+        tag_counts[reference_tag_token(raw, sentence_initial)] += 1
+        sentence_initial = raw.endswith((".", "!", "?"))
+    for i, cls in enumerate(TAG_CLASSES):
+        vec[4 + i] = tag_counts.get(cls, 0)
+    for i, mark in enumerate(PUNCT_MARKS):
+        vec[4 + len(TAG_CLASSES) + i] = text.count(mark)
+    return vec
+
+
+def reference_extract_all(corpus: TableCorpus, h: EmbedderHandle) -> CorpusFeatures:
+    """Per-table features stacked in corpus order (builtin embedder only)."""
+    sequences = [linearize(t).sequence for t in corpus]
+    v = reference_fit_heuristic(sequences)
+    heur = sparse.vstack([reference_transform(v, seq) for seq in sequences]).tocsr()
+    heur.sort_indices()
+    return CorpusFeatures(
+        sem=np.vstack([reference_hash_embed(seq, h.dimension) for seq in sequences]),
+        struct=np.vstack([reference_extract_structural(seq) for seq in sequences]),
+        heur=heur,
+        vectorizer=v,
+    )
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shape, dtype and bytes (so -0.0 differs from 0.0)."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def make_table(tid: str, caption: str = "caption", headers=None, entries=None, metadata=None) -> Table:
@@ -82,6 +199,30 @@ def make_topic_query(topic: int, seed: int, length: int = 6) -> Query:
     pool = topic_caption_pool(topic) + topic_header_pool(topic)
     text = " ".join(rng.choice(pool, size=length))
     return Query(id=f"q-{topic}-{seed}", text=text, task_type=TaskType.SINGLE_HOP)
+
+
+def make_gold_corpus(n_roots: int, seed: int) -> TableCorpus:
+    """Tables of a built benchmark over root tables of 4-9 rows x 4-7
+    columns in ten caption domains, three source queries per root."""
+    rng = np.random.default_rng(seed)
+    tables, queries = [], []
+    for r in range(n_roots):
+        rid = f"root{r:03d}"
+        caption = " ".join([f"domain{r % 10}"] * 4 + [f"ent{r}a", f"ent{r}b", f"ent{r}c", "records"])
+        n_rows, n_cols = int(rng.integers(4, 10)), int(rng.integers(4, 8))
+        tables.append(Table(
+            id=rid, caption=caption,
+            headers=[f"h{r}x{j}" for j in range(n_cols)],
+            entries=[[f"v{r}r{i}c{j}" for j in range(n_cols)] for i in range(n_rows)],
+            metadata={},
+        ))
+        for qn in range(3):
+            queries.append(SourceQuery(
+                id=f"{rid}-q{qn}", root_table_id=rid,
+                text=f"what is the value of h{r}x{qn} for ent{r}a in the {caption} table?",
+                task_type=TaskType.SINGLE_HOP, answer=f"v{r}r0c{qn}",
+            ))
+    return build_benchmark(TableCorpus(tables, source_tag="gold"), queries, seed=seed).tables
 
 
 def make_angle_corpus(n_tables: int, base_count: int = 60) -> tuple[TableCorpus, Query]:

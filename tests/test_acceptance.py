@@ -100,7 +100,7 @@ def test_cosine_ranking_degeneracy():
     handle = EmbedderHandle(dimension=512, batch_limit=512)
     features = extract_all(corpus, handle)
     qv = embed_semantic([linearize_query(query)], handle)[0]
-    cos = {t.id: representative_score(features[t.id].sem, qv) for t in corpus}
+    cos = {t.id: representative_score(sem, qv) for t, sem in zip(corpus, features.sem)}
     assert min(cos.values()) > 0.0          # fixture precondition: h keeps cosine order
     assert np.diff(sorted(cos.values())).min() > 2e-3
     ix = build_index(corpus, features, K=1, k=100, seed=0)

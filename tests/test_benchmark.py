@@ -25,7 +25,7 @@ from tablerank.corpus import Table, TableCorpus, TaskType
 from tablerank.errors import SchemaViolation, TooFewCols, TooFewQueries, TooFewRows
 from tablerank.features import STOPWORDS, HeuristicVectorizer, fit_heuristic, tokenize
 
-from conftest import representative_score
+from conftest import reference_fit_heuristic, reference_transform, representative_score
 
 
 
@@ -197,7 +197,7 @@ def reference_filter_queries(queries, stopword_ratio=0.7, min_tokens=5, redundan
     """The filter as it was when it compared 1 x V scipy rows per pair."""
     if not queries:
         return []
-    vectorizer = fit_heuristic([q.text for q in queries])
+    vectorizer = reference_fit_heuristic([q.text for q in queries])
     kept = []
     kept_vecs = {}
     for q in queries:
@@ -207,7 +207,7 @@ def reference_filter_queries(queries, stopword_ratio=0.7, min_tokens=5, redundan
         ratio = sum(1 for t in toks if t in STOPWORDS) / len(toks)
         if ratio > stopword_ratio:
             continue
-        vec = vectorizer.transform(q.text)
+        vec = reference_transform(vectorizer, q.text)
         redundant = any(
             representative_score(vec, prev) >= redundancy_cosine
             for prev in kept_vecs.get(q.root_table_id, [])
@@ -272,7 +272,7 @@ def _same_root_pairs(queries):
 
 
 def _row(v: HeuristicVectorizer, text: str):
-    return _tfidf_row(v, tokenize(text))
+    return _tfidf_row(v.matrix([tokenize(text)]), 0)
 
 
 def _bits(x: float) -> int:
@@ -291,8 +291,11 @@ class TestFilterQueriesOracle:
         # The oracle cases above only mean something if they drop queries
         # for each reason and keep some.
         gold = _gold_style_queries(0)
-        v = fit_heuristic([q.text for q in gold])
-        cosines = [representative_score(v.transform(a.text), v.transform(b.text)) for a, b in _same_root_pairs(gold)]
+        v = reference_fit_heuristic([q.text for q in gold])
+        cosines = [
+            representative_score(reference_transform(v, a.text), reference_transform(v, b.text))
+            for a, b in _same_root_pairs(gold)
+        ]
         assert any(0.8 < c < 0.9 for c in cosines) and any(c >= 0.9 for c in cosines)
         vague = _vague_queries(0)
         assert 0 < len(filter_queries(vague)) < len(vague)
@@ -302,9 +305,9 @@ class TestFilterQueriesOracle:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_threshold_on_both_sides_of_a_pair_cosine(self, seed):
         queries = _gold_style_queries(seed, n_roots=1, per_root=2)
-        v = fit_heuristic([q.text for q in queries])
+        v = reference_fit_heuristic([q.text for q in queries])
         a, b = queries
-        c = representative_score(v.transform(b.text), v.transform(a.text))
+        c = representative_score(reference_transform(v, b.text), reference_transform(v, a.text))
         assert 0.0 < c < 1.0
         for threshold, n_kept in ((np.nextafter(c, 0.0), 1), (c, 1), (np.nextafter(c, 2.0), 2)):
             got = filter_queries(queries, redundancy_cosine=float(threshold))
@@ -314,16 +317,16 @@ class TestFilterQueriesOracle:
     @pytest.mark.parametrize("name", sorted(_QUERY_SETS))
     def test_pair_cosines_bitwise_equal_representative_score(self, name):
         queries = _QUERY_SETS[name](0)
-        v = fit_heuristic([q.text for q in queries])
+        v = fit_heuristic([tokenize(q.text) for q in queries])
         pairs = _same_root_pairs(queries)
         assert pairs
         for a, b in pairs:
             got = _row_cosine(_row(v, b.text), _row(v, a.text))
-            want = representative_score(v.transform(b.text), v.transform(a.text))
+            want = representative_score(reference_transform(v, b.text), reference_transform(v, a.text))
             assert _bits(got) == _bits(want), (a.text, b.text)
 
     def test_zero_row_scores_zero(self):
-        v = fit_heuristic(["team wins", "city rain"])
+        v = fit_heuristic([["team", "wins"], ["city", "rain"]])
         empty = _row(v, "nothing known")
         assert empty[2] == 0.0
         assert _row_cosine(empty, _row(v, "team wins")) == 0.0
@@ -331,8 +334,9 @@ class TestFilterQueriesOracle:
 
 
 def test_filter_queries_builds_no_scipy_rows(monkeypatch):
-    """The filter compares plain (columns, values) arrays: no pair goes
-    through representative_score and no query becomes a 1 x V scipy row."""
+    """The filter builds one tf-idf matrix for all queries and compares
+    plain (columns, values) slices of it: no pair goes through
+    representative_score and no query becomes its own 1 x V scipy row."""
     calls = Counter()
 
     def counting(name, fn):
@@ -343,12 +347,12 @@ def test_filter_queries_builds_no_scipy_rows(monkeypatch):
 
     monkeypatch.setattr(benchmark, "representative_score",
                         counting("score", representative_score), raising=False)
-    monkeypatch.setattr(HeuristicVectorizer, "transform",
-                        counting("transform", HeuristicVectorizer.transform))
+    monkeypatch.setattr(HeuristicVectorizer, "matrix",
+                        counting("matrix", HeuristicVectorizer.matrix))
     queries = _gold_style_queries(0)
     kept = filter_queries(queries)
     assert 0 < len(kept) < len(queries)
-    assert calls == Counter()
+    assert calls == Counter(matrix=1)
 
 
 class TestCombineQueries:

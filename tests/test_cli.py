@@ -140,6 +140,15 @@ class TestRetrieve:
 
 
 class TestBuildIndex:
+    def test_reports_extract_and_cluster_seconds(self, tmp_path, corpus_file, capsys):
+        assert main(["build-index", "--corpus", str(corpus_file), "--out", str(tmp_path / "x.idx"),
+                     "--K", "3", "--k", "10"]) == 0
+        line = json.loads(capsys.readouterr().out)
+        parts = (line["extract_seconds"], line["cluster_seconds"])
+        assert all(p >= 0.0 for p in parts)
+        # 1e-9 absorbs the float addition of two 3-decimal values.
+        assert sum(parts) <= line["build_seconds"] + 1e-9
+
     @pytest.mark.parametrize("flag", ["--K", "--k", "--dimension", "--batch-limit",
                                       "--K-sem", "--K-struct", "--K-heur"])
     def test_count_below_one_exits_2(self, tmp_path, corpus_file, capsys, flag):

@@ -76,7 +76,7 @@ class TestQueryFeatures:
         from tablerank.features import extract_structural, standardize_struct
         from tablerank.linearize import linearize_query
 
-        raw = extract_structural(linearize_query(q))
+        raw = extract_structural([linearize_query(q)])[0]
         assert np.array_equal(qf.struct, standardize_struct(raw, ix.struct_mean, ix.struct_std))
 
     def test_dimension_guard(self, indexed):

@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from tablerank import features
+from tablerank.corpus import TableCorpus
 from tablerank.errors import DimensionMismatch, EmbedderUnavailable, EmptyCorpus
 from tablerank.features import (
     _SYM_CHARS,
-    PUNCT_MARKS,
     STRUCT_DIM,
     STRUCT_FIELDS,
     STOPWORDS,
-    TAG_CLASSES,
     EmbedderHandle,
+    HeuristicVectorizer,
     embed_semantic,
     extract_all,
     extract_structural,
@@ -23,8 +24,26 @@ from tablerank.features import (
     scores_to_vector,
     tokenize,
 )
+from tablerank.linearize import linearize
 
-from conftest import representative_score
+from conftest import (
+    make_gold_corpus,
+    make_table,
+    make_topic_corpus,
+    reference_extract_all,
+    reference_extract_structural,
+    reference_hash_embed,
+    representative_score,
+    same_bits,
+)
+
+
+def fit_texts(texts) -> HeuristicVectorizer:
+    return fit_heuristic([tokenize(t) for t in texts])
+
+
+def tfidf_row(v: HeuristicVectorizer, text: str) -> sparse.csr_matrix:
+    return v.matrix([tokenize(text)])
 
 
 class TestBuiltinEmbedder:
@@ -50,26 +69,6 @@ class TestBuiltinEmbedder:
             embed_semantic([], handle)
         with pytest.raises(ValueError):
             embed_semantic([""], handle)
-
-
-def reference_hash_embed(text: str, dimension: int) -> np.ndarray:
-    """The builtin embedder as it was: one blake2b call per gram occurrence,
-    counts added one by one."""
-    toks = tokenize(text)
-    grams = toks + [f"{a} {b}" for a, b in zip(toks, toks[1:])]
-    if not grams:
-        grams = [text]
-    vec = np.zeros(dimension, dtype=np.float64)
-    for g in grams:
-        digest = hashlib.blake2b(g.encode("utf-8"), digest_size=8).digest()
-        val = int.from_bytes(digest, "little")
-        sign = 1.0 if val & 1 == 0 else -1.0
-        vec[(val >> 1) % dimension] += sign
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        vec[0] = 1.0
-        norm = 1.0
-    return vec / norm
 
 
 def _slot_sign(gram: str, dimension: int) -> tuple[int, float]:
@@ -98,10 +97,6 @@ def _cancelling_text(dimension: int, seed: int) -> str:
     raise AssertionError("no cancelling text found")
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
 class TestHashEmbedOracle:
     TEXTS = [
         "team team team wins wins team",  # repeated unigrams and bigrams
@@ -115,21 +110,35 @@ class TestHashEmbedOracle:
     def test_batch_equals_reference(self, dimension):
         got = embed_semantic(self.TEXTS, EmbedderHandle(dimension=dimension))
         for text, vec in zip(self.TEXTS, got):
-            assert _same_bits(vec, reference_hash_embed(text, dimension)), text
+            assert same_bits(vec, reference_hash_embed(text, dimension)), text
 
     @pytest.mark.parametrize("dimension", [2, 8, 64])
     def test_cancelling_slot_equals_reference(self, dimension):
         texts = [_cancelling_text(dimension, seed) for seed in range(3)]
         got = embed_semantic(texts, EmbedderHandle(dimension=dimension))
         for text, vec in zip(texts, got):
-            assert _same_bits(vec, reference_hash_embed(text, dimension)), text
+            assert same_bits(vec, reference_hash_embed(text, dimension)), text
+
+    @pytest.mark.parametrize("dimension", [1, 2, 8, 64])
+    def test_odd_gram_count_and_nonzero_vector(self, dimension):
+        """The embedder has no zero-norm fallback: an odd number of +-1
+        counts cannot all cancel, so every vector is nonzero."""
+        texts = self.TEXTS + [_cancelling_text(d, seed) for d in (2, 8) for seed in range(3)]
+        assert any(not tokenize(t) for t in texts)
+        vecs = embed_semantic(texts, EmbedderHandle(dimension=dimension))
+        for text, vec in zip(texts, vecs):
+            toks = tokenize(text)
+            grams = toks + [f"{a} {b}" for a, b in zip(toks, toks[1:])] or [text]
+            assert len(grams) % 2 == 1, text
+            assert np.any(vec != 0.0), text
+            assert abs(np.linalg.norm(vec) - 1.0) < 1e-12, text
 
     def test_alone_equals_in_batch(self):
         h = EmbedderHandle(dimension=16)
         texts = self.TEXTS + [_cancelling_text(16, 0)] + self.TEXTS[::-1]
         batch = embed_semantic(texts, h)
         for text, vec in zip(texts, batch):
-            assert _same_bits(vec, embed_semantic([text], h)[0]), text
+            assert same_bits(vec, embed_semantic([text], h)[0]), text
 
 
 class TestRemoteEmbedder:
@@ -189,10 +198,10 @@ class TestRemoteEmbedder:
 
 class TestStructural:
     def test_empty_text_all_zeros(self):
-        assert np.array_equal(extract_structural(""), np.zeros(STRUCT_DIM))
+        assert np.array_equal(extract_structural([""])[0], np.zeros(STRUCT_DIM))
 
     def test_repeated_token_counts(self):
-        v = extract_structural("a a a")
+        v = extract_structural(["a a a"])[0]
         assert v[STRUCT_FIELDS.index("total_tokens")] == 3
         assert v[STRUCT_FIELDS.index("unique_tokens")] == 1
 
@@ -210,58 +219,18 @@ class TestStructural:
         expected[STRUCT_FIELDS.index("tag_OTHER")] = 1
         expected[STRUCT_FIELDS.index("punct_,")] = 1
         expected[STRUCT_FIELDS.index("punct_;")] = 1
-        assert np.array_equal(extract_structural("Team, Wins; 2019"), expected)
+        assert np.array_equal(extract_structural(["Team, Wins; 2019"])[0], expected)
 
     def test_total_on_arbitrary_input(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             blob = bytes(rng.integers(0, 256, size=40, dtype=np.uint8)).decode("latin-1")
-            v = extract_structural(blob)
+            v = extract_structural([blob])[0]
             assert v.shape == (STRUCT_DIM,)
             assert np.all(np.isfinite(v))
 
     def test_stopword_list_has_fifty_entries(self):
         assert len(STOPWORDS) == 50
-
-
-def reference_tag_token(raw: str, sentence_initial: bool) -> str:
-    """The structural tagger as it was, with a per-character symbol scan."""
-    stripped = raw.strip(string.punctuation)
-    if not stripped:
-        return "PUNCT" if raw else "OTHER"
-    if stripped.isdigit():
-        return "NUM"
-    if stripped[0].isupper() and not sentence_initial:
-        return "PROPN"
-    if any(ch in set("$%&#@*+=^~|<>/\\") for ch in stripped):
-        return "SYM"
-    low = stripped.lower()
-    if low in STOPWORDS:
-        return "STOP"
-    if low.endswith(("ing", "ed", "s")):
-        return "VERB"
-    if low.endswith(("able", "ous", "ive", "al")):
-        return "ADJ"
-    return "OTHER"
-
-
-def reference_extract_structural(text: str) -> np.ndarray:
-    vec = np.zeros(STRUCT_DIM, dtype=np.float64)
-    raw_tokens = text.split()
-    vec[0] = len(raw_tokens)
-    vec[1] = len({t.lower() for t in raw_tokens})
-    vec[2] = len(text)
-    vec[3] = sum(1 for t in raw_tokens if t.strip(string.punctuation).isdigit())
-    tag_counts = Counter()
-    sentence_initial = True
-    for raw in raw_tokens:
-        tag_counts[reference_tag_token(raw, sentence_initial)] += 1
-        sentence_initial = raw.endswith((".", "!", "?"))
-    for i, cls in enumerate(TAG_CLASSES):
-        vec[4 + i] = tag_counts.get(cls, 0)
-    for i, mark in enumerate(PUNCT_MARKS):
-        vec[4 + len(TAG_CLASSES) + i] = text.count(mark)
-    return vec
 
 
 class TestStructuralOracle:
@@ -284,24 +253,44 @@ class TestStructuralOracle:
         ],
     )
     def test_equals_reference(self, text):
-        assert _same_bits(extract_structural(text), reference_extract_structural(text))
+        assert same_bits(extract_structural([text])[0], reference_extract_structural(text))
 
     def test_random_blobs_equal_reference(self):
         rng = np.random.default_rng(8)
         alphabet = list(string.ascii_letters + string.digits + string.punctuation + "  \n") + sorted(_SYM_CHARS) * 3
-        for _ in range(200):
-            text = "".join(rng.choice(alphabet, size=int(rng.integers(0, 60))))
-            assert _same_bits(extract_structural(text), reference_extract_structural(text)), text
+        texts = ["".join(rng.choice(alphabet, size=int(rng.integers(0, 60)))) for _ in range(200)]
+        rows = extract_structural(texts)  # one call: the tag memo spans all 200 texts
+        for text, row in zip(texts, rows):
+            assert same_bits(row, reference_extract_structural(text)), text
+
+    def test_batch_rows_equal_single_texts(self):
+        texts = ["Team wins. Denver won", "Denver Team wins.", "", "wins Denver. Team 12", "Team wins."]
+        rows = extract_structural(texts)
+        assert rows.shape == (len(texts), STRUCT_DIM)
+        for text, row in zip(texts, rows):
+            assert same_bits(row, extract_structural([text])[0]), text
+            assert same_bits(row, reference_extract_structural(text)), text
+
+    def test_digit_tokens_is_num_tag_count(self):
+        # NUM: (12) 7. -3- 2019, [88]; not x9, 4.5 (inner dot) or 1st.
+        text = "(12) 7. -3- x9 2019, 4.5 1st [88]"
+        row = extract_structural([text])[0]
+        assert row[STRUCT_FIELDS.index("digit_tokens")] == row[STRUCT_FIELDS.index("tag_NUM")] == 5
+        assert same_bits(row, reference_extract_structural(text))
+
+    def test_rejects_a_bare_string(self):
+        with pytest.raises(TypeError):
+            extract_structural("Team wins")
 
 
 class TestHeuristic:
     def test_idf_identical_docs(self):
-        v = fit_heuristic(["team wins", "team wins"])
+        v = fit_texts(["team wins", "team wins"])
         for tok in ("team", "wins"):
             assert v.idf[v.vocabulary[tok]] == pytest.approx(1.0)
 
     def test_idf_token_in_one_of_two_docs(self):
-        v = fit_heuristic(["team wins", "city rain"])
+        v = fit_texts(["team wins", "city rain"])
         expected = math.log(3 / 2) + 1  # 1.4054651081081644
         assert v.idf[v.vocabulary["team"]] == pytest.approx(1.4054651081081644)
         assert v.idf[v.vocabulary["team"]] == pytest.approx(expected)
@@ -310,34 +299,38 @@ class TestHeuristic:
         with pytest.raises(EmptyCorpus):
             fit_heuristic([])
 
+    def test_fit_takes_token_lists_not_texts(self):
+        with pytest.raises(TypeError):
+            fit_heuristic(["team wins", "city rain"])
+
     def test_vocabulary_is_lexicographic(self):
-        v = fit_heuristic(["zebra apple", "mango apple"])
+        v = fit_texts(["zebra apple", "mango apple"])
         ordered = sorted(v.vocabulary, key=v.vocabulary.get)
         assert ordered == sorted(ordered)
 
     def test_transform_out_of_vocab_is_zero(self):
-        v = fit_heuristic(["team wins"])
-        out = v.transform("completely unrelated words")
+        v = fit_texts(["team wins"])
+        out = tfidf_row(v, "completely unrelated words")
         assert out.nnz == 0
 
     def test_transform_tf_times_idf(self):
-        v = fit_heuristic(["team wins", "team city"])
-        out = v.transform("team team")
+        v = fit_texts(["team wins", "team city"])
+        out = tfidf_row(v, "team team")
         idx = v.vocabulary["team"]
         assert out[0, idx] == pytest.approx(2.0 * v.idf[idx])
         assert v.idf[idx] == pytest.approx(1.0)
 
     def test_case_folding(self):
-        v = fit_heuristic(["team wins"])
-        out = v.transform("Team")
+        v = fit_texts(["team wins"])
+        out = tfidf_row(v, "Team")
         assert out[0, v.vocabulary["team"]] > 0
 
     def test_non_negative_and_zero_outside_vocab(self):
-        v = fit_heuristic(["a b c", "b c d", "c d e"])
+        v = fit_texts(["a b c", "b c d", "c d e"])
         rng = np.random.default_rng(0)
         for _ in range(20):
             text = " ".join(rng.choice(list("abcdefg"), size=6))
-            out = v.transform(text)
+            out = tfidf_row(v, text)
             if out.nnz:
                 assert out.data.min() >= 0
             dense = np.asarray(out.todense()).ravel()
@@ -355,8 +348,8 @@ class TestHeuristic:
         ],
     )
     def test_transform_equals_coo_built_row(self, text):
-        v = fit_heuristic(["team wins", "team city", "city of rain", "wins and losses"])
-        got = v.transform(text)
+        v = fit_texts(["team wins", "team city", "city of rain", "wins and losses"])
+        got = tfidf_row(v, text)
         want = reference_transform(v, text)
         assert got.shape == want.shape == (1, v.size)
         assert got.has_canonical_format
@@ -432,19 +425,17 @@ class TestRepresentativeScore:
 class TestExtractAll:
     def test_covers_all_tables(self, tiny_corpus, handle):
         feats = extract_all(tiny_corpus, handle)
-        assert set(feats) == set(tiny_corpus.ids())
-        for nf in feats.values():
-            assert nf.sem.shape == (64,)
-            assert nf.struct.shape == (STRUCT_DIM,)
-            assert nf.heur.shape[0] == 1
+        n = len(tiny_corpus)
+        assert feats.sem.shape == (n, 64)
+        assert feats.struct.shape == (n, STRUCT_DIM)
+        assert feats.heur.shape == (n, feats.vectorizer.size)
 
     def test_rerun_bit_identical(self, tiny_corpus, handle):
         a = extract_all(tiny_corpus, handle)
         b = extract_all(tiny_corpus, handle)
-        for tid in tiny_corpus.ids():
-            assert np.array_equal(a[tid].sem, b[tid].sem)
-            assert np.array_equal(a[tid].struct, b[tid].struct)
-            assert (a[tid].heur != b[tid].heur).nnz == 0
+        assert same_bits(a.sem, b.sem)
+        assert same_bits(a.struct, b.struct)
+        assert (a.heur != b.heur).nnz == 0
 
     def test_embedder_failure_names_first_table_of_batch(self, tiny_corpus, http_server):
         def respond(path, payload):
@@ -455,3 +446,96 @@ class TestExtractAll:
             with pytest.raises(EmbedderUnavailable) as err:
                 extract_all(tiny_corpus, h)
         assert "nfl" in str(err.value)
+
+    def test_tokenizes_once_and_builds_no_per_table_matrix(self, monkeypatch, handle):
+        """Each linearized table is tokenized once, and the sparse objects
+        built do not grow with the corpus: no per-table 1 x V row, no vstack."""
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(features, "tokenize", counting("tokenize", features.tokenize))
+        monkeypatch.setattr(sparse.csr_matrix, "__init__", counting("csr", sparse.csr_matrix.__init__))
+        monkeypatch.setattr(sparse, "vstack", counting("vstack", sparse.vstack))
+        seen = []
+        for n in (8, 40):
+            calls.clear()
+            extract_all(make_topic_corpus(n, 4, seed=2), handle)
+            assert calls["tokenize"] == n
+            assert calls["vstack"] == 0
+            seen.append(calls["csr"])
+        assert seen[0] == seen[1] <= 2
+
+
+def _oracle_corpora() -> dict[str, TableCorpus]:
+    def corpus(*tables):
+        return TableCorpus(list(tables), source_tag="oracle")
+
+    return {
+        # The markers still give every linearized table the tokens "table"
+        # and "caption"; the table's own text has none.
+        "token-less": corpus(
+            make_table("empty", caption="!!! ...", headers=["--", "%"], entries=[["", ""]]),
+            make_table("words", caption="rain totals", headers=["month", "mm"]),
+        ),
+        "repeats": corpus(
+            make_table("r1", caption="team team team wins wins team", headers=["team", "team"]),
+            make_table("r2", caption="a b a b a b a b", headers=["a b", "b a"]),
+            make_table("r3", caption="wins team wins", headers=["team"]),
+        ),
+        # "omega" ends one table and "alpha" opens the next: "omega table"
+        # or "omega alpha" would only appear if bigrams crossed tables.
+        "boundaries": corpus(
+            make_table("b1", caption="zeta", headers=["omega"]),
+            make_table("b2", caption="alpha", headers=["omega"]),
+            make_table("b3", caption="omega", headers=["alpha"]),
+            make_table("b4", caption="table caption", headers=["header", "omega"]),
+        ),
+        "capitals-and-digits": corpus(
+            make_table("c1", caption="Denver won. Broncos (12) lost! Tied? 2019, [7]", headers=["Team.", "Wins"]),
+            make_table("c2", caption="Wins. Team 12. (12) #3 $5 4.5", headers=["Denver", "2019."]),
+            make_table("c3", caption="Team wins Denver", headers=["(12)", "-7-"]),
+        ),
+        "topic-blob": make_topic_corpus(120, 6, seed=7),
+        "gold": make_gold_corpus(30, seed=77),
+    }
+
+
+ORACLE_CORPORA = _oracle_corpora()
+
+
+class TestExtractAllOracle:
+    """extract_all equals the per-table path bit for bit: sem, struct and
+    the heur CSR arrays, values and dtypes."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CORPORA) + ["tiny"])
+    @pytest.mark.parametrize("dimension", [8, 64])
+    def test_bitwise_equal_to_per_table_path(self, name, dimension, tiny_corpus):
+        corpus = tiny_corpus if name == "tiny" else ORACLE_CORPORA[name]
+        h = EmbedderHandle(dimension=dimension)
+        got = extract_all(corpus, h)
+        want = reference_extract_all(corpus, h)
+        assert same_bits(got.sem, want.sem)
+        assert same_bits(got.struct, want.struct)
+        assert got.heur.shape == want.heur.shape
+        for part in ("data", "indices", "indptr"):
+            assert same_bits(getattr(got.heur, part), getattr(want.heur, part)), part
+        assert got.vectorizer.vocabulary == want.vectorizer.vocabulary
+        assert same_bits(got.vectorizer.idf, want.vectorizer.idf)
+        assert got.vectorizer.doc_count == want.vectorizer.doc_count
+
+    def test_no_bigram_crosses_a_table(self):
+        """Precondition of the boundary fixture: embedding the tables as one
+        concatenated text would change the vectors."""
+        corpus = ORACLE_CORPORA["boundaries"]
+        h = EmbedderHandle(dimension=64)
+        got = extract_all(corpus, h)
+        for i, t in enumerate(corpus):
+            seq = linearize(t).sequence
+            assert same_bits(got.sem[i], reference_hash_embed(seq, 64))
+        joined = " ".join(linearize(t).sequence for t in corpus)
+        assert "omega table" in " ".join(tokenize(joined))

@@ -585,7 +585,7 @@ class TestFineRetrieve:
         h = type(handle)(dimension=512)
         feats = extract_all(corpus, h)
         qv = embed_semantic([linearize_query(q)], h)[0]
-        cos = {t.id: representative_score(feats[t.id].sem, qv) for t in corpus}
+        cos = {t.id: representative_score(sem, qv) for t, sem in zip(corpus, feats.sem)}
         assert min(cos.values()) > 0          # fixture precondition
         gaps = np.diff(sorted(cos.values()))
         assert gaps.min() > 2e-3              # fixture precondition

@@ -17,7 +17,7 @@ from tablerank.index import (
     save_index,
 )
 
-from conftest import make_topic_corpus
+from conftest import make_gold_corpus, make_topic_corpus, reference_extract_all
 from test_fine import duplicate_groups
 
 
@@ -215,15 +215,13 @@ def clustering_spaces():
     plus a duplicate-heavy input with only 4 distinct rows."""
     corpus = make_topic_corpus(150, 6, seed=21)
     feats = extract_all(corpus, EmbedderHandle(dimension=32))
-    ids = corpus.ids()
-    struct_raw = np.vstack([feats[t].struct for t in ids])
-    mean, std = struct_stats(struct_raw)
+    mean, std = struct_stats(feats.struct)
     rng = np.random.default_rng(5)
     distinct = index._l2_normalize_rows(rng.normal(size=(4, 6)))
     return {
-        "sem": index._l2_normalize_rows(np.vstack([feats[t].sem for t in ids])),
-        "struct": standardize_struct(struct_raw, mean, std),
-        "heur": index._l2_normalize_rows(sparse.vstack([feats[t].heur for t in ids]).tocsr()),
+        "sem": index._l2_normalize_rows(feats.sem),
+        "struct": standardize_struct(feats.struct, mean, std),
+        "heur": index._l2_normalize_rows(feats.heur),
         "duplicates": distinct[rng.integers(4, size=40)],
     }
 
@@ -329,6 +327,35 @@ class TestBuildIndex:
         feats = extract_all(corpus, handle)
         with pytest.raises(KTooLarge):
             build_index(corpus, feats, K=10, k=10, seed=0)
+
+    @pytest.mark.parametrize("part", ["sem", "struct", "heur"])
+    def test_feature_rows_must_match_corpus(self, handle, part):
+        corpus = make_topic_corpus(20, 2, seed=1)
+        feats = extract_all(corpus, handle)
+        short = dataclasses.replace(feats, **{part: getattr(feats, part)[:-1]})
+        with pytest.raises(ValueError, match="do not match"):
+            build_index(corpus, short, K=2, k=5, seed=0)
+        with pytest.raises(ValueError, match="do not match"):
+            build_index(make_topic_corpus(21, 2, seed=1), feats, K=2, k=5, seed=0)
+
+    def test_heur_columns_must_match_vectorizer(self, handle):
+        corpus = make_topic_corpus(20, 2, seed=1)
+        feats = extract_all(corpus, handle)
+        other = extract_all(make_topic_corpus(20, 3, seed=1), handle)
+        assert other.vectorizer.size != feats.vectorizer.size
+        with pytest.raises(ValueError, match="columns"):
+            build_index(corpus, dataclasses.replace(feats, vectorizer=other.vectorizer), K=2, k=5, seed=0)
+
+    def test_index_bytes_equal_per_table_features(self, handle, tmp_path):
+        """Index files built from the one-pass features and from the
+        per-table oracle features are byte-identical."""
+        for name, corpus in (("blob", make_topic_corpus(90, 4, seed=9)), ("gold", make_gold_corpus(25, seed=5))):
+            paths = []
+            for label, feats in (("new", extract_all(corpus, handle)), ("ref", reference_extract_all(corpus, handle))):
+                p = tmp_path / f"{name}-{label}.bin"
+                save_index(build_index(corpus, feats, K=4, k=10, seed=2), p)
+                paths.append(p)
+            assert paths[0].read_bytes() == paths[1].read_bytes(), name
 
     def test_per_family_override(self, handle):
         corpus = make_topic_corpus(20, 2, seed=1)
