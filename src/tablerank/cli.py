@@ -301,11 +301,16 @@ def _cmd_inspect(args, cfg: RunConfig) -> int:
         phi: np.bincount(fam.assignments, minlength=fam.n_clusters).tolist()
         for phi, fam in ix.families.items()
     }
+    kmeans = {
+        phi: {"converged": fam.converged, "n_iter": fam.n_iter, "objective": fam.objective}
+        for phi, fam in ix.families.items()
+    }
     print(json.dumps({
         "tables": len(ix),
         "params": ix.params.to_json(),
         "corpus_digest": ix.corpus_digest,
         "cluster_sizes": sizes,
+        "kmeans": kmeans,
     }, sort_keys=True))
     return 0
 

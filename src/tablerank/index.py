@@ -11,17 +11,24 @@ monotone with cosine); struct rows are z-scored per column because the raw
 counts live on wildly different scales. The standardization stats are stored
 in the index so queries can be projected into the same space.
 
-The on-disk container (format version 1) is a small binary envelope:
-magic, format version, header length, a sorted-keys JSON header (params,
-digests, table ids, vocabulary, typical lists, array manifest), then the raw
-little-endian arrays in manifest order. Builds are byte-deterministic for a
-fixed corpus and seed. Layout details in docs/FORMATS.md.
+The on-disk container (format version 2) is a fixed preamble (magic,
+format version, header length, sha256 of the file without the digest), a
+sorted-keys JSON header (params, digests, table ids, vocabulary, per-family
+k-means report), then the raw little-endian arrays, each on a 64-byte
+boundary. Every integer array is int32. ``load_index`` reads the file into
+one read-only buffer, checks the digest and every structural invariant, and
+hands out views of that buffer, so nothing is copied and a stray write into
+a loaded index raises. Builds are byte-deterministic for a fixed corpus and
+seed. Layout details in docs/FORMATS.md.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
+import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -40,8 +47,13 @@ from .features import (
     struct_stats,
 )
 
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
 _MAGIC = b"TRKHGIDX"
+_DIGEST_AT = len(_MAGIC) + 4 + 8    # magic, format version (<u4), header length (<u8)
+_PREAMBLE = _DIGEST_AT + 32         # ... then the sha256 digest
+_ALIGN = 64
+_INT32 = np.iinfo(np.int32)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 
 FAMILY_TYPES = ("sem", "struct", "heur")
 
@@ -210,22 +222,25 @@ class ClusterFamily:
     """One hyperedge family: the K clusters of a single feature type.
 
     ``assignments[i]`` is the cluster of index row i; ``typical[j]`` holds the
-    index rows of cluster j's typical nodes, best first. ``typical_means`` is
-    derived from ``typical`` and the index rows by
+    index rows of cluster j's typical nodes, best first. ``n_iter``,
+    ``converged`` and ``objective`` report the winning k-means restart.
+    ``typical_means`` is derived from ``typical`` and the index rows by
     ``HypergraphIndex.typical_means`` on first use; it is never persisted.
     """
 
     feature_type: str
     assignments: np.ndarray
-    centroids: np.ndarray
     typical: list[np.ndarray]
+    n_iter: int
+    converged: bool
+    objective: float
     typical_means: np.ndarray | sparse.csr_matrix | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     @property
     def n_clusters(self) -> int:
-        return self.centroids.shape[0]
+        return len(self.typical)
 
 
 @dataclass
@@ -261,7 +276,6 @@ class IndexParams:
 
 @dataclass
 class HypergraphIndex:
-    format_version: int
     params: IndexParams
     corpus_digest: str
     source_tag: str
@@ -338,35 +352,6 @@ class HypergraphIndex:
             w = sparse.csr_matrix((weights, positions, indptr), shape=(len(sizes), len(self)))
             fam.typical_means = w @ rows
         return fam.typical_means
-
-    def equals(self, other: "HypergraphIndex") -> bool:
-        if (
-            self.format_version != other.format_version
-            or self.params.to_json() != other.params.to_json()
-            or self.corpus_digest != other.corpus_digest
-            or self.table_ids != other.table_ids
-        ):
-            return False
-        if not (
-            np.array_equal(self.sem, other.sem)
-            and np.array_equal(self.struct_raw, other.struct_raw)
-            and np.array_equal(self.struct_mean, other.struct_mean)
-            and np.array_equal(self.struct_std, other.struct_std)
-            and np.array_equal(self.vectorizer.idf, other.vectorizer.idf)
-            and self.vectorizer.vocabulary == other.vectorizer.vocabulary
-        ):
-            return False
-        if (self.heur != other.heur).nnz != 0:
-            return False
-        for phi in FAMILY_TYPES:
-            a, b = self.families[phi], other.families[phi]
-            if (
-                not np.array_equal(a.assignments, b.assignments)
-                or not np.array_equal(a.centroids, b.centroids)
-                or not all(np.array_equal(x, y) for x, y in zip(a.typical, b.typical))
-            ):
-                return False
-        return True
 
 
 def _l2_normalize_rows(x):
@@ -449,8 +434,10 @@ def build_index(
         families[phi] = ClusterFamily(
             feature_type=phi,
             assignments=result.assignments,
-            centroids=result.centroids,
             typical=typical,
+            n_iter=result.n_iter,
+            converged=result.converged,
+            objective=result.objective_history[-1],
         )
 
     params = IndexParams(
@@ -462,7 +449,6 @@ def build_index(
         vocab_digest=vocabulary_digest(vectorizer),
     )
     return HypergraphIndex(
-        format_version=INDEX_FORMAT_VERSION,
         params=params,
         corpus_digest=corpus_digest(corpus),
         source_tag=corpus.source_tag,
@@ -482,126 +468,293 @@ def build_index(
 # ---------------------------------------------------------------------------
 
 
-def save_index(ix: HypergraphIndex, path: str | Path) -> None:
-    """Write the versioned binary container. Byte-deterministic."""
-    vocab_tokens = sorted(ix.vectorizer.vocabulary, key=ix.vectorizer.vocabulary.get)
-    arrays: list[tuple[str, np.ndarray]] = [
-        ("sem", np.ascontiguousarray(ix.sem, dtype="<f8")),
-        ("struct_raw", np.ascontiguousarray(ix.struct_raw, dtype="<f8")),
-        ("struct_mean", np.ascontiguousarray(ix.struct_mean, dtype="<f8")),
-        ("struct_std", np.ascontiguousarray(ix.struct_std, dtype="<f8")),
-        ("idf", np.ascontiguousarray(ix.vectorizer.idf, dtype="<f8")),
-        ("heur_data", np.ascontiguousarray(ix.heur.data, dtype="<f8")),
-        ("heur_indices", np.ascontiguousarray(ix.heur.indices, dtype="<i8")),
-        ("heur_indptr", np.ascontiguousarray(ix.heur.indptr, dtype="<i8")),
+_KMEANS_REPORT = {"converged": bool, "n_iter": int, "objective": float}
+_HEADER_SCHEMA = {
+    "corpus_digest": str,
+    "doc_count": int,
+    "families": {phi: {"kmeans": _KMEANS_REPORT, "n_typical": int} for phi in FAMILY_TYPES},
+    "heur_nnz": int,
+    "params": {
+        "embedder_dimension": int,
+        "k_per_family": {phi: int for phi in FAMILY_TYPES},
+        "seed": int,
+        "struct_dimension": int,
+        "typical_k": int,
+        "vocab_digest": str,
+    },
+    "source_tag": str,
+    "table_ids": [str],
+    "vocabulary": [str],
+}
+
+
+def _layout(header: dict) -> list[tuple[str, str, tuple[int, ...]]]:
+    """(name, dtype, shape) of every array in file order; the shapes follow
+    from the header's n, d, V, nnz, K and typical counts."""
+    n, V = len(header["table_ids"]), len(header["vocabulary"])
+    params = header["params"]
+    nnz = header["heur_nnz"]
+    layout = [
+        ("sem", "<f8", (n, params["embedder_dimension"])),
+        ("struct_raw", "<f8", (n, STRUCT_DIM)),
+        ("struct_mean", "<f8", (STRUCT_DIM,)),
+        ("struct_std", "<f8", (STRUCT_DIM,)),
+        ("idf", "<f8", (V,)),
+        ("heur_data", "<f8", (nnz,)),
+        ("heur_indices", "<i4", (nnz,)),
+        ("heur_indptr", "<i4", (n + 1,)),
     ]
     for phi in FAMILY_TYPES:
-        fam = ix.families[phi]
-        arrays.append((f"assign_{phi}", np.ascontiguousarray(fam.assignments, dtype="<i8")))
-        arrays.append((f"centroids_{phi}", np.ascontiguousarray(fam.centroids, dtype="<f8")))
+        layout += [
+            (f"assign_{phi}", "<i4", (n,)),
+            (f"typical_{phi}", "<i4", (header["families"][phi]["n_typical"],)),
+            (f"typical_ptr_{phi}", "<i4", (params["k_per_family"][phi] + 1,)),
+        ]
+    return layout
 
+
+def _digest(blob) -> bytes:
+    """sha256 of an index file with its digest field left out."""
+    h = hashlib.sha256(blob[:_DIGEST_AT])
+    h.update(blob[_PREAMBLE:])
+    return h.digest()
+
+
+def save_index(ix: HypergraphIndex, path: str | Path) -> None:
+    """Write the versioned binary container. Byte-deterministic.
+
+    Raises ``IOFailure`` before writing anything if an integer array holds a
+    value outside int32. The digest is updated array by array as the file is
+    written, so the file is never assembled in memory.
+    """
+    p = Path(path)
+    values = {
+        "sem": ix.sem,
+        "struct_raw": ix.struct_raw,
+        "struct_mean": ix.struct_mean,
+        "struct_std": ix.struct_std,
+        "idf": ix.vectorizer.idf,
+        "heur_data": ix.heur.data,
+        "heur_indices": ix.heur.indices,
+        "heur_indptr": ix.heur.indptr,
+    }
+    families = {}
+    for phi in FAMILY_TYPES:
+        fam = ix.families[phi]
+        values[f"assign_{phi}"] = fam.assignments
+        values[f"typical_{phi}"] = np.concatenate(fam.typical)
+        values[f"typical_ptr_{phi}"] = np.cumsum([0] + [len(t) for t in fam.typical])
+        families[phi] = {
+            "kmeans": {"converged": bool(fam.converged), "n_iter": int(fam.n_iter),
+                       "objective": float(fam.objective)},
+            "n_typical": len(values[f"typical_{phi}"]),
+        }
     header = {
-        "arrays": [{"dtype": a.dtype.str, "name": name, "shape": list(a.shape)} for name, a in arrays],
         "corpus_digest": ix.corpus_digest,
         "doc_count": ix.vectorizer.doc_count,
-        "families": {
-            phi: {"typical": [[ix.table_ids[p] for p in t] for t in ix.families[phi].typical]}
-            for phi in FAMILY_TYPES
-        },
-        "format_version": ix.format_version,
+        "families": families,
+        "heur_nnz": int(ix.heur.nnz),
         "params": ix.params.to_json(),
         "source_tag": ix.source_tag,
         "table_ids": ix.table_ids,
-        "vocabulary": vocab_tokens,
+        "vocabulary": sorted(ix.vectorizer.vocabulary, key=ix.vectorizer.vocabulary.get),
     }
     header_bytes = json.dumps(header, sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
 
-    p = Path(path)
+    arrays = []
+    for name, dtype, shape in _layout(header):
+        a = np.asarray(values[name])
+        if dtype == "<i4" and a.size and (a.min() < _INT32.min or a.max() > _INT32.max):
+            raise IOFailure(f"cannot write {p}: {name} holds a value outside int32")
+        a = np.ascontiguousarray(a, dtype=dtype)
+        if a.shape != shape:
+            raise ValueError(f"index array {name} has shape {a.shape}, expected {shape}")
+        arrays.append(a)
+
+    h = hashlib.sha256()
     try:
         with p.open("wb") as f:
-            f.write(_MAGIC)
-            f.write(np.uint32(ix.format_version).tobytes())
-            f.write(np.uint64(len(header_bytes)).tobytes())
-            f.write(header_bytes)
-            for _, arr in arrays:
-                f.write(arr.tobytes())
+            def put(chunk) -> None:
+                h.update(chunk)
+                f.write(chunk)
+
+            put(_MAGIC + np.uint32(INDEX_FORMAT_VERSION).tobytes() + np.uint64(len(header_bytes)).tobytes())
+            f.write(bytes(_PREAMBLE - _DIGEST_AT))  # the digest, filled in last
+            put(header_bytes)
+            at = _PREAMBLE + len(header_bytes)
+            for a in arrays:
+                put(bytes(-at % _ALIGN))
+                put(a)
+                at += -at % _ALIGN + a.nbytes
+            f.seek(_DIGEST_AT)
+            f.write(h.digest())
     except OSError as exc:
         raise IOFailure(f"cannot write {p}: {exc}") from exc
 
 
+def _check_schema(value, schema, where: str) -> None:
+    """``value`` has exactly ``schema``'s keys and types (a bool is not an
+    int), and no integer in it is negative."""
+    if isinstance(schema, dict):
+        if not isinstance(value, dict) or set(value) != set(schema):
+            raise IOFailure(f"header{where} must be an object with keys {sorted(schema)}")
+        for key, sub in schema.items():
+            _check_schema(value[key], sub, f"{where}.{key}")
+    elif isinstance(schema, list):
+        if not isinstance(value, list) or set(map(type, value)) - {schema[0]}:
+            raise IOFailure(f"header{where} must be a list of {schema[0].__name__}")
+    elif type(value) is not schema:
+        raise IOFailure(f"header{where} must be of type {schema.__name__}")
+    elif schema is int and value < 0:
+        raise IOFailure(f"header{where} is negative")
+
+
+def _check_header(header) -> None:
+    _check_schema(header, _HEADER_SCHEMA, "")
+    params = header["params"]
+    if not header["corpus_digest"]:
+        raise IOFailure("header lacks a corpus digest")
+    if not header["table_ids"]:
+        raise IOFailure("header lists no tables")
+    if params["struct_dimension"] != STRUCT_DIM:
+        raise IOFailure(f"header.params.struct_dimension is {params['struct_dimension']}, expected {STRUCT_DIM}")
+    if min(params["embedder_dimension"], params["typical_k"], *params["k_per_family"].values()) < 1:
+        raise IOFailure("header embedder_dimension, typical_k and k_per_family must be at least 1")
+    for phi in FAMILY_TYPES:
+        if not math.isfinite(header["families"][phi]["kmeans"]["objective"]):
+            raise IOFailure(f"header.families.{phi}.kmeans.objective is not finite")
+
+
+def _check_arrays(header: dict, a: dict[str, np.ndarray]) -> None:
+    """The structural invariants retrieval relies on."""
+    n, V, nnz = len(header["table_ids"]), len(header["vocabulary"]), header["heur_nnz"]
+    for name in ("sem", "struct_raw", "struct_mean", "struct_std", "idf", "heur_data"):
+        if not np.isfinite(a[name]).all():
+            raise IOFailure(f"array {name} holds a non-finite value")
+    ptr, ind = a["heur_indptr"], a["heur_indices"]
+    if ptr[0] != 0 or ptr[-1] != nnz or (ptr[1:] < ptr[:-1]).any():
+        raise IOFailure("heur_indptr does not rise monotonically from 0 to nnz")
+    if nnz and (ind.min() < 0 or ind.max() >= V):
+        raise IOFailure("heur_indices holds a column outside [0, V)")
+    row_start = np.zeros(nnz, dtype=bool)
+    row_start[ptr[:-1][ptr[:-1] < nnz]] = True
+    if ((ind[1:] <= ind[:-1]) & ~row_start[1:]).any():
+        raise IOFailure("heur_indices does not ascend within a row")
+    for phi in FAMILY_TYPES:
+        K = header["params"]["k_per_family"][phi]
+        assign, typical, tptr = a[f"assign_{phi}"], a[f"typical_{phi}"], a[f"typical_ptr_{phi}"]
+        if assign.min() < 0 or assign.max() >= K:
+            raise IOFailure(f"assign_{phi} holds a cluster outside [0, {K})")
+        if (np.bincount(assign, minlength=K) == 0).any():
+            raise IOFailure(f"family {phi} has an empty cluster")
+        if tptr[0] != 0 or tptr[-1] != len(typical) or (tptr[1:] <= tptr[:-1]).any():
+            raise IOFailure(f"typical_ptr_{phi} does not rise strictly from 0 to the typical count")
+        if (
+            typical.min() < 0
+            or typical.max() >= n
+            or (assign[typical] != np.repeat(np.arange(K), np.diff(tptr))).any()
+        ):
+            raise IOFailure(f"typical_{phi} lists a node outside its own cluster")
+
+
+def _retain_freed_memory() -> None:
+    """Let glibc malloc keep freed blocks of up to 32 MiB for reuse.
+
+    glibc maps every block above its mmap threshold afresh and returns heap
+    memory above its trim threshold to the kernel. Both start at 128 KiB and
+    rise only when a large mapped block is freed, up to 32 and 64 MiB. A
+    query process that frees nothing large therefore page-faults on every
+    fine-stage array of every query: a few MB per query at d = 512. This sets
+    both thresholds to those ceilings. It does nothing where the C library
+    has no ``mallopt``.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def load_index(path: str | Path) -> HypergraphIndex:
+    """Read an index file written by ``save_index``.
+
+    The file is read into one buffer that is then made read-only; every array
+    of the returned index is a view of it. The digest and every structural
+    invariant are checked first: a file that fails any check raises
+    ``IOFailure``, and a file of another format version ``VersionMismatch``.
+    A process that loads an index is about to answer queries, so a successful
+    load also tunes the allocator for them (``_retain_freed_memory``).
+    """
     p = Path(path)
     try:
-        blob = p.read_bytes()
+        with p.open("rb") as f:
+            buf = np.empty(os.fstat(f.fileno()).st_size, dtype=np.uint8)
+            got = f.readinto(buf)
     except OSError as exc:
         raise IOFailure(f"cannot read {p}: {exc}") from exc
-    if len(blob) < len(_MAGIC) + 12 or blob[: len(_MAGIC)] != _MAGIC:
+    if got != len(buf):
+        raise IOFailure(f"{p} changed while it was read")
+    buf.flags.writeable = False
+    if len(buf) < _DIGEST_AT or bytes(buf[: len(_MAGIC)]) != _MAGIC:
         raise IOFailure(f"{p} is not an index file")
-    off = len(_MAGIC)
-    version = int(np.frombuffer(blob, dtype="<u4", count=1, offset=off)[0])
-    off += 4
+    version = int(buf[len(_MAGIC) : len(_MAGIC) + 4].view("<u4")[0])
     if version != INDEX_FORMAT_VERSION:
         raise VersionMismatch(version, INDEX_FORMAT_VERSION)
-    header_len = int(np.frombuffer(blob, dtype="<u8", count=1, offset=off)[0])
-    off += 8
-    if off + header_len > len(blob):
-        raise IOFailure(f"{p} is truncated (header)")
+    header_end = _PREAMBLE + int(buf[len(_MAGIC) + 4 : _DIGEST_AT].view("<u8")[0])
+    if len(buf) < _PREAMBLE or header_end > len(buf):
+        raise IOFailure(f"{p} is truncated")
+    if _digest(buf) != bytes(buf[_DIGEST_AT:_PREAMBLE]):
+        raise IOFailure(f"{p} does not match its sha256 digest; the file is corrupt")
     try:
-        header = json.loads(blob[off : off + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        header = json.loads(bytes(buf[_PREAMBLE:header_end]).decode("utf-8"))
+        _check_header(header)
+        arrays: dict[str, np.ndarray] = {}
+        at = header_end
+        for name, dtype, shape in _layout(header):
+            at += -at % _ALIGN
+            nbytes = np.dtype(dtype).itemsize * math.prod(shape)
+            if at + nbytes > len(buf):
+                raise IOFailure(f"array {name} {shape} runs past the end of the file")
+            arrays[name] = buf[at : at + nbytes].view(dtype).reshape(shape)
+            at += nbytes
+        if at != len(buf):
+            raise IOFailure(f"{len(buf) - at} bytes follow the last array")
+        _check_arrays(header, arrays)
+    except IOFailure as exc:
+        raise IOFailure(f"{p}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
         raise IOFailure(f"{p} has a corrupt header: {exc}") from exc
-    off += header_len
-    if not header.get("corpus_digest"):
-        raise IOFailure(f"{p} lacks a corpus digest; refusing to load")
+    _retain_freed_memory()
 
-    arrs: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * dtype.itemsize
-        if off + nbytes > len(blob):
-            raise IOFailure(f"{p} is truncated (array {entry['name']})")
-        arrs[entry["name"]] = np.frombuffer(blob, dtype=dtype, count=count, offset=off).reshape(shape).copy()
-        off += nbytes
-
+    table_ids = header["table_ids"]
     vocab_tokens = header["vocabulary"]
     vectorizer = HeuristicVectorizer(
         vocabulary={tok: i for i, tok in enumerate(vocab_tokens)},
-        idf=arrs["idf"],
-        doc_count=int(header["doc_count"]),
+        idf=arrays["idf"],
+        doc_count=header["doc_count"],
     )
-    table_ids = list(header["table_ids"])
-    heur = sparse.csr_matrix(
-        (arrs["heur_data"], arrs["heur_indices"], arrs["heur_indptr"]),
-        shape=(len(table_ids), len(vocab_tokens)),
-    )
-    pos = {tid: i for i, tid in enumerate(table_ids)}
-    families: dict[str, ClusterFamily] = {}
-    for phi in FAMILY_TYPES:
-        try:
-            typical = [
-                np.array([pos[tid] for tid in t], dtype=np.int64)
-                for t in header["families"][phi]["typical"]
-            ]
-        except KeyError as exc:
-            raise IOFailure(f"{p} lists typical node {exc} that is not an indexed table") from exc
-        families[phi] = ClusterFamily(
+    # Attach the views to an empty matrix: the (data, indices, indptr)
+    # constructor copies a view whose buffer is much larger than it.
+    heur = sparse.csr_matrix((len(table_ids), len(vocab_tokens)))
+    heur.data, heur.indices, heur.indptr = arrays["heur_data"], arrays["heur_indices"], arrays["heur_indptr"]
+    families = {
+        phi: ClusterFamily(
             feature_type=phi,
-            assignments=arrs[f"assign_{phi}"],
-            centroids=arrs[f"centroids_{phi}"],
-            typical=typical,
+            assignments=arrays[f"assign_{phi}"],
+            typical=np.split(arrays[f"typical_{phi}"], arrays[f"typical_ptr_{phi}"][1:-1]),
+            **header["families"][phi]["kmeans"],
         )
+        for phi in FAMILY_TYPES
+    }
     return HypergraphIndex(
-        format_version=version,
         params=IndexParams.from_json(header["params"]),
         corpus_digest=header["corpus_digest"],
-        source_tag=header.get("source_tag", ""),
+        source_tag=header["source_tag"],
         table_ids=table_ids,
-        sem=arrs["sem"],
-        struct_raw=arrs["struct_raw"],
-        struct_mean=arrs["struct_mean"],
-        struct_std=arrs["struct_std"],
+        sem=arrays["sem"],
+        struct_raw=arrays["struct_raw"],
+        struct_mean=arrays["struct_mean"],
+        struct_std=arrays["struct_std"],
         heur=heur,
         vectorizer=vectorizer,
         families=families,

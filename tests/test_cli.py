@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +183,26 @@ class TestInspect:
         assert out["params"]["typical_k"] == 10
         for phi in ("sem", "struct", "heur"):
             assert sum(out["cluster_sizes"][phi]) == 30
+            report = out["kmeans"][phi]
+            assert report["n_iter"] >= 1 and isinstance(report["converged"], bool)
+            assert report["objective"] >= 0.0
+
+    @pytest.mark.parametrize("corrupt, error", [
+        (lambda b: b[: len(b) // 2], "IOFailure"),
+        (lambda b: b[:-1] + bytes([b[-1] ^ 4]), "IOFailure"),
+        (lambda b: b[:8] + np.uint32(1).tobytes() + b[12:], "VersionMismatch"),
+    ], ids=["truncated", "bit-flip", "format-1"])
+    def test_corrupt_index_exits_1_without_traceback(self, index_file, tmp_path, corrupt, error):
+        bad = tmp_path / "bad.idx"
+        bad.write_bytes(corrupt(index_file.read_bytes()))
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "tablerank.cli", "inspect", "--index", str(bad)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert f"error: {error}: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestConfigPrecedence:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from tablerank.features import (
     extract_all,
     scores_to_vector,
 )
-from tablerank.index import FAMILY_TYPES, ClusterFamily, build_index
+from tablerank.index import FAMILY_TYPES, build_index
 
 from conftest import make_topic_corpus, make_topic_query, representative_score
 
@@ -43,12 +44,9 @@ def _swap_sem(ix, vectors: np.ndarray, assignments: np.ndarray, typical: list[li
     """White-box surgery: replace the sem family with handcrafted geometry.
     ``typical`` lists index positions per cluster."""
     ix.sem = vectors
-    k = int(assignments.max()) + 1
-    centroids = np.vstack([vectors[assignments == j].mean(axis=0) for j in range(k)])
-    ix.families["sem"] = ClusterFamily(
-        feature_type="sem",
+    ix.families["sem"] = dataclasses.replace(
+        ix.families["sem"],
         assignments=assignments,
-        centroids=centroids,
         typical=[np.asarray(t, dtype=np.int64) for t in typical],
     )
 
@@ -280,12 +278,10 @@ class TestCoarseRetrieve:
         heur = sparse.csr_matrix(vectors[:, :2])
         ix.heur = heur
         for phi in ("struct", "heur"):
-            ix.families[phi] = ClusterFamily(
-                feature_type=phi, assignments=fam.assignments.copy(),
-                centroids=np.eye(2, 4) if phi == "heur" else np.eye(2, 20),
+            ix.families[phi] = dataclasses.replace(
+                fam, feature_type=phi, assignments=fam.assignments.copy(),
                 typical=[t.copy() for t in fam.typical],
             )
-        ix.families["heur"].centroids = np.eye(2)
         qf = NodeFeatures(sem=np.array([1.0, 0, 0, 0]), struct=struct_z[0],
                           heur=sparse.csr_matrix(np.array([[1.0, 0.0]])))
         result = coarse_retrieve(None, ix, None, qf=qf)
@@ -308,10 +304,9 @@ class TestCoarseRetrieve:
 
         def family(phi, mask):
             assignments = np.where(mask, 0, 1).astype(np.int64)
-            return ClusterFamily(
-                feature_type=phi,
+            return dataclasses.replace(
+                ix.families[phi],
                 assignments=assignments,
-                centroids=np.zeros((2, 6)) if phi != "struct" else np.zeros((2, 20)),
                 typical=[np.flatnonzero(assignments == j)[:1] for j in range(2)],
             )
 

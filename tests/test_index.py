@@ -1,14 +1,22 @@
+import ctypes
 import dataclasses
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 
 from tablerank import index
-from tablerank.errors import IOFailure, KTooLarge, VersionMismatch
+from tablerank.errors import IOFailure, KTooLarge, TableRankError, VersionMismatch
 from tablerank.features import EmbedderHandle, extract_all, standardize_struct, struct_stats
+from tablerank.fine import retrieve
 from tablerank.index import (
+    FAMILY_TYPES,
     KMeansResult,
     build_index,
     corpus_digest,
@@ -17,7 +25,7 @@ from tablerank.index import (
     save_index,
 )
 
-from conftest import make_gold_corpus, make_topic_corpus, reference_extract_all
+from conftest import make_gold_corpus, make_topic_corpus, make_topic_query, reference_extract_all
 from test_fine import duplicate_groups
 
 
@@ -365,18 +373,20 @@ class TestBuildIndex:
         assert ix.families["heur"].n_clusters == 2
 
 
-class TestPersistence:
-    @pytest.fixture
-    def built(self, handle):
-        corpus = make_topic_corpus(24, 3, seed=2)
-        feats = extract_all(corpus, handle)
-        return corpus, build_index(corpus, feats, K=3, k=4, seed=11)
+@pytest.fixture
+def built(handle):
+    corpus = make_topic_corpus(24, 3, seed=2)
+    feats = extract_all(corpus, handle)
+    return corpus, build_index(corpus, feats, K=3, k=4, seed=11)
 
+
+class TestPersistence:
     def test_round_trip_equality(self, built, tmp_path):
         _, ix = built
-        p = tmp_path / "ix.bin"
-        save_index(ix, p)
-        assert load_index(p).equals(ix)
+        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_index(ix, p1)
+        save_index(load_index(p1), p2)
+        assert p1.read_bytes() == p2.read_bytes()
 
     def test_byte_identical_rebuild(self, built, handle, tmp_path):
         corpus, ix = built
@@ -413,6 +423,15 @@ class TestPersistence:
             load_index(tmp_path / "old.bin")
         assert err.value.found == 99
 
+    def test_format_1_file_refused(self, tmp_path):
+        # Format 1: magic, version, header length, JSON header, arrays; no digest.
+        header = json.dumps({"format_version": 1, "table_ids": ["t1"]}).encode()
+        p = tmp_path / "v1.bin"
+        p.write_bytes(b"TRKHGIDX" + np.uint32(1).tobytes() + np.uint64(len(header)).tobytes() + header)
+        with pytest.raises(VersionMismatch) as err:
+            load_index(p)
+        assert err.value.found == 1
+
     def test_corpus_digest_changes_with_content(self, handle):
         c1 = make_topic_corpus(10, 2, seed=3)
         c2 = make_topic_corpus(10, 2, seed=4)
@@ -423,15 +442,300 @@ class TestPersistence:
         _, ix = built
         p = tmp_path / "ix.bin"
         save_index(ix, p)
-        with pytest.raises(IOFailure):
+        with pytest.raises(IOFailure, match="corpus digest"):
             load_index(_edit_header(p, lambda h: h.update(corpus_digest="")))
 
-    def test_unknown_typical_id_refused(self, built, tmp_path):
+    def test_layout(self, built, tmp_path):
         _, ix = built
         p = tmp_path / "ix.bin"
         save_index(ix, p)
-        with pytest.raises(IOFailure, match="not an indexed table"):
-            load_index(_edit_header(p, lambda h: h["families"]["sem"]["typical"][0].append("ghost")))
+        blob = p.read_bytes()
+        header_len = int(np.frombuffer(blob, dtype="<u8", count=1, offset=12)[0])
+        assert blob[20:52] == _digest(blob)
+        header = json.loads(blob[52 : 52 + header_len])
+        assert "centroids_sem" not in blob[52 : 52 + header_len].decode()
+        for phi in FAMILY_TYPES:
+            report = header["families"][phi]["kmeans"]
+            fam = ix.families[phi]
+            assert (report["n_iter"], report["converged"], report["objective"]) == (
+                fam.n_iter, fam.converged, fam.objective)
+        # The arrays start on the first 64-byte boundary after the header,
+        # sem first, and the file ends with the last typical_ptr array.
+        at = 52 + header_len + (-(52 + header_len) % 64)
+        assert blob[52 + header_len : at] == bytes(at - 52 - header_len)
+        assert np.array_equal(np.frombuffer(blob, "<f8", ix.sem.size, at).reshape(ix.sem.shape), ix.sem)
+        ptr = np.frombuffer(blob[-16:], "<i4")
+        assert ptr.tolist() == np.cumsum([0] + [len(t) for t in ix.families["heur"].typical]).tolist()
+
+    def test_int32_overflow_refused_before_writing(self, built, tmp_path):
+        _, ix = built
+        ix.families["sem"].assignments = ix.families["sem"].assignments + 2**31
+        p = tmp_path / "ix.bin"
+        with pytest.raises(IOFailure, match="assign_sem holds a value outside int32"):
+            save_index(ix, p)
+        assert not p.exists()
+
+    def test_loaded_arrays_are_views_of_one_read_only_buffer(self, built, handle, tmp_path):
+        _, ix = built
+        p = tmp_path / "ix.bin"
+        save_index(ix, p)
+        loaded = load_index(p)
+        buf = loaded.sem.base
+        assert buf.dtype == np.uint8 and buf.flags.owndata and buf.nbytes == p.stat().st_size
+        arrays = {
+            "sem": loaded.sem, "struct_raw": loaded.struct_raw, "idf": loaded.vectorizer.idf,
+            "heur.data": loaded.heur.data, "heur.indices": loaded.heur.indices,
+            "heur.indptr": loaded.heur.indptr,
+        }
+        for phi, fam in loaded.families.items():
+            arrays[f"{phi}.assignments"] = fam.assignments
+            arrays.update({f"{phi}.typical[{j}]": t for j, t in enumerate(fam.typical)})
+        for name, a in arrays.items():
+            assert a.base is buf and np.shares_memory(a, buf), name
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.sem[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.multiply(loaded.sem, 2.0, out=loaded.sem)
+        # The query path reads the index and never writes into it.
+        for topic in range(3):
+            _, want = retrieve(make_topic_query(topic, seed=5), ix, handle, tau=0.2)
+            _, got = retrieve(make_topic_query(topic, seed=5), loaded, handle, tau=0.2)
+            assert got.ranked == want.ranked
+
+
+def _digest(blob: bytes) -> bytes:
+    """sha256 of an index file without its digest field (bytes 20-52)."""
+    return hashlib.sha256(blob[:20] + blob[52:]).digest()
+
+
+def _edit_header(p, edit):
+    """Copy of the index file at ``p`` with its JSON header changed by
+    ``edit``, re-padded and re-signed so that the digest is valid."""
+    blob = p.read_bytes()
+    header_len = int(np.frombuffer(blob, dtype="<u8", count=1, offset=12)[0])
+    header = json.loads(blob[52 : 52 + header_len])
+    edit(header)
+    arrays = blob[52 + header_len + (-(52 + header_len) % 64) :]
+    new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = new_header + bytes(-(52 + len(new_header)) % 64) + arrays
+    unsigned = blob[:12] + np.uint64(len(new_header)).tobytes() + bytes(32) + body
+    out = p.with_name("edited.bin")
+    out.write_bytes(unsigned[:20] + _digest(unsigned) + body)
+    return out
+
+
+def _set(path: str, value):
+    """Header edit that sets the dotted ``path`` to ``value``."""
+    *parents, last = path.split(".")
+
+    def edit(header):
+        for key in parents:
+            header = header[key]
+        header[last] = value
+    return edit
+
+
+def _break_assignment(ix):
+    ix.families["struct"].assignments[0] = 3
+
+
+def _empty_cluster(ix):
+    a = ix.families["struct"].assignments
+    a[a == 1] = 0
+
+
+def _foreign_typical(ix):
+    fam = ix.families["sem"]
+    fam.typical[0][0] = np.flatnonzero(fam.assignments == 1)[0]
+
+
+def _no_typical(ix):
+    ix.families["heur"].typical[2] = ix.families["heur"].typical[2][:0]
+
+
+def _indptr_falls(ix):
+    ix.heur.indptr[5] = ix.heur.indptr[6] + 1
+
+
+def _column_out_of_range(ix):
+    ix.heur.indices[-1] = ix.vectorizer.size
+
+
+def _columns_unsorted(ix):
+    ix.heur.indices[[0, 1]] = ix.heur.indices[[1, 0]]
+
+
+def _non_finite(name):
+    def edit(ix):
+        arr = {"sem": ix.sem, "struct_raw": ix.struct_raw, "idf": ix.vectorizer.idf, "heur_data": ix.heur.data}[name]
+        arr.flat[3] = np.nan
+    return edit
+
+
+def _objective_inf(ix):
+    ix.families["sem"].objective = float("inf")
+
+
+class TestResignedFiles:
+    """Each structural check refuses a file whose digest is valid: the bad
+    content is written either by ``save_index`` from a doctored index or by
+    ``_edit_header``, both of which sign what they write."""
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda h: h.pop("heur_nnz"), "must be an object with keys"),
+        (lambda h: h.update(extra=1), "must be an object with keys"),
+        (_set("params.seed", "11"), r"params\.seed must be of type int"),
+        (_set("families.sem.kmeans.n_iter", True), "n_iter must be of type int"),
+        (_set("families.heur.kmeans.converged", 1), "converged must be of type bool"),
+        (_set("table_ids", "t0"), "table_ids must be a list of str"),
+        (lambda h: h["vocabulary"].append(7), "vocabulary must be a list of str"),
+        (_set("doc_count", -1), "doc_count is negative"),
+        (_set("params.struct_dimension", 19), "struct_dimension"),
+        (_set("params.k_per_family.heur", 0), "at least 1"),
+        (_set("table_ids", []), "no tables"),
+        (_set("families.sem.kmeans.objective", float("nan")), "not finite"),
+    ], ids=["missing-key", "extra-key", "str-for-int", "bool-for-int", "int-for-bool",
+            "str-for-list", "int-in-str-list", "negative", "struct-dimension", "zero-clusters",
+            "no-tables", "nan-objective"])
+    def test_header_schema(self, built, tmp_path, edit, match):
+        p = tmp_path / "ix.bin"
+        save_index(built[1], p)
+        with pytest.raises(IOFailure, match=match):
+            load_index(_edit_header(p, edit))
+
+    # Each edit moves an array by at least the 64-byte alignment, so the
+    # padding cannot absorb it. (Smaller moves that the padding absorbs end in
+    # the array checks instead; the fuzz test covers them.)
+    @pytest.mark.parametrize("edit, match", [
+        (lambda h: h["params"].update(embedder_dimension=h["params"]["embedder_dimension"] + 1), "past the end"),
+        (lambda h: h.update(heur_nnz=h["heur_nnz"] - 16), "follow the last array"),
+        (lambda h: h["table_ids"].pop(), "follow the last array"),
+        (lambda h: h["vocabulary"].extend(f"zz{i}" for i in range(8)), "past the end"),
+        (lambda h: h["params"]["k_per_family"].update(sem=19), "past the end"),
+        (lambda h: h["families"]["struct"].update(n_typical=h["families"]["struct"]["n_typical"] + 16),
+         "past the end"),
+    ], ids=["d", "nnz", "n", "V", "K", "typical-count"])
+    def test_shapes(self, built, tmp_path, edit, match):
+        p = tmp_path / "ix.bin"
+        save_index(built[1], p)
+        with pytest.raises(IOFailure, match=match):
+            load_index(_edit_header(p, edit))
+
+    @pytest.mark.parametrize("doctor, match", [
+        (_break_assignment, r"assign_struct holds a cluster outside \[0, 3\)"),
+        (_empty_cluster, "family struct has an empty cluster"),
+        (_foreign_typical, "typical_sem lists a node outside its own cluster"),
+        (_no_typical, "typical_ptr_heur does not rise strictly"),
+        (_indptr_falls, "heur_indptr does not rise monotonically"),
+        (_column_out_of_range, r"heur_indices holds a column outside \[0, V\)"),
+        (_columns_unsorted, "heur_indices does not ascend within a row"),
+        (_non_finite("sem"), "sem holds a non-finite value"),
+        (_non_finite("struct_raw"), "struct_raw holds a non-finite value"),
+        (_non_finite("idf"), "idf holds a non-finite value"),
+        (_non_finite("heur_data"), "heur_data holds a non-finite value"),
+        (_objective_inf, "objective is not finite"),
+    ], ids=["assignment-out-of-range", "empty-cluster", "typical-outside-cluster", "cluster-without-typical",
+            "indptr-falls", "column-out-of-range", "columns-unsorted", "nan-sem", "nan-struct", "nan-idf",
+            "nan-heur", "inf-objective"])
+    def test_arrays(self, built, tmp_path, doctor, match):
+        _, ix = built
+        doctor(ix)
+        p = tmp_path / "ix.bin"
+        save_index(ix, p)
+        with pytest.raises(IOFailure, match=match):
+            load_index(p)
+
+
+class TestFuzz:
+    """Seeded corruption of a small index: every mutated file either fails
+    with a TableRankError or loads an index that saves to the original bytes."""
+
+    @pytest.fixture(scope="class")
+    def original(self, tmp_path_factory):
+        corpus = make_topic_corpus(30, 3, seed=4)
+        ix = build_index(corpus, extract_all(corpus, EmbedderHandle(dimension=16)), K=3, k=4, seed=1)
+        p = tmp_path_factory.mktemp("fuzz") / "ix.bin"
+        save_index(ix, p)
+        return p.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["truncate", "header-byte", "array-byte", "bit-flip"])
+    def test_corruption_is_refused_or_harmless(self, original, tmp_path, kind):
+        rng = np.random.default_rng(["truncate", "header-byte", "array-byte", "bit-flip"].index(kind))
+        header_len = int(np.frombuffer(original, dtype="<u8", count=1, offset=12)[0])
+        header_end = 52 + header_len
+        src, out = tmp_path / "mutated.bin", tmp_path / "resaved.bin"
+        refused = 0
+        for _ in range(120):
+            blob = bytearray(original)
+            if kind == "truncate":
+                del blob[int(rng.integers(len(blob))):]
+            elif kind == "header-byte":
+                blob[int(rng.integers(header_end))] = int(rng.integers(256))
+            elif kind == "array-byte":
+                blob[int(rng.integers(header_end, len(blob)))] = int(rng.integers(256))
+            else:
+                blob[int(rng.integers(len(blob)))] ^= 1 << int(rng.integers(8))
+            src.write_bytes(bytes(blob))
+            try:
+                loaded = load_index(src)
+            except TableRankError:
+                refused += 1
+                continue
+            save_index(loaded, out)
+            assert out.read_bytes() == original
+        assert refused >= 100
+
+
+class TestBlasThreads:
+    def test_index_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        """OpenBLAS reads its thread count at import, so each build runs in
+        its own interpreter."""
+        script = (
+            "import sys\n"
+            "from conftest import make_topic_corpus\n"
+            "from tablerank.features import EmbedderHandle, extract_all\n"
+            "from tablerank.index import build_index, save_index\n"
+            "corpus = make_topic_corpus(900, 6, seed=101)\n"
+            "features = extract_all(corpus, EmbedderHandle(dimension=128))\n"
+            "save_index(build_index(corpus, features, K=6, k=20, seed=101), sys.argv[1])\n"
+        )
+        tests_dir = Path(__file__).parent
+        path = os.pathsep.join([str(tests_dir.parent / "src"), str(tests_dir), os.environ.get("PYTHONPATH", "")])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.bin"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True, timeout=300)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="the C library has no mallopt")
+def test_after_a_load_freed_blocks_are_reused(built, tmp_path):
+    """Four 2 MiB arrays, allocated together and freed 20 times over after a
+    load, fault their pages in once, not 2,048 times a round as fresh
+    mappings would. It runs in a fresh interpreter, whose allocator no
+    earlier test has tuned."""
+    p = tmp_path / "ix.bin"
+    save_index(built[1], p)
+    script = (
+        "import resource, sys\n"
+        "import numpy as np\n"
+        "from tablerank.index import load_index\n"
+        "load_index(sys.argv[1])\n"
+        "def one_round():\n"
+        "    return sum(a.sum() for a in [np.ones(1 << 18) for _ in range(4)])\n"
+        "one_round()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(20):\n"
+        "    one_round()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script, str(p)], env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert int(proc.stdout) < 512
 
 
 class TestSemLeaders:
@@ -459,31 +763,30 @@ class TestSemLeaders:
         assert path.read_bytes() == fresh.read_bytes()
 
 
-def _edit_header(p, edit):
-    """Copy of the index file at ``p`` with its JSON header changed by ``edit``."""
-    blob = p.read_bytes()
-    header_len = int(np.frombuffer(blob, dtype="<u8", count=1, offset=12)[0])
-    header = json.loads(blob[20 : 20 + header_len])
-    edit(header)
-    new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    out = p.with_name("edited.bin")
-    out.write_bytes(blob[:12] + np.uint64(len(new_header)).tobytes() + new_header + blob[20 + header_len :])
-    return out
-
-
 class TestTypicalConsistency:
     def test_build_matches_select_typical(self, handle):
         # The vectorized selection inside build_index must agree with the
-        # reference operation on every cluster of every family.
+        # reference operation on every cluster of every family, given the
+        # centroids of the family's own k-means run.
         corpus = make_topic_corpus(36, 3, seed=8)
         feats = extract_all(corpus, handle)
         ix = build_index(corpus, feats, K=3, k=5, seed=4)
-        for phi in ("sem", "struct", "heur"):
+        spaces = {
+            "sem": index._l2_normalize_rows(ix.sem),
+            "struct": ix.struct_z(),
+            "heur": index._l2_normalize_rows(ix.heur),
+        }
+        for fam_idx, phi in enumerate(FAMILY_TYPES):
             fam = ix.families[phi]
+            child_seed = int(np.random.SeedSequence([4, fam_idx]).generate_state(1)[0])
+            result = kmeans(spaces[phi], 3, seed=child_seed, n_init=10)
+            assert np.array_equal(result.assignments, fam.assignments)
+            assert (result.n_iter, result.converged, result.objective_history[-1]) == (
+                fam.n_iter, fam.converged, fam.objective)
             rows = ix.score_space_rows(phi)
             for j in range(fam.n_clusters):
                 members = [
                     (ix.table_ids[i], rows[i]) for i in np.flatnonzero(fam.assignments == j)
                 ]
-                expect = select_typical(members, fam.centroids[j], k=5)
+                expect = select_typical(members, result.centroids[j], k=5)
                 assert [ix.table_ids[i] for i in fam.typical[j]] == expect
