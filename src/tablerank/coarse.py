@@ -44,7 +44,6 @@ class CoarseResult:
 
     per_family_choice: dict[str, int]
     union_ids: np.ndarray
-    per_family_mean_scores: dict[str, list[float]]
     retained_fraction: float
     corpus_size: int
     query_features: NodeFeatures | None = field(default=None, repr=False)
@@ -108,19 +107,16 @@ def coarse_retrieve(
     if qf is None:
         qf = query_features(q, ix, h)
     choices: dict[str, int] = {}
-    mean_scores: dict[str, list[float]] = {}
     in_union = np.zeros(len(ix), dtype=bool)
     for phi in FAMILY_TYPES:
         family = ix.families[phi]
-        best, means = assign_cluster(qf, family, ix)
+        best, _ = assign_cluster(qf, family, ix)
         choices[phi] = best
-        mean_scores[phi] = means
         in_union |= family.assignments == best
     union = np.flatnonzero(in_union)
     return CoarseResult(
         per_family_choice=choices,
         union_ids=union,
-        per_family_mean_scores=mean_scores,
         retained_fraction=len(union) / len(ix),
         corpus_size=len(ix),
         query_features=qf,

@@ -12,9 +12,11 @@ Every table (and every query) gets three views of the same linearized text:
   index format; see STRUCT_FIELDS.
 * ``heur``   -- a sparse TF-IDF row over the corpus vocabulary.
 
-Similarity between same-type vectors is their cosine (``scores_to_vector``
-scores rows against one vector); zero vectors score 0 by convention so empty
-inputs rank last instead of crashing.
+Similarity between same-type vectors is their cosine, and the build and the
+query compute every one with three helpers: ``row_norms`` (the L2 norm of
+each row, dense or CSR), ``unit_rows`` (each row divided by its norm) and
+``cosines`` (rows against one dense vector, given the rows' norms). Zero
+vectors score 0 by convention so empty inputs rank last instead of crashing.
 """
 
 from __future__ import annotations
@@ -299,36 +301,35 @@ def fit_heuristic(token_lists: Sequence[Sequence[str]]) -> HeuristicVectorizer:
     return HeuristicVectorizer(vocabulary=vocab, idf=idf, doc_count=n_docs)
 
 
-def _norm(a) -> float:
-    if sparse.issparse(a):
-        return float(np.sqrt(a.multiply(a).sum()))
-    return float(np.linalg.norm(np.asarray(a).ravel()))
+def _row_sq_norms(x) -> np.ndarray:
+    """Squared L2 norm of every row of a dense (m, d) array or a CSR matrix."""
+    if sparse.issparse(x):
+        return np.asarray(x.multiply(x).sum(axis=1)).ravel()
+    return np.einsum("ij,ij->i", x, x)
 
 
-def scores_to_vector(rows, v) -> np.ndarray:
-    """Cosine of every row of ``rows`` against ``v``.
+def row_norms(x) -> np.ndarray:
+    """L2 norm of every row of a dense (m, d) array or a CSR matrix."""
+    return np.sqrt(_row_sq_norms(x))
 
-    Rows may be a dense (m, d) array or a (m, V) sparse matrix; ``v`` a dense
-    1-D vector or a 1 x V sparse row. Zero rows (and a zero ``v``) score 0.
-    """
-    if sparse.issparse(rows):
-        row_norms = np.sqrt(np.asarray(rows.multiply(rows).sum(axis=1)).ravel())
-    else:
-        rows = np.asarray(rows, dtype=np.float64)
-        row_norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    v_norm = _norm(v)
-    m = rows.shape[0]
-    if v_norm == 0.0:
-        return np.zeros(m)
-    if sparse.issparse(v):
-        dots = rows @ v.T if sparse.issparse(rows) else (v @ rows.T).T
-        dots = np.asarray(dots.todense()).ravel() if sparse.issparse(dots) else np.asarray(dots).ravel()
-    else:
-        dots = rows @ np.asarray(v, dtype=np.float64).ravel()
-        dots = np.asarray(dots).ravel()
-    out = np.zeros(m)
-    nz = row_norms > 0
-    out[nz] = dots[nz] / (row_norms[nz] * v_norm)
+
+def unit_rows(x):
+    """Every row of ``x`` divided by its L2 norm; zero rows stay zero. A CSR
+    matrix stays CSR, its rows multiplied by the reciprocal norms."""
+    norms = row_norms(x)
+    if sparse.issparse(x):
+        return sparse.diags(np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)) @ x
+    return x / np.where(norms > 0, norms, 1.0)[:, None]
+
+
+def cosines(rows, norms: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cosine of every row of ``rows`` (dense or CSR) against the dense 1-D
+    ``v``, given ``norms = row_norms(rows)``. Zero rows and a zero ``v``
+    score 0."""
+    v_norm = np.linalg.norm(v)
+    out = np.zeros(rows.shape[0])
+    if v_norm > 0.0:
+        np.divide(rows @ v, norms * v_norm, out=out, where=norms > 0)
     return out
 
 

@@ -61,7 +61,7 @@ import numpy as np
 
 from .coarse import CoarseResult, coarse_retrieve
 from .corpus import Query
-from .features import EmbedderHandle
+from .features import EmbedderHandle, cosines, row_norms, unit_rows
 from .index import HypergraphIndex
 
 DEFAULT_ALPHA = 0.85
@@ -77,8 +77,8 @@ STAGE_FINE = "Fine-grained"
 class PPRConfig:
     """PPR settings. ``epsilon`` bounds the fixpoint residual of the returned
     scores: the L1 distance one power-iteration step would move them. A solve
-    that does not reach it within ``max_iter`` products with W is flagged
-    truncated."""
+    that does not reach it within ``max_iter`` products with W returns
+    ``converged=False``."""
 
     alpha: float = DEFAULT_ALPHA
     epsilon: float = DEFAULT_EPSILON
@@ -136,10 +136,6 @@ class PPRResult:
     converged: bool
     residual: float
 
-    @property
-    def truncated(self) -> bool:
-        return not self.converged
-
 
 @dataclass
 class RetrievalResult:
@@ -168,9 +164,7 @@ def build_local_subgraph(
         raise ValueError("tau must lie in [0, 1]")
     sem = np.asarray(sem_rows, dtype=np.float64)
     group = np.arange(len(node_ids)) if group is None else np.asarray(group)
-    norms = np.linalg.norm(sem, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    unit = sem / safe[:, None]
+    unit = unit_rows(sem)
     weights = unit @ unit.T  # bitwise symmetric: numpy computes it with syrk
     del unit  # freed before the threshold mask is made
     np.clip(weights, 0.0, None, out=weights)
@@ -188,12 +182,7 @@ def personalization(q_sem: np.ndarray, sem_rows: np.ndarray, sizes: np.ndarray |
     q = np.asarray(q_sem, dtype=np.float64)
     sem = np.asarray(sem_rows, dtype=np.float64)
     m = np.ones(sem.shape[0]) if sizes is None else np.asarray(sizes, dtype=np.float64)
-    qn = np.linalg.norm(q)
-    norms = np.linalg.norm(sem, axis=1)
-    scores = np.zeros(sem.shape[0])
-    if qn > 0:
-        nz = norms > 0
-        scores[nz] = (sem[nz] @ q) / (norms[nz] * qn)
+    scores = cosines(sem, row_norms(sem), q)
     np.clip(scores, 0.0, None, out=scores)
     total = (scores * m).sum()
     if total <= 0.0:

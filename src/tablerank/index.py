@@ -42,9 +42,12 @@ from .features import (
     STRUCT_DIM,
     CorpusFeatures,
     HeuristicVectorizer,
-    scores_to_vector,
+    _row_sq_norms,
+    cosines,
+    row_norms,
     standardize_struct,
     struct_stats,
+    unit_rows,
 )
 
 INDEX_FORMAT_VERSION = 2
@@ -59,12 +62,6 @@ FAMILY_TYPES = ("sem", "struct", "heur")
 
 DEFAULT_CLUSTERS = 10
 DEFAULT_TYPICAL = 100
-
-
-def _row_sq_norms(x) -> np.ndarray:
-    if sparse.issparse(x):
-        return np.asarray(x.multiply(x).sum(axis=1)).ravel()
-    return np.einsum("ij,ij->i", x, x)
 
 
 def _row(x, i: int) -> np.ndarray:
@@ -319,7 +316,7 @@ class HypergraphIndex:
             self._sem_leaders = leaders
         return self._sem_leaders
 
-    def score_space_rows(self, feature_type: str, positions: np.ndarray | None = None):
+    def score_space_rows(self, feature_type: str):
         """Node vectors in the space cosine scores are computed in."""
         if feature_type == "sem":
             src = self.sem
@@ -329,7 +326,7 @@ class HypergraphIndex:
             src = self.struct_z()
         else:
             raise ValueError(f"unknown feature type {feature_type!r}")
-        return src if positions is None else src[positions]
+        return src
 
     def typical_means(self, feature_type: str):
         """(K, dim) matrix whose row j is the mean of cluster j's L2-normalized
@@ -345,24 +342,13 @@ class HypergraphIndex:
             rows = self.score_space_rows(feature_type)
             positions = np.concatenate(fam.typical)
             sizes = np.array([len(t) for t in fam.typical])
-            norms = np.sqrt(_row_sq_norms(rows))[positions]
+            norms = row_norms(rows)[positions]
             denom = norms * np.repeat(sizes, sizes)
             weights = np.divide(1.0, denom, out=np.zeros(len(positions)), where=norms > 0)
             indptr = np.concatenate(([0], np.cumsum(sizes)))
             w = sparse.csr_matrix((weights, positions, indptr), shape=(len(sizes), len(self)))
             fam.typical_means = w @ rows
         return fam.typical_means
-
-
-def _l2_normalize_rows(x):
-    norms = np.sqrt(_row_sq_norms(x))
-    if sparse.issparse(x):
-        inv = np.where(norms > 0, 1.0 / np.where(norms > 0, norms, 1.0), 0.0)
-        return sparse.diags(inv) @ x
-    out = x.copy()
-    nz = norms > 0
-    out[nz] = out[nz] / norms[nz, None]
-    return out
 
 
 def corpus_digest(corpus: TableCorpus) -> str:
@@ -394,7 +380,8 @@ def build_index(
     returns them. ``k_per_family`` optionally overrides the cluster count of
     individual families (experimental); every family defaults to K. Each
     family's clustering runs n_init seeded restarts, keeping the best
-    objective.
+    objective. Like ``load_index``, it tunes the allocator
+    (``_retain_freed_memory``).
     """
     table_ids = corpus.ids()
     sem = np.asarray(features.sem, dtype=np.float64)
@@ -411,23 +398,26 @@ def build_index(
         )
     if k < 1:
         raise ValueError("typical-node count k must be at least 1")
+    _retain_freed_memory()
 
     mean, std = struct_stats(struct_raw)
     spaces = {
-        "sem": _l2_normalize_rows(sem),
+        "sem": unit_rows(sem),
         "struct": standardize_struct(struct_raw, mean, std),
-        "heur": _l2_normalize_rows(heur),
+        "heur": unit_rows(heur),
     }
 
     ks = {phi: int((k_per_family or {}).get(phi, K)) for phi in FAMILY_TYPES}
     families: dict[str, ClusterFamily] = {}
     for fam_idx, phi in enumerate(FAMILY_TYPES):
         child_seed = int(np.random.SeedSequence([seed, fam_idx]).generate_state(1)[0])
-        result = kmeans(spaces[phi], ks[phi], seed=child_seed, max_iter=max_iter, n_init=n_init)
+        space = spaces[phi]
+        result = kmeans(space, ks[phi], seed=child_seed, max_iter=max_iter, n_init=n_init)
+        norms = row_norms(space)
         typical: list[np.ndarray] = []
         for j in range(ks[phi]):
             pos = np.flatnonzero(result.assignments == j)
-            scores = scores_to_vector(spaces[phi][pos], result.centroids[j])
+            scores = cosines(space[pos], norms[pos], result.centroids[j])
             # Top-k by cosine to the centroid; ties break on table id.
             order = sorted(range(len(pos)), key=lambda i: (-scores[i], table_ids[pos[i]]))
             typical.append(pos[order[:k]])
@@ -663,10 +653,12 @@ def _retain_freed_memory() -> None:
     glibc maps every block above its mmap threshold afresh and returns heap
     memory above its trim threshold to the kernel. Both start at 128 KiB and
     rise only when a large mapped block is freed, up to 32 and 64 MiB. A
-    query process that frees nothing large therefore page-faults on every
-    fine-stage array of every query: a few MB per query at d = 512. This sets
-    both thresholds to those ceilings. It does nothing where the C library
-    has no ``mallopt``.
+    process that frees nothing large therefore page-faults on every array
+    above 128 KiB it makes: on every fine-stage array of every query, a few
+    MB per query at d = 512, and on every k-means distance array of a build,
+    about 90,000 faults in a 4,000-table build with K = 60. ``build_index``
+    and ``load_index`` set both thresholds to those ceilings. It does nothing
+    where the C library has no ``mallopt``.
     """
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:

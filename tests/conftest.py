@@ -22,10 +22,15 @@ from tablerank.features import (
     CorpusFeatures,
     EmbedderHandle,
     HeuristicVectorizer,
-    _norm,
     tokenize,
 )
 from tablerank.linearize import linearize
+
+
+def _norm(a) -> float:
+    if sparse.issparse(a):
+        return float(np.sqrt(a.multiply(a).sum()))
+    return float(np.linalg.norm(np.asarray(a).ravel()))
 
 
 def _dot(a, b) -> float:

@@ -8,12 +8,7 @@ from scipy import sparse
 from tablerank.coarse import TIE_ULPS, assign_cluster, coarse_retrieve, query_features
 from tablerank.corpus import Query, TaskType
 from tablerank.errors import DimensionMismatch
-from tablerank.features import (
-    EmbedderHandle,
-    NodeFeatures,
-    extract_all,
-    scores_to_vector,
-)
+from tablerank.features import EmbedderHandle, NodeFeatures, extract_all
 from tablerank.index import FAMILY_TYPES, build_index
 
 from conftest import make_topic_corpus, make_topic_query, representative_score
@@ -24,8 +19,9 @@ def reference_assign_cluster(qf, family, ix):
     by cosine to the query, and average the scores per cluster. The choice is
     the lowest index among the means within TIE_ULPS ulps of the best."""
     sizes = np.array([len(t) for t in family.typical])
-    rows = ix.score_space_rows(family.feature_type, np.concatenate(family.typical))
-    scores = scores_to_vector(rows, getattr(qf, family.feature_type))
+    rows = ix.score_space_rows(family.feature_type)
+    v = getattr(qf, family.feature_type)
+    scores = np.array([representative_score(rows[i], v) for i in np.concatenate(family.typical)])
     starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
     means = np.add.reduceat(scores, starts) / sizes
     tied = np.flatnonzero(means >= means.max() - TIE_ULPS * np.spacing(np.abs(means).max()))

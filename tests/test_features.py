@@ -20,9 +20,11 @@ from tablerank.features import (
     embed_semantic,
     extract_all,
     extract_structural,
+    cosines,
     fit_heuristic,
-    scores_to_vector,
+    row_norms,
     tokenize,
+    unit_rows,
 )
 from tablerank.linearize import linearize
 
@@ -407,19 +409,60 @@ class TestRepresentativeScore:
     def test_vectorized_matches_pairwise(self):
         rng = np.random.default_rng(3)
         rows = rng.normal(size=(12, 6))
+        rows[5] = 0.0
         v = rng.normal(size=6)
-        bulk = scores_to_vector(rows, v)
+        bulk = cosines(rows, row_norms(rows), v)
+        assert bulk[5] == 0.0
         for i in range(12):
             assert bulk[i] == pytest.approx(representative_score(rows[i], v))
 
     def test_vectorized_sparse_matches_pairwise(self):
         rng = np.random.default_rng(4)
         dense = rng.random((8, 10)) * (rng.random((8, 10)) > 0.5)
+        dense[2] = 0.0
         rows = sparse.csr_matrix(dense)
-        v = sparse.csr_matrix(dense[3])
-        bulk = scores_to_vector(rows, v)
+        v = dense[3]
+        bulk = cosines(rows, row_norms(rows), v)
+        assert bulk[2] == 0.0 and bulk[3] == pytest.approx(1.0)
         for i in range(8):
             assert bulk[i] == pytest.approx(representative_score(rows[i], v))
+
+
+class TestCosineHelpers:
+    @pytest.mark.parametrize("as_sparse", [False, True], ids=["dense", "sparse"])
+    def test_zero_query_scores_zero(self, as_sparse):
+        dense = np.random.default_rng(5).normal(size=(4, 3))
+        rows = sparse.csr_matrix(dense) if as_sparse else dense
+        assert same_bits(cosines(rows, row_norms(rows), np.zeros(3)), np.zeros(4))
+
+    def test_dense_unit_rows_match_division_by_norm(self):
+        # The normalization build_index once ran, copied as the bitwise reference.
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(9, 7))
+        x[4] = 0.0
+        x[6] = -0.0
+        norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+        expect = x.copy()
+        nz = norms > 0
+        expect[nz] = expect[nz] / norms[nz, None]
+        assert same_bits(unit_rows(x), expect)
+        assert same_bits(row_norms(x), norms)
+
+    def test_sparse_unit_rows_match_reciprocal_scaling(self):
+        # The normalization build_index once ran, copied as the bitwise reference.
+        rng = np.random.default_rng(7)
+        dense = rng.random((9, 12)) * (rng.random((9, 12)) > 0.6)
+        dense[4] = 0.0
+        x = sparse.csr_matrix(dense)
+        norms = np.sqrt(np.asarray(x.multiply(x).sum(axis=1)).ravel())
+        inv = np.where(norms > 0, 1.0 / np.where(norms > 0, norms, 1.0), 0.0)
+        expect = sparse.diags(inv) @ x
+        got = unit_rows(x)
+        assert got.format == "csr"
+        for attr in ("data", "indices", "indptr"):
+            assert same_bits(getattr(got, attr), getattr(expect, attr))
+        assert same_bits(row_norms(x), norms)
+        assert np.allclose(row_norms(got), np.where(norms > 0, 1.0, 0.0))
 
 
 class TestExtractAll:

@@ -79,7 +79,7 @@ def rows_with_duplicates(rng, n: int, d: int = 16) -> np.ndarray:
 def reference_subgraph(rows: np.ndarray, tau: float):
     """The earlier subgraph construction, kept as the bitwise reference:
     mirrored upper triangle and bool adjacency. Returns (weights, adjacency)."""
-    norms = np.linalg.norm(rows, axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     unit = rows / np.where(norms > 0, norms, 1.0)[:, None]
     cos = unit @ unit.T
     np.clip(cos, 0.0, None, out=cos)
@@ -156,7 +156,7 @@ def rows_with_zero_group(rng, n: int) -> np.ndarray:
 def clamped_self_cosine(rows: np.ndarray) -> np.ndarray:
     """The diagonal of the clamped cosine matrix, computed as the reference
     does (a zero row has cosine 0 with itself)."""
-    norms = np.linalg.norm(rows, axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     unit = rows / np.where(norms > 0, norms, 1.0)[:, None]
     return np.clip((unit @ unit.T).diagonal(), 0.0, None)
 
@@ -420,6 +420,22 @@ class TestPersonalization:
         h = personalization([1.0, 0.0], sem_rows(g, vecs))
         assert np.allclose(h, [0.5, 0.5])
 
+    def test_allocates_no_copy_of_the_rows(self):
+        # Row norms, dot products and scores are u-vectors; any u x d
+        # temporary (squared rows, a gathered copy) breaks the bound.
+        rng = np.random.default_rng(31)
+        rows = rng.normal(size=(1000, 512))
+        rows[::7] = 0.0
+        q = rng.normal(size=512)
+        sizes = rng.integers(1, 4, size=1000)
+        tracemalloc.start()
+        try:
+            personalization(q, rows, sizes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * rows.nbytes
+
 
 class TestPPR:
     def test_single_node_immediately_converges(self):
@@ -483,7 +499,7 @@ class TestPPR:
         S = np.array([[0.0, 1.0], [1.0, 0.0]])
         h = np.array([0.9, 0.1])
         result = ppr(S, h, PPRConfig(alpha=0.85, epsilon=1e-30, max_iter=3))
-        assert result.truncated and result.iterations == 3
+        assert not result.converged and result.iterations == 3
 
     def test_oracle_equivalence_random_graphs(self):
         rng = np.random.default_rng(24)

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from tablerank import index
+from tablerank import index, save_corpus
 from tablerank.errors import IOFailure, KTooLarge, TableRankError, VersionMismatch
-from tablerank.features import EmbedderHandle, extract_all, standardize_struct, struct_stats
+from tablerank.features import EmbedderHandle, extract_all, standardize_struct, struct_stats, unit_rows
 from tablerank.fine import retrieve
 from tablerank.index import (
     FAMILY_TYPES,
@@ -225,11 +225,11 @@ def clustering_spaces():
     feats = extract_all(corpus, EmbedderHandle(dimension=32))
     mean, std = struct_stats(feats.struct)
     rng = np.random.default_rng(5)
-    distinct = index._l2_normalize_rows(rng.normal(size=(4, 6)))
+    distinct = unit_rows(rng.normal(size=(4, 6)))
     return {
-        "sem": index._l2_normalize_rows(feats.sem),
+        "sem": unit_rows(feats.sem),
         "struct": standardize_struct(feats.struct, mean, std),
-        "heur": index._l2_normalize_rows(feats.heur),
+        "heur": unit_rows(feats.heur),
         "duplicates": distinct[rng.integers(4, size=40)],
     }
 
@@ -710,19 +710,14 @@ class TestBlasThreads:
         assert outputs[0] == outputs[1]
 
 
-@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="the C library has no mallopt")
-def test_after_a_load_freed_blocks_are_reused(built, tmp_path):
-    """Four 2 MiB arrays, allocated together and freed 20 times over after a
-    load, fault their pages in once, not 2,048 times a round as fresh
-    mappings would. It runs in a fresh interpreter, whose allocator no
-    earlier test has tuned."""
-    p = tmp_path / "ix.bin"
-    save_index(built[1], p)
+def faults_after(setup: str, arg: Path) -> int:
+    """Minor page faults of four 2 MiB arrays, allocated together and freed
+    20 times over after ``setup``, in a fresh interpreter whose allocator no
+    earlier test has tuned. Fresh mappings would fault 2,048 times a round."""
     script = (
         "import resource, sys\n"
         "import numpy as np\n"
-        "from tablerank.index import load_index\n"
-        "load_index(sys.argv[1])\n"
+        f"{setup}\n"
         "def one_round():\n"
         "    return sum(a.sum() for a in [np.ones(1 << 18) for _ in range(4)])\n"
         "one_round()\n"
@@ -733,9 +728,28 @@ def test_after_a_load_freed_blocks_are_reused(built, tmp_path):
     )
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", script, str(p)], env=env, capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", script, str(arg)], env=env, capture_output=True, text=True,
                           check=True, timeout=120)
-    assert int(proc.stdout) < 512
+    return int(proc.stdout)
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="the C library has no mallopt")
+def test_after_a_load_freed_blocks_are_reused(built, tmp_path):
+    p = tmp_path / "ix.bin"
+    save_index(built[1], p)
+    assert faults_after("from tablerank.index import load_index\nload_index(sys.argv[1])", p) < 512
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="the C library has no mallopt")
+def test_after_a_build_freed_blocks_are_reused(built, tmp_path):
+    p = tmp_path / "corpus.jsonl"
+    save_corpus(built[0], p)
+    setup = (
+        "from tablerank import EmbedderHandle, build_index, extract_all, load_corpus\n"
+        "corpus = load_corpus(sys.argv[1])\n"
+        "build_index(corpus, extract_all(corpus, EmbedderHandle(dimension=16)), K=3, k=4, seed=11)"
+    )
+    assert faults_after(setup, p) < 512
 
 
 class TestSemLeaders:
@@ -772,9 +786,9 @@ class TestTypicalConsistency:
         feats = extract_all(corpus, handle)
         ix = build_index(corpus, feats, K=3, k=5, seed=4)
         spaces = {
-            "sem": index._l2_normalize_rows(ix.sem),
+            "sem": unit_rows(ix.sem),
             "struct": ix.struct_z(),
-            "heur": index._l2_normalize_rows(ix.heur),
+            "heur": unit_rows(ix.heur),
         }
         for fam_idx, phi in enumerate(FAMILY_TYPES):
             fam = ix.families[phi]
