@@ -266,15 +266,15 @@ def _cmd_build_benchmark(args, cfg: RunConfig) -> int:
 
 
 def _cmd_eval_retrieval(args, cfg: RunConfig) -> int:
+    ks = [x.strip() for x in args.ks.split(",") if x.strip()]  # checked before anything is loaded
+    if not ks or not all(x.isdecimal() and int(x) >= 1 for x in ks):
+        raise UsageError(f"--ks must list cutoffs of at least 1, separated by commas; got {args.ks!r}")
     ix = load_index(args.index)
     if args.dimension is None:
         _adopt_index_dimension(cfg, ix)
     ds = bench.load_benchmark(args.dataset)
-    ks = [int(x) for x in args.ks.split(",") if x.strip()]
-    if not ks:
-        raise UsageError("--ks must name at least one cutoff")
     report = ev.run_retrieval_eval(
-        ds, ix, cfg.handle(), cfg.ppr(), tau=cfg.tau, ks=ks, acc_mode=args.acc_mode
+        ds, ix, cfg.handle(), cfg.ppr(), tau=cfg.tau, ks=[int(x) for x in ks], acc_mode=args.acc_mode
     )
     print(json.dumps({"per_k": {str(k): v for k, v in report.per_k.items()}, "acc_mode": report.acc_mode,
                       "mean_coarse_retained": report.mean_coarse_retained}, sort_keys=True))

@@ -45,8 +45,7 @@ class CoarseResult:
     per_family_choice: dict[str, int]
     union_ids: np.ndarray
     retained_fraction: float
-    corpus_size: int
-    query_features: NodeFeatures | None = field(default=None, repr=False)
+    query_features: NodeFeatures = field(repr=False)
 
 
 def query_features(q: Query, ix: HypergraphIndex, h: EmbedderHandle) -> NodeFeatures:
@@ -118,6 +117,5 @@ def coarse_retrieve(
         per_family_choice=choices,
         union_ids=union,
         retained_fraction=len(union) / len(ix),
-        corpus_size=len(ix),
         query_features=qf,
     )

@@ -17,7 +17,7 @@ import string
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +30,6 @@ from .index import HypergraphIndex
 from .prompting import GenerateFn, build_prompt, parse_response
 
 STAGE_TABLE_TO_GRAPH = "Table-to-Graph"
-STAGES = (STAGE_TABLE_TO_GRAPH, STAGE_COARSE, STAGE_FINE)
 
 _ARTICLE_RE = re.compile(r"\b(a|an|the)\b")
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
@@ -224,7 +223,7 @@ def run_retrieval_eval(
     cfg = cfg or PPRConfig()
     ks = sorted(ks)
     depth = max(max(ks), cfg.top_n)
-    run_cfg = PPRConfig(alpha=cfg.alpha, epsilon=cfg.epsilon, max_iter=cfg.max_iter, top_n=depth)
+    run_cfg = replace(cfg, top_n=depth)
     sums = {k: {"acc": 0.0, "recall": 0.0} for k in ks}
     retained: list[int] = []
     n = 0

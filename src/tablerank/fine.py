@@ -40,8 +40,9 @@ and inner products over the n nodes weight each group by m_a. Conjugate
 gradients from x = h stay among such vectors, so ``ppr`` runs the n-node
 solve with u-vectors and a u x u matrix: the same iterates in exact
 arithmetic, the same iteration count and residual. Members of a group get
-their group's score, and ties rank by table id. With every node in its own
-group (m = 1), W is the plain n x n weight matrix with a zero diagonal.
+their group's score, and ``index.top_k`` ranks node i, index row
+``union_ids[i]``, by (-score, table id). With every node in its own group
+(m = 1), W is the plain n x n weight matrix with a zero diagonal.
 
 A query allocates one u x u float64 array, W, built in place from the Gram
 matrix of the unit distinct rows; the solve needs only products of W with a
@@ -62,7 +63,7 @@ import numpy as np
 from .coarse import CoarseResult, coarse_retrieve
 from .corpus import Query
 from .features import EmbedderHandle, cosines, row_norms, unit_rows
-from .index import HypergraphIndex
+from .index import HypergraphIndex, top_k
 
 DEFAULT_ALPHA = 0.85
 DEFAULT_EPSILON = 1e-8
@@ -98,7 +99,8 @@ class PPRConfig:
 
 @dataclass
 class LocalSubgraph:
-    """Candidate nodes plus thresholded pairwise semantic weights.
+    """Thresholded pairwise semantic weights over the candidate nodes
+    0..n-1, positions that the caller maps to tables.
 
     Node i belongs to group ``group[i]``; nodes in one group share a sem row.
     ``weights`` is the dense, bitwise-symmetric u x u group matrix: entry
@@ -110,13 +112,12 @@ class LocalSubgraph:
     positive weight are edges.
     """
 
-    node_ids: list[str]
     group: np.ndarray
     weights: np.ndarray
     tau: float
 
     def __len__(self) -> int:
-        return len(self.node_ids)
+        return len(self.group)
 
     def weight(self, i, j):
         """Weight between node positions i and j, 0 when i == j; ints or
@@ -139,7 +140,11 @@ class PPRResult:
 
 @dataclass
 class RetrievalResult:
+    """The top-n (table id, score) pairs, best first, and ``ranked_nodes``,
+    their subgraph positions; ``all_scores`` holds every node's score."""
+
     ranked: list[tuple[str, float]]
+    ranked_nodes: np.ndarray
     subgraph: LocalSubgraph
     timings: dict[str, float]
     all_scores: np.ndarray
@@ -148,22 +153,20 @@ class RetrievalResult:
     zero_scores_in_ranked: bool
 
 
-def build_local_subgraph(
-    node_ids: list[str], sem_rows: np.ndarray, tau: float, group: np.ndarray | None = None
-) -> LocalSubgraph:
+def build_local_subgraph(sem_rows: np.ndarray, tau: float, group: np.ndarray | None = None) -> LocalSubgraph:
     """Pairwise semantic graph over the candidates, thresholded at tau.
 
-    Node i has sem row ``sem_rows[group[i]]``; ``group=None`` gives every node
-    its own row, ``sem_rows[i]``. Node order is kept. Edge (i, j) exists iff
-    the clamped cosine of their sem rows is >= tau; isolated nodes are fine.
-    The weights are built in one buffer, one row and column per sem row.
+    Node i has sem row ``sem_rows[group[i]]``; ``group=None`` gives every row
+    its own node, node i row i. Edge (i, j) exists iff the clamped cosine of
+    their sem rows is >= tau; isolated nodes are fine. The weights are built
+    in one buffer, one row and column per sem row.
     """
-    if len(node_ids) == 0:
+    sem = np.asarray(sem_rows, dtype=np.float64)
+    group = np.arange(len(sem)) if group is None else np.asarray(group)
+    if len(group) == 0:
         raise ValueError("cannot build a subgraph from zero candidates")
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
-    sem = np.asarray(sem_rows, dtype=np.float64)
-    group = np.arange(len(node_ids)) if group is None else np.asarray(group)
     unit = unit_rows(sem)
     weights = unit @ unit.T  # bitwise symmetric: numpy computes it with syrk
     del unit  # freed before the threshold mask is made
@@ -171,7 +174,7 @@ def build_local_subgraph(
     weights *= weights >= tau
     singletons = np.flatnonzero(np.bincount(group, minlength=len(sem)) == 1)
     weights[singletons, singletons] = 0.0
-    return LocalSubgraph(node_ids=list(node_ids), group=group, weights=weights, tau=tau)
+    return LocalSubgraph(group=group, weights=weights, tau=tau)
 
 
 def personalization(q_sem: np.ndarray, sem_rows: np.ndarray, sizes: np.ndarray | None = None) -> np.ndarray:
@@ -249,16 +252,6 @@ def ppr(W: np.ndarray, h: np.ndarray, cfg: PPRConfig, sizes: np.ndarray | None =
     )
 
 
-def _rank(node_ids: list[str], scores: np.ndarray, top_n: int) -> list[tuple[str, float]]:
-    """The top_n nodes by (-score, id). Only the nodes scoring at least the
-    top_n-th largest score are sorted."""
-    m = min(top_n, len(node_ids))
-    kth = np.partition(scores, len(scores) - m)[len(scores) - m]
-    head = np.flatnonzero(scores >= kth).tolist()
-    order = sorted(head, key=lambda i: (-scores[i], node_ids[i]))[:m]
-    return [(node_ids[i], float(scores[i])) for i in order]
-
-
 def fine_retrieve(
     q: Query,
     coarse: CoarseResult,
@@ -270,20 +263,20 @@ def fine_retrieve(
     deterministic given index and config."""
     if len(coarse.union_ids) == 0:
         raise ValueError("coarse result has no candidate tables")
-    if coarse.query_features is None:
-        raise ValueError("coarse result does not carry query features")
     t0 = time.perf_counter()
     union = coarse.union_ids
     reps, group, sizes = np.unique(ix.sem_leaders()[union], return_inverse=True, return_counts=True)
     sem_rows = ix.sem[reps]
-    g = build_local_subgraph([ix.table_ids[i] for i in union], sem_rows, tau, group)
+    g = build_local_subgraph(sem_rows, tau, group)
     h = personalization(coarse.query_features.sem, sem_rows, sizes)
     result = ppr(g.weights, h, cfg, sizes)
     scores = result.scores[group]
     elapsed = time.perf_counter() - t0
-    ranked = _rank(g.node_ids, scores, cfg.top_n)
+    nodes = top_k(scores, union, ix.table_ids, cfg.top_n)
+    ranked = [(ix.table_ids[union[i]], float(scores[i])) for i in nodes]
     return RetrievalResult(
         ranked=ranked,
+        ranked_nodes=nodes,
         subgraph=g,
         timings={STAGE_FINE: elapsed},
         all_scores=scores,

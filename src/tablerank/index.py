@@ -4,7 +4,8 @@ Each feature type (sem / struct / heur) is clustered independently with
 k-means; a cluster is a hyperedge grouping its member tables, and the three
 cluster families together form the heterogeneous hypergraph. Each cluster
 also records its "typical" members -- the top-k nodes by cosine to the
-centroid -- which stand in for the whole cluster at query time.
+centroid, ties by table id (``top_k``, which also ranks the fine stage) --
+which stand in for the whole cluster at query time.
 
 Clustering spaces: sem and heur rows are L2-normalized (Euclidean there is
 monotone with cosine); struct rows are z-scored per column because the raw
@@ -31,7 +32,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -62,6 +63,19 @@ FAMILY_TYPES = ("sem", "struct", "heur")
 
 DEFAULT_CLUSTERS = 10
 DEFAULT_TYPICAL = 100
+KMEANS_MAX_ITER = 100  # Lloyd sweeps per restart in build_index
+KMEANS_RESTARTS = 10   # seeded k-means restarts per family in build_index
+
+
+def top_k(scores: np.ndarray, rows: np.ndarray, table_ids: Sequence[str], k: int) -> np.ndarray:
+    """Positions i of the k best ``scores`` (all, if fewer), best first by
+    (-scores[i], table_ids[rows[i]]); position i scores index row rows[i].
+    Only the positions at or above the k-th best score are sorted."""
+    m = min(k, len(scores))
+    kth = np.partition(scores, len(scores) - m)[len(scores) - m]
+    head = np.flatnonzero(scores >= kth).tolist()
+    head.sort(key=lambda i: (-scores[i], table_ids[rows[i]]))
+    return np.array(head[:m], dtype=np.int64)
 
 
 def _row(x, i: int) -> np.ndarray:
@@ -371,15 +385,13 @@ def build_index(
     k: int = DEFAULT_TYPICAL,
     seed: int = 0,
     k_per_family: Mapping[str, int] | None = None,
-    max_iter: int = 100,
-    n_init: int = 10,
 ) -> HypergraphIndex:
     """Cluster every feature family and assemble the persistent index.
 
     ``features`` holds one row per table in corpus order, as ``extract_all``
     returns them. ``k_per_family`` optionally overrides the cluster count of
     individual families (experimental); every family defaults to K. Each
-    family's clustering runs n_init seeded restarts, keeping the best
+    family's clustering runs KMEANS_RESTARTS seeded restarts, keeping the best
     objective. Like ``load_index``, it tunes the allocator
     (``_retain_freed_memory``).
     """
@@ -412,15 +424,13 @@ def build_index(
     for fam_idx, phi in enumerate(FAMILY_TYPES):
         child_seed = int(np.random.SeedSequence([seed, fam_idx]).generate_state(1)[0])
         space = spaces[phi]
-        result = kmeans(space, ks[phi], seed=child_seed, max_iter=max_iter, n_init=n_init)
+        result = kmeans(space, ks[phi], seed=child_seed, max_iter=KMEANS_MAX_ITER, n_init=KMEANS_RESTARTS)
         norms = row_norms(space)
         typical: list[np.ndarray] = []
         for j in range(ks[phi]):
             pos = np.flatnonzero(result.assignments == j)
             scores = cosines(space[pos], norms[pos], result.centroids[j])
-            # Top-k by cosine to the centroid; ties break on table id.
-            order = sorted(range(len(pos)), key=lambda i: (-scores[i], table_ids[pos[i]]))
-            typical.append(pos[order[:k]])
+            typical.append(pos[top_k(scores, pos, table_ids, k)])
         families[phi] = ClusterFamily(
             feature_type=phi,
             assignments=result.assignments,

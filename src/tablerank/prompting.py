@@ -20,8 +20,6 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from ._http import HttpCallError, post_json
 from .corpus import Table, TaskType
 from .errors import GeneratorUnavailable, MissingAnswerTags
@@ -108,7 +106,7 @@ def render_table_html(t: Table) -> str:
 
 def _graph_records(result: RetrievalResult) -> list[dict]:
     g = result.subgraph
-    pos = np.array([g.node_ids.index(tid) for tid, _ in result.ranked])
+    pos = result.ranked_nodes
     edges = g.has_edge(pos[:, None], pos[None, :]).tolist()
     weights = g.weight(pos[:, None], pos[None, :]).tolist()
     records: list[dict] = []

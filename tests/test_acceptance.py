@@ -80,8 +80,7 @@ def test_ppr_oracle_equivalence():
         vecs = rng.normal(size=(n, 16))
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
         tau = float(rng.uniform(0.0, 1.0))
-        ids = [f"n{i:03d}" for i in range(n)]
-        g = build_local_subgraph(ids, vecs, tau)
+        g = build_local_subgraph(vecs, tau)
         h = rng.dirichlet(np.ones(n))
         alpha = (0.3, 0.85, 0.95)[trial % 3]
         got = ppr(g.weights, h, PPRConfig(alpha=alpha, epsilon=1e-12, max_iter=5000)).scores

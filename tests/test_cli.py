@@ -294,6 +294,16 @@ class TestBenchmarkAndEval:
         assert e2e["na"] == e2e["n"]
         assert e2e["em"] == 0.0
 
+    @pytest.mark.parametrize("ks", ["0", "-3", "abc", "10,x"])
+    def test_bad_ks_exits_2_before_loading(self, tmp_path, capsys, ks):
+        # Neither file exists: --ks is checked before either is read.
+        code = main(["eval-retrieval", "--index", str(tmp_path / "none.idx"),
+                     "--dataset", str(tmp_path / "none"), "--ks", ks])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: usage: --ks " in err and repr(ks) in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("line, reason", [
         ('{"id": "x", "root_table_id": "root00", "text": "t", "task_type": "Nope"}',
          "'Nope' is not a valid TaskType"),

@@ -1,34 +1,39 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from tablerank.coarse import coarse_retrieve
-from tablerank.corpus import Query, TaskType
+from tablerank.corpus import Query, TableCorpus, TaskType
 from tablerank.features import extract_all, embed_semantic
 from tablerank.fine import (
     PPRConfig,
-    _rank,
     build_local_subgraph,
     fine_retrieve,
     personalization,
     ppr,
     retrieve,
 )
-from tablerank.index import build_index
+from tablerank.index import build_index, top_k
 from tablerank.linearize import linearize_query
 
 from conftest import make_angle_corpus, make_topic_corpus, make_topic_query, representative_score
 
 
+def sem_rows(vectors: dict[str, np.ndarray]) -> np.ndarray:
+    """The vectors as rows, in ascending id order."""
+    return np.vstack([vectors[tid] for tid in sorted(vectors)])
+
+
 def subgraph(vectors: dict[str, np.ndarray], tau: float):
-    """Subgraph over the vectors, nodes in ascending id order."""
-    ids = sorted(vectors)
-    return build_local_subgraph(ids, np.vstack([vectors[tid] for tid in ids]), tau)
+    """Subgraph over the vectors; node i is the i-th id in ascending order."""
+    return build_local_subgraph(sem_rows(vectors), tau)
 
 
-def sem_rows(g, vectors: dict[str, np.ndarray]) -> np.ndarray:
-    return np.vstack([vectors[tid] for tid in g.node_ids])
+def ranked_ids(ids: list[str], scores: np.ndarray, top_n: int) -> list[str]:
+    """The top_n of ``ids[i]`` by top_k, position i standing for row i."""
+    return [ids[i] for i in top_k(scores, np.arange(len(ids)), ids, top_n)]
 
 
 def edge_list(g) -> list[tuple[int, int, float]]:
@@ -61,8 +66,7 @@ def random_graph(rng, max_nodes=64):
     vecs = rng.normal(size=(n, 16))
     vecs /= np.linalg.norm(vecs, axis=1)[:, None]
     tau = float(rng.uniform(0.0, 1.0))
-    ids = [f"n{i:03d}" for i in range(n)]
-    g = build_local_subgraph(ids, vecs, tau)
+    g = build_local_subgraph(vecs, tau)
     h = rng.dirichlet(np.ones(n))
     return g, h
 
@@ -197,7 +201,8 @@ class TestBuildLocalSubgraph:
     def test_tau_one_keeps_only_parallel_pairs(self):
         vecs = {"a": np.array([1.0, 0.0]), "b": np.array([2.0, 0.0]), "c": np.array([0.0, 1.0])}
         g = subgraph(vecs, tau=1.0)
-        edges = {(g.node_ids[i], g.node_ids[j]) for i, j, _ in edge_list(g)}
+        ids = sorted(vecs)
+        edges = {(ids[i], ids[j]) for i, j, _ in edge_list(g)}
         assert edges == {("a", "b")}
 
     def test_matches_brute_force_pairwise_filter(self):
@@ -208,9 +213,9 @@ class TestBuildLocalSubgraph:
             vecs = {tid: rng.normal(size=5) for tid in ids}
             tau = float(rng.uniform(0, 1))
             g = subgraph(vecs, tau)
-            got = {(g.node_ids[i], g.node_ids[j]) for i, j, _ in edge_list(g)}
-            expect = set()
             ordered = sorted(ids)
+            got = {(ordered[i], ordered[j]) for i, j, _ in edge_list(g)}
+            expect = set()
             for i, a in enumerate(ordered):
                 for b in ordered[i + 1:]:
                     score = max(0.0, representative_score(vecs[a], vecs[b]))
@@ -223,9 +228,10 @@ class TestBuildLocalSubgraph:
         ids = [f"x{i}" for i in range(10)]
         vecs = {tid: rng.normal(size=6) for tid in ids}
         g = subgraph(vecs, tau=0.3)
-        assert g.node_ids == sorted(ids)
-        backwards = ids[::-1]
-        assert build_local_subgraph(backwards, np.vstack([vecs[t] for t in backwards]), 0.3).node_ids == backwards
+        assert len(g) == len(ids)
+        # node i is row i: reversed rows give the reversed matrix
+        backwards = build_local_subgraph(sem_rows(vecs)[::-1], 0.3)
+        assert np.array_equal(backwards.weights, g.weights[::-1, ::-1])
         for _, _, w in edge_list(g):
             assert 0.3 <= w <= 1.0 + 1e-12
 
@@ -252,7 +258,7 @@ class TestSimilarityMatrix:
             assert np.all(S.diagonal() == 0)
         # a large Gram matrix over exactly repeated rows is bitwise symmetric too
         rows = rows_with_duplicates(rng, 1500)
-        S = build_local_subgraph([f"n{i:04d}" for i in range(1500)], rows, 0.0).weights
+        S = build_local_subgraph(rows, 0.0).weights
         assert np.array_equal(S, S.T)
         assert np.all(S.diagonal() == 0)
 
@@ -267,7 +273,7 @@ class TestTieAwareEquivalence:
             ids = [f"n{i:04d}" for i in range(n)]
             q = rng.normal(size=rows.shape[1])
             h = personalization(q, rows)
-            g = build_local_subgraph(ids, rows, tau)
+            g = build_local_subgraph(rows, tau)
             weights = g.weights.copy()
             got = ppr(g.weights, h, cfg)
             ref_weights, ref_adjacency = reference_subgraph(rows, tau)
@@ -282,11 +288,10 @@ class TestTieAwareEquivalence:
             assert n == 2 or len(groups) < n  # fixture precondition: rows repeat
             # the grouped path gives every member of a group one score
             distinct, group, sizes = group_rows(rows)
-            grouped = build_local_subgraph(ids, distinct, tau, group)
+            grouped = build_local_subgraph(distinct, tau, group)
             tied = ppr(grouped.weights, personalization(q, distinct, sizes), cfg, sizes).scores[group]
             assert all(len(set(tied[members])) == 1 for members in groups)
-            ranking = [tid for tid, _ in _rank(ids, tied, n)]
-            assert ranking == [tid for tid, _ in _rank(ids, tie_by_group(oracle, groups), n)]
+            assert ranked_ids(ids, tied, n) == ranked_ids(ids, tie_by_group(oracle, groups), n)
 
 
 class TestGroupedPath:
@@ -303,7 +308,7 @@ class TestGroupedPath:
         zero = np.flatnonzero(~distinct.any(axis=1))
         assert len(zero) == 1 and sizes[zero[0]] >= 2  # fixture precondition
         assert n == 2 or len(distinct) < n             # fixture precondition: rows repeat
-        g = build_local_subgraph(ids, distinct, tau, group)
+        g = build_local_subgraph(distinct, tau, group)
         assert g.weights.shape == (len(distinct), len(distinct))
         weight, edge = node_matrix(g)
 
@@ -340,15 +345,13 @@ class TestGroupedPath:
         assert scores.sum() == pytest.approx(1.0, abs=1e-12)
         groups = duplicate_groups(rows)
         assert all(len(set(scores[members])) == 1 for members in groups)
-        ranking = [tid for tid, _ in _rank(ids, scores, n)]
-        assert ranking == [tid for tid, _ in _rank(ids, tie_by_group(oracle, groups), n)]
+        assert ranked_ids(ids, scores, n) == ranked_ids(ids, tie_by_group(oracle, groups), n)
 
     def test_singletons_are_the_plain_graph(self):
         rng = np.random.default_rng(5)
         rows = rng.normal(size=(50, 8))
-        ids = [f"n{i:02d}" for i in range(50)]
-        plain = build_local_subgraph(ids, rows, 0.2)
-        grouped = build_local_subgraph(ids, rows, 0.2, np.arange(50))
+        plain = build_local_subgraph(rows, 0.2)
+        grouped = build_local_subgraph(rows, 0.2, np.arange(50))
         assert np.array_equal(plain.weights, grouped.weights)
         q = rng.normal(size=8)
         ones = np.ones(50, dtype=np.int64)
@@ -389,14 +392,12 @@ class TestTransitionMatrix:
 class TestPersonalization:
     def test_single_node(self):
         vecs = {"only": np.array([1.0, 0.0])}
-        g = subgraph(vecs, tau=0.0)
-        h = personalization([1.0, 0.0], sem_rows(g, vecs))
+        h = personalization([1.0, 0.0], sem_rows(vecs))
         assert np.allclose(h, [1.0])
 
     def test_equal_scores_split_evenly(self):
         vecs = {"a": np.array([1.0, 0.0]), "b": np.array([1.0, 0.0])}
-        g = subgraph(vecs, tau=0.0)
-        h = personalization([1.0, 0.0], sem_rows(g, vecs))
+        h = personalization([1.0, 0.0], sem_rows(vecs))
         assert np.allclose(h, [0.5, 0.5])
 
     def test_clamped_scores_normalized(self):
@@ -405,19 +406,17 @@ class TestPersonalization:
             "b": np.array([0.2, 0.0, 0.9]),
             "c": np.array([-1.0, 0.0, 0.0]),  # negative cosine clamps to 0
         }
-        g = subgraph(vecs, tau=0.0)
         q = np.array([1.0, 0.0, 0.0])
         raw = {tid: max(0.0, representative_score(v, q)) for tid, v in vecs.items()}
         total = sum(raw.values())
-        h = personalization(q, sem_rows(g, vecs))
-        for i, tid in enumerate(g.node_ids):
+        h = personalization(q, sem_rows(vecs))
+        for i, tid in enumerate(sorted(vecs)):
             assert h[i] == pytest.approx(raw[tid] / total)
-        assert h[g.node_ids.index("c")] == 0.0
+        assert h[sorted(vecs).index("c")] == 0.0
 
     def test_all_zero_scores_fall_back_to_uniform(self):
         vecs = {"a": np.array([0.0, 1.0]), "b": np.array([0.0, 1.0])}
-        g = subgraph(vecs, tau=0.0)
-        h = personalization([1.0, 0.0], sem_rows(g, vecs))
+        h = personalization([1.0, 0.0], sem_rows(vecs))
         assert np.allclose(h, [0.5, 0.5])
 
     def test_allocates_no_copy_of_the_rows(self):
@@ -512,20 +511,28 @@ class TestPPR:
 
 
 class TestRank:
+    """``top_k``, the rule that ranks the fine stage's tables and picks the
+    typical nodes."""
+
     def test_ties_straddling_cutoff(self):
-        ids = ["e", "d", "c", "b", "a", "f"]
+        # Position i scores index row rows[i]; the ids run against row order,
+        # so a tie broken by table_ids[i] would pick c over a and b.
+        table_ids = ["z", "e", "y", "d", "x", "c", "w", "b", "v", "a", "f"]
+        rows = np.array([1, 3, 5, 7, 9, 10])  # ids e, d, c, b, a, f
         scores = np.array([0.1, 0.3, 0.2, 0.2, 0.2, 0.0])
-        assert _rank(ids, scores, 3) == [("d", 0.3), ("a", 0.2), ("b", 0.2)]
+        assert top_k(scores, rows, table_ids, 3).tolist() == [1, 4, 3]  # d, a, b
 
     def test_matches_full_sort(self):
         rng = np.random.default_rng(41)
         for _ in range(50):
             n = int(rng.integers(1, 30))
-            ids = [f"t{i:02d}" for i in rng.permutation(n)]
+            table_ids = [f"t{i:02d}" for i in rng.permutation(2 * n)]
+            rows = np.sort(rng.choice(2 * n, size=n, replace=False))
             scores = rng.integers(0, 4, size=n) / 4.0
-            full = sorted(range(n), key=lambda i: (-scores[i], ids[i]))
-            for top_n in range(1, n + 2):
-                assert _rank(ids, scores, top_n) == [(ids[i], float(scores[i])) for i in full[:top_n]]
+            full = sorted(range(n), key=lambda i: (-scores[i], table_ids[rows[i]]))
+            for k in range(1, n + 2):
+                got = top_k(scores, rows, table_ids, k)
+                assert got.dtype == np.int64 and got.tolist() == full[:k]
 
 
 class TestFineRetrieve:
@@ -587,14 +594,31 @@ class TestFineRetrieve:
         groups = duplicate_groups(ix.sem)  # K=1: the union is every row, in order
         assert any(len(members) > 1 for members in groups)
         assert len(result.subgraph.weights) == len(groups)
-        full = build_local_subgraph(result.subgraph.node_ids, ix.sem, 0.5)
+        full = build_local_subgraph(ix.sem, 0.5)
         raw = ppr(full.weights, personalization(coarse.query_features.sem, ix.sem), cfg)
         assert np.max(np.abs(result.all_scores - raw.scores)) < 1e-15
         assert all(len(set(result.all_scores[members])) == 1 for members in groups)
         scores = tie_by_group(raw.scores, groups)
-        ids = result.subgraph.node_ids
+        ids = corpus.ids()
         order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
         assert [tid for tid, _ in result.ranked] == [ids[i] for i in order]
+
+    def test_ranked_nodes_are_the_ranked_tables(self, handle):
+        # Ids are shuffled against corpus order, and duplicate sem rows tie,
+        # so the ranking must break ties through the ids of the union's rows.
+        base = make_topic_corpus(120, 4, seed=6)
+        shuffled = np.random.default_rng(1).permutation(len(base))
+        corpus = TableCorpus([dataclasses.replace(t, id=f"r{j:03d}") for t, j in zip(base, shuffled)])
+        ix = build_index(corpus, extract_all(corpus, handle), K=4, k=10, seed=3)
+        coarse, result = retrieve(make_topic_query(0, seed=2), ix, handle, PPRConfig(top_n=20), tau=0.5)
+        union, scores = coarse.union_ids, result.all_scores
+        assert len(union) < len(corpus)  # fixture precondition: the union is a proper subset
+        assert [ix.table_ids[union[i]] for i in result.ranked_nodes] == [tid for tid, _ in result.ranked]
+        assert scores[result.ranked_nodes].tolist() == [s for _, s in result.ranked]
+        full = sorted(range(len(union)), key=lambda i: (-scores[i], ix.table_ids[union[i]]))
+        assert result.ranked_nodes.tolist() == full[:20]
+        # fixture precondition: breaking ties by position would rank otherwise
+        assert full[:20] != sorted(range(len(union)), key=lambda i: (-scores[i], i))[:20]
 
     def test_low_alpha_matches_cosine_ranking(self, handle):
         corpus, q = make_angle_corpus(20)

@@ -13,7 +13,16 @@ from scipy import sparse
 
 from tablerank import index, save_corpus
 from tablerank.errors import IOFailure, KTooLarge, TableRankError, VersionMismatch
-from tablerank.features import EmbedderHandle, extract_all, standardize_struct, struct_stats, unit_rows
+from tablerank.corpus import TableCorpus
+from tablerank.features import (
+    EmbedderHandle,
+    cosines,
+    extract_all,
+    row_norms,
+    standardize_struct,
+    struct_stats,
+    unit_rows,
+)
 from tablerank.fine import retrieve
 from tablerank.index import (
     FAMILY_TYPES,
@@ -804,3 +813,30 @@ class TestTypicalConsistency:
                 ]
                 expect = select_typical(members, result.centroids[j], k=5)
                 assert [ix.table_ids[i] for i in fam.typical[j]] == expect
+
+    def test_ties_break_on_id_not_position(self, handle):
+        # Topic tables repeat their struct and heur rows, and often their sem
+        # rows, so most cosines to a centroid tie; the ids are shuffled against
+        # corpus order. The typical lists must equal the full sort by
+        # (-score, id).
+        base = make_topic_corpus(60, 3, seed=8)
+        shuffled = np.random.default_rng(1).permutation(len(base))
+        corpus = TableCorpus([dataclasses.replace(t, id=f"r{j:03d}") for t, j in zip(base, shuffled)])
+        ix = build_index(corpus, extract_all(corpus, handle), K=3, k=5, seed=4)
+        table_ids = ix.table_ids
+        spaces = {"sem": unit_rows(ix.sem), "struct": ix.struct_z(), "heur": unit_rows(ix.heur)}
+        by_position = 0
+        for fam_idx, phi in enumerate(FAMILY_TYPES):
+            fam = ix.families[phi]
+            child_seed = int(np.random.SeedSequence([4, fam_idx]).generate_state(1)[0])
+            result = kmeans(spaces[phi], 3, seed=child_seed,
+                            max_iter=index.KMEANS_MAX_ITER, n_init=index.KMEANS_RESTARTS)
+            space = spaces[phi]
+            norms = row_norms(space)
+            for j in range(3):
+                pos = np.flatnonzero(result.assignments == j)
+                scores = cosines(space[pos], norms[pos], result.centroids[j])
+                order = sorted(range(len(pos)), key=lambda i: (-scores[i], table_ids[pos[i]]))
+                assert fam.typical[j].tolist() == pos[order[:5]].tolist()
+                by_position += order[:5] != sorted(range(len(pos)), key=lambda i: (-scores[i], i))[:5]
+        assert by_position > 0  # fixture precondition: some ties fall across the cutoff

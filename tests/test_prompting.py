@@ -18,13 +18,15 @@ from conftest import make_table
 
 def make_result(ids, weights: np.ndarray, scores=None, tau: float = 0.1) -> RetrievalResult:
     n = len(ids)
+    nodes = sorted(ids)  # node i stands for nodes[i]
     # with tau > 0, exactly the positive weights are edges
-    g = LocalSubgraph(node_ids=sorted(ids), group=np.arange(n), weights=weights, tau=tau)
+    g = LocalSubgraph(group=np.arange(n), weights=weights, tau=tau)
     scores = scores if scores is not None else np.linspace(1.0, 0.1, n)
     scores = scores / scores.sum()
-    ranked = sorted(zip(g.node_ids, scores), key=lambda p: (-p[1], p[0]))
+    order = sorted(range(n), key=lambda i: (-scores[i], nodes[i]))
     return RetrievalResult(
-        ranked=[(tid, float(s)) for tid, s in ranked],
+        ranked=[(nodes[i], float(scores[i])) for i in order],
+        ranked_nodes=np.array(order),
         subgraph=g,
         timings={},
         all_scores=scores,
@@ -118,6 +120,7 @@ class TestBuildPrompt:
         w = np.triu(w, 1) + np.triu(w, 1).T
         result = make_result(ids, w)
         result.ranked = result.ranked[:3]  # rank cutoff below subgraph size
+        result.ranked_nodes = result.ranked_nodes[:3]
         tables = [make_table(t) for t in ids]
         bundle = build_prompt("q", result, tables, TaskType.MULTI_HOP)
         aliases = {f"Table {i + 1}" for i in range(3)}
@@ -137,6 +140,17 @@ class TestBuildPrompt:
             bundle = build_prompt("q", result, tables, TaskType.SINGLE_HOP)
             lengths.append(len(bundle.user))
         assert lengths == sorted(lengths)
+
+    def test_records_follow_ranked_nodes(self):
+        # Rank order (tc, ta, tb) differs from node order (ta, tb, tc); the
+        # one edge, between nodes 1 and 2, joins Table 3 and Table 1.
+        weights = np.zeros((3, 3))
+        weights[1, 2] = weights[2, 1] = 0.8
+        result = make_result(["ta", "tb", "tc"], weights, scores=np.array([0.3, 0.2, 0.5]))
+        assert [tid for tid, _ in result.ranked] == ["tc", "ta", "tb"]
+        tables = [make_table(t) for t in ("ta", "tb", "tc")]
+        bundle = build_prompt("q", result, tables, TaskType.SINGLE_HOP)
+        assert [(r["source_node"], r["target_node"]) for r in bundle.graph_records] == [("Table 1", "Table 3")]
 
     def test_missing_table_object_rejected(self):
         result = make_result(["ta", "tb"], np.zeros((2, 2)))
