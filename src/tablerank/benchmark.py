@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .corpus import Query, Table, TableCorpus, TaskType, load_corpus, save_corpus
+from .corpus import Query, Table, TableCorpus, TaskType, load_corpus, save_corpus, validate_query
 from .errors import IOFailure, SchemaViolation, TooFewCols, TooFewQueries, TooFewRows
 from .features import STOPWORDS, fit_heuristic, tokenize
 from .linearize import normalize_whitespace
@@ -80,21 +80,6 @@ _TEMPLATES = (
 
 _DECONTEXT_MARKERS = ("it", "this", "that", "they", "these", "there", "here")
 _DECONTEXT_RE = re.compile(r"\b(" + "|".join(_DECONTEXT_MARKERS) + r")\b", re.IGNORECASE)
-
-
-@dataclass(frozen=True)
-class SplitPlan:
-    mode: str  # "row", "column", or "none" when parts == 1
-    parts: int
-    seed: int
-
-    def __post_init__(self):
-        if self.parts not in (1, 2, 3):
-            raise ValueError("parts must be 1, 2, or 3")
-        if self.parts == 1 and self.mode != "none":
-            raise ValueError("a 1-part plan has no split mode")
-        if self.parts > 1 and self.mode not in ("row", "column"):
-            raise ValueError("mode must be 'row' or 'column'")
 
 
 @dataclass
@@ -339,7 +324,6 @@ def combine_queries(
         id="+".join(q.id for q in queries),
         text=text,
         task_type=task,
-        gold_table_ids=set(),
         gold_answer=answer,
     )
 
@@ -390,7 +374,6 @@ def build_benchmark(
             feasible = _feasible_parts(root, parts)
 
         if parts == 1:
-            plan = SplitPlan(mode="none", parts=1, seed=root_seed)
             subs = [root]
         else:
             options = [m for m in ("row", "column") if feasible[m]]
@@ -404,7 +387,6 @@ def build_benchmark(
                     mode = options[int(master.integers(2))]
             else:
                 mode = options[0]
-            plan = SplitPlan(mode=mode, parts=parts, seed=root_seed)
             if mode == "row":
                 subs = split_rows(root, parts, root_seed)
             else:
@@ -418,18 +400,16 @@ def build_benchmark(
             continue
         if len(root_queries) >= 2:
             take = 3 if len(root_queries) >= 3 and master.integers(2) == 1 else 2
-            combined = combine_queries(root_queries[:take], connectors, seed=plan.seed)
+            combined = combine_queries(root_queries[:take], connectors, seed=root_seed)
         else:
             src = root_queries[0]
             combined = Query(
                 id=src.id,
                 text=normalize_whitespace(src.text),
                 task_type=src.task_type,
-                gold_table_ids=set(),
                 gold_answer=src.answer,
             )
         combined.text = decontextualize(combined.text, root.caption)
-        combined.gold_table_ids = {s.id for s in subs}
         examples.append(
             BenchmarkExample(
                 query=combined,
@@ -533,14 +513,20 @@ def _parse_records(lines: list[str], name: str, build: Callable[[dict], object])
 
 
 def _example_from_record(rec: dict) -> BenchmarkExample:
-    gold = set(rec["gold_table_ids"])
+    text, gold = rec["text"], rec["gold_table_ids"]
+    if not isinstance(text, str):
+        raise ValueError(f"text must be a string, got {text!r}")
+    if not isinstance(gold, list) or not all(isinstance(tid, str) for tid in gold):
+        raise ValueError(f"gold_table_ids must be a list of strings, got {gold!r}")
     q = Query(
         id=rec["id"],
-        text=rec["text"],
+        text=text,
         task_type=TaskType(rec["task_type"]),
-        gold_table_ids=gold,
         gold_answer=rec["gold_answer"],
     )
+    violations = validate_query(q)
+    if violations:
+        raise ValueError("; ".join(v.message for v in violations))
     return BenchmarkExample(
         query=q,
         gold_table_ids=set(gold),

@@ -60,8 +60,7 @@ class RunConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}  # type names, as strings
 _ACCEPTED_TYPES = {"int": int, "float": (int, float), "str": str}
-_POSITIVE_INTS = ("K", "k", "dimension", "batch_limit")
-_FAMILY_K_FLAGS = ("K_sem", "K_struct", "K_heur")
+_POSITIVE_INTS = ("K", "k")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -94,15 +93,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(**values)
     try:
         cfg.ppr()
+        cfg.handle()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if not 0.0 <= cfg.tau <= 1.0:
         raise UsageError("tau must lie in [0, 1]")
     if cfg.seed < 0:
         raise UsageError("seed must be non-negative")
-    counts = {name: getattr(cfg, name) for name in _POSITIVE_INTS}
-    counts.update({name: getattr(args, name, None) for name in _FAMILY_K_FLAGS})
-    too_small = [name for name, n in counts.items() if n is not None and n < 1]
+    too_small = [name for name in _POSITIVE_INTS if getattr(cfg, name) < 1]
     if too_small:
         raise UsageError(f"{', '.join(too_small)} must be at least 1")
     log.info("resolved config: %s", json.dumps(asdict(cfg), sort_keys=True))
@@ -140,9 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--K", type=int, default=None, help="clusters per feature family")
     p.add_argument("--k", type=int, default=None, help="typical nodes per cluster")
-    p.add_argument("--K-sem", dest="K_sem", type=int, default=None, help="experimental per-family override")
-    p.add_argument("--K-struct", dest="K_struct", type=int, default=None, help="experimental per-family override")
-    p.add_argument("--K-heur", dest="K_heur", type=int, default=None, help="experimental per-family override")
     _add_common(p)
 
     p = sub.add_parser("retrieve", help="run coarse/fine retrieval for one query")
@@ -192,18 +187,7 @@ def _cmd_build_index(args, cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     features = extract_all(corpus, cfg.handle())
     t_extract = time.perf_counter()
-    k_per_family = {}
-    for phi, flag in (("sem", args.K_sem), ("struct", args.K_struct), ("heur", args.K_heur)):
-        if flag is not None:
-            k_per_family[phi] = flag
-    ix = build_index(
-        corpus,
-        features,
-        K=cfg.K,
-        k=cfg.k,
-        seed=cfg.seed,
-        k_per_family=k_per_family or None,
-    )
+    ix = build_index(corpus, features, K=cfg.K, k=cfg.k, seed=cfg.seed)
     t_cluster = time.perf_counter()
     save_index(ix, args.out)
     # Round the timestamps, then difference them, so the parts never sum

@@ -64,7 +64,6 @@ class Query:
     id: str
     text: str
     task_type: TaskType
-    gold_table_ids: set[str] = field(default_factory=set)
     gold_answer: object = None
 
 

@@ -177,7 +177,6 @@ class RetrievalReport:
     corpus_size: int
     mean_coarse_retained: float
     mean_coarse_fraction: float
-    final_k: int
 
     def pretty(self) -> str:
         lines = [
@@ -251,7 +250,6 @@ def run_retrieval_eval(
         corpus_size=len(ix),
         mean_coarse_retained=float(np.mean(retained)),
         mean_coarse_fraction=float(np.mean(retained)) / max(len(ix), 1),
-        final_k=depth,
     )
 
 

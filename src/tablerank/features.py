@@ -352,7 +352,7 @@ def extract_all(corpus: TableCorpus, h: EmbedderHandle) -> CorpusFeatures:
     aborts the build, naming the first table of the failed batch.
     """
     ordered = list(corpus)
-    sequences = [linearize(t).sequence for t in ordered]
+    sequences = [linearize(t) for t in ordered]
     token_lists = [tokenize(seq) for seq in sequences]
     vectorizer = fit_heuristic(token_lists)
     try:

@@ -150,7 +150,6 @@ class RetrievalResult:
     all_scores: np.ndarray
     iterations: int
     converged: bool
-    zero_scores_in_ranked: bool
 
 
 def build_local_subgraph(sem_rows: np.ndarray, tau: float, group: np.ndarray | None = None) -> LocalSubgraph:
@@ -271,9 +270,9 @@ def fine_retrieve(
     h = personalization(coarse.query_features.sem, sem_rows, sizes)
     result = ppr(g.weights, h, cfg, sizes)
     scores = result.scores[group]
-    elapsed = time.perf_counter() - t0
     nodes = top_k(scores, union, ix.table_ids, cfg.top_n)
     ranked = [(ix.table_ids[union[i]], float(scores[i])) for i in nodes]
+    elapsed = time.perf_counter() - t0
     return RetrievalResult(
         ranked=ranked,
         ranked_nodes=nodes,
@@ -282,7 +281,6 @@ def fine_retrieve(
         all_scores=scores,
         iterations=result.iterations,
         converged=result.converged,
-        zero_scores_in_ranked=any(s == 0.0 for _, s in ranked),
     )
 
 

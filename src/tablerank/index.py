@@ -32,7 +32,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -384,16 +384,13 @@ def build_index(
     K: int = DEFAULT_CLUSTERS,
     k: int = DEFAULT_TYPICAL,
     seed: int = 0,
-    k_per_family: Mapping[str, int] | None = None,
 ) -> HypergraphIndex:
     """Cluster every feature family and assemble the persistent index.
 
     ``features`` holds one row per table in corpus order, as ``extract_all``
-    returns them. ``k_per_family`` optionally overrides the cluster count of
-    individual families (experimental); every family defaults to K. Each
-    family's clustering runs KMEANS_RESTARTS seeded restarts, keeping the best
-    objective. Like ``load_index``, it tunes the allocator
-    (``_retain_freed_memory``).
+    returns them. Every family gets K clusters; its clustering runs
+    KMEANS_RESTARTS seeded restarts, keeping the best objective. Like
+    ``load_index``, it tunes the allocator (``_retain_freed_memory``).
     """
     table_ids = corpus.ids()
     sem = np.asarray(features.sem, dtype=np.float64)
@@ -419,15 +416,15 @@ def build_index(
         "heur": unit_rows(heur),
     }
 
-    ks = {phi: int((k_per_family or {}).get(phi, K)) for phi in FAMILY_TYPES}
+    K = int(K)
     families: dict[str, ClusterFamily] = {}
     for fam_idx, phi in enumerate(FAMILY_TYPES):
         child_seed = int(np.random.SeedSequence([seed, fam_idx]).generate_state(1)[0])
         space = spaces[phi]
-        result = kmeans(space, ks[phi], seed=child_seed, max_iter=KMEANS_MAX_ITER, n_init=KMEANS_RESTARTS)
+        result = kmeans(space, K, seed=child_seed, max_iter=KMEANS_MAX_ITER, n_init=KMEANS_RESTARTS)
         norms = row_norms(space)
         typical: list[np.ndarray] = []
-        for j in range(ks[phi]):
+        for j in range(K):
             pos = np.flatnonzero(result.assignments == j)
             scores = cosines(space[pos], norms[pos], result.centroids[j])
             typical.append(pos[top_k(scores, pos, table_ids, k)])
@@ -441,7 +438,7 @@ def build_index(
         )
 
     params = IndexParams(
-        k_per_family=ks,
+        k_per_family={phi: K for phi in FAMILY_TYPES},
         typical_k=k,
         seed=seed,
         embedder_dimension=sem.shape[1],

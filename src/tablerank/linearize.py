@@ -13,7 +13,6 @@ normalization, so they can run through the same feature extractors as tables.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .corpus import Query, Table
 
@@ -25,25 +24,19 @@ _MARKER_RE = re.compile(r"\[(Table|Caption|Header)\]")
 _WS_RE = re.compile(r"\s+")
 
 
-@dataclass(frozen=True)
-class LinearizedTable:
-    table_id: str
-    sequence: str
-
-
 def _escape_markers(text: str) -> str:
     # Payload text containing a literal marker is escaped by doubling the
     # brackets so the marker grammar stays unambiguous.
     return _MARKER_RE.sub(lambda m: f"[[{m.group(1)}]]", text)
 
 
-def linearize(t: Table) -> LinearizedTable:
+def linearize(t: Table) -> str:
     """Render a table's schema as its marker-delimited sequence."""
     parts = [MARKER_TABLE, MARKER_CAPTION, _escape_markers(t.caption)]
     for h in t.headers:
         parts.append(MARKER_HEADER)
         parts.append(_escape_markers(h))
-    return LinearizedTable(table_id=t.id, sequence=" ".join(parts))
+    return " ".join(parts)
 
 
 def linearize_query(q: Query) -> str:

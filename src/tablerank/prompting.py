@@ -15,7 +15,6 @@ three decimals.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -77,9 +76,6 @@ _ANSWER_RE = re.compile(r"<answer>(.*?)</answer>", re.DOTALL)
 class PromptBundle:
     system: str
     user: str
-    graph_records: list[dict]
-    task_instruction: str
-    fewshot: list[str]
 
 
 @dataclass
@@ -104,26 +100,26 @@ def render_table_html(t: Table) -> str:
     return "\n".join(lines)
 
 
-def _graph_records(result: RetrievalResult) -> list[dict]:
+# json.dumps's layout for one record; %r is float.__repr__, which json.dumps
+# uses for floats too, and the weights are finite.
+_RECORD_LINE = (
+    '{"source_node": "Table %d", "target_node": "Table %d", '
+    '"relationship": {"type": "similarity", "score": %r}}'
+)
+
+
+def _graph_records(result: RetrievalResult) -> list[str]:
+    """One JSON line per edge among the ranked tables, lower alias first."""
     g = result.subgraph
     pos = result.ranked_nodes
     edges = g.has_edge(pos[:, None], pos[None, :]).tolist()
     weights = g.weight(pos[:, None], pos[None, :]).tolist()
-    records: list[dict] = []
-    for a in range(len(pos)):
-        for b in range(a + 1, len(pos)):
-            if edges[a][b]:
-                records.append(
-                    {
-                        "source_node": f"Table {a + 1}",
-                        "target_node": f"Table {b + 1}",
-                        "relationship": {
-                            "type": "similarity",
-                            "score": round(weights[a][b], 3),
-                        },
-                    }
-                )
-    return records
+    return [
+        _RECORD_LINE % (a + 1, b + 1, round(weights[a][b], 3))
+        for a in range(len(pos))
+        for b in range(a + 1, len(pos))
+        if edges[a][b]
+    ]
 
 
 def build_prompt(
@@ -145,12 +141,10 @@ def build_prompt(
     if missing:
         raise ValueError(f"no Table provided for ranked ids: {missing[:5]}")
 
-    records = _graph_records(result)
     rendered = []
     for i, (tid, _) in enumerate(result.ranked):
         rendered.append(f"Table {i + 1} (id: {tid}):\n{render_table_html(by_id[tid])}")
-    record_lines = "\n".join(json.dumps(r, sort_keys=False) for r in records)
-    task_instruction = TASK_INSTRUCTIONS[task_type]
+    record_lines = "\n".join(_graph_records(result))
     fewshot_block = "\n".join(fewshot) if fewshot else "(no examples provided)"
 
     user = "\n".join(
@@ -171,7 +165,7 @@ def build_prompt(
             "",
             "# Step Two: Answer the query based on the retrieved tables",
             "The detailed instruction for this task is:",
-            task_instruction,
+            TASK_INSTRUCTIONS[task_type],
             "",
             _STEP_THREE,
             "",
@@ -183,13 +177,7 @@ def build_prompt(
             "Now Output Your response below:",
         ]
     )
-    return PromptBundle(
-        system=SYSTEM_MESSAGE,
-        user=user,
-        graph_records=records,
-        task_instruction=task_instruction,
-        fewshot=list(fewshot),
-    )
+    return PromptBundle(system=SYSTEM_MESSAGE, user=user)
 
 
 def parse_response(text: str) -> ParsedResponse:

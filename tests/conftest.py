@@ -141,7 +141,7 @@ def reference_extract_structural(text: str) -> np.ndarray:
 
 def reference_extract_all(corpus: TableCorpus, h: EmbedderHandle) -> CorpusFeatures:
     """Per-table features stacked in corpus order (builtin embedder only)."""
-    sequences = [linearize(t).sequence for t in corpus]
+    sequences = [linearize(t) for t in corpus]
     v = reference_fit_heuristic(sequences)
     heur = sparse.vstack([reference_transform(v, seq) for seq in sequences]).tocsr()
     heur.sort_indices()
@@ -156,6 +156,16 @@ def reference_extract_all(corpus: TableCorpus, h: EmbedderHandle) -> CorpusFeatu
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal shape, dtype and bytes (so -0.0 differs from 0.0)."""
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def prompt_graph_records(user: str) -> list[dict]:
+    """The graph records of a prompt's ``user`` text, each line parsed with
+    json.loads: the lines after "Graph Related Information:" up to the next
+    blank line."""
+    block = user.split("Graph Related Information:\n", 1)[1].split("\n\n", 1)[0]
+    if block == "(no edges among the retrieved tables)":
+        return []
+    return [json.loads(line) for line in block.split("\n")]
 
 
 def make_table(tid: str, caption: str = "caption", headers=None, entries=None, metadata=None) -> Table:

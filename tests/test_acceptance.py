@@ -45,7 +45,14 @@ from tablerank.index import build_index, save_index
 from tablerank.linearize import linearize_query
 from tablerank.prompting import build_prompt, parse_response
 
-from conftest import make_angle_corpus, make_table, make_topic_corpus, make_topic_query, representative_score
+from conftest import (
+    make_angle_corpus,
+    make_table,
+    make_topic_corpus,
+    make_topic_query,
+    prompt_graph_records,
+    representative_score,
+)
 from test_fine import solve_ppr_oracle, transition_matrix
 
 
@@ -259,8 +266,9 @@ def test_prompt_contract():
     _, result = retrieve(query, ix, handle, PPRConfig(top_n=4), tau=0.0)
     bundle = build_prompt(query.text, result, list(corpus), TaskType.TFV)
 
-    assert bundle.graph_records, "ranked tables should be interconnected"
-    for rec in bundle.graph_records:
+    records = prompt_graph_records(bundle.user)
+    assert records, "ranked tables should be interconnected"
+    for rec in records:
         score = rec["relationship"]["score"]
         assert rec["relationship"]["type"] == "similarity"
         assert score == round(score, 3)

@@ -525,6 +525,24 @@ class TestBuildBenchmark:
         assert reasons[1] == "missing key 'difficulty'"
         assert reasons[2].startswith("invalid JSON")
 
+    @pytest.mark.parametrize("change, reason", [
+        ({"text": "   "}, "query text is empty after trimming"),
+        ({"text": 5}, "text must be a string, got 5"),
+        ({"gold_table_ids": "root00"}, "gold_table_ids must be a list of strings, got 'root00'"),
+        ({"gold_table_ids": ["root00", 3]}, "gold_table_ids must be a list of strings, got ['root00', 3]"),
+        ({"task_type": "TFV", "gold_answer": 2}, "TFV answer must be 0 or 1, got 2"),
+    ], ids=["blank-text", "number-text", "string-gold", "number-in-gold", "bad-tfv-label"])
+    def test_malformed_example_is_a_line_numbered_violation(self, tmp_path, change, reason):
+        corpus, queries = _benchmark_sources()
+        save_benchmark(build_benchmark(corpus, queries, seed=3), tmp_path / "out")
+        path = tmp_path / "out" / "examples.jsonl"
+        lines = path.read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), **change})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaViolation) as info:
+            load_benchmark(tmp_path / "out")
+        assert info.value.violations == [("<examples.jsonl line 2>", f"malformed record: {reason}")]
+
     def test_truncated_stats_is_violation(self, tmp_path):
         corpus, queries = _benchmark_sources()
         save_benchmark(build_benchmark(corpus, queries, seed=3), tmp_path / "out")

@@ -153,8 +153,7 @@ class TestBuildIndex:
         # 1e-9 absorbs the float addition of two 3-decimal values.
         assert sum(parts) <= line["build_seconds"] + 1e-9
 
-    @pytest.mark.parametrize("flag", ["--K", "--k", "--dimension", "--batch-limit",
-                                      "--K-sem", "--K-struct", "--K-heur"])
+    @pytest.mark.parametrize("flag", ["--K", "--k", "--dimension", "--batch-limit"])
     def test_count_below_one_exits_2(self, tmp_path, corpus_file, capsys, flag):
         assert main(["build-index", "--corpus", str(corpus_file),
                      "--out", str(tmp_path / "x.idx"), flag, "0"]) == 2
@@ -338,6 +337,23 @@ class TestBenchmarkAndEval:
         err = capsys.readouterr().err
         assert "SchemaViolation: 1 schema violation(s): <queries.jsonl line 20>: " in err
         assert f"TFV answer must be 0 or 1, got {shown}" in err
+        assert "Traceback" not in err
+
+    def test_blank_example_text_exits_1(self, tmp_path, capsys):
+        src = _sources_dir(tmp_path)
+        ds_dir, idx = tmp_path / "dataset", tmp_path / "bench.idx"
+        assert main(["build-benchmark", "--sources", str(src), "--out", str(ds_dir)]) == 0
+        assert main(["build-index", "--corpus", str(ds_dir / "tables.jsonl"), "--out", str(idx),
+                     "--K", "3", "--k", "20"]) == 0
+        path = ds_dir / "examples.jsonl"
+        lines = path.read_text().splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), "text": "   "})
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["eval-retrieval", "--index", str(idx), "--dataset", str(ds_dir), "--ks", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "SchemaViolation" in err and "<examples.jsonl line 1>: " in err
+        assert "query text is empty after trimming" in err
         assert "Traceback" not in err
 
     def test_benchmark_determinism_via_cli(self, tmp_path, capsys):

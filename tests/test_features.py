@@ -578,7 +578,7 @@ class TestExtractAllOracle:
         h = EmbedderHandle(dimension=64)
         got = extract_all(corpus, h)
         for i, t in enumerate(corpus):
-            seq = linearize(t).sequence
+            seq = linearize(t)
             assert same_bits(got.sem[i], reference_hash_embed(seq, 64))
-        joined = " ".join(linearize(t).sequence for t in corpus)
+        joined = " ".join(linearize(t) for t in corpus)
         assert "omega table" in " ".join(tokenize(joined))

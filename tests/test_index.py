@@ -374,13 +374,6 @@ class TestBuildIndex:
                 paths.append(p)
             assert paths[0].read_bytes() == paths[1].read_bytes(), name
 
-    def test_per_family_override(self, handle):
-        corpus = make_topic_corpus(20, 2, seed=1)
-        feats = extract_all(corpus, handle)
-        ix = build_index(corpus, feats, K=4, k=5, seed=0, k_per_family={"heur": 2})
-        assert ix.families["sem"].n_clusters == 4
-        assert ix.families["heur"].n_clusters == 2
-
 
 @pytest.fixture
 def built(handle):

@@ -7,15 +7,15 @@ from conftest import make_table
 class TestLinearize:
     def test_reference_sequence(self):
         t = make_table("t", caption="NFL 2019", headers=["Team", "Wins"])
-        assert linearize(t).sequence == "[Table] [Caption] NFL 2019 [Header] Team [Header] Wins"
+        assert linearize(t) == "[Table] [Caption] NFL 2019 [Header] Team [Header] Wins"
 
     def test_empty_caption_keeps_empty_payload(self):
         t = make_table("t", caption="", headers=["x"], entries=[["1"]])
-        assert linearize(t).sequence == "[Table] [Caption]  [Header] x"
+        assert linearize(t) == "[Table] [Caption]  [Header] x"
 
     def test_header_marker_count_matches_columns(self):
         t = make_table("t", headers=[f"h{i}" for i in range(5)], entries=[["c"] * 5])
-        seq = linearize(t).sequence
+        seq = linearize(t)
         assert seq.count("[Header]") == 5
         assert seq.count("[Caption]") == 1
         assert seq.startswith("[Table]")
@@ -25,7 +25,7 @@ class TestLinearize:
 
         t = make_table("t", caption="weird [Header] caption", headers=["[Table] col"],
                        entries=[["x"]])
-        seq = linearize(t).sequence
+        seq = linearize(t)
         # Only the structural marker remains unescaped.
         assert len(re.findall(r"(?<!\[)\[Header\](?!\])", seq)) == 1
         assert "[[Header]]" in seq and "[[Table]]" in seq
@@ -33,8 +33,8 @@ class TestLinearize:
     def test_deterministic_and_distinct(self):
         a = make_table("a", caption="one", headers=["x"], entries=[["1"]])
         b = make_table("b", caption="two", headers=["x"], entries=[["1"]])
-        assert linearize(a).sequence == linearize(a).sequence
-        assert linearize(a).sequence != linearize(b).sequence
+        assert linearize(a) == linearize(a)
+        assert linearize(a) != linearize(b)
 
 
 class TestLinearizeQuery:

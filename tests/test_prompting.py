@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from tablerank.errors import MissingAnswerTags
 from tablerank.fine import LocalSubgraph, RetrievalResult
 from tablerank.prompting import (
     SYSTEM_MESSAGE,
+    TASK_INSTRUCTIONS,
     build_prompt,
     make_generator,
     parse_response,
@@ -13,7 +16,7 @@ from tablerank.prompting import (
     stub_na_generator,
 )
 
-from conftest import make_table
+from conftest import make_table, prompt_graph_records
 
 
 def make_result(ids, weights: np.ndarray, scores=None, tau: float = 0.1) -> RetrievalResult:
@@ -32,7 +35,6 @@ def make_result(ids, weights: np.ndarray, scores=None, tau: float = 0.1) -> Retr
         all_scores=scores,
         iterations=1,
         converged=True,
-        zero_scores_in_ranked=False,
     )
 
 
@@ -67,8 +69,9 @@ class TestBuildPrompt:
         result = make_result(["ta", "tb"], weights)
         tables = [make_table("ta"), make_table("tb")]
         bundle = build_prompt("which table?", result, tables, TaskType.SINGLE_HOP)
-        assert len(bundle.graph_records) == 1
-        rec = bundle.graph_records[0]
+        records = prompt_graph_records(bundle.user)
+        assert len(records) == 1
+        rec = records[0]
         assert rec["relationship"] == {"type": "similarity", "score": 0.674}
         assert '"score": 0.674' in bundle.user
 
@@ -76,20 +79,20 @@ class TestBuildPrompt:
         result = make_result(["ta", "tb"], np.zeros((2, 2)))
         bundle = build_prompt("q?", result, [make_table("ta"), make_table("tb")],
                               TaskType.SINGLE_HOP)
-        assert bundle.graph_records == []
+        assert prompt_graph_records(bundle.user) == []
         assert "Graph Related Information:" in bundle.user
 
     def test_tau_zero_pair_is_a_weight_zero_edge(self):
         result = make_result(["ta", "tb"], np.zeros((2, 2)), tau=0.0)
         bundle = build_prompt("q?", result, [make_table("ta"), make_table("tb")],
                               TaskType.SINGLE_HOP)
-        assert [rec["relationship"]["score"] for rec in bundle.graph_records] == [0.0]
+        assert [rec["relationship"]["score"] for rec in prompt_graph_records(bundle.user)] == [0.0]
 
     def test_tfv_instruction_contract(self):
         result = make_result(["ta"], np.zeros((1, 1)))
         bundle = build_prompt("claim", result, [make_table("ta")], TaskType.TFV)
-        assert "return a 0 if it's false, or 1 if it's true" in bundle.task_instruction
-        assert bundle.task_instruction in bundle.user
+        assert "return a 0 if it's false, or 1 if it's true" in TASK_INSTRUCTIONS[TaskType.TFV]
+        assert TASK_INSTRUCTIONS[TaskType.TFV] in bundle.user
 
     def test_structural_blocks_present_in_order(self):
         result = make_result(["ta", "tb"], np.array([[0.0, 0.5], [0.5, 0.0]]))
@@ -124,7 +127,7 @@ class TestBuildPrompt:
         tables = [make_table(t) for t in ids]
         bundle = build_prompt("q", result, tables, TaskType.MULTI_HOP)
         aliases = {f"Table {i + 1}" for i in range(3)}
-        for rec in bundle.graph_records:
+        for rec in prompt_graph_records(bundle.user):
             assert rec["source_node"] in aliases
             assert rec["target_node"] in aliases
             assert 0.0 <= rec["relationship"]["score"] <= 1.0
@@ -150,7 +153,23 @@ class TestBuildPrompt:
         assert [tid for tid, _ in result.ranked] == ["tc", "ta", "tb"]
         tables = [make_table(t) for t in ("ta", "tb", "tc")]
         bundle = build_prompt("q", result, tables, TaskType.SINGLE_HOP)
-        assert [(r["source_node"], r["target_node"]) for r in bundle.graph_records] == [("Table 1", "Table 3")]
+        records = prompt_graph_records(bundle.user)
+        assert [(r["source_node"], r["target_node"]) for r in records] == [("Table 1", "Table 3")]
+
+    def test_record_lines_are_the_json_dumps_of_their_records(self):
+        # Weights that round to 0.0, to a whole number and to three decimals.
+        rng = np.random.default_rng(4)
+        ids = [f"t{i}" for i in range(8)]
+        w = rng.uniform(0.0, 1.0, size=(8, 8)) ** 3
+        w[0, 1] = 1.0
+        w[0, 2] = 4e-4
+        w = np.triu(w, 1) + np.triu(w, 1).T
+        result = make_result(ids, w, tau=0.0)
+        bundle = build_prompt("q", result, [make_table(t) for t in ids], TaskType.SINGLE_HOP)
+        records = prompt_graph_records(bundle.user)
+        assert len(records) == 8 * 7 // 2
+        block = "\n".join(json.dumps(rec) for rec in records)
+        assert "Graph Related Information:\n" + block + "\n\n" in bundle.user
 
     def test_missing_table_object_rejected(self):
         result = make_result(["ta", "tb"], np.zeros((2, 2)))
