@@ -4,7 +4,7 @@ from .corpus import Query, Table, TableCorpus, TaskType, load_corpus, save_corpu
 from .features import CorpusFeatures, EmbedderHandle, NodeFeatures, extract_all
 from .index import HypergraphIndex, build_index, kmeans, load_index, save_index
 from .coarse import CoarseResult, coarse_retrieve, query_features
-from .fine import LocalSubgraph, PPRConfig, RetrievalResult, fine_retrieve, ppr, retrieve
+from .fine import PPRConfig, RetrievalResult, fine_retrieve, ppr, retrieve
 from .prompting import PromptBundle, ParsedResponse, build_prompt, parse_response, render_table_html
 from .benchmark import (
     BenchmarkDataset,
@@ -17,10 +17,8 @@ from .benchmark import (
 from .evaluation import (
     AnswerReport,
     RetrievalReport,
-    StageTimer,
     acc_at_k,
     exact_match,
-    latency_report,
     recall_at_k,
     run_e2e_eval,
     run_retrieval_eval,
@@ -37,7 +35,6 @@ __all__ = [
     "CorpusFeatures",
     "EmbedderHandle",
     "HypergraphIndex",
-    "LocalSubgraph",
     "NodeFeatures",
     "PPRConfig",
     "ParsedResponse",
@@ -46,7 +43,6 @@ __all__ = [
     "RetrievalReport",
     "RetrievalResult",
     "SourceQuery",
-    "StageTimer",
     "Table",
     "TableCorpus",
     "TaskType",
@@ -59,7 +55,6 @@ __all__ = [
     "extract_all",
     "fine_retrieve",
     "kmeans",
-    "latency_report",
     "load_benchmark",
     "load_corpus",
     "load_index",

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .corpus import Query, Table, TableCorpus, TaskType, load_corpus, save_corpus, validate_query
+from .corpus import Query, Table, TableCorpus, TaskType, load_corpus, read_text, save_corpus, validate_query
 from .errors import IOFailure, SchemaViolation, TooFewCols, TooFewQueries, TooFewRows
 from .features import STOPWORDS, fit_heuristic, tokenize
 from .linearize import normalize_whitespace
@@ -538,13 +538,9 @@ def _example_from_record(rec: dict) -> BenchmarkExample:
 def load_benchmark(in_dir: str | Path) -> BenchmarkDataset:
     src = Path(in_dir)
     tables = load_corpus(src / "tables.jsonl", format="jsonl")
+    lines = read_text(src / "examples.jsonl").splitlines()
     try:
-        lines = (src / "examples.jsonl").read_text(encoding="utf-8").splitlines()
-        stats_text = (src / "stats.json").read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IOFailure(f"cannot read benchmark from {src}: {exc}") from exc
-    try:
-        stats = json.loads(stats_text)
+        stats = json.loads(read_text(src / "stats.json"))
     except json.JSONDecodeError as exc:
         raise SchemaViolation([("<stats.json>", f"invalid JSON: {exc.msg}")]) from exc
     examples = _parse_records(lines, "examples.jsonl", _example_from_record)
@@ -570,8 +566,4 @@ def load_source_queries(path: str | Path) -> list[SourceQuery]:
     """Read raw source queries (one JSON record per line). Every bad line is
     reported, by line number, in one SchemaViolation."""
     p = Path(path)
-    try:
-        lines = p.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise IOFailure(f"cannot read {p}: {exc}") from exc
-    return _parse_records(lines, p.name, _source_query_from_record)
+    return _parse_records(read_text(p).splitlines(), p.name, _source_query_from_record)

@@ -70,7 +70,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if config_path:
         try:
             file_values = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file {config_path}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise UsageError(f"config file {config_path} must hold a JSON object")
@@ -208,7 +208,7 @@ def _cmd_build_index(args, cfg: RunConfig) -> int:
 def _adopt_index_dimension(cfg: RunConfig, ix) -> None:
     # The index records the embedding dimension it was built with; querying
     # with anything else can only fail, so inherit it unless overridden.
-    cfg.dimension = ix.params.embedder_dimension
+    cfg.dimension = ix.params["embedder_dimension"]
 
 
 def _cmd_retrieve(args, cfg: RunConfig) -> int:
@@ -291,7 +291,7 @@ def _cmd_inspect(args, cfg: RunConfig) -> int:
     }
     print(json.dumps({
         "tables": len(ix),
-        "params": ix.params.to_json(),
+        "params": ix.params,
         "corpus_digest": ix.corpus_digest,
         "cluster_sizes": sizes,
         "kmeans": kmeans,

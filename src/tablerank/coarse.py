@@ -56,8 +56,8 @@ def query_features(q: Query, ix: HypergraphIndex, h: EmbedderHandle) -> NodeFeat
     heur are raw (cosine is scale-invariant). The text goes through the
     corpus featurizers as a batch of one.
     """
-    if h.dimension != ix.params.embedder_dimension:
-        raise DimensionMismatch(ix.params.embedder_dimension, h.dimension)
+    if h.dimension != ix.params["embedder_dimension"]:
+        raise DimensionMismatch(ix.params["embedder_dimension"], h.dimension)
     texts = [linearize_query(q)]
     token_lists = [tokenize(texts[0])]
     sem = embed_semantic(texts, h, token_lists)[0]

@@ -179,13 +179,18 @@ def _table_from_record(rec: dict, lineno: int, violations: list[tuple[str, str]]
     return table
 
 
+def read_text(path: Path) -> str:
+    """The file's UTF-8 text; a missing, unreadable or non-UTF-8 file is an
+    IOFailure naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IOFailure(f"cannot read {path}: {exc}") from exc
+
+
 def _load_jsonl(path: Path, violations: list[tuple[str, str]]) -> list[Table]:
     tables: list[Table] = []
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IOFailure(f"cannot read {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -205,7 +210,7 @@ def _load_csv_dir(path: Path, violations: list[tuple[str, str]]) -> list[Table]:
         try:
             with fp.open(newline="", encoding="utf-8") as f:
                 rows = list(csv.reader(f))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise IOFailure(f"cannot read {fp}: {exc}") from exc
         tid = fp.stem
         if not rows:

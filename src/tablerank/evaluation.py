@@ -1,4 +1,4 @@
-"""Retrieval and answer metrics, staged latency accounting, end-to-end runs.
+"""Retrieval and answer metrics, retrieval and end-to-end evaluation runs.
 
 Retrieval metrics: recall@k is the fraction of gold tables inside the top-k;
 acc@k is 1 when the gold set is fully covered by the top-k ("all" mode, the
@@ -14,22 +14,18 @@ from __future__ import annotations
 
 import re
 import string
-import time
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .benchmark import BenchmarkDataset
-from .errors import EmptyGold, MissingAnswerTags
+from .errors import EmptyGold, MissingAnswerTags, UsageError
 from .features import EmbedderHandle
-from .fine import STAGE_COARSE, STAGE_FINE, PPRConfig, retrieve
-from .index import HypergraphIndex
+from .fine import PPRConfig, retrieve
+from .index import HypergraphIndex, corpus_digest
 from .prompting import GenerateFn, build_prompt, parse_response
-
-STAGE_TABLE_TO_GRAPH = "Table-to-Graph"
 
 _ARTICLE_RE = re.compile(r"\b(a|an|the)\b")
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
@@ -127,43 +123,6 @@ def recall_at_k(ranked_ids: Sequence[str], gold: set[str], k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Staged timers
-# ---------------------------------------------------------------------------
-
-
-class StageTimer:
-    """Accumulating wall-clock timer keyed by stage name."""
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self.durations: dict[str, float] = {}
-
-    @contextmanager
-    def stage(self, name: str):
-        if not self.enabled:
-            yield
-            return
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.durations[name] = self.durations.get(name, 0.0) + (time.perf_counter() - t0)
-
-    def add(self, name: str, seconds: float) -> None:
-        if self.enabled:
-            self.durations[name] = self.durations.get(name, 0.0) + seconds
-
-
-def latency_report(timer: StageTimer | None) -> dict[str, float]:
-    """Per-stage wall-clock totals plus their sum; empty when timing is off."""
-    if timer is None or not timer.enabled or not timer.durations:
-        return {}
-    report = dict(timer.durations)
-    report["Total"] = sum(timer.durations.values())
-    return report
-
-
-# ---------------------------------------------------------------------------
 # Evaluation runs
 # ---------------------------------------------------------------------------
 
@@ -208,6 +167,12 @@ class AnswerReport:
         )
 
 
+def _check_same_corpus(dataset: BenchmarkDataset, ix: HypergraphIndex) -> None:
+    """An index of any other corpus ranks tables the dataset does not hold."""
+    if ix.corpus_digest != corpus_digest(dataset.tables):
+        raise UsageError("the index was built from another corpus than the dataset's tables")
+
+
 def run_retrieval_eval(
     dataset: BenchmarkDataset,
     ix: HypergraphIndex,
@@ -216,9 +181,9 @@ def run_retrieval_eval(
     tau: float = 0.5,
     ks: Sequence[int] = (10, 20, 50),
     acc_mode: str = "all",
-    timer: StageTimer | None = None,
 ) -> RetrievalReport:
     """Mean acc@k / recall@k over the dataset's examples."""
+    _check_same_corpus(dataset, ix)
     cfg = cfg or PPRConfig()
     ks = sorted(ks)
     depth = max(max(ks), cfg.top_n)
@@ -230,9 +195,6 @@ def run_retrieval_eval(
         if not example.gold_table_ids:
             raise EmptyGold(f"example {example.query.id} has no gold tables")
         coarse, result = retrieve(example.query, ix, embedder, run_cfg, tau)
-        if timer is not None:
-            timer.add(STAGE_COARSE, result.timings.get(STAGE_COARSE, 0.0))
-            timer.add(STAGE_FINE, result.timings.get(STAGE_FINE, 0.0))
         ranked_ids = [tid for tid, _ in result.ranked]
         retained.append(len(coarse.union_ids))
         for k in ks:
@@ -261,9 +223,9 @@ def run_e2e_eval(
     cfg: PPRConfig | None = None,
     tau: float = 0.5,
     fewshot: Sequence[str] = (),
-    timer: StageTimer | None = None,
 ) -> AnswerReport:
     """Retrieve, prompt, generate, parse, score. NA and parse failures score 0."""
+    _check_same_corpus(dataset, ix)
     cfg = cfg or PPRConfig()
     em_sum = 0.0
     f1_sum = 0.0
@@ -272,9 +234,6 @@ def run_e2e_eval(
     per_example: list[dict] = []
     for example in dataset.examples:
         coarse, result = retrieve(example.query, ix, embedder, cfg, tau)
-        if timer is not None:
-            timer.add(STAGE_COARSE, result.timings.get(STAGE_COARSE, 0.0))
-            timer.add(STAGE_FINE, result.timings.get(STAGE_FINE, 0.0))
         tables = [dataset.tables.get(tid) for tid, _ in result.ranked]
         bundle = build_prompt(example.query.text, result, tables, example.query.task_type, fewshot)
         raw = generate(bundle.system, bundle.user)

@@ -46,7 +46,8 @@ their group's score, and ``index.top_k`` ranks node i, index row
 
 A query allocates one u x u float64 array, W, built in place from the Gram
 matrix of the unit distinct rows; the solve needs only products of W with a
-vector.
+vector. The result keeps only the edges among the ranked nodes, the
+prompt's graph records, so W is freed when ``fine_retrieve`` returns.
 
 Only semantic features participate here; the other families already did
 their work during coarse filtering.
@@ -98,39 +99,6 @@ class PPRConfig:
 
 
 @dataclass
-class LocalSubgraph:
-    """Thresholded pairwise semantic weights over the candidate nodes
-    0..n-1, positions that the caller maps to tables.
-
-    Node i belongs to group ``group[i]``; nodes in one group share a sem row.
-    ``weights`` is the dense, bitwise-symmetric u x u group matrix: entry
-    (a, b) is the weight between any member of group a and any member of
-    group b, the diagonal the weight between two distinct members of one
-    group (0 for a singleton). Edge presence follows from it and ``tau``:
-    every pair of distinct nodes is an edge at tau = 0, where a clamped
-    negative cosine gives a weight-0 edge; above 0, exactly the pairs with a
-    positive weight are edges.
-    """
-
-    group: np.ndarray
-    weights: np.ndarray
-    tau: float
-
-    def __len__(self) -> int:
-        return len(self.group)
-
-    def weight(self, i, j):
-        """Weight between node positions i and j, 0 when i == j; ints or
-        broadcastable index arrays."""
-        return np.where(i != j, self.weights[self.group[i], self.group[j]], 0.0)
-
-    def has_edge(self, i, j):
-        """Edge presence between node positions i and j; ints or
-        broadcastable index arrays."""
-        return (i != j) & ((self.tau == 0.0) | (self.weights[self.group[i], self.group[j]] > 0.0))
-
-
-@dataclass
 class PPRResult:
     scores: np.ndarray
     iterations: int
@@ -140,25 +108,31 @@ class PPRResult:
 
 @dataclass
 class RetrievalResult:
-    """The top-n (table id, score) pairs, best first, and ``ranked_nodes``,
-    their subgraph positions; ``all_scores`` holds every node's score."""
+    """The top-n (table id, score) pairs, best first, and ``edges``, the
+    graph's edges among them as (rank a, rank b, weight) with a < b, in
+    row-major order; ``all_scores`` holds every node's score."""
 
     ranked: list[tuple[str, float]]
-    ranked_nodes: np.ndarray
-    subgraph: LocalSubgraph
+    edges: list[tuple[int, int, float]]
     timings: dict[str, float]
     all_scores: np.ndarray
     iterations: int
     converged: bool
 
 
-def build_local_subgraph(sem_rows: np.ndarray, tau: float, group: np.ndarray | None = None) -> LocalSubgraph:
-    """Pairwise semantic graph over the candidates, thresholded at tau.
+def build_local_subgraph(sem_rows: np.ndarray, tau: float, group: np.ndarray | None = None) -> np.ndarray:
+    """Pairwise semantic graph over the candidates, thresholded at tau: the
+    weight matrix W, built in one buffer.
 
     Node i has sem row ``sem_rows[group[i]]``; ``group=None`` gives every row
-    its own node, node i row i. Edge (i, j) exists iff the clamped cosine of
-    their sem rows is >= tau; isolated nodes are fine. The weights are built
-    in one buffer, one row and column per sem row.
+    its own node, node i row i. W is the dense, bitwise-symmetric u x u group
+    matrix: entry (a, b) is the weight between any member of group a and any
+    member of group b, the clamped cosine of their sem rows where it is
+    >= tau and 0 elsewhere; the diagonal is the weight between two distinct
+    members of one group (0 for a singleton). Every pair of distinct nodes is
+    an edge at tau = 0, where a clamped negative cosine gives a weight-0
+    edge; above 0, exactly the pairs with a positive weight are edges.
+    Isolated nodes are fine.
     """
     sem = np.asarray(sem_rows, dtype=np.float64)
     group = np.arange(len(sem)) if group is None else np.asarray(group)
@@ -173,7 +147,7 @@ def build_local_subgraph(sem_rows: np.ndarray, tau: float, group: np.ndarray | N
     weights *= weights >= tau
     singletons = np.flatnonzero(np.bincount(group, minlength=len(sem)) == 1)
     weights[singletons, singletons] = 0.0
-    return LocalSubgraph(group=group, weights=weights, tau=tau)
+    return weights
 
 
 def personalization(q_sem: np.ndarray, sem_rows: np.ndarray, sizes: np.ndarray | None = None) -> np.ndarray:
@@ -198,10 +172,10 @@ def ppr(W: np.ndarray, h: np.ndarray, cfg: PPRConfig, sizes: np.ndarray | None =
     docstring); W is left untouched.
 
     With ``sizes``, entry a of W, h and the scores stands for sizes[a] nodes
-    that share one value, and W is a group matrix as in ``LocalSubgraph``:
-    the solve is that of the node graph, and h and the scores sum to 1 over
-    nodes, ``(scores * sizes).sum() == 1``. ``sizes=None`` makes every entry
-    one node, and W the node graph itself.
+    that share one value, and W is a group matrix as ``build_local_subgraph``
+    returns it: the solve is that of the node graph, and h and the scores
+    sum to 1 over nodes, ``(scores * sizes).sum() == 1``. ``sizes=None``
+    makes every entry one node, and W the node graph itself.
 
     Each pass first measures the current iterate's fixpoint residual, the L1
     distance one power-iteration step would move the normalized scores, and
@@ -258,25 +232,38 @@ def fine_retrieve(
     cfg: PPRConfig,
     tau: float = 0.5,
 ) -> RetrievalResult:
-    """Subgraph + PPR over the coarse union, one group per distinct sem row;
-    deterministic given index and config."""
+    """Subgraph + PPR over the coarse union, one group per distinct sem row.
+
+    At a fixed BLAS thread count the result is bit-identical for a given
+    index and config. Across thread counts the Gram matrix's rounding moves,
+    so the ``all_scores`` bits differ; the ranked ids agreed in every check
+    so far, though an edge within rounding of tau or a near-tie in scores
+    could still flip.
+    """
     if len(coarse.union_ids) == 0:
         raise ValueError("coarse result has no candidate tables")
     t0 = time.perf_counter()
     union = coarse.union_ids
     reps, group, sizes = np.unique(ix.sem_leaders()[union], return_inverse=True, return_counts=True)
     sem_rows = ix.sem[reps]
-    g = build_local_subgraph(sem_rows, tau, group)
+    W = build_local_subgraph(sem_rows, tau, group)
     h = personalization(coarse.query_features.sem, sem_rows, sizes)
-    result = ppr(g.weights, h, cfg, sizes)
+    result = ppr(W, h, cfg, sizes)
     scores = result.scores[group]
     nodes = top_k(scores, union, ix.table_ids, cfg.top_n)
     ranked = [(ix.table_ids[union[i]], float(scores[i])) for i in nodes]
+    # The ranked nodes' block of W, upper triangle in row-major order.
+    a, b = np.triu_indices(len(nodes), 1)
+    ranked_groups = group[nodes]
+    weights = W[ranked_groups[a], ranked_groups[b]]
+    if tau > 0.0:  # at tau = 0 every pair is an edge, weight 0 included
+        keep = weights > 0.0
+        a, b, weights = a[keep], b[keep], weights[keep]
+    edges = list(zip(a.tolist(), b.tolist(), weights.tolist()))
     elapsed = time.perf_counter() - t0
     return RetrievalResult(
         ranked=ranked,
-        ranked_nodes=nodes,
-        subgraph=g,
+        edges=edges,
         timings={STAGE_FINE: elapsed},
         all_scores=scores,
         iterations=result.iterations,

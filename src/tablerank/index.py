@@ -255,39 +255,8 @@ class ClusterFamily:
 
 
 @dataclass
-class IndexParams:
-    k_per_family: dict[str, int]
-    typical_k: int
-    seed: int
-    embedder_dimension: int
-    struct_dimension: int
-    vocab_digest: str
-
-    def to_json(self) -> dict:
-        return {
-            "embedder_dimension": self.embedder_dimension,
-            "k_per_family": dict(sorted(self.k_per_family.items())),
-            "seed": self.seed,
-            "struct_dimension": self.struct_dimension,
-            "typical_k": self.typical_k,
-            "vocab_digest": self.vocab_digest,
-        }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "IndexParams":
-        return cls(
-            k_per_family=dict(d["k_per_family"]),
-            typical_k=int(d["typical_k"]),
-            seed=int(d["seed"]),
-            embedder_dimension=int(d["embedder_dimension"]),
-            struct_dimension=int(d["struct_dimension"]),
-            vocab_digest=str(d["vocab_digest"]),
-        )
-
-
-@dataclass
 class HypergraphIndex:
-    params: IndexParams
+    params: dict               # the header's params, as _HEADER_SCHEMA lists them
     corpus_digest: str
     source_tag: str
     table_ids: list[str]
@@ -437,16 +406,15 @@ def build_index(
             objective=result.objective_history[-1],
         )
 
-    params = IndexParams(
-        k_per_family={phi: K for phi in FAMILY_TYPES},
-        typical_k=k,
-        seed=seed,
-        embedder_dimension=sem.shape[1],
-        struct_dimension=STRUCT_DIM,
-        vocab_digest=vocabulary_digest(vectorizer),
-    )
     return HypergraphIndex(
-        params=params,
+        params={
+            "embedder_dimension": sem.shape[1],
+            "k_per_family": {phi: K for phi in FAMILY_TYPES},
+            "seed": seed,
+            "struct_dimension": STRUCT_DIM,
+            "typical_k": k,
+            "vocab_digest": vocabulary_digest(vectorizer),
+        },
         corpus_digest=corpus_digest(corpus),
         source_tag=corpus.source_tag,
         table_ids=table_ids,
@@ -551,7 +519,7 @@ def save_index(ix: HypergraphIndex, path: str | Path) -> None:
         "doc_count": ix.vectorizer.doc_count,
         "families": families,
         "heur_nnz": int(ix.heur.nnz),
-        "params": ix.params.to_json(),
+        "params": ix.params,
         "source_tag": ix.source_tag,
         "table_ids": ix.table_ids,
         "vocabulary": sorted(ix.vectorizer.vocabulary, key=ix.vectorizer.vocabulary.get),
@@ -746,7 +714,7 @@ def load_index(path: str | Path) -> HypergraphIndex:
         for phi in FAMILY_TYPES
     }
     return HypergraphIndex(
-        params=IndexParams.from_json(header["params"]),
+        params=header["params"],
         corpus_digest=header["corpus_digest"],
         source_tag=header["source_tag"],
         table_ids=table_ids,

@@ -110,16 +110,7 @@ _RECORD_LINE = (
 
 def _graph_records(result: RetrievalResult) -> list[str]:
     """One JSON line per edge among the ranked tables, lower alias first."""
-    g = result.subgraph
-    pos = result.ranked_nodes
-    edges = g.has_edge(pos[:, None], pos[None, :]).tolist()
-    weights = g.weight(pos[:, None], pos[None, :]).tolist()
-    return [
-        _RECORD_LINE % (a + 1, b + 1, round(weights[a][b], 3))
-        for a in range(len(pos))
-        for b in range(a + 1, len(pos))
-        if edges[a][b]
-    ]
+    return [_RECORD_LINE % (a + 1, b + 1, round(w, 3)) for a, b, w in result.edges]
 
 
 def build_prompt(

@@ -363,3 +363,52 @@ class TestBenchmarkAndEval:
         assert main(["build-benchmark", "--sources", str(src), "--out", str(d2), "--seed", "4"]) == 0
         for name in ("tables.jsonl", "examples.jsonl", "stats.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    @pytest.mark.parametrize("command", [["eval-retrieval", "--ks", "5"], ["eval-e2e", "--generator", "stub:na"]],
+                             ids=["eval-retrieval", "eval-e2e"])
+    def test_index_of_another_corpus_exits_2(self, tmp_path, index_file, capsys, command):
+        # index_file holds a 30-table topic corpus, not the dataset's tables.
+        ds_dir = tmp_path / "dataset"
+        assert main(["build-benchmark", "--sources", str(_sources_dir(tmp_path)), "--out", str(ds_dir)]) == 0
+        capsys.readouterr()
+        code = main([command[0], "--index", str(index_file), "--dataset", str(ds_dir), *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: usage: the index was built from another corpus than the dataset's tables" in captured.err
+        assert captured.out == ""
+
+
+def _non_utf8_target(reader: str, tmp_path, index_file) -> tuple[list[str], Path]:
+    """The command that reads ``reader``'s file, and that file."""
+    if reader == "corpus-jsonl":
+        bad = tmp_path / "corpus.jsonl"
+        return ["ingest", "--input", str(bad), "--out", str(tmp_path / "out.jsonl")], bad
+    if reader == "corpus-csv":
+        (tmp_path / "csv").mkdir()
+        bad = tmp_path / "csv" / "t1.csv"
+        return ["ingest", "--format", "csv_dir", "--input", str(bad.parent), "--out", str(tmp_path / "o")], bad
+    if reader == "config":
+        bad = tmp_path / "config.json"
+        return ["inspect", "--index", str(index_file), "--config", str(bad)], bad
+    src = _sources_dir(tmp_path)
+    if reader == "source-queries":
+        return ["build-benchmark", "--sources", str(src), "--out", str(tmp_path / "d")], src / "queries.jsonl"
+    ds_dir = tmp_path / "dataset"
+    assert main(["build-benchmark", "--sources", str(src), "--out", str(ds_dir)]) == 0
+    bad = ds_dir / {"examples": "examples.jsonl", "stats": "stats.json"}[reader]
+    return ["eval-retrieval", "--index", str(index_file), "--dataset", str(ds_dir)], bad
+
+
+@pytest.mark.parametrize("reader", ["corpus-jsonl", "corpus-csv", "examples", "stats", "source-queries", "config"])
+def test_non_utf8_input_is_a_typed_error(tmp_path, index_file, capsys, reader):
+    argv, bad = _non_utf8_target(reader, tmp_path, index_file)
+    bad.write_bytes(b"id,caption\n\xff\xfe,x\n")  # 0xff never occurs in UTF-8
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    if reader == "config":
+        assert code == 2
+        assert f"error: usage: cannot read config file {bad}: 'utf-8' codec can't decode" in err
+    else:
+        assert code == 1
+        assert f"error: IOFailure: cannot read {bad}: 'utf-8' codec can't decode" in err

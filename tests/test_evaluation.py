@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 
@@ -7,14 +5,9 @@ from tablerank.benchmark import SourceQuery, build_benchmark
 from tablerank.corpus import Query, TableCorpus, TaskType
 from tablerank.errors import EmptyGold
 from tablerank.evaluation import (
-    STAGE_COARSE,
-    STAGE_FINE,
-    STAGE_TABLE_TO_GRAPH,
-    StageTimer,
     acc_at_k,
     answer_scores,
     exact_match,
-    latency_report,
     normalize_answer,
     recall_at_k,
     run_e2e_eval,
@@ -121,35 +114,6 @@ class TestAnswerMetrics:
         assert answer_scores("0", 1)[0] == 0
 
 
-class TestStageTimer:
-    def test_total_is_sum_of_stages(self):
-        timer = StageTimer()
-        with timer.stage(STAGE_TABLE_TO_GRAPH):
-            time.sleep(0.01)
-        with timer.stage(STAGE_COARSE):
-            time.sleep(0.005)
-        with timer.stage(STAGE_FINE):
-            time.sleep(0.005)
-        report = latency_report(timer)
-        assert set(report) == {STAGE_TABLE_TO_GRAPH, STAGE_COARSE, STAGE_FINE, "Total"}
-        stage_sum = sum(v for k, v in report.items() if k != "Total")
-        assert report["Total"] == pytest.approx(stage_sum, abs=1e-9)
-
-    def test_disabled_timer_empty_report(self):
-        timer = StageTimer(enabled=False)
-        with timer.stage(STAGE_COARSE):
-            pass
-        assert latency_report(timer) == {}
-        assert latency_report(None) == {}
-
-    def test_accumulates_across_uses(self):
-        timer = StageTimer()
-        for _ in range(3):
-            with timer.stage(STAGE_FINE):
-                time.sleep(0.002)
-        assert timer.durations[STAGE_FINE] >= 0.006
-
-
 def _mini_benchmark(handle, K=3):
     """Builder-produced dataset plus an index over its tables."""
     tables, queries = [], []
@@ -201,12 +165,6 @@ class TestRunRetrievalEval:
         universe = [f"t{i}" for i in range(100)]
         hits = [recall_at_k(list(rng.permutation(universe)), {"t7"}, 10) for _ in range(4000)]
         assert np.mean(hits) == pytest.approx(0.10, abs=0.02)
-
-    def test_timer_collects_stage_durations(self, handle):
-        ds, ix = _mini_benchmark(handle)
-        timer = StageTimer()
-        run_retrieval_eval(ds, ix, handle, PPRConfig(), tau=0.3, ks=[5], timer=timer)
-        assert STAGE_COARSE in timer.durations and STAGE_FINE in timer.durations
 
 
 class TestRunE2EEval:

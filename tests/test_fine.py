@@ -1,6 +1,11 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +33,8 @@ def sem_rows(vectors: dict[str, np.ndarray]) -> np.ndarray:
     return np.vstack([vectors[tid] for tid in sorted(vectors)])
 
 
-def subgraph(vectors: dict[str, np.ndarray], tau: float):
-    """Subgraph over the vectors; node i is the i-th id in ascending order."""
+def subgraph(vectors: dict[str, np.ndarray], tau: float) -> np.ndarray:
+    """Weights over the vectors; node i is the i-th id in ascending order."""
     return build_local_subgraph(sem_rows(vectors), tau)
 
 
@@ -38,11 +43,21 @@ def ranked_ids(ids: list[str], scores: np.ndarray, top_n: int) -> list[str]:
     return [ids[i] for i in top_k(scores, np.arange(len(ids)), ids, top_n)]
 
 
-def edge_list(g) -> list[tuple[int, int, float]]:
-    """Undirected edges as (i, j, weight) with i < j."""
-    ii, jj = np.triu_indices(len(g), 1)
-    present = g.has_edge(ii, jj)
-    return [(int(i), int(j), float(g.weight(i, j))) for i, j in zip(ii[present], jj[present])]
+def node_matrix(W: np.ndarray, group: np.ndarray, tau: float):
+    """The node-level weight matrix and adjacency of the group matrix W:
+    distinct nodes i and j are joined by W[group[i], group[j]], an edge at
+    tau = 0 and otherwise where it is positive."""
+    i, j = np.indices((len(group), len(group)))
+    w = W[group[i], group[j]]
+    return np.where(i != j, w, 0.0), (i != j) & ((tau == 0.0) | (w > 0.0))
+
+
+def edge_list(W: np.ndarray, tau: float) -> list[tuple[int, int, float]]:
+    """Undirected edges of a one-node-per-row W as (i, j, weight), i < j."""
+    weight, edge = node_matrix(W, np.arange(len(W)), tau)
+    ii, jj = np.triu_indices(len(W), 1)
+    present = edge[ii, jj]
+    return [(int(i), int(j), float(weight[i, j])) for i, j in zip(ii[present], jj[present])]
 
 
 def transition_matrix(S: np.ndarray) -> np.ndarray:
@@ -68,9 +83,9 @@ def random_graph(rng, max_nodes=64):
     vecs = rng.normal(size=(n, 16))
     vecs /= np.linalg.norm(vecs, axis=1)[:, None]
     tau = float(rng.uniform(0.0, 1.0))
-    g = build_local_subgraph(vecs, tau)
+    W = build_local_subgraph(vecs, tau)
     h = rng.dirichlet(np.ones(n))
-    return g, h
+    return W, h
 
 
 def rows_with_duplicates(rng, n: int, d: int = 16) -> np.ndarray:
@@ -167,12 +182,6 @@ def clamped_self_cosine(rows: np.ndarray) -> np.ndarray:
     return np.clip((unit @ unit.T).diagonal(), 0.0, None)
 
 
-def node_matrix(g):
-    """The node-level weight matrix and adjacency of a subgraph."""
-    nodes = np.indices((len(g), len(g)))
-    return g.weight(*nodes), g.has_edge(*nodes)
-
-
 class TestPPRConfig:
     def test_bounds_enforced(self):
         with pytest.raises(ValueError):
@@ -196,15 +205,15 @@ class TestBuildLocalSubgraph:
         rng = np.random.default_rng(0)
         ids = [f"n{i}" for i in range(6)]
         vecs = {tid: rng.normal(size=8) for tid in ids}
-        g = subgraph(vecs, tau=0.0)
-        assert len(edge_list(g)) == 6 * 5 // 2
-        assert not g.has_edge(np.arange(6), np.arange(6)).any()
+        W = subgraph(vecs, tau=0.0)
+        assert len(edge_list(W, 0.0)) == 6 * 5 // 2
+        assert not W.diagonal().any()
 
     def test_tau_one_keeps_only_parallel_pairs(self):
         vecs = {"a": np.array([1.0, 0.0]), "b": np.array([2.0, 0.0]), "c": np.array([0.0, 1.0])}
-        g = subgraph(vecs, tau=1.0)
+        W = subgraph(vecs, tau=1.0)
         ids = sorted(vecs)
-        edges = {(ids[i], ids[j]) for i, j, _ in edge_list(g)}
+        edges = {(ids[i], ids[j]) for i, j, _ in edge_list(W, 1.0)}
         assert edges == {("a", "b")}
 
     def test_matches_brute_force_pairwise_filter(self):
@@ -214,9 +223,9 @@ class TestBuildLocalSubgraph:
             ids = [f"n{i}" for i in range(4)]
             vecs = {tid: rng.normal(size=5) for tid in ids}
             tau = float(rng.uniform(0, 1))
-            g = subgraph(vecs, tau)
+            W = subgraph(vecs, tau)
             ordered = sorted(ids)
-            got = {(ordered[i], ordered[j]) for i, j, _ in edge_list(g)}
+            got = {(ordered[i], ordered[j]) for i, j, _ in edge_list(W, tau)}
             expect = set()
             for i, a in enumerate(ordered):
                 for b in ordered[i + 1:]:
@@ -229,38 +238,36 @@ class TestBuildLocalSubgraph:
         rng = np.random.default_rng(3)
         ids = [f"x{i}" for i in range(10)]
         vecs = {tid: rng.normal(size=6) for tid in ids}
-        g = subgraph(vecs, tau=0.3)
-        assert len(g) == len(ids)
+        W = subgraph(vecs, tau=0.3)
+        assert len(W) == len(ids)
         # node i is row i: reversed rows give the reversed matrix
         backwards = build_local_subgraph(sem_rows(vecs)[::-1], 0.3)
-        assert np.array_equal(backwards.weights, g.weights[::-1, ::-1])
-        for _, _, w in edge_list(g):
+        assert np.array_equal(backwards, W[::-1, ::-1])
+        for _, _, w in edge_list(W, 0.3):
             assert 0.3 <= w <= 1.0 + 1e-12
 
 
 class TestSimilarityMatrix:
     def test_edgeless_graph_zero_matrix(self):
         vecs = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
-        g = subgraph(vecs, tau=0.5)
-        assert np.array_equal(g.weights, np.zeros((2, 2)))
+        W = subgraph(vecs, tau=0.5)
+        assert np.array_equal(W, np.zeros((2, 2)))
 
     def test_single_edge_two_entries(self):
         vecs = {"a": np.array([1.0, 0.1]), "b": np.array([1.0, 0.0]), "c": np.array([0.0, 1.0])}
-        g = subgraph(vecs, tau=0.9)
-        S = g.weights
+        S = subgraph(vecs, tau=0.9)
         assert np.count_nonzero(S) == 2
         assert S[0, 1] == S[1, 0] > 0.9
 
     def test_symmetric_for_random_graphs(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
-            g, _ = random_graph(rng, max_nodes=20)
-            S = g.weights
+            S, _ = random_graph(rng, max_nodes=20)
             assert np.array_equal(S, S.T)
             assert np.all(S.diagonal() == 0)
         # a large Gram matrix over exactly repeated rows is bitwise symmetric too
         rows = rows_with_duplicates(rng, 1500)
-        S = build_local_subgraph(rows, 0.0).weights
+        S = build_local_subgraph(rows, 0.0)
         assert np.array_equal(S, S.T)
         assert np.all(S.diagonal() == 0)
 
@@ -275,13 +282,13 @@ class TestTieAwareEquivalence:
             ids = [f"n{i:04d}" for i in range(n)]
             q = rng.normal(size=rows.shape[1])
             h = personalization(q, rows)
-            g = build_local_subgraph(rows, tau)
-            weights = g.weights.copy()
-            got = ppr(g.weights, h, cfg)
+            W = build_local_subgraph(rows, tau)
+            weights = W.copy()
+            got = ppr(W, h, cfg)
             ref_weights, ref_adjacency = reference_subgraph(rows, tau)
-            assert np.array_equal(g.weights, weights)  # ppr leaves W untouched
-            assert np.array_equal(g.weights, ref_weights)
-            assert np.array_equal(g.has_edge(*np.indices((n, n))), ref_adjacency)
+            assert np.array_equal(W, weights)  # ppr leaves W untouched
+            assert np.array_equal(W, ref_weights)
+            assert np.array_equal(node_matrix(W, np.arange(n), tau)[1], ref_adjacency)
             oracle, _ = power_iteration(ref_weights, h, cfg)
             assert np.max(np.abs(got.scores - oracle)) < 1e-8
             assert got.converged and got.residual < cfg.epsilon
@@ -291,7 +298,7 @@ class TestTieAwareEquivalence:
             # the grouped path gives every member of a group one score
             distinct, group, sizes = group_rows(rows)
             grouped = build_local_subgraph(distinct, tau, group)
-            tied = ppr(grouped.weights, personalization(q, distinct, sizes), cfg, sizes).scores[group]
+            tied = ppr(grouped, personalization(q, distinct, sizes), cfg, sizes).scores[group]
             assert all(len(set(tied[members])) == 1 for members in groups)
             assert ranked_ids(ids, tied, n) == ranked_ids(ids, tie_by_group(oracle, groups), n)
 
@@ -310,9 +317,9 @@ class TestGroupedPath:
         zero = np.flatnonzero(~distinct.any(axis=1))
         assert len(zero) == 1 and sizes[zero[0]] >= 2  # fixture precondition
         assert n == 2 or len(distinct) < n             # fixture precondition: rows repeat
-        g = build_local_subgraph(distinct, tau, group)
-        assert g.weights.shape == (len(distinct), len(distinct))
-        weight, edge = node_matrix(g)
+        W = build_local_subgraph(distinct, tau, group)
+        assert W.shape == (len(distinct), len(distinct))
+        weight, edge = node_matrix(W, group, tau)
 
         # bitwise: the distinct rows' reference, expanded through group; two
         # members of one group have the row's clamped self-cosine
@@ -337,7 +344,7 @@ class TestGroupedPath:
         h = personalization(q, distinct, sizes)
         assert (h * sizes).sum() == pytest.approx(1.0, abs=1e-15)
         assert np.allclose(h[group], personalization(q, rows), rtol=1e-14, atol=0.0)
-        got = ppr(g.weights, h, cfg, sizes)
+        got = ppr(W, h, cfg, sizes)
         plain = ppr(weight, h[group], cfg)
         oracle, _ = power_iteration(weight, h[group], cfg)
         scores = got.scores[group]
@@ -354,13 +361,13 @@ class TestGroupedPath:
         rows = rng.normal(size=(50, 8))
         plain = build_local_subgraph(rows, 0.2)
         grouped = build_local_subgraph(rows, 0.2, np.arange(50))
-        assert np.array_equal(plain.weights, grouped.weights)
+        assert np.array_equal(plain, grouped)
         q = rng.normal(size=8)
         ones = np.ones(50, dtype=np.int64)
         h = personalization(q, rows)
         assert np.array_equal(personalization(q, rows, ones), h)
-        a = ppr(plain.weights, h, PPRConfig())
-        b = ppr(grouped.weights, h, PPRConfig(), ones)
+        a = ppr(plain, h, PPRConfig())
+        b = ppr(grouped, h, PPRConfig(), ones)
         assert np.array_equal(a.scores, b.scores)
         assert (a.iterations, a.residual) == (b.iterations, b.residual)
 
@@ -465,34 +472,34 @@ class TestPPR:
     def test_probability_vector_preserved(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
-            g, h = random_graph(rng, max_nodes=32)
-            result = ppr(g.weights, h, PPRConfig(alpha=0.85))
+            W, h = random_graph(rng, max_nodes=32)
+            result = ppr(W, h, PPRConfig(alpha=0.85))
             assert result.scores.min() >= 0
             assert result.scores.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_probability_vector_at_every_iterate(self):
         # Truncating at increasing max_iter exposes each intermediate iterate.
         rng = np.random.default_rng(27)
-        g, h = random_graph(rng, max_nodes=16)
+        W, h = random_graph(rng, max_nodes=16)
         for cap in range(1, 12):
-            result = ppr(g.weights, h, PPRConfig(alpha=0.9, epsilon=1e-30, max_iter=cap))
+            result = ppr(W, h, PPRConfig(alpha=0.9, epsilon=1e-30, max_iter=cap))
             assert result.scores.min() >= 0
             assert result.scores.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_fixpoint_residual_below_epsilon(self):
         rng = np.random.default_rng(22)
         for _ in range(10):
-            g, h = random_graph(rng, max_nodes=32)
-            result = ppr(g.weights, h, PPRConfig(alpha=0.9, epsilon=1e-12, max_iter=500))
+            W, h = random_graph(rng, max_nodes=32)
+            result = ppr(W, h, PPRConfig(alpha=0.9, epsilon=1e-12, max_iter=500))
             assert result.converged and result.residual < 1e-12
-            assert fixpoint_residual(g.weights, h, 0.9, result.scores) < 1e-12
+            assert fixpoint_residual(W, h, 0.9, result.scores) < 1e-12
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(23)
-        g, h = random_graph(rng, max_nodes=24)
-        v = ppr(g.weights, h, PPRConfig(epsilon=1e-12, max_iter=2000)).scores
+        W, h = random_graph(rng, max_nodes=24)
+        v = ppr(W, h, PPRConfig(epsilon=1e-12, max_iter=2000)).scores
         perm = rng.permutation(len(h))
-        Wp = g.weights[np.ix_(perm, perm)]
+        Wp = W[np.ix_(perm, perm)]
         vp = ppr(Wp, h[perm], PPRConfig(epsilon=1e-12, max_iter=2000)).scores
         assert np.allclose(vp, v[perm], atol=1e-9)
 
@@ -505,10 +512,10 @@ class TestPPR:
     def test_oracle_equivalence_random_graphs(self):
         rng = np.random.default_rng(24)
         for trial in range(20):
-            g, h = random_graph(rng, max_nodes=48)
+            W, h = random_graph(rng, max_nodes=48)
             alpha = [0.3, 0.85, 0.95][trial % 3]
-            got = ppr(g.weights, h, PPRConfig(alpha=alpha, epsilon=1e-12, max_iter=5000)).scores
-            expect = solve_ppr_oracle(transition_matrix(g.weights), h, alpha)
+            got = ppr(W, h, PPRConfig(alpha=alpha, epsilon=1e-12, max_iter=5000)).scores
+            expect = solve_ppr_oracle(transition_matrix(W), h, alpha)
             assert np.max(np.abs(got - expect)) < 1e-6
 
 
@@ -572,21 +579,24 @@ class TestFineRetrieve:
         # K=1 keeps the whole corpus as the union; its 1,200 tables hold fewer
         # than 600 distinct sem rows, so the u x u weights fit in a quarter of
         # an n x n array. A full-size weight matrix alone would break the bound.
+        # The returned result holds no u x u array: W is freed on return.
         corpus = make_topic_corpus(1200, 3, seed=6)
         ix = build_index(corpus, extract_all(corpus, handle), K=1, k=10, seed=3)
         q = make_topic_query(1, seed=9)
         coarse = coarse_retrieve(q, ix, handle)
         n = len(coarse.union_ids)
         assert n >= 1000
-        assert len(duplicate_groups(ix.sem[coarse.union_ids])) <= n / 2  # fixture precondition
+        u = len(duplicate_groups(ix.sem[coarse.union_ids]))
+        assert u <= n / 2  # fixture precondition
         ix.sem_leaders()  # built once per index, before the first query
         tracemalloc.start()
         try:
-            fine_retrieve(q, coarse, ix, PPRConfig(), tau=0.5)
-            peak = tracemalloc.get_traced_memory()[1]
+            result = fine_retrieve(q, coarse, ix, PPRConfig(), tau=0.5)
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 2
+        assert result.ranked and held < u * u * 8
 
     def test_duplicate_rows_match_the_full_graph(self, handle):
         corpus = make_topic_corpus(200, 4, seed=6)
@@ -595,15 +605,37 @@ class TestFineRetrieve:
         coarse, result = retrieve(make_topic_query(0, seed=2), ix, handle, cfg, tau=0.5)
         groups = duplicate_groups(ix.sem)  # K=1: the union is every row, in order
         assert any(len(members) > 1 for members in groups)
-        assert len(result.subgraph.weights) == len(groups)
         full = build_local_subgraph(ix.sem, 0.5)
-        raw = ppr(full.weights, personalization(coarse.query_features.sem, ix.sem), cfg)
+        raw = ppr(full, personalization(coarse.query_features.sem, ix.sem), cfg)
         assert np.max(np.abs(result.all_scores - raw.scores)) < 1e-15
         assert all(len(set(result.all_scores[members])) == 1 for members in groups)
         scores = tie_by_group(raw.scores, groups)
         ids = corpus.ids()
         order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
         assert [tid for tid, _ in result.ranked] == [ids[i] for i in order]
+
+    @pytest.mark.parametrize("tau", [0.0, 0.85])
+    def test_edges_are_the_ranked_block(self, handle, tau):
+        # K=1 keeps every row, and duplicate sem rows put ranked tables in
+        # one group, so some edges come from W's diagonal.
+        corpus = make_topic_corpus(200, 4, seed=6)
+        ix = build_index(corpus, extract_all(corpus, handle), K=1, k=10, seed=3)
+        cfg = PPRConfig(top_n=30)
+        coarse, result = retrieve(make_topic_query(0, seed=2), ix, handle, cfg, tau=tau)
+        union = coarse.union_ids
+        reps, group = np.unique(ix.sem_leaders()[union], return_inverse=True)
+        weight, edge = node_matrix(build_local_subgraph(ix.sem[reps], tau, group), group, tau)
+        nodes = top_k(result.all_scores, union, ix.table_ids, cfg.top_n)
+        pairs = [(a, b) for a in range(len(nodes)) for b in range(a + 1, len(nodes))]
+        expect = [(a, b, weight[nodes[a], nodes[b]]) for a, b in pairs if edge[nodes[a], nodes[b]]]
+        assert result.edges == expect
+        assert all(type(x) is int for a, b, _ in result.edges for x in (a, b))
+        assert any(group[nodes[a]] == group[nodes[b]] for a, b, _ in result.edges)  # fixture precondition
+        assert 0 < len(result.edges) < len(pairs) or tau == 0.0
+        # the same edges as the reference over all rows, weights within 4 ulps
+        ref_weights, ref_adjacency = reference_subgraph(ix.sem[union][nodes], tau)
+        assert [(a, b) for a, b, _ in result.edges] == [(a, b) for a, b in pairs if ref_adjacency[a, b]]
+        assert all(abs(w - ref_weights[a, b]) <= 4 * np.spacing(1.0) for a, b, w in result.edges)
 
     def test_ranked_nodes_are_the_ranked_tables(self, handle):
         # Ids are shuffled against corpus order, and duplicate sem rows tie,
@@ -615,10 +647,9 @@ class TestFineRetrieve:
         coarse, result = retrieve(make_topic_query(0, seed=2), ix, handle, PPRConfig(top_n=20), tau=0.5)
         union, scores = coarse.union_ids, result.all_scores
         assert len(union) < len(corpus)  # fixture precondition: the union is a proper subset
-        assert [ix.table_ids[union[i]] for i in result.ranked_nodes] == [tid for tid, _ in result.ranked]
-        assert scores[result.ranked_nodes].tolist() == [s for _, s in result.ranked]
         full = sorted(range(len(union)), key=lambda i: (-scores[i], ix.table_ids[union[i]]))
-        assert result.ranked_nodes.tolist() == full[:20]
+        assert [tid for tid, _ in result.ranked] == [ix.table_ids[union[i]] for i in full[:20]]
+        assert [s for _, s in result.ranked] == scores[full[:20]].tolist()
         # fixture precondition: breaking ties by position would rank otherwise
         assert full[:20] != sorted(range(len(union)), key=lambda i: (-scores[i], i))[:20]
 
@@ -652,7 +683,7 @@ class TestFineRetrieve:
         q = Query(id="q", text="tp1c00 tp1c03 tp1h01", task_type=TaskType.SINGLE_HOP)
         _, result = retrieve(q, ix, handle, PPRConfig(top_n=5), tau=0.4)
         assert result.all_scores.sum() == pytest.approx(1.0, abs=1e-6)
-        assert len(result.ranked) == min(5, len(result.subgraph))
+        assert len(result.ranked) == min(5, len(result.all_scores))
 
     def test_stage_clock_covers_the_ranking(self, handle, monkeypatch):
         corpus = make_topic_corpus(30, 3, seed=5)
@@ -674,3 +705,32 @@ class TestFineRetrieve:
         _, r1 = retrieve(q, ix, handle, PPRConfig(top_n=8), tau=0.4)
         _, r2 = retrieve(q, ix, handle, PPRConfig(top_n=8), tau=0.4)
         assert r1.ranked == r2.ranked
+
+
+# Ranks 30 queries on a 600-table corpus and prints the top-10 ids as JSON.
+_RANK_SCRIPT = """
+import json
+from conftest import make_topic_corpus, make_topic_query
+from tablerank import EmbedderHandle, PPRConfig, build_index, extract_all, retrieve
+handle = EmbedderHandle(dimension=128, batch_limit=512)
+corpus = make_topic_corpus(600, 3, seed=11)
+ix = build_index(corpus, extract_all(corpus, handle), K=2, k=20, seed=1)
+queries = [make_topic_query(i % 3, seed=i) for i in range(30)]
+print(json.dumps([[tid for tid, _ in retrieve(q, ix, handle, PPRConfig(top_n=10), tau=0.5)[1].ranked]
+                  for q in queries]))
+"""
+
+
+def test_top_n_ids_agree_across_blas_thread_counts():
+    # The Gram matrix's rounding, and so the all_scores bits, can move with
+    # the BLAS thread count; on this fixture they do, and the ranking must not.
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")])
+    ranked = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", _RANK_SCRIPT], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        ranked.append(json.loads(proc.stdout))
+    assert len(ranked[0]) == 30 and all(len(ids) == 10 for ids in ranked[0])
+    assert ranked[0] == ranked[1]

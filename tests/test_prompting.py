@@ -5,7 +5,7 @@ import pytest
 
 from tablerank.corpus import TaskType
 from tablerank.errors import MissingAnswerTags
-from tablerank.fine import LocalSubgraph, RetrievalResult
+from tablerank.fine import RetrievalResult
 from tablerank.prompting import (
     SYSTEM_MESSAGE,
     TASK_INSTRUCTIONS,
@@ -19,18 +19,23 @@ from tablerank.prompting import (
 from conftest import make_table, prompt_graph_records
 
 
-def make_result(ids, weights: np.ndarray, scores=None, tau: float = 0.1) -> RetrievalResult:
+def make_result(ids, weights: np.ndarray, scores=None, tau: float = 0.1, top_n=None) -> RetrievalResult:
     n = len(ids)
     nodes = sorted(ids)  # node i stands for nodes[i]
-    # with tau > 0, exactly the positive weights are edges
-    g = LocalSubgraph(group=np.arange(n), weights=weights, tau=tau)
     scores = scores if scores is not None else np.linspace(1.0, 0.1, n)
     scores = scores / scores.sum()
-    order = sorted(range(n), key=lambda i: (-scores[i], nodes[i]))
+    order = sorted(range(n), key=lambda i: (-scores[i], nodes[i]))[:top_n]
+    # the edges among the ranked nodes, by rank; with tau > 0, exactly the
+    # positive weights are edges
+    edges = [
+        (a, b, float(weights[order[a], order[b]]))
+        for a in range(len(order))
+        for b in range(a + 1, len(order))
+        if tau == 0.0 or weights[order[a], order[b]] > 0.0
+    ]
     return RetrievalResult(
         ranked=[(nodes[i], float(scores[i])) for i in order],
-        ranked_nodes=np.array(order),
-        subgraph=g,
+        edges=edges,
         timings={},
         all_scores=scores,
         iterations=1,
@@ -121,9 +126,7 @@ class TestBuildPrompt:
         ids = [f"t{i}" for i in range(5)]
         w = rng.uniform(0.1, 0.9, size=(5, 5))
         w = np.triu(w, 1) + np.triu(w, 1).T
-        result = make_result(ids, w)
-        result.ranked = result.ranked[:3]  # rank cutoff below subgraph size
-        result.ranked_nodes = result.ranked_nodes[:3]
+        result = make_result(ids, w, top_n=3)  # rank cutoff below subgraph size
         tables = [make_table(t) for t in ids]
         bundle = build_prompt("q", result, tables, TaskType.MULTI_HOP)
         aliases = {f"Table {i + 1}" for i in range(3)}
