@@ -291,6 +291,7 @@ def _cmd_inspect(args, cfg: RunConfig) -> int:
     }
     print(json.dumps({
         "tables": len(ix),
+        "distinct_sem_rows": len(ix.sem_rows),
         "params": ix.params,
         "corpus_digest": ix.corpus_digest,
         "cluster_sizes": sizes,

@@ -26,10 +26,11 @@ columns of W are zero, so their scale is 1 and they pass through as x_i = h_i.
 
 Tables with bitwise-identical sem rows are interchangeable nodes, and their
 exact scores are equal. ``fine_retrieve`` therefore groups the n candidates
-by sem row before the graph is built: u distinct rows, group a holding m_a
-nodes. The weight matrix W is u x u: W_ab is the weight between any member
-of group a and any member of group b, and the diagonal W_aa the weight
-between two distinct members of group a (0 for a singleton, which has none).
+by sem row, through the index's ``sem_group``, before the graph is built: u
+distinct rows, group a holding m_a nodes. The weight matrix W is u x u:
+W_ab is the weight between any member of group a and any member of group b,
+and the diagonal W_aa the weight between two distinct members of group a (0
+for a singleton, which has none).
 For a vector z that is constant on each group, the node-level product and
 row sums are
 
@@ -46,8 +47,9 @@ their group's score, and ``index.top_k`` ranks node i, index row
 
 A query allocates one u x u float64 array, W, built in place from the Gram
 matrix of the unit distinct rows; the solve needs only products of W with a
-vector. The result keeps only the edges among the ranked nodes, the
-prompt's graph records, so W is freed when ``fine_retrieve`` returns.
+vector. The result keeps only W's block among the ranked nodes, from which
+the prompt's graph records are read, so W is freed when ``fine_retrieve``
+returns.
 
 Only semantic features participate here; the other families already did
 their work during coarse filtering.
@@ -57,7 +59,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -108,16 +111,27 @@ class PPRResult:
 
 @dataclass
 class RetrievalResult:
-    """The top-n (table id, score) pairs, best first, and ``edges``, the
-    graph's edges among them as (rank a, rank b, weight) with a < b, in
-    row-major order; ``all_scores`` holds every node's score."""
+    """The top-n (table id, score) pairs, best first; ``all_scores`` holds
+    every node's score. ``weights`` is the graph's weight block among the
+    ranked tables, entry (a, b) between ranks a and b, and ``edges`` lists
+    the edges among them as (rank a, rank b, weight) with a < b, in
+    row-major order: every pair at ``tau`` = 0, the positive weights above
+    it. ``edges`` is built on its first read."""
 
     ranked: list[tuple[str, float]]
-    edges: list[tuple[int, int, float]]
     timings: dict[str, float]
     all_scores: np.ndarray
     iterations: int
     converged: bool
+    weights: np.ndarray = field(repr=False)
+    tau: float
+
+    @cached_property
+    def edges(self) -> list[tuple[int, int, float]]:
+        # At tau = 0 every pair is an edge, weight 0 included.
+        pairs = self.weights > 0.0 if self.tau > 0.0 else np.ones(self.weights.shape, dtype=bool)
+        a, b = np.nonzero(np.triu(pairs, 1))
+        return list(zip(a.tolist(), b.tolist(), self.weights[a, b].tolist()))
 
 
 def build_local_subgraph(sem_rows: np.ndarray, tau: float, group: np.ndarray | None = None) -> np.ndarray:
@@ -244,30 +258,25 @@ def fine_retrieve(
         raise ValueError("coarse result has no candidate tables")
     t0 = time.perf_counter()
     union = coarse.union_ids
-    reps, group, sizes = np.unique(ix.sem_leaders()[union], return_inverse=True, return_counts=True)
-    sem_rows = ix.sem[reps]
+    reps, group, sizes = np.unique(ix.sem_group[union], return_inverse=True, return_counts=True)
+    sem_rows = ix.sem_rows[reps]
     W = build_local_subgraph(sem_rows, tau, group)
     h = personalization(coarse.query_features.sem, sem_rows, sizes)
     result = ppr(W, h, cfg, sizes)
     scores = result.scores[group]
     nodes = top_k(scores, union, ix.table_ids, cfg.top_n)
     ranked = [(ix.table_ids[union[i]], float(scores[i])) for i in nodes]
-    # The ranked nodes' block of W, upper triangle in row-major order.
-    a, b = np.triu_indices(len(nodes), 1)
     ranked_groups = group[nodes]
-    weights = W[ranked_groups[a], ranked_groups[b]]
-    if tau > 0.0:  # at tau = 0 every pair is an edge, weight 0 included
-        keep = weights > 0.0
-        a, b, weights = a[keep], b[keep], weights[keep]
-    edges = list(zip(a.tolist(), b.tolist(), weights.tolist()))
+    weights = W[np.ix_(ranked_groups, ranked_groups)]
     elapsed = time.perf_counter() - t0
     return RetrievalResult(
         ranked=ranked,
-        edges=edges,
         timings={STAGE_FINE: elapsed},
         all_scores=scores,
         iterations=result.iterations,
         converged=result.converged,
+        weights=weights,
+        tau=tau,
     )
 
 

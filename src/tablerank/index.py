@@ -12,15 +12,22 @@ monotone with cosine); struct rows are z-scored per column because the raw
 counts live on wildly different scales. The standardization stats are stored
 in the index so queries can be projected into the same space.
 
-The on-disk container (format version 2) is a fixed preamble (magic,
+Tables often share an embedding, so the index keeps each distinct sem row
+once (``sem_rows``, in order of first table position) and maps every table to
+its row (``sem_group``). Rows are distinct when their 64-bit words differ, so
+-0.0 and 0.0 are distinct. ``build_index`` finds the grouping once, and the
+file stores it.
+
+The on-disk container (format version 3) is a fixed preamble (magic,
 format version, header length, sha256 of the file without the digest), a
-sorted-keys JSON header (params, digests, table ids, vocabulary, per-family
-k-means report), then the raw little-endian arrays, each on a 64-byte
-boundary. Every integer array is int32. ``load_index`` reads the file into
-one read-only buffer, checks the digest and every structural invariant, and
-hands out views of that buffer, so nothing is copied and a stray write into
-a loaded index raises. Builds are byte-deterministic for a fixed corpus and
-seed. Layout details in docs/FORMATS.md.
+sorted-keys JSON header (params, digests, table ids, vocabulary, distinct
+sem row count, per-family k-means report), then the raw little-endian
+arrays, each on a 64-byte boundary. Every integer array is int32.
+``load_index`` reads the file into one read-only buffer, checks the digest
+and every structural invariant, the grouping included, and hands out views
+of that buffer, so nothing is copied and a stray write into a loaded index
+raises. Builds are byte-deterministic for a fixed corpus and seed. Layout
+details in docs/FORMATS.md.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from .features import (
     unit_rows,
 )
 
-INDEX_FORMAT_VERSION = 2
+INDEX_FORMAT_VERSION = 3
 _MAGIC = b"TRKHGIDX"
 _DIGEST_AT = len(_MAGIC) + 4 + 8    # magic, format version (<u4), header length (<u8)
 _PREAMBLE = _DIGEST_AT + 32         # ... then the sha256 digest
@@ -76,6 +83,37 @@ def top_k(scores: np.ndarray, rows: np.ndarray, table_ids: Sequence[str], k: int
     head = np.flatnonzero(scores >= kth).tolist()
     head.sort(key=lambda i: (-scores[i], table_ids[rows[i]]))
     return np.array(head[:m], dtype=np.int64)
+
+
+def _sorted_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts) for the rows of a 2-d float64 array: ``order`` sorts
+    them by their 64-bit words, so bitwise-equal rows are adjacent and, the
+    sort being stable, stay in position order; ``starts[j]`` is True where
+    sorted row j differs from the one before it. Adjacent sorted rows are
+    compared one column at a time, so the scratch memory is O(rows)."""
+    words = np.ascontiguousarray(rows, dtype="<f8").view(np.uint64)
+    order = np.lexsort(words.T)
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for col in words.T:
+        sorted_col = col[order]
+        starts[1:] |= sorted_col[1:] != sorted_col[:-1]
+    return order, starts
+
+
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(firsts, group): ``firsts`` holds the first position of each distinct
+    row, ascending, and ``group[i]`` (int32) the index in ``firsts`` of row
+    i's first position, so ``rows[firsts][group]`` equals ``rows`` bitwise
+    and group ids appear in first-occurrence order."""
+    order, starts = _sorted_runs(rows)
+    firsts = order[starts]  # each run's lowest position
+    by_position = np.argsort(firsts)
+    run_group = np.empty(len(firsts), dtype=np.int32)
+    run_group[by_position] = np.arange(len(firsts), dtype=np.int32)
+    group = np.empty(len(order), dtype=np.int32)
+    group[order] = run_group[np.cumsum(starts) - 1]
+    return firsts[by_position], group
 
 
 def _row(x, i: int) -> np.ndarray:
@@ -260,7 +298,8 @@ class HypergraphIndex:
     corpus_digest: str
     source_tag: str
     table_ids: list[str]
-    sem: np.ndarray            # (n, d) raw embeddings
+    sem_rows: np.ndarray       # (u, d) distinct raw embeddings, by first position
+    sem_group: np.ndarray      # (n,) int32: table i's embedding is sem_rows[sem_group[i]]
     struct_raw: np.ndarray     # (n, STRUCT_DIM) raw counts
     struct_mean: np.ndarray
     struct_std: np.ndarray
@@ -270,7 +309,6 @@ class HypergraphIndex:
 
     def __post_init__(self):
         self._struct_z: np.ndarray | None = None
-        self._sem_leaders: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.table_ids)
@@ -280,24 +318,14 @@ class HypergraphIndex:
             self._struct_z = standardize_struct(self.struct_raw, self.struct_mean, self.struct_std)
         return self._struct_z
 
-    def sem_leaders(self) -> np.ndarray:
-        """(n,) int64: for each row, the lowest position whose sem row is
-        bitwise equal to it (so -0.0 and 0.0 differ). Built once by sorting
-        the rows' 64-bit words lexicographically and comparing adjacent
-        sorted rows one column at a time; kept in memory only."""
-        if self._sem_leaders is None:
-            words = np.ascontiguousarray(self.sem, dtype="<f8").view(np.uint64)
-            order = np.lexsort(words.T)  # stable: equal rows stay in position order
-            starts = np.zeros(len(order), dtype=bool)
-            starts[:1] = True
-            for col in words.T:
-                sorted_col = col[order]
-                starts[1:] |= sorted_col[1:] != sorted_col[:-1]
-            first = order[starts]
-            leaders = np.empty(len(order), dtype=np.int64)
-            leaders[order] = first[np.cumsum(starts) - 1]
-            self._sem_leaders = leaders
-        return self._sem_leaders
+    @property
+    def sem(self) -> np.ndarray:
+        """(n, d) raw embeddings, one row per table: a read-only array built
+        from ``sem_rows`` on every read. The query path reads ``sem_rows``
+        through ``sem_group`` instead."""
+        rows = self.sem_rows[self.sem_group]
+        rows.flags.writeable = False
+        return rows
 
     def score_space_rows(self, feature_type: str):
         """Node vectors in the space cosine scores are computed in."""
@@ -317,19 +345,24 @@ class HypergraphIndex:
 
         The mean cosine of cluster j's typical rows to a query v is then
         ``typical_means[j] @ v / |v|``; a zero row counts as cosine 0. Built
-        once per family as a sparse (K, n) weight matrix times the rows, so no
-        row is gathered or copied, and kept on the family in memory only.
+        once per family as a sparse weight matrix times the rows, so no row
+        is gathered or copied, and kept on the family in memory only. The
+        weights address the table rows, or for sem the ``sem_rows`` that
+        ``sem_group`` maps the typical tables to.
         """
         fam = self.families[feature_type]
         if fam.typical_means is None:
-            rows = self.score_space_rows(feature_type)
             positions = np.concatenate(fam.typical)
+            if feature_type == "sem":
+                rows, positions = self.sem_rows, self.sem_group[positions]
+            else:
+                rows = self.score_space_rows(feature_type)
             sizes = np.array([len(t) for t in fam.typical])
             norms = row_norms(rows)[positions]
             denom = norms * np.repeat(sizes, sizes)
             weights = np.divide(1.0, denom, out=np.zeros(len(positions)), where=norms > 0)
             indptr = np.concatenate(([0], np.cumsum(sizes)))
-            w = sparse.csr_matrix((weights, positions, indptr), shape=(len(sizes), len(self)))
+            w = sparse.csr_matrix((weights, positions, indptr), shape=(len(sizes), rows.shape[0]))
             fam.typical_means = w @ rows
         return fam.typical_means
 
@@ -358,8 +391,10 @@ def build_index(
 
     ``features`` holds one row per table in corpus order, as ``extract_all``
     returns them. Every family gets K clusters; its clustering runs
-    KMEANS_RESTARTS seeded restarts, keeping the best objective. Like
-    ``load_index``, it tunes the allocator (``_retain_freed_memory``).
+    KMEANS_RESTARTS seeded restarts, keeping the best objective. The sem
+    rows are grouped after the clustering, and copied only if some row
+    repeats. Like ``load_index``, it tunes the allocator
+    (``_retain_freed_memory``).
     """
     table_ids = corpus.ids()
     sem = np.asarray(features.sem, dtype=np.float64)
@@ -405,6 +440,8 @@ def build_index(
             converged=result.converged,
             objective=result.objective_history[-1],
         )
+    del spaces, space  # freed before the distinct rows are copied
+    firsts, sem_group = _group_rows(sem)
 
     return HypergraphIndex(
         params={
@@ -418,7 +455,8 @@ def build_index(
         corpus_digest=corpus_digest(corpus),
         source_tag=corpus.source_tag,
         table_ids=table_ids,
-        sem=sem,
+        sem_rows=sem if len(firsts) == len(sem) else sem[firsts],
+        sem_group=sem_group,
         struct_raw=struct_raw,
         struct_mean=mean,
         struct_std=std,
@@ -436,6 +474,7 @@ def build_index(
 _KMEANS_REPORT = {"converged": bool, "n_iter": int, "objective": float}
 _HEADER_SCHEMA = {
     "corpus_digest": str,
+    "distinct_sem_rows": int,
     "doc_count": int,
     "families": {phi: {"kmeans": _KMEANS_REPORT, "n_typical": int} for phi in FAMILY_TYPES},
     "heur_nnz": int,
@@ -455,12 +494,13 @@ _HEADER_SCHEMA = {
 
 def _layout(header: dict) -> list[tuple[str, str, tuple[int, ...]]]:
     """(name, dtype, shape) of every array in file order; the shapes follow
-    from the header's n, d, V, nnz, K and typical counts."""
+    from the header's n, d, u, V, nnz, K and typical counts."""
     n, V = len(header["table_ids"]), len(header["vocabulary"])
     params = header["params"]
     nnz = header["heur_nnz"]
     layout = [
-        ("sem", "<f8", (n, params["embedder_dimension"])),
+        ("sem_rows", "<f8", (header["distinct_sem_rows"], params["embedder_dimension"])),
+        ("sem_group", "<i4", (n,)),
         ("struct_raw", "<f8", (n, STRUCT_DIM)),
         ("struct_mean", "<f8", (STRUCT_DIM,)),
         ("struct_std", "<f8", (STRUCT_DIM,)),
@@ -494,7 +534,8 @@ def save_index(ix: HypergraphIndex, path: str | Path) -> None:
     """
     p = Path(path)
     values = {
-        "sem": ix.sem,
+        "sem_rows": ix.sem_rows,
+        "sem_group": ix.sem_group,
         "struct_raw": ix.struct_raw,
         "struct_mean": ix.struct_mean,
         "struct_std": ix.struct_std,
@@ -516,6 +557,7 @@ def save_index(ix: HypergraphIndex, path: str | Path) -> None:
         }
     header = {
         "corpus_digest": ix.corpus_digest,
+        "distinct_sem_rows": len(ix.sem_rows),
         "doc_count": ix.vectorizer.doc_count,
         "families": families,
         "heur_nnz": int(ix.heur.nnz),
@@ -593,9 +635,10 @@ def _check_header(header) -> None:
 def _check_arrays(header: dict, a: dict[str, np.ndarray]) -> None:
     """The structural invariants retrieval relies on."""
     n, V, nnz = len(header["table_ids"]), len(header["vocabulary"]), header["heur_nnz"]
-    for name in ("sem", "struct_raw", "struct_mean", "struct_std", "idf", "heur_data"):
+    for name in ("sem_rows", "struct_raw", "struct_mean", "struct_std", "idf", "heur_data"):
         if not np.isfinite(a[name]).all():
             raise IOFailure(f"array {name} holds a non-finite value")
+    _check_sem_grouping(a["sem_rows"], a["sem_group"])
     ptr, ind = a["heur_indptr"], a["heur_indices"]
     if ptr[0] != 0 or ptr[-1] != nnz or (ptr[1:] < ptr[:-1]).any():
         raise IOFailure("heur_indptr does not rise monotonically from 0 to nnz")
@@ -620,6 +663,22 @@ def _check_arrays(header: dict, a: dict[str, np.ndarray]) -> None:
             or (assign[typical] != np.repeat(np.arange(K), np.diff(tptr))).any()
         ):
             raise IOFailure(f"typical_{phi} lists a node outside its own cluster")
+
+
+def _check_sem_grouping(rows: np.ndarray, group: np.ndarray) -> None:
+    """``group`` is the grouping ``_group_rows`` makes of ``rows[group]``:
+    ids in [0, u), first used in ascending order, every stored row used, and
+    no two stored rows bitwise equal, so no group can be split in two."""
+    u = len(rows)
+    if group.min() < 0 or group.max() >= u:
+        raise IOFailure(f"sem_group holds a row outside [0, {u})")
+    seen = np.maximum.accumulate(group)
+    if group[0] != 0 or (group[1:] > seen[:-1] + 1).any():
+        raise IOFailure("sem_group ids are not in first-occurrence order")
+    if seen[-1] != u - 1:
+        raise IOFailure("sem_rows holds a row no table uses")
+    if not _sorted_runs(rows)[1].all():
+        raise IOFailure("sem_rows holds two bitwise-equal rows")
 
 
 def _retain_freed_memory() -> None:
@@ -718,7 +777,8 @@ def load_index(path: str | Path) -> HypergraphIndex:
         corpus_digest=header["corpus_digest"],
         source_tag=header["source_tag"],
         table_ids=table_ids,
-        sem=arrays["sem"],
+        sem_rows=arrays["sem_rows"],
+        sem_group=arrays["sem_group"],
         struct_raw=arrays["struct_raw"],
         struct_mean=arrays["struct_mean"],
         struct_std=arrays["struct_std"],

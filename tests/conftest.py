@@ -158,6 +158,15 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def reference_sem_grouping(sem: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for the index's sem grouping: (rows, group) with each distinct
+    row of ``sem`` (by bytes, so -0.0 differs from 0.0) stored once in order
+    of first position, and ``rows[group]`` equal to ``sem``."""
+    first: dict[bytes, int] = {}
+    group = np.array([first.setdefault(row.tobytes(), len(first)) for row in sem], dtype=np.int32)
+    return sem[np.unique(group, return_index=True)[1]], group
+
+
 def prompt_graph_records(user: str) -> list[dict]:
     """The graph records of a prompt's ``user`` text, each line parsed with
     json.loads: the lines after "Graph Related Information:" up to the next

@@ -9,6 +9,7 @@ import pytest
 
 from tablerank.cli import main
 from tablerank.corpus import Table, TableCorpus, save_corpus
+from tablerank.index import load_index
 
 from conftest import make_topic_corpus
 
@@ -185,6 +186,13 @@ class TestInspect:
             report = out["kmeans"][phi]
             assert report["n_iter"] >= 1 and isinstance(report["converged"], bool)
             assert report["objective"] >= 0.0
+
+    def test_distinct_sem_rows(self, index_file, capsys):
+        # Two of the fixture's 30 tables repeat an earlier table's embedding.
+        assert main(["inspect", "--index", str(index_file)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["distinct_sem_rows"] == 28
+        assert len({row.tobytes() for row in load_index(index_file).sem}) == 28
 
     @pytest.mark.parametrize("corrupt, error", [
         (lambda b: b[: len(b) // 2], "IOFailure"),

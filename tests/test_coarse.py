@@ -11,7 +11,7 @@ from tablerank.errors import DimensionMismatch
 from tablerank.features import EmbedderHandle, NodeFeatures, extract_all
 from tablerank.index import FAMILY_TYPES, build_index
 
-from conftest import make_topic_corpus, make_topic_query, representative_score
+from conftest import make_topic_corpus, make_topic_query, reference_sem_grouping, representative_score
 
 
 def reference_assign_cluster(qf, family, ix):
@@ -39,7 +39,7 @@ def indexed(handle):
 def _swap_sem(ix, vectors: np.ndarray, assignments: np.ndarray, typical: list[list[int]]):
     """White-box surgery: replace the sem family with handcrafted geometry.
     ``typical`` lists index positions per cluster."""
-    ix.sem = vectors
+    ix.sem_rows, ix.sem_group = reference_sem_grouping(vectors)
     ix.families["sem"] = dataclasses.replace(
         ix.families["sem"],
         assignments=assignments,
@@ -189,17 +189,18 @@ class TestMeanVectorOracle:
 
     def test_zero_norm_typical_row(self, indexed, handle):
         _, _, ix = indexed
-        ix.sem = ix.sem.copy()
+        sem = ix.sem.copy()
         ix._struct_z = ix.struct_z().copy()
         ix.heur = ix.heur.copy()
         for phi in FAMILY_TYPES:
             p = int(ix.families[phi].typical[1][0])
             if phi == "sem":
-                ix.sem[p] = 0.0
+                sem[p] = 0.0
             elif phi == "struct":
                 ix._struct_z[p] = 0.0
             else:
                 ix.heur.data[ix.heur.indptr[p]:ix.heur.indptr[p + 1]] = 0.0
+        ix.sem_rows, ix.sem_group = reference_sem_grouping(sem)
         for t in range(4):
             self.assert_matches_reference(query_features(make_topic_query(t, seed=5), ix, handle), ix)
 
@@ -309,7 +310,7 @@ class TestCoarseRetrieve:
         mask_sem = np.arange(n) < 3
         mask_struct = (np.arange(n) >= 3) & (np.arange(n) < 7)
         mask_heur = (np.arange(n) >= 7) & (np.arange(n) < 12)
-        ix.sem = sem
+        ix.sem_rows, ix.sem_group = reference_sem_grouping(sem)
         ix._struct_z = struct_z
         ix.heur = sparse.csr_matrix(heur_rows)
         ix.families["sem"] = family("sem", mask_sem)

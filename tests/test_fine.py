@@ -22,7 +22,7 @@ from tablerank.fine import (
     ppr,
     retrieve,
 )
-from tablerank.index import build_index, top_k
+from tablerank.index import HypergraphIndex, build_index, load_index, save_index, top_k
 from tablerank.linearize import linearize_query
 
 from conftest import make_angle_corpus, make_topic_corpus, make_topic_query, representative_score
@@ -588,7 +588,6 @@ class TestFineRetrieve:
         assert n >= 1000
         u = len(duplicate_groups(ix.sem[coarse.union_ids]))
         assert u <= n / 2  # fixture precondition
-        ix.sem_leaders()  # built once per index, before the first query
         tracemalloc.start()
         try:
             result = fine_retrieve(q, coarse, ix, PPRConfig(), tau=0.5)
@@ -623,8 +622,8 @@ class TestFineRetrieve:
         cfg = PPRConfig(top_n=30)
         coarse, result = retrieve(make_topic_query(0, seed=2), ix, handle, cfg, tau=tau)
         union = coarse.union_ids
-        reps, group = np.unique(ix.sem_leaders()[union], return_inverse=True)
-        weight, edge = node_matrix(build_local_subgraph(ix.sem[reps], tau, group), group, tau)
+        reps, group = np.unique(ix.sem_group[union], return_inverse=True)
+        weight, edge = node_matrix(build_local_subgraph(ix.sem_rows[reps], tau, group), group, tau)
         nodes = top_k(result.all_scores, union, ix.table_ids, cfg.top_n)
         pairs = [(a, b) for a in range(len(nodes)) for b in range(a + 1, len(nodes))]
         expect = [(a, b, weight[nodes[a], nodes[b]]) for a, b in pairs if edge[nodes[a], nodes[b]]]
@@ -696,6 +695,23 @@ class TestFineRetrieve:
         monkeypatch.setattr(fine, "top_k", slow_top_k)
         _, result = retrieve(make_topic_query(0, seed=2), ix, handle, PPRConfig(top_n=5), tau=0.4)
         assert result.timings[fine.STAGE_FINE] >= 0.005
+
+    def test_first_query_on_a_loaded_index_sorts_no_rows(self, handle, tmp_path, monkeypatch):
+        # The file carries the sem grouping, so the first query neither sorts
+        # the embeddings nor builds the full (n, d) array.
+        corpus = make_topic_corpus(200, 4, seed=6)
+        path = tmp_path / "ix.bin"
+        save_index(build_index(corpus, extract_all(corpus, handle), K=1, k=10, seed=3), path)
+        ix = load_index(path)
+        assert len(ix.sem_rows) < len(ix)  # fixture precondition: some rows repeat
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the query path sorted the rows or read ix.sem")
+
+        monkeypatch.setattr(np, "lexsort", refuse)
+        monkeypatch.setattr(HypergraphIndex, "sem", property(refuse))
+        _, result = retrieve(make_topic_query(0, seed=2), ix, handle, PPRConfig(top_n=30))
+        assert len(result.ranked) == 30 and result.edges
 
     def test_deterministic(self, handle):
         corpus = make_topic_corpus(30, 3, seed=5)

@@ -34,7 +34,14 @@ from tablerank.index import (
     save_index,
 )
 
-from conftest import make_gold_corpus, make_topic_corpus, make_topic_query, reference_extract_all
+from conftest import (
+    make_gold_corpus,
+    make_topic_corpus,
+    make_topic_query,
+    reference_extract_all,
+    reference_sem_grouping,
+    same_bits,
+)
 from test_fine import duplicate_groups
 
 
@@ -425,6 +432,17 @@ class TestPersistence:
             load_index(tmp_path / "old.bin")
         assert err.value.found == 99
 
+    def test_format_2_file_refused(self, built, tmp_path):
+        # Format 2 stored one sem row per table; no reader for it is kept.
+        p = tmp_path / "ix.bin"
+        save_index(built[1], p)
+        blob = bytearray(p.read_bytes())
+        blob[8:12] = np.uint32(2).tobytes()
+        (tmp_path / "v2.bin").write_bytes(bytes(blob))
+        with pytest.raises(VersionMismatch) as err:
+            load_index(tmp_path / "v2.bin")
+        assert (err.value.found, err.value.expected) == (2, 3)
+
     def test_format_1_file_refused(self, tmp_path):
         # Format 1: magic, version, header length, JSON header, arrays; no digest.
         header = json.dumps({"format_version": 1, "table_ids": ["t1"]}).encode()
@@ -462,10 +480,15 @@ class TestPersistence:
             assert (report["n_iter"], report["converged"], report["objective"]) == (
                 fam.n_iter, fam.converged, fam.objective)
         # The arrays start on the first 64-byte boundary after the header,
-        # sem first, and the file ends with the last typical_ptr array.
+        # the distinct sem rows first, then the table-to-row map; the file
+        # ends with the last typical_ptr array.
+        u = header["distinct_sem_rows"]
+        assert u == len(ix.sem_rows) < len(ix)  # fixture precondition: some rows repeat
         at = 52 + header_len + (-(52 + header_len) % 64)
         assert blob[52 + header_len : at] == bytes(at - 52 - header_len)
-        assert np.array_equal(np.frombuffer(blob, "<f8", ix.sem.size, at).reshape(ix.sem.shape), ix.sem)
+        assert same_bits(np.frombuffer(blob, "<f8", ix.sem_rows.size, at).reshape(ix.sem_rows.shape), ix.sem_rows)
+        at += ix.sem_rows.nbytes + (-ix.sem_rows.nbytes % 64)
+        assert np.frombuffer(blob, "<i4", len(ix), at).tolist() == ix.sem_group.tolist()
         ptr = np.frombuffer(blob[-16:], "<i4")
         assert ptr.tolist() == np.cumsum([0] + [len(t) for t in ix.families["heur"].typical]).tolist()
 
@@ -482,10 +505,11 @@ class TestPersistence:
         p = tmp_path / "ix.bin"
         save_index(ix, p)
         loaded = load_index(p)
-        buf = loaded.sem.base
+        buf = loaded.sem_rows.base
         assert buf.dtype == np.uint8 and buf.flags.owndata and buf.nbytes == p.stat().st_size
         arrays = {
-            "sem": loaded.sem, "struct_raw": loaded.struct_raw, "idf": loaded.vectorizer.idf,
+            "sem_rows": loaded.sem_rows, "sem_group": loaded.sem_group,
+            "struct_raw": loaded.struct_raw, "idf": loaded.vectorizer.idf,
             "heur.data": loaded.heur.data, "heur.indices": loaded.heur.indices,
             "heur.indptr": loaded.heur.indptr,
         }
@@ -495,9 +519,11 @@ class TestPersistence:
         for name, a in arrays.items():
             assert a.base is buf and np.shares_memory(a, buf), name
         with pytest.raises(ValueError, match="read-only"):
-            loaded.sem[0, 0] = 1.0
+            loaded.sem_rows[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
-            np.multiply(loaded.sem, 2.0, out=loaded.sem)
+            np.multiply(loaded.sem_rows, 2.0, out=loaded.sem_rows)
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.sem[0, 0] = 1.0  # built on each read, so a write would be lost
         # The query path reads the index and never writes into it.
         for topic in range(3):
             _, want = retrieve(make_topic_query(topic, seed=5), ix, handle, tau=0.2)
@@ -569,13 +595,32 @@ def _columns_unsorted(ix):
 
 def _non_finite(name):
     def edit(ix):
-        arr = {"sem": ix.sem, "struct_raw": ix.struct_raw, "idf": ix.vectorizer.idf, "heur_data": ix.heur.data}[name]
+        arr = {"sem_rows": ix.sem_rows, "struct_raw": ix.struct_raw, "idf": ix.vectorizer.idf, "heur_data": ix.heur.data}[name]
         arr.flat[3] = np.nan
     return edit
 
 
 def _objective_inf(ix):
     ix.families["sem"].objective = float("inf")
+
+
+def _equal_stored_rows(ix):
+    ix.sem_rows = ix.sem_rows.copy()
+    ix.sem_rows[1] = ix.sem_rows[0]
+
+
+def _group_out_of_range(ix):
+    ix.sem_group = ix.sem_group.copy()
+    ix.sem_group[-1] = len(ix.sem_rows)
+
+
+def _groups_out_of_order(ix):
+    g = ix.sem_group
+    ix.sem_group = np.where(g == 0, 1, np.where(g == 1, 0, g)).astype(np.int32)
+
+
+def _unused_stored_row(ix):
+    ix.sem_rows = np.vstack([ix.sem_rows, np.full(ix.sem_rows.shape[1], 7.0)])
 
 
 class TestResignedFiles:
@@ -614,9 +659,10 @@ class TestResignedFiles:
         (lambda h: h["table_ids"].pop(), "follow the last array"),
         (lambda h: h["vocabulary"].extend(f"zz{i}" for i in range(8)), "past the end"),
         (lambda h: h["params"]["k_per_family"].update(sem=19), "past the end"),
+        (lambda h: h.update(distinct_sem_rows=h["distinct_sem_rows"] + 1), "past the end"),
         (lambda h: h["families"]["struct"].update(n_typical=h["families"]["struct"]["n_typical"] + 16),
          "past the end"),
-    ], ids=["d", "nnz", "n", "V", "K", "typical-count"])
+    ], ids=["d", "nnz", "n", "V", "K", "u", "typical-count"])
     def test_shapes(self, built, tmp_path, edit, match):
         p = tmp_path / "ix.bin"
         save_index(built[1], p)
@@ -631,14 +677,19 @@ class TestResignedFiles:
         (_indptr_falls, "heur_indptr does not rise monotonically"),
         (_column_out_of_range, r"heur_indices holds a column outside \[0, V\)"),
         (_columns_unsorted, "heur_indices does not ascend within a row"),
-        (_non_finite("sem"), "sem holds a non-finite value"),
+        (_non_finite("sem_rows"), "sem_rows holds a non-finite value"),
         (_non_finite("struct_raw"), "struct_raw holds a non-finite value"),
         (_non_finite("idf"), "idf holds a non-finite value"),
         (_non_finite("heur_data"), "heur_data holds a non-finite value"),
         (_objective_inf, "objective is not finite"),
+        (_equal_stored_rows, "sem_rows holds two bitwise-equal rows"),
+        (_group_out_of_range, r"sem_group holds a row outside \[0, 21\)"),
+        (_groups_out_of_order, "sem_group ids are not in first-occurrence order"),
+        (_unused_stored_row, "sem_rows holds a row no table uses"),
     ], ids=["assignment-out-of-range", "empty-cluster", "typical-outside-cluster", "cluster-without-typical",
             "indptr-falls", "column-out-of-range", "columns-unsorted", "nan-sem", "nan-struct", "nan-idf",
-            "nan-heur", "inf-objective"])
+            "nan-heur", "inf-objective", "equal-stored-rows", "group-out-of-range", "groups-out-of-order",
+            "unused-stored-row"])
     def test_arrays(self, built, tmp_path, doctor, match):
         _, ix = built
         doctor(ix)
@@ -686,6 +737,45 @@ class TestFuzz:
             save_index(loaded, out)
             assert out.read_bytes() == original
         assert refused >= 100
+
+    @pytest.mark.parametrize("kind", ["group-byte", "row-copy"])
+    def test_resigned_grouping_is_refused_or_canonical(self, original, tmp_path, kind):
+        """Re-signed files with a changed sem grouping: a random byte of
+        ``sem_group``, or one stored row copied onto another and, every other
+        time, one byte of the copy rewritten. The load refuses the file,
+        naming a sem check, or its grouping is the one the build would make
+        and it saves back to the same bytes."""
+        rng = np.random.default_rng(["group-byte", "row-copy"].index(kind))
+        header_len = int(np.frombuffer(original, dtype="<u8", count=1, offset=12)[0])
+        header = json.loads(original[52 : 52 + header_len])
+        u, d = header["distinct_sem_rows"], header["params"]["embedder_dimension"]
+        rows_at = 52 + header_len + (-(52 + header_len) % 64)
+        group_at = rows_at + 8 * u * d + (-8 * u * d % 64)
+        src, out = tmp_path / "mutated.bin", tmp_path / "resaved.bin"
+        refused = 0
+        for trial in range(120):
+            blob = bytearray(original)
+            if kind == "group-byte":
+                blob[group_at + int(rng.integers(4 * len(header["table_ids"])))] = int(rng.integers(256))
+            else:
+                i, j = rng.choice(u, size=2, replace=False)
+                row_i = rows_at + 8 * d * int(i)
+                blob[row_i : row_i + 8 * d] = original[rows_at + 8 * d * int(j) :][: 8 * d]
+                if trial % 2:
+                    blob[row_i + int(rng.integers(8 * d))] = int(rng.integers(256))
+            blob[20:52] = _digest(bytes(blob))
+            src.write_bytes(bytes(blob))
+            try:
+                loaded = load_index(src)
+            except IOFailure as exc:
+                assert "sem_" in str(exc), exc
+                refused += 1
+                continue
+            rows, group = reference_sem_grouping(loaded.sem)
+            assert same_bits(loaded.sem_rows, rows) and same_bits(loaded.sem_group, group)
+            save_index(loaded, out)
+            assert out.read_bytes() == bytes(blob)
+        assert refused >= (100 if kind == "group-byte" else 50)
 
 
 class TestBlasThreads:
@@ -754,29 +844,39 @@ def test_after_a_build_freed_blocks_are_reused(built, tmp_path):
     assert faults_after(setup, p) < 512
 
 
-class TestSemLeaders:
+class TestSemGroup:
     def test_equals_brute_force_groups(self, handle, tmp_path):
         corpus = make_topic_corpus(300, 3, seed=4)
-        built = build_index(corpus, extract_all(corpus, handle), K=3, k=10, seed=1)
-        sem = built.sem.copy()
+        feats = extract_all(corpus, handle)
+        sem = feats.sem.copy()
         sem[[5, 17]] = 0.0      # all-zero rows: one group
         sem[[40, 41]] = -0.0    # all -0.0 rows: bitwise distinct from the zero rows
         sem[[60, 61]] = sem[62]
         sem[[60, 61, 62], 3] = [0.0, -0.0, 0.0]  # 60 and 62 agree; 61 differs in one sign bit
-        ix = dataclasses.replace(built, sem=sem)
-        expect = np.empty(len(sem), dtype=np.int64)
+        ix = build_index(corpus, dataclasses.replace(feats, sem=sem), K=3, k=10, seed=1)
+        leaders = np.empty(len(sem), dtype=np.int64)
         for members in duplicate_groups(sem):
-            expect[members] = members[0]
-        assert (expect != np.arange(len(sem))).sum() > 20  # fixture precondition: many repeats
-        assert (expect[17], expect[41], expect[61], expect[62]) == (5, 40, 61, 60)
-        assert np.array_equal(ix.sem_leaders(), expect)
+            leaders[members] = members[0]
+        assert (leaders != np.arange(len(sem))).sum() > 20  # fixture precondition: many repeats
+        assert (leaders[17], leaders[41], leaders[61], leaders[62]) == (5, 40, 61, 60)
+        # each distinct row once, by first position; each table mapped to its row
+        firsts = np.unique(leaders)
+        assert same_bits(ix.sem_rows, sem[firsts])
+        assert ix.sem_group.dtype == np.int32
+        assert np.array_equal(firsts[ix.sem_group], leaders)
+        assert same_bits(ix.sem, sem)
         path = tmp_path / "ix.bin"
         save_index(ix, path)
-        assert np.array_equal(load_index(path).sem_leaders(), expect)
-        # the map is never persisted: the bytes do not depend on it
-        fresh = tmp_path / "fresh.bin"
-        save_index(dataclasses.replace(built, sem=sem), fresh)
-        assert path.read_bytes() == fresh.read_bytes()
+        loaded = load_index(path)
+        assert same_bits(loaded.sem_rows, ix.sem_rows)
+        assert np.array_equal(loaded.sem_group, ix.sem_group)
+
+    def test_distinct_rows_are_not_copied(self, handle):
+        corpus = make_gold_corpus(25, seed=5)
+        feats = extract_all(corpus, handle)
+        ix = build_index(corpus, feats, K=4, k=10, seed=2)
+        assert ix.sem_group.tolist() == list(range(len(corpus)))
+        assert ix.sem_rows is feats.sem
 
 
 class TestTypicalConsistency:

@@ -33,14 +33,17 @@ def make_result(ids, weights: np.ndarray, scores=None, tau: float = 0.1, top_n=N
         for b in range(a + 1, len(order))
         if tau == 0.0 or weights[order[a], order[b]] > 0.0
     ]
-    return RetrievalResult(
+    result = RetrievalResult(
         ranked=[(nodes[i], float(scores[i])) for i in order],
-        edges=edges,
         timings={},
         all_scores=scores,
         iterations=1,
         converged=True,
+        weights=weights[np.ix_(order, order)],
+        tau=tau,
     )
+    assert result.edges == edges
+    return result
 
 
 class TestRenderTableHtml:
