@@ -114,9 +114,15 @@ def filter_small(corpus: TableCorpus) -> TableCorpus:
     return TableCorpus(kept, source_tag=corpus.source_tag)
 
 
-def _balanced_sizes(total: int, parts: int) -> list[int]:
-    base, rem = divmod(total, parts)
-    return [base + 1 if i < rem else base for i in range(parts)]
+def _take(t: Table, rows: list[int], cols: list[int] | None, id: str, caption: str) -> Table:
+    """``t`` cut to ``rows`` and ``cols`` (``None`` keeps every column in
+    order), in that order, under ``id`` and ``caption``."""
+    picked = [t.entries[i] for i in rows]
+    if cols is None:
+        headers, entries = list(t.headers), [list(row) for row in picked]
+    else:
+        headers, entries = [t.headers[c] for c in cols], [[row[c] for c in cols] for row in picked]
+    return Table(id=id, caption=caption, headers=headers, entries=entries, metadata=dict(t.metadata))
 
 
 def split_rows(t: Table, n: int, seed: int) -> list[Table]:
@@ -129,23 +135,8 @@ def split_rows(t: Table, n: int, seed: int) -> list[Table]:
     if n > t.n_rows:
         raise TooFewRows(f"cannot split {t.n_rows} rows into {n} parts")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    order = rng.permutation(t.n_rows)
-    sizes = _balanced_sizes(t.n_rows, n)
-    subs: list[Table] = []
-    start = 0
-    for i, size in enumerate(sizes):
-        rows = [list(t.entries[j]) for j in order[start : start + size]]
-        start += size
-        subs.append(
-            Table(
-                id=f"{t.id}::part{i + 1}",
-                caption=t.caption,
-                headers=list(t.headers),
-                entries=rows,
-                metadata=dict(t.metadata),
-            )
-        )
-    return subs
+    parts = np.array_split(rng.permutation(t.n_rows), n)
+    return [_take(t, rows.tolist(), None, f"{t.id}::part{i + 1}", t.caption) for i, rows in enumerate(parts)]
 
 
 def split_cols(t: Table, m: int, seed: int) -> list[Table]:
@@ -158,23 +149,11 @@ def split_cols(t: Table, m: int, seed: int) -> list[Table]:
     if m > t.n_cols - 1:
         raise TooFewCols(f"cannot split {t.n_cols - 1} non-leading columns into {m} parts")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    rest = rng.permutation(np.arange(1, t.n_cols))
-    sizes = _balanced_sizes(t.n_cols - 1, m)
-    subs: list[Table] = []
-    start = 0
-    for j, size in enumerate(sizes):
-        cols = [0] + [int(c) for c in rest[start : start + size]]
-        start += size
-        subs.append(
-            Table(
-                id=f"{t.id}::part{j + 1}",
-                caption=t.caption,
-                headers=[t.headers[c] for c in cols],
-                entries=[[row[c] for c in cols] for row in t.entries],
-                metadata=dict(t.metadata),
-            )
-        )
-    return subs
+    parts = np.array_split(rng.permutation(np.arange(1, t.n_cols)), m)
+    rows = list(range(t.n_rows))
+    return [
+        _take(t, rows, [0] + cols.tolist(), f"{t.id}::part{i + 1}", t.caption) for i, cols in enumerate(parts)
+    ]
 
 
 def _reword_caption(caption: str, variant: int) -> str:
@@ -204,19 +183,12 @@ def debias(sub_tables: Sequence[Table], mode: str, seed: int) -> list[Table]:
     for i, t in enumerate(sub_tables):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 2, i]))
         if mode == "row":
-            order = rng.permutation(t.n_rows)
-            entries = [list(t.entries[j]) for j in order]
-            headers = list(t.headers)
+            rows, cols = rng.permutation(t.n_rows).tolist(), None
         elif mode == "column":
-            rest = rng.permutation(np.arange(1, t.n_cols))
-            cols = [0] + [int(c) for c in rest]
-            headers = [t.headers[c] for c in cols]
-            entries = [[row[c] for c in cols] for row in t.entries]
+            rows, cols = list(range(t.n_rows)), [0] + rng.permutation(np.arange(1, t.n_cols)).tolist()
         else:
             raise ValueError("mode must be 'row' or 'column'")
-        out.append(
-            Table(id=t.id, caption=captions[i], headers=headers, entries=entries, metadata=dict(t.metadata))
-        )
+        out.append(_take(t, rows, cols, t.id, captions[i]))
     return out
 
 

@@ -205,18 +205,19 @@ def _cmd_build_index(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _adopt_index_dimension(cfg: RunConfig, ix) -> None:
+def _open_index(args, cfg: RunConfig):
     # The index records the embedding dimension it was built with; querying
     # with anything else can only fail, so inherit it unless overridden.
-    cfg.dimension = ix.params["embedder_dimension"]
+    ix = load_index(args.index)
+    if args.dimension is None:
+        cfg.dimension = ix.params["embedder_dimension"]
+    return ix
 
 
 def _cmd_retrieve(args, cfg: RunConfig) -> int:
     if not args.query.strip():
         raise UsageError("--query must contain text")
-    ix = load_index(args.index)
-    if args.dimension is None:
-        _adopt_index_dimension(cfg, ix)
+    ix = _open_index(args, cfg)
     q = corpus_mod.Query(id="cli", text=args.query, task_type=corpus_mod.TaskType(args.task_type))
     if args.stage == "coarse":
         coarse = coarse_retrieve(q, ix, cfg.handle())
@@ -253,9 +254,7 @@ def _cmd_eval_retrieval(args, cfg: RunConfig) -> int:
     ks = [x.strip() for x in args.ks.split(",") if x.strip()]  # checked before anything is loaded
     if not ks or not all(x.isdecimal() and int(x) >= 1 for x in ks):
         raise UsageError(f"--ks must list cutoffs of at least 1, separated by commas; got {args.ks!r}")
-    ix = load_index(args.index)
-    if args.dimension is None:
-        _adopt_index_dimension(cfg, ix)
+    ix = _open_index(args, cfg)
     ds = bench.load_benchmark(args.dataset)
     report = ev.run_retrieval_eval(
         ds, ix, cfg.handle(), cfg.ppr(), tau=cfg.tau, ks=[int(x) for x in ks], acc_mode=args.acc_mode
@@ -267,9 +266,7 @@ def _cmd_eval_retrieval(args, cfg: RunConfig) -> int:
 
 
 def _cmd_eval_e2e(args, cfg: RunConfig) -> int:
-    ix = load_index(args.index)
-    if args.dimension is None:
-        _adopt_index_dimension(cfg, ix)
+    ix = _open_index(args, cfg)
     ds = bench.load_benchmark(args.dataset)
     generate = make_generator(cfg.generator)
     report = ev.run_e2e_eval(ds, ix, cfg.handle(), generate, cfg.ppr(), tau=cfg.tau)

@@ -129,24 +129,21 @@ def recall_at_k(ranked_ids: Sequence[str], gold: set[str], k: int) -> float:
 
 @dataclass
 class RetrievalReport:
-    per_k: dict[int, dict[str, float]]
-    ks: list[int]
+    per_k: dict[int, dict[str, float]]  # ascending cutoffs
     acc_mode: str
     n_queries: int
     corpus_size: int
     mean_coarse_retained: float
-    mean_coarse_fraction: float
 
     def pretty(self) -> str:
         lines = [
             f"queries: {self.n_queries}   corpus: {self.corpus_size} tables",
             f"after coarse (mean): {self.mean_coarse_retained:.1f} tables "
-            f"({100 * self.mean_coarse_fraction:.1f}% retained)",
+            f"({100 * (self.mean_coarse_retained / max(self.corpus_size, 1)):.1f}% retained)",
             f"acc mode: {self.acc_mode}",
             "k      acc@k    recall@k",
         ]
-        for k in self.ks:
-            row = self.per_k[k]
+        for k, row in self.per_k.items():
             lines.append(f"{k:<6d} {row['acc']:.4f}   {row['recall']:.4f}")
         return "\n".join(lines)
 
@@ -185,7 +182,7 @@ def run_retrieval_eval(
     """Mean acc@k / recall@k over the dataset's examples."""
     _check_same_corpus(dataset, ix)
     cfg = cfg or PPRConfig()
-    ks = sorted(ks)
+    ks = sorted(set(ks))
     depth = max(max(ks), cfg.top_n)
     run_cfg = replace(cfg, top_n=depth)
     sums = {k: {"acc": 0.0, "recall": 0.0} for k in ks}
@@ -206,12 +203,10 @@ def run_retrieval_eval(
     per_k = {k: {"acc": sums[k]["acc"] / n, "recall": sums[k]["recall"] / n} for k in ks}
     return RetrievalReport(
         per_k=per_k,
-        ks=list(ks),
         acc_mode=acc_mode,
         n_queries=n,
         corpus_size=len(ix),
         mean_coarse_retained=float(np.mean(retained)),
-        mean_coarse_fraction=float(np.mean(retained)) / max(len(ix), 1),
     )
 
 

@@ -87,12 +87,13 @@ def top_k(scores: np.ndarray, rows: np.ndarray, table_ids: Sequence[str], k: int
 
 def _sorted_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, starts) for the rows of a 2-d float64 array: ``order`` sorts
-    them by their 64-bit words, so bitwise-equal rows are adjacent and, the
-    sort being stable, stay in position order; ``starts[j]`` is True where
-    sorted row j differs from the one before it. Adjacent sorted rows are
-    compared one column at a time, so the scratch memory is O(rows)."""
+    them by their bytes (each row viewed as one opaque item), so bitwise-equal
+    rows are adjacent and, the sort being stable, stay in position order;
+    ``starts[j]`` is True where sorted row j differs from the one before it.
+    Adjacent sorted rows are compared one column at a time, so the scratch
+    memory is O(rows)."""
     words = np.ascontiguousarray(rows, dtype="<f8").view(np.uint64)
-    order = np.lexsort(words.T)
+    order = np.argsort(words.view(np.dtype((np.void, 8 * words.shape[1]))).ravel(), kind="stable")
     starts = np.zeros(len(order), dtype=bool)
     starts[:1] = True
     for col in words.T:
@@ -119,18 +120,14 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _row(x, i: int) -> np.ndarray:
     if sparse.issparse(x):
         return np.asarray(x[i].todense()).ravel()
-    return np.asarray(x[i]).ravel()
+    return x[i]
 
 
 def _sq_dists_to(x, x2: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, shape (n, K). x may be sparse; ``x2`` is
     ``_row_sq_norms(x)``, computed once per ``kmeans`` call by the caller."""
     c2 = np.einsum("ij,ij->i", centers, centers)
-    cross = x @ centers.T
-    if sparse.issparse(cross):
-        cross = cross.toarray()
-    cross = np.asarray(cross)
-    d2 = x2[:, None] + c2[None, :] - 2.0 * cross
+    d2 = x2[:, None] + c2[None, :] - 2.0 * (x @ centers.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -307,16 +304,8 @@ class HypergraphIndex:
     vectorizer: HeuristicVectorizer
     families: dict[str, ClusterFamily]
 
-    def __post_init__(self):
-        self._struct_z: np.ndarray | None = None
-
     def __len__(self) -> int:
         return len(self.table_ids)
-
-    def struct_z(self) -> np.ndarray:
-        if self._struct_z is None:
-            self._struct_z = standardize_struct(self.struct_raw, self.struct_mean, self.struct_std)
-        return self._struct_z
 
     @property
     def sem(self) -> np.ndarray:
@@ -327,18 +316,6 @@ class HypergraphIndex:
         rows.flags.writeable = False
         return rows
 
-    def score_space_rows(self, feature_type: str):
-        """Node vectors in the space cosine scores are computed in."""
-        if feature_type == "sem":
-            src = self.sem
-        elif feature_type == "heur":
-            src = self.heur
-        elif feature_type == "struct":
-            src = self.struct_z()
-        else:
-            raise ValueError(f"unknown feature type {feature_type!r}")
-        return src
-
     def typical_means(self, feature_type: str):
         """(K, dim) matrix whose row j is the mean of cluster j's L2-normalized
         typical rows in score space: dense for sem/struct, CSR for heur.
@@ -347,16 +324,18 @@ class HypergraphIndex:
         ``typical_means[j] @ v / |v|``; a zero row counts as cosine 0. Built
         once per family as a sparse weight matrix times the rows, so no row
         is gathered or copied, and kept on the family in memory only. The
-        weights address the table rows, or for sem the ``sem_rows`` that
-        ``sem_group`` maps the typical tables to.
+        weights address the standardized struct rows, the heur rows, or for
+        sem the ``sem_rows`` that ``sem_group`` maps the typical tables to.
         """
         fam = self.families[feature_type]
         if fam.typical_means is None:
             positions = np.concatenate(fam.typical)
             if feature_type == "sem":
                 rows, positions = self.sem_rows, self.sem_group[positions]
+            elif feature_type == "struct":
+                rows = standardize_struct(self.struct_raw, self.struct_mean, self.struct_std)
             else:
-                rows = self.score_space_rows(feature_type)
+                rows = self.heur
             sizes = np.array([len(t) for t in fam.typical])
             norms = row_norms(rows)[positions]
             denom = norms * np.repeat(sizes, sizes)

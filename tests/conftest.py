@@ -22,6 +22,7 @@ from tablerank.features import (
     CorpusFeatures,
     EmbedderHandle,
     HeuristicVectorizer,
+    standardize_struct,
     tokenize,
 )
 from tablerank.linearize import linearize
@@ -156,6 +157,14 @@ def reference_extract_all(corpus: TableCorpus, h: EmbedderHandle) -> CorpusFeatu
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal shape, dtype and bytes (so -0.0 differs from 0.0)."""
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def score_space_rows(ix, phi: str):
+    """Oracle for the rows a family's cosines use, one per table: the raw sem
+    and heur rows and the standardized struct rows."""
+    if phi == "struct":
+        return standardize_struct(ix.struct_raw, ix.struct_mean, ix.struct_std)
+    return ix.sem if phi == "sem" else ix.heur
 
 
 def reference_sem_grouping(sem: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

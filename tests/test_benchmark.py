@@ -159,6 +159,49 @@ class TestDebias:
         assert [(s.caption, s.entries) for s in a] == [(s.caption, s.entries) for s in b]
 
 
+def _cuts(subs):
+    """(rows, cols) of each sub-table of a ``table_with_shape`` root, read
+    back from its cells, after checking the cells match the headers."""
+    out = []
+    for s in subs:
+        rows = [int(row[0].split("c")[0][1:]) for row in s.entries]
+        cols = [int(h[1:]) for h in s.headers]
+        assert s.entries == [[f"r{i}c{j}" for j in cols] for i in rows]
+        out.append((rows, cols))
+    return out
+
+
+class TestPinnedCuts:
+    # Exact outputs for seed 5, so a changed RNG stream or cut fails here.
+    ROW_SPLIT = [([10, 7, 1, 3], [0, 1, 2]), ([2, 4, 6, 0], [0, 1, 2]), ([9, 5, 8], [0, 1, 2])]
+    COL_SPLIT = [([0, 1], [0, 7, 8, 5, 3]), ([0, 1], [0, 6, 1, 10]), ([0, 1], [0, 9, 4, 2])]
+
+    def test_split_rows(self):
+        subs = split_rows(table_with_shape("t", 11, 3), 3, seed=5)
+        assert _cuts(subs) == self.ROW_SPLIT
+        assert [s.id for s in subs] == ["t::part1", "t::part2", "t::part3"]
+
+    def test_split_cols(self):
+        subs = split_cols(table_with_shape("t", 2, 11), 3, seed=5)
+        assert _cuts(subs) == self.COL_SPLIT
+        assert [s.id for s in subs] == ["t::part1", "t::part2", "t::part3"]
+
+    def test_debias_row_mode(self):
+        out = debias(split_rows(table_with_shape("t", 11, 3), 3, seed=5), mode="row", seed=5)
+        assert _cuts(out) == [([10, 7, 3, 1], [0, 1, 2]), ([6, 4, 2, 0], [0, 1, 2]), ([5, 9, 8], [0, 1, 2])]
+        assert [s.id for s in out] == ["t::part1", "t::part2", "t::part3"]
+        assert [s.caption for s in out] == [
+            "Denver Broncos 2019 season",
+            "Overview of Denver Broncos 2019 campaign",
+            "Details on Denver Broncos 2019 season",
+        ]
+
+    def test_debias_column_mode(self):
+        out = debias(split_cols(table_with_shape("t", 2, 11), 3, seed=5), mode="column", seed=5)
+        assert _cuts(out) == [([0, 1], [0, 7, 8, 3, 5]), ([0, 1], [0, 10, 1, 6]), ([0, 1], [0, 4, 9, 2])]
+        assert all(s.metadata == {"origin": "test"} for s in out)
+
+
 class TestFilterQueries:
     def test_high_stopword_ratio_dropped(self):
         q = sq("q1", "root", "is it the the a of")

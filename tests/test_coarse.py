@@ -11,7 +11,13 @@ from tablerank.errors import DimensionMismatch
 from tablerank.features import EmbedderHandle, NodeFeatures, extract_all
 from tablerank.index import FAMILY_TYPES, build_index
 
-from conftest import make_topic_corpus, make_topic_query, reference_sem_grouping, representative_score
+from conftest import (
+    make_topic_corpus,
+    make_topic_query,
+    reference_sem_grouping,
+    representative_score,
+    score_space_rows,
+)
 
 
 def reference_assign_cluster(qf, family, ix):
@@ -19,7 +25,7 @@ def reference_assign_cluster(qf, family, ix):
     by cosine to the query, and average the scores per cluster. The choice is
     the lowest index among the means within TIE_ULPS ulps of the best."""
     sizes = np.array([len(t) for t in family.typical])
-    rows = ix.score_space_rows(family.feature_type)
+    rows = score_space_rows(ix, family.feature_type)
     v = getattr(qf, family.feature_type)
     scores = np.array([representative_score(rows[i], v) for i in np.concatenate(family.typical)])
     starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
@@ -34,6 +40,14 @@ def indexed(handle):
     feats = extract_all(corpus, handle)
     ix = build_index(corpus, feats, K=4, k=10, seed=3)
     return corpus, feats, ix
+
+
+def _set_struct_z(ix, z: np.ndarray):
+    """White-box surgery: make ``z`` the standardized struct rows. With mean
+    0 and std 1 the standardization returns ``z`` bit for bit."""
+    ix.struct_raw = z
+    ix.struct_mean = np.zeros(z.shape[1])
+    ix.struct_std = np.ones(z.shape[1])
 
 
 def _swap_sem(ix, vectors: np.ndarray, assignments: np.ndarray, typical: list[list[int]]):
@@ -190,17 +204,20 @@ class TestMeanVectorOracle:
     def test_zero_norm_typical_row(self, indexed, handle):
         _, _, ix = indexed
         sem = ix.sem.copy()
-        ix._struct_z = ix.struct_z().copy()
+        ix.struct_raw = ix.struct_raw.copy()
         ix.heur = ix.heur.copy()
         for phi in FAMILY_TYPES:
             p = int(ix.families[phi].typical[1][0])
             if phi == "sem":
                 sem[p] = 0.0
             elif phi == "struct":
-                ix._struct_z[p] = 0.0
+                ix.struct_raw[p] = ix.struct_mean  # standardizes to the zero row
             else:
                 ix.heur.data[ix.heur.indptr[p]:ix.heur.indptr[p + 1]] = 0.0
         ix.sem_rows, ix.sem_group = reference_sem_grouping(sem)
+        for phi in FAMILY_TYPES:  # fixture precondition: the surgery zeroed each row
+            row = score_space_rows(ix, phi)[int(ix.families[phi].typical[1][0])]
+            assert not (row.toarray() if sparse.issparse(row) else row).any(), phi
         for t in range(4):
             self.assert_matches_reference(query_features(make_topic_query(t, seed=5), ix, handle), ix)
 
@@ -271,7 +288,7 @@ class TestCoarseRetrieve:
         struct_z = np.zeros((n, 20))
         struct_z[:5, 0] = 1.0
         struct_z[5:, 1] = 1.0
-        ix._struct_z = struct_z
+        _set_struct_z(ix, struct_z)
         heur = sparse.csr_matrix(vectors[:, :2])
         ix.heur = heur
         for phi in ("struct", "heur"):
@@ -281,6 +298,8 @@ class TestCoarseRetrieve:
             )
         qf = NodeFeatures(sem=np.array([1.0, 0, 0, 0]), struct=struct_z[0],
                           heur=sparse.csr_matrix(np.array([[1.0, 0.0]])))
+        for phi in FAMILY_TYPES:
+            assert assign_cluster(qf, ix.families[phi], ix)[1] == pytest.approx([1.0, 0.0]), phi
         result = coarse_retrieve(None, ix, None, qf=qf)
         assert result.per_family_choice == {"sem": 0, "struct": 0, "heur": 0}
         assert result.union_ids.tolist() == [0, 1, 2, 3, 4]
@@ -311,7 +330,7 @@ class TestCoarseRetrieve:
         mask_struct = (np.arange(n) >= 3) & (np.arange(n) < 7)
         mask_heur = (np.arange(n) >= 7) & (np.arange(n) < 12)
         ix.sem_rows, ix.sem_group = reference_sem_grouping(sem)
-        ix._struct_z = struct_z
+        _set_struct_z(ix, struct_z)
         ix.heur = sparse.csr_matrix(heur_rows)
         ix.families["sem"] = family("sem", mask_sem)
         ix.families["struct"] = family("struct", mask_struct)
@@ -321,6 +340,8 @@ class TestCoarseRetrieve:
             struct=np.eye(20)[1],
             heur=sparse.csr_matrix(np.array([[0, 0, 1.0, 0, 0, 0]])),
         )
+        for phi in FAMILY_TYPES:
+            assert assign_cluster(qf, ix.families[phi], ix)[1] == pytest.approx([1.0, 0.0]), phi
         result = coarse_retrieve(None, ix, None, qf=qf)
         assert result.per_family_choice == {"sem": 0, "struct": 0, "heur": 0}
         assert len(result.union_ids) == 12

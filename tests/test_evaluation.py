@@ -152,6 +152,16 @@ class TestRunRetrievalEval:
         assert list(report.per_k) == [10]
         assert 0.0 <= report.per_k[10]["recall"] <= 1.0
 
+    def test_repeated_cutoff_counts_each_query_once(self, handle):
+        ds, ix = _mini_benchmark(handle, K=1)
+        n = len(ds.tables)
+        once = run_retrieval_eval(ds, ix, handle, PPRConfig(), tau=0.0, ks=[5, n])
+        twice = run_retrieval_eval(ds, ix, handle, PPRConfig(), tau=0.0, ks=[n, 5, n, 5])
+        assert twice.per_k == once.per_k
+        assert twice.per_k[n] == {"acc": 1.0, "recall": 1.0}
+        assert twice.pretty() == once.pretty()
+        assert [line.split()[0] for line in twice.pretty().splitlines()[-2:]] == ["5", str(n)]
+
     def test_recall_monotone_across_ks(self, handle):
         ds, ix = _mini_benchmark(handle)
         report = run_retrieval_eval(ds, ix, handle, PPRConfig(), tau=0.3, ks=[5, 10, 20])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import tablerank.fine as fine
+import tablerank.index as index
 from tablerank.coarse import coarse_retrieve
 from tablerank.corpus import Query, TableCorpus, TaskType
 from tablerank.features import extract_all, embed_semantic
@@ -708,7 +709,7 @@ class TestFineRetrieve:
         def refuse(*args, **kwargs):
             raise AssertionError("the query path sorted the rows or read ix.sem")
 
-        monkeypatch.setattr(np, "lexsort", refuse)
+        monkeypatch.setattr(index, "_sorted_runs", refuse)
         monkeypatch.setattr(HypergraphIndex, "sem", property(refuse))
         _, result = retrieve(make_topic_query(0, seed=2), ix, handle, PPRConfig(top_n=30))
         assert len(result.ranked) == 30 and result.edges

@@ -41,6 +41,7 @@ from conftest import (
     reference_extract_all,
     reference_sem_grouping,
     same_bits,
+    score_space_rows,
 )
 from test_fine import duplicate_groups
 
@@ -889,7 +890,7 @@ class TestTypicalConsistency:
         ix = build_index(corpus, feats, K=3, k=5, seed=4)
         spaces = {
             "sem": unit_rows(ix.sem),
-            "struct": ix.struct_z(),
+            "struct": score_space_rows(ix, "struct"),
             "heur": unit_rows(ix.heur),
         }
         for fam_idx, phi in enumerate(FAMILY_TYPES):
@@ -899,7 +900,7 @@ class TestTypicalConsistency:
             assert np.array_equal(result.assignments, fam.assignments)
             assert (result.n_iter, result.converged, result.objective_history[-1]) == (
                 fam.n_iter, fam.converged, fam.objective)
-            rows = ix.score_space_rows(phi)
+            rows = score_space_rows(ix, phi)
             for j in range(fam.n_clusters):
                 members = [
                     (ix.table_ids[i], rows[i]) for i in np.flatnonzero(fam.assignments == j)
@@ -917,7 +918,7 @@ class TestTypicalConsistency:
         corpus = TableCorpus([dataclasses.replace(t, id=f"r{j:03d}") for t, j in zip(base, shuffled)])
         ix = build_index(corpus, extract_all(corpus, handle), K=3, k=5, seed=4)
         table_ids = ix.table_ids
-        spaces = {"sem": unit_rows(ix.sem), "struct": ix.struct_z(), "heur": unit_rows(ix.heur)}
+        spaces = {"sem": unit_rows(ix.sem), "struct": score_space_rows(ix, "struct"), "heur": unit_rows(ix.heur)}
         by_position = 0
         for fam_idx, phi in enumerate(FAMILY_TYPES):
             fam = ix.families[phi]

@@ -11,7 +11,9 @@ line per corpus:
 - ``inspect_sha256``: sha256 over the cluster sizes and k-means reports;
 - ``outputs_sha256``: one sha256 over every query's top-10 ids, the bits
   of its ranked scores and ``all_scores``, and its prompt's ``system`` and
-  ``user`` strings.
+  ``user`` strings;
+- ``dataset_sha256`` (gold corpora only): one sha256 over the bytes of the
+  three files the set-up saves under ``dataset/``.
 
 Two commits give equal output lines exactly when those outputs are
 identical. Run it from a checkout's root, with one BLAS thread as the
@@ -71,7 +73,7 @@ def check_corpus(w, rnd: int, workdir: Path) -> dict:
               fam.converged, fam.n_iter, fam.objective]
         for phi, fam in ix.families.items()
     }
-    return {
+    line = {
         "workload": w.name,
         "round": rnd,
         "index_sha256": hashlib.sha256(index_path.read_bytes()).hexdigest(),
@@ -80,6 +82,12 @@ def check_corpus(w, rnd: int, workdir: Path) -> dict:
         "inspect_sha256": hashlib.sha256(json.dumps(inspect, sort_keys=True).encode()).hexdigest(),
         "outputs_sha256": outputs.hexdigest(),
     }
+    if (workdir / "dataset").is_dir():
+        dataset = hashlib.sha256()
+        for name in ("tables.jsonl", "examples.jsonl", "stats.json"):
+            dataset.update((workdir / "dataset" / name).read_bytes())
+        line["dataset_sha256"] = dataset.hexdigest()
+    return line
 
 
 def main() -> int:
