@@ -31,9 +31,9 @@ from .features import STOPWORDS, fit_heuristic, tokenize
 from .linearize import normalize_whitespace
 
 MIN_SPLIT_DIM = 3  # tables with at most this many rows AND columns are dropped
-DEFAULT_STOPWORD_RATIO = 0.7
-DEFAULT_MIN_TOKENS = 5
-DEFAULT_REDUNDANCY_COSINE = 0.9
+STOPWORD_RATIO = 0.7
+MIN_TOKENS = 5
+REDUNDANCY_COSINE = 0.9
 
 DIFFICULTY_BY_PARTS = {1: "Easy", 2: "Medium", 3: "Hard"}
 
@@ -217,17 +217,12 @@ def _row_cosine(a: _Row, b: _Row) -> float:
     return float(np.sum(vals[ia] * pvals[ib])) / (norm * pnorm)
 
 
-def filter_queries(
-    queries: Sequence[SourceQuery],
-    stopword_ratio: float = DEFAULT_STOPWORD_RATIO,
-    min_tokens: int = DEFAULT_MIN_TOKENS,
-    redundancy_cosine: float = DEFAULT_REDUNDANCY_COSINE,
-) -> list[SourceQuery]:
+def filter_queries(queries: Sequence[SourceQuery]) -> list[SourceQuery]:
     """Drop vague and redundant queries; survivors keep their input order.
 
-    A query goes if its stopword ratio exceeds the threshold, it has fewer
-    than min_tokens tokens, or its TF-IDF cosine against an already kept
-    query of the same root reaches the redundancy threshold.
+    A query goes if its stopword ratio exceeds STOPWORD_RATIO, it has fewer
+    than MIN_TOKENS tokens, or its TF-IDF cosine against an already kept
+    query of the same root reaches REDUNDANCY_COSINE.
     """
     if not queries:
         return []
@@ -236,28 +231,24 @@ def filter_queries(
     kept: list[SourceQuery] = []
     kept_rows: dict[str, list[_Row]] = {}
     for i, (q, toks) in enumerate(zip(queries, token_lists)):
-        if len(toks) < min_tokens:
+        if len(toks) < MIN_TOKENS:
             continue
         ratio = sum(1 for t in toks if t in STOPWORDS) / len(toks)
-        if ratio > stopword_ratio:
+        if ratio > STOPWORD_RATIO:
             continue
         row = _tfidf_row(tfidf, i)
         same_root = kept_rows.setdefault(q.root_table_id, [])
-        if any(_row_cosine(row, prev) >= redundancy_cosine for prev in same_root):
+        if any(_row_cosine(row, prev) >= REDUNDANCY_COSINE for prev in same_root):
             continue
         kept.append(q)
         same_root.append(row)
     return kept
 
 
-def combine_queries(
-    queries: Sequence[SourceQuery],
-    connectors: Sequence[str] = CONNECTORS,
-    seed: int = 0,
-) -> Query:
+def combine_queries(queries: Sequence[SourceQuery], seed: int = 0) -> Query:
     """Merge 2-3 same-root queries into one multi-part query.
 
-    Connectors are drawn per junction from the connector pool; the
+    Connectors are drawn per junction from CONNECTORS; the
     "[previous query]" slot, when present, is filled with the preceding
     query's text. Answers become the list of source answers; the task is
     promoted to multi-hop whenever the sources span more than one answer
@@ -273,7 +264,7 @@ def combine_queries(
     text = normalize_whitespace(queries[0].text)
     prev = text
     for q in queries[1:]:
-        connector = connectors[int(rng.integers(len(connectors)))]
+        connector = CONNECTORS[int(rng.integers(len(CONNECTORS)))]
         piece = connector.replace("[previous query]", prev)
         nxt = normalize_whitespace(q.text)
         text = f"{text} {piece} {nxt}"
@@ -323,7 +314,6 @@ def build_benchmark(
     sources: TableCorpus,
     source_queries: Sequence[SourceQuery],
     seed: int = 0,
-    connectors: Sequence[str] = CONNECTORS,
 ) -> BenchmarkDataset:
     """Run the full construction pipeline. Reproducible from the seed."""
     corpus = filter_small(sources)
@@ -372,7 +362,7 @@ def build_benchmark(
             continue
         if len(root_queries) >= 2:
             take = 3 if len(root_queries) >= 3 and master.integers(2) == 1 else 2
-            combined = combine_queries(root_queries[:take], connectors, seed=root_seed)
+            combined = combine_queries(root_queries[:take], seed=root_seed)
         else:
             src = root_queries[0]
             combined = Query(

@@ -64,7 +64,9 @@ _POSITIVE_INTS = ("K", "k")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """flags > env (endpoints) > config file > defaults."""
+    """flags > env (endpoints) > config file > defaults. A dimension the
+    config file sets is recorded in ``args`` as if it came from --dimension,
+    so that ``_open_index`` keeps it."""
     values = asdict(RunConfig())
     config_path = getattr(args, "config", None)
     if config_path:
@@ -82,6 +84,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             if isinstance(value, bool) or not isinstance(value, _ACCEPTED_TYPES[_FIELD_TYPES[name]]):
                 raise UsageError(f"config key {name!r} must be of type {_FIELD_TYPES[name]}, got {value!r}")
         values.update(file_values)
+        if "dimension" in file_values and getattr(args, "dimension", None) is None:
+            args.dimension = file_values["dimension"]
     if os.environ.get(ENV_EMBEDDER):
         values["embedder"] = os.environ[ENV_EMBEDDER]
     if os.environ.get(ENV_GENERATOR):
@@ -207,7 +211,9 @@ def _cmd_build_index(args, cfg: RunConfig) -> int:
 
 def _open_index(args, cfg: RunConfig):
     # The index records the embedding dimension it was built with; querying
-    # with anything else can only fail, so inherit it unless overridden.
+    # with anything else can only fail, so the built-in default gives way to
+    # it. A dimension from --dimension or the config file stays, and a
+    # mismatch fails with DimensionMismatch.
     ix = load_index(args.index)
     if args.dimension is None:
         cfg.dimension = ix.params["embedder_dimension"]

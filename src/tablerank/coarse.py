@@ -83,7 +83,7 @@ def assign_cluster(
         v = v.toarray().ravel()
     v_norm = np.linalg.norm(v)
     if v_norm == 0.0:
-        means = np.zeros(len(family.typical))
+        means = np.zeros(family.n_clusters)
     else:
         m = ix.typical_means(family.feature_type)
         # Not a BLAS product for dense m: gemv may round a row differently by

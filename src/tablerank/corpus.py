@@ -229,14 +229,14 @@ def _load_csv_dir(path: Path, violations: list[tuple[str, str]]) -> list[Table]:
     return tables
 
 
-def load_corpus(path: str | Path, format: str = "jsonl", source_tag: str = "") -> TableCorpus:
+def load_corpus(path: str | Path, format: str = "jsonl") -> TableCorpus:
     """Load a corpus from disk, enforcing all table and corpus invariants.
 
     Malformed tables are collected and surfaced together as a single
     SchemaViolation; nothing is silently dropped. ``format`` is either
     ``jsonl`` (canonical, one record per line) or ``csv_dir`` (a directory of
     delimited files; filename stem becomes the table id, first row the
-    headers).
+    headers). The corpus's ``source_tag`` is the file or directory name.
     """
     p = Path(path)
     if not p.exists():
@@ -258,7 +258,7 @@ def load_corpus(path: str | Path, format: str = "jsonl", source_tag: str = "") -
         seen.add(t.id)
     if violations:
         raise SchemaViolation(violations)
-    return TableCorpus(tables, source_tag=source_tag or p.name)
+    return TableCorpus(tables, source_tag=p.name)
 
 
 def table_record_bytes(t: Table) -> bytes:

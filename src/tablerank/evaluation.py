@@ -217,7 +217,6 @@ def run_e2e_eval(
     generate: GenerateFn,
     cfg: PPRConfig | None = None,
     tau: float = 0.5,
-    fewshot: Sequence[str] = (),
 ) -> AnswerReport:
     """Retrieve, prompt, generate, parse, score. NA and parse failures score 0."""
     _check_same_corpus(dataset, ix)
@@ -230,7 +229,7 @@ def run_e2e_eval(
     for example in dataset.examples:
         coarse, result = retrieve(example.query, ix, embedder, cfg, tau)
         tables = [dataset.tables.get(tid) for tid, _ in result.ranked]
-        bundle = build_prompt(example.query.text, result, tables, example.query.task_type, fewshot)
+        bundle = build_prompt(example.query.text, result, tables, example.query.task_type)
         raw = generate(bundle.system, bundle.user)
         record = {"id": example.query.id, "em": 0, "f1": 0.0, "parse_ok": True, "is_na": False}
         try:

@@ -134,22 +134,20 @@ class RetrievalResult:
         return list(zip(a.tolist(), b.tolist(), self.weights[a, b].tolist()))
 
 
-def build_local_subgraph(sem_rows: np.ndarray, tau: float, group: np.ndarray | None = None) -> np.ndarray:
+def build_local_subgraph(sem_rows: np.ndarray, tau: float, group: np.ndarray) -> np.ndarray:
     """Pairwise semantic graph over the candidates, thresholded at tau: the
     weight matrix W, built in one buffer.
 
-    Node i has sem row ``sem_rows[group[i]]``; ``group=None`` gives every row
-    its own node, node i row i. W is the dense, bitwise-symmetric u x u group
-    matrix: entry (a, b) is the weight between any member of group a and any
-    member of group b, the clamped cosine of their sem rows where it is
-    >= tau and 0 elsewhere; the diagonal is the weight between two distinct
-    members of one group (0 for a singleton). Every pair of distinct nodes is
-    an edge at tau = 0, where a clamped negative cosine gives a weight-0
-    edge; above 0, exactly the pairs with a positive weight are edges.
-    Isolated nodes are fine.
+    Node i has sem row ``sem_rows[group[i]]``. W is the dense,
+    bitwise-symmetric u x u group matrix: entry (a, b) is the weight between
+    any member of group a and any member of group b, the clamped cosine of
+    their sem rows where it is >= tau and 0 elsewhere; the diagonal is the
+    weight between two distinct members of one group (0 for a singleton).
+    Every pair of distinct nodes is an edge at tau = 0, where a clamped
+    negative cosine gives a weight-0 edge; above 0, exactly the pairs with a
+    positive weight are edges. Isolated nodes are fine.
     """
     sem = np.asarray(sem_rows, dtype=np.float64)
-    group = np.arange(len(sem)) if group is None else np.asarray(group)
     if len(group) == 0:
         raise ValueError("cannot build a subgraph from zero candidates")
     if not 0.0 <= tau <= 1.0:
@@ -164,14 +162,14 @@ def build_local_subgraph(sem_rows: np.ndarray, tau: float, group: np.ndarray | N
     return weights
 
 
-def personalization(q_sem: np.ndarray, sem_rows: np.ndarray, sizes: np.ndarray | None = None) -> np.ndarray:
+def personalization(q_sem: np.ndarray, sem_rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Query-biased start distribution: normalized non-negative semantic
-    scores of ``q_sem`` against each row; uniform if every score clamps to
-    zero. With ``sizes``, row a stands for sizes[a] nodes and the node
+    scores of ``q_sem`` against each row; uniform over the nodes if every
+    score clamps to zero. Row a stands for sizes[a] nodes, and the node
     values sum to 1: ``(h * sizes).sum() == 1``."""
     q = np.asarray(q_sem, dtype=np.float64)
     sem = np.asarray(sem_rows, dtype=np.float64)
-    m = np.ones(sem.shape[0]) if sizes is None else np.asarray(sizes, dtype=np.float64)
+    m = np.asarray(sizes, dtype=np.float64)
     scores = cosines(sem, row_norms(sem), q)
     np.clip(scores, 0.0, None, out=scores)
     total = (scores * m).sum()
@@ -180,16 +178,16 @@ def personalization(q_sem: np.ndarray, sem_rows: np.ndarray, sizes: np.ndarray |
     return scores / total
 
 
-def ppr(W: np.ndarray, h: np.ndarray, cfg: PPRConfig, sizes: np.ndarray | None = None) -> PPRResult:
-    """Personalized PageRank of the symmetric, non-negative weight matrix W
+def ppr(W: np.ndarray, h: np.ndarray, cfg: PPRConfig, sizes: np.ndarray) -> PPRResult:
+    """Personalized PageRank of the symmetric, non-negative group matrix W
     and the probability vector h, by conjugate gradients (see the module
     docstring); W is left untouched.
 
-    With ``sizes``, entry a of W, h and the scores stands for sizes[a] nodes
-    that share one value, and W is a group matrix as ``build_local_subgraph``
-    returns it: the solve is that of the node graph, and h and the scores
-    sum to 1 over nodes, ``(scores * sizes).sum() == 1``. ``sizes=None``
-    makes every entry one node, and W the node graph itself.
+    Entry a of W, h and the scores stands for sizes[a] nodes that share one
+    value, and W is a group matrix as ``build_local_subgraph`` returns it:
+    the solve is that of the node graph, and h and the scores sum to 1 over
+    nodes, ``(scores * sizes).sum() == 1``. With every size 1 and a zero
+    diagonal, W is the node graph itself.
 
     Each pass first measures the current iterate's fixpoint residual, the L1
     distance one power-iteration step would move the normalized scores, and
@@ -200,9 +198,9 @@ def ppr(W: np.ndarray, h: np.ndarray, cfg: PPRConfig, sizes: np.ndarray | None =
     """
     W = np.asarray(W, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
-    m = np.ones(len(h)) if sizes is None else np.asarray(sizes, dtype=np.float64)
-    own = np.zeros(len(h)) if sizes is None else W.diagonal()  # weight to a fellow member
-    # The node-level row sums; with m = 1 the correction is exactly 0.
+    m = np.asarray(sizes, dtype=np.float64)
+    own = W.diagonal()  # weight to a fellow member
+    # The node-level row sums; for singletons the correction is exactly 0.
     row_sums = W.sum(axis=1) + (W @ (m - 1.0) - own)
     scale = np.sqrt(np.where(row_sums > 0.0, row_sums, 1.0))  # x = scale * y
 

@@ -70,8 +70,8 @@ FAMILY_TYPES = ("sem", "struct", "heur")
 
 DEFAULT_CLUSTERS = 10
 DEFAULT_TYPICAL = 100
-KMEANS_MAX_ITER = 100  # Lloyd sweeps per restart in build_index
-KMEANS_RESTARTS = 10   # seeded k-means restarts per family in build_index
+KMEANS_MAX_ITER = 100  # Lloyd sweeps per k-means restart
+KMEANS_RESTARTS = 10   # seeded restarts per k-means run
 
 
 def top_k(scores: np.ndarray, rows: np.ndarray, table_ids: Sequence[str], k: int) -> np.ndarray:
@@ -203,7 +203,7 @@ class KMeansResult:
     converged: bool
 
 
-def _lloyd(vectors, x2: np.ndarray, K: int, rng: np.random.Generator, max_iter: int) -> KMeansResult:
+def _lloyd(vectors, x2: np.ndarray, K: int, rng: np.random.Generator) -> KMeansResult:
     n = vectors.shape[0]
     centers = _plus_plus_init(vectors, x2, K, rng)
     assign = np.argmin(_sq_dists_to(vectors, x2, centers), axis=1)
@@ -211,7 +211,7 @@ def _lloyd(vectors, x2: np.ndarray, K: int, rng: np.random.Generator, max_iter: 
     history: list[float] = []
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, KMEANS_MAX_ITER + 1):
         centers = _means_with_repair(vectors, x2, assign, K)
         d2 = _sq_dists_to(vectors, x2, centers)
         new_assign = np.argmin(d2, axis=1)
@@ -233,31 +233,27 @@ def _lloyd(vectors, x2: np.ndarray, K: int, rng: np.random.Generator, max_iter: 
     )
 
 
-def kmeans(vectors, K: int, seed: int, max_iter: int = 100, n_init: int = 1) -> KMeansResult:
+def kmeans(vectors, K: int, seed: int) -> KMeansResult:
     """Lloyd's algorithm with seeded ++-style init.
 
-    Deterministic for a given seed. Stops when assignments reach a fixpoint
-    or after max_iter sweeps; the returned assignment never leaves a cluster
-    empty. With n_init > 1, independent seeded restarts run and the one with
-    the lowest final objective wins (first on ties). The row norms are
-    computed once here and shared by every restart.
+    Deterministic for a given seed. Runs KMEANS_RESTARTS independent seeded
+    restarts and keeps the one with the lowest final objective (first on
+    ties). Each restart stops when its assignments reach a fixpoint or after
+    KMEANS_MAX_ITER sweeps; the returned assignment never leaves a cluster
+    empty. The row norms are computed once here and shared by every restart.
     """
     n = vectors.shape[0]
     if K > n:
         raise KTooLarge(K, n)
     if K < 1:
         raise ValueError("K must be at least 1")
-    if n_init < 1:
-        raise ValueError("n_init must be at least 1")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     values = vectors.data if sparse.issparse(vectors) else vectors
     if not np.isfinite(values).all():
         raise ValueError("k-means input holds a non-finite value")
     x2 = _row_sq_norms(vectors)
     best: KMeansResult | None = None
-    for child in np.random.SeedSequence(seed).spawn(n_init):
-        result = _lloyd(vectors, x2, K, np.random.default_rng(child), max_iter)
+    for child in np.random.SeedSequence(seed).spawn(KMEANS_RESTARTS):
+        result = _lloyd(vectors, x2, K, np.random.default_rng(child))
         if best is None or result.objective_history[-1] < best.objective_history[-1]:
             best = result
     return best
@@ -267,16 +263,19 @@ def kmeans(vectors, K: int, seed: int, max_iter: int = 100, n_init: int = 1) -> 
 class ClusterFamily:
     """One hyperedge family: the K clusters of a single feature type.
 
-    ``assignments[i]`` is the cluster of index row i; ``typical[j]`` holds the
-    index rows of cluster j's typical nodes, best first. ``n_iter``,
-    ``converged`` and ``objective`` report the winning k-means restart.
-    ``typical_means`` is derived from ``typical`` and the index rows by
-    ``HypergraphIndex.typical_means`` on first use; it is never persisted.
+    ``assignments[i]`` is the cluster of index row i. The typical nodes are
+    stored as the file stores them: ``typical[typical_ptr[j]:typical_ptr[j + 1]]``
+    holds the index rows of cluster j's typical nodes, best first (both int32).
+    ``n_iter``, ``converged`` and ``objective`` report the winning k-means
+    restart. ``typical_means`` is derived from the typical nodes and the index
+    rows by ``HypergraphIndex.typical_means`` on first use; it is never
+    persisted.
     """
 
     feature_type: str
     assignments: np.ndarray
-    typical: list[np.ndarray]
+    typical: np.ndarray
+    typical_ptr: np.ndarray
     n_iter: int
     converged: bool
     objective: float
@@ -286,7 +285,7 @@ class ClusterFamily:
 
     @property
     def n_clusters(self) -> int:
-        return len(self.typical)
+        return len(self.typical_ptr) - 1
 
 
 @dataclass
@@ -329,19 +328,18 @@ class HypergraphIndex:
         """
         fam = self.families[feature_type]
         if fam.typical_means is None:
-            positions = np.concatenate(fam.typical)
+            positions = fam.typical
             if feature_type == "sem":
                 rows, positions = self.sem_rows, self.sem_group[positions]
             elif feature_type == "struct":
                 rows = standardize_struct(self.struct_raw, self.struct_mean, self.struct_std)
             else:
                 rows = self.heur
-            sizes = np.array([len(t) for t in fam.typical])
+            sizes = np.diff(fam.typical_ptr)
             norms = row_norms(rows)[positions]
             denom = norms * np.repeat(sizes, sizes)
             weights = np.divide(1.0, denom, out=np.zeros(len(positions)), where=norms > 0)
-            indptr = np.concatenate(([0], np.cumsum(sizes)))
-            w = sparse.csr_matrix((weights, positions, indptr), shape=(len(sizes), rows.shape[0]))
+            w = sparse.csr_matrix((weights, positions, fam.typical_ptr), shape=(len(sizes), rows.shape[0]))
             fam.typical_means = w @ rows
         return fam.typical_means
 
@@ -404,7 +402,7 @@ def build_index(
     for fam_idx, phi in enumerate(FAMILY_TYPES):
         child_seed = int(np.random.SeedSequence([seed, fam_idx]).generate_state(1)[0])
         space = spaces[phi]
-        result = kmeans(space, K, seed=child_seed, max_iter=KMEANS_MAX_ITER, n_init=KMEANS_RESTARTS)
+        result = kmeans(space, K, seed=child_seed)
         norms = row_norms(space)
         typical: list[np.ndarray] = []
         for j in range(K):
@@ -414,7 +412,8 @@ def build_index(
         families[phi] = ClusterFamily(
             feature_type=phi,
             assignments=result.assignments,
-            typical=typical,
+            typical=np.concatenate(typical).astype(np.int32),
+            typical_ptr=np.cumsum([0] + [len(t) for t in typical], dtype=np.int32),
             n_iter=result.n_iter,
             converged=result.converged,
             objective=result.objective_history[-1],
@@ -527,12 +526,12 @@ def save_index(ix: HypergraphIndex, path: str | Path) -> None:
     for phi in FAMILY_TYPES:
         fam = ix.families[phi]
         values[f"assign_{phi}"] = fam.assignments
-        values[f"typical_{phi}"] = np.concatenate(fam.typical)
-        values[f"typical_ptr_{phi}"] = np.cumsum([0] + [len(t) for t in fam.typical])
+        values[f"typical_{phi}"] = fam.typical
+        values[f"typical_ptr_{phi}"] = fam.typical_ptr
         families[phi] = {
             "kmeans": {"converged": bool(fam.converged), "n_iter": int(fam.n_iter),
                        "objective": float(fam.objective)},
-            "n_typical": len(values[f"typical_{phi}"]),
+            "n_typical": len(fam.typical),
         }
     header = {
         "corpus_digest": ix.corpus_digest,
@@ -746,7 +745,8 @@ def load_index(path: str | Path) -> HypergraphIndex:
         phi: ClusterFamily(
             feature_type=phi,
             assignments=arrays[f"assign_{phi}"],
-            typical=np.split(arrays[f"typical_{phi}"], arrays[f"typical_ptr_{phi}"][1:-1]),
+            typical=arrays[f"typical_{phi}"],
+            typical_ptr=arrays[f"typical_ptr_{phi}"],
             **header["families"][phi]["kmeans"],
         )
         for phi in FAMILY_TYPES

@@ -118,7 +118,6 @@ def build_prompt(
     result: RetrievalResult,
     tables: Sequence[Table],
     task_type: TaskType,
-    fewshot: Sequence[str] = (),
 ) -> PromptBundle:
     """Assemble the three-step prompt for the ranked tables.
 
@@ -136,7 +135,6 @@ def build_prompt(
     for i, (tid, _) in enumerate(result.ranked):
         rendered.append(f"Table {i + 1} (id: {tid}):\n{render_table_html(by_id[tid])}")
     record_lines = "\n".join(_graph_records(result))
-    fewshot_block = "\n".join(fewshot) if fewshot else "(no examples provided)"
 
     user = "\n".join(
         [
@@ -161,7 +159,7 @@ def build_prompt(
             _STEP_THREE,
             "",
             "Here are few-shot examples to demonstrate the final answer component format:",
-            fewshot_block,
+            "(no examples provided)",
             "",
             _NA_RULE,
             "",

@@ -34,8 +34,6 @@ from tablerank.fine import (
     STAGE_COARSE,
     STAGE_FINE,
     PPRConfig,
-    build_local_subgraph,
-    ppr,
     retrieve,
 )
 from tablerank.index import build_index, save_index
@@ -50,7 +48,7 @@ from conftest import (
     prompt_graph_records,
     representative_score,
 )
-from test_fine import solve_ppr_oracle, transition_matrix
+from test_fine import node_graph, node_ppr, solve_ppr_oracle, transition_matrix
 
 
 def _report(name: str, detail: str) -> None:
@@ -84,10 +82,10 @@ def test_ppr_oracle_equivalence():
         vecs = rng.normal(size=(n, 16))
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
         tau = float(rng.uniform(0.0, 1.0))
-        W = build_local_subgraph(vecs, tau)
+        W = node_graph(vecs, tau)
         h = rng.dirichlet(np.ones(n))
         alpha = (0.3, 0.85, 0.95)[trial % 3]
-        got = ppr(W, h, PPRConfig(alpha=alpha, epsilon=1e-12, max_iter=5000)).scores
+        got = node_ppr(W, h, PPRConfig(alpha=alpha, epsilon=1e-12, max_iter=5000)).scores
         expect = solve_ppr_oracle(transition_matrix(W), h, alpha)
         worst = max(worst, float(np.max(np.abs(got - expect))))
         assert worst < 1e-6

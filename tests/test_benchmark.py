@@ -346,14 +346,15 @@ class TestFilterQueriesOracle:
         assert 0 < len(filter_queries(dups)) < len(dups)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_threshold_on_both_sides_of_a_pair_cosine(self, seed):
+    def test_threshold_on_both_sides_of_a_pair_cosine(self, seed, monkeypatch):
         queries = _gold_style_queries(seed, n_roots=1, per_root=2)
         v = reference_fit_heuristic([q.text for q in queries])
         a, b = queries
         c = representative_score(reference_transform(v, b.text), reference_transform(v, a.text))
         assert 0.0 < c < 1.0
         for threshold, n_kept in ((np.nextafter(c, 0.0), 1), (c, 1), (np.nextafter(c, 2.0), 2)):
-            got = filter_queries(queries, redundancy_cosine=float(threshold))
+            monkeypatch.setattr(benchmark, "REDUNDANCY_COSINE", float(threshold))
+            got = filter_queries(queries)
             assert [q.id for q in got] == [q.id for q in reference_filter_queries(queries, redundancy_cosine=float(threshold))]
             assert len(got) == n_kept
 
@@ -407,10 +408,11 @@ class TestCombineQueries:
         ib = combined.text.index("How many points were scored?")
         assert ia < ib
 
-    def test_based_on_substitutes_previous_query(self):
+    def test_based_on_substitutes_previous_query(self, monkeypatch):
+        monkeypatch.setattr(benchmark, "CONNECTORS", ("Based on [previous query]",))
         a = sq("q1", "r", "Who won the game?")
         b = sq("q2", "r", "How many points?")
-        combined = combine_queries([a, b], connectors=("Based on [previous query]",), seed=0)
+        combined = combine_queries([a, b], seed=0)
         assert combined.text.count("Who won the game?") == 2
         assert "Based on Who won the game?" in combined.text
 

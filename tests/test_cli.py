@@ -269,6 +269,20 @@ class TestConfigPrecedence:
                      "--top-n", "2"]) == 0
         assert capsys.readouterr().out.strip()
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_chosen_dimension_is_kept(self, tmp_path, corpus_file, capsys, via):
+        # Only the built-in default gives way to the index's dimension; a
+        # dimension from the flag or the config file that differs from it fails.
+        out = tmp_path / "dim32.idx"
+        assert main(["build-index", "--corpus", str(corpus_file), "--out", str(out),
+                     "--K", "2", "--k", "5", "--dimension", "32"]) == 0
+        capsys.readouterr()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dimension": 64}))
+        chosen = ["--dimension", "64"] if via == "flag" else ["--config", str(cfg)]
+        assert main(["retrieve", "--index", str(out), "--query", "tp0c00 tp0c01", *chosen]) == 1
+        assert "DimensionMismatch" in capsys.readouterr().err
+
     def test_env_var_overrides_default_embedder(self, index_file, capsys, monkeypatch):
         monkeypatch.setenv("TABLERANK_EMBEDDER", "http://127.0.0.1:9")
         code = main(["retrieve", "--index", str(index_file), "--query", "tp0c00 tp0c01"])
@@ -300,6 +314,26 @@ class TestBenchmarkAndEval:
         e2e = json.loads(capsys.readouterr().out.strip().splitlines()[0])
         assert e2e["na"] == e2e["n"]
         assert e2e["em"] == 0.0
+
+    def test_acc_mode_any(self, tmp_path, capsys):
+        src = _sources_dir(tmp_path)
+        ds_dir, idx = tmp_path / "dataset", tmp_path / "bench.idx"
+        assert main(["build-benchmark", "--sources", str(src), "--out", str(ds_dir), "--seed", "11"]) == 0
+        assert main(["build-index", "--corpus", str(ds_dir / "tables.jsonl"),
+                     "--out", str(idx), "--K", "3", "--k", "20", "--seed", "1"]) == 0
+        capsys.readouterr()
+        reports = {}
+        for mode in ("all", "any"):
+            assert main(["eval-retrieval", "--index", str(idx), "--dataset", str(ds_dir),
+                         "--ks", "1,2,5", "--tau", "0.2", "--acc-mode", mode]) == 0
+            reports[mode] = json.loads(capsys.readouterr().out.strip().splitlines()[0])
+        assert reports["any"]["acc_mode"] == "any"
+        every, anyone = reports["all"]["per_k"], reports["any"]["per_k"]
+        assert set(anyone) == set(every) == {"1", "2", "5"}
+        for k in every:
+            assert anyone[k]["acc"] >= every[k]["acc"]
+            assert anyone[k]["recall"] == every[k]["recall"]
+        assert any(anyone[k]["acc"] > every[k]["acc"] for k in every)  # fixture precondition
 
     @pytest.mark.parametrize("ks", ["0", "-3", "abc", "10,x"])
     def test_bad_ks_exits_2_before_loading(self, tmp_path, capsys, ks):

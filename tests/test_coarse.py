@@ -24,12 +24,11 @@ def reference_assign_cluster(qf, family, ix):
     """Per-node oracle for assign_cluster: gather every typical row, score each
     by cosine to the query, and average the scores per cluster. The choice is
     the lowest index among the means within TIE_ULPS ulps of the best."""
-    sizes = np.array([len(t) for t in family.typical])
+    sizes = np.diff(family.typical_ptr)
     rows = score_space_rows(ix, family.feature_type)
     v = getattr(qf, family.feature_type)
-    scores = np.array([representative_score(rows[i], v) for i in np.concatenate(family.typical)])
-    starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
-    means = np.add.reduceat(scores, starts) / sizes
+    scores = np.array([representative_score(rows[i], v) for i in family.typical])
+    means = np.add.reduceat(scores, family.typical_ptr[:-1]) / sizes
     tied = np.flatnonzero(means >= means.max() - TIE_ULPS * np.spacing(np.abs(means).max()))
     return int(tied[0]), means.tolist()
 
@@ -57,7 +56,8 @@ def _swap_sem(ix, vectors: np.ndarray, assignments: np.ndarray, typical: list[li
     ix.families["sem"] = dataclasses.replace(
         ix.families["sem"],
         assignments=assignments,
-        typical=[np.asarray(t, dtype=np.int64) for t in typical],
+        typical=np.concatenate(typical).astype(np.int32),
+        typical_ptr=np.cumsum([0] + [len(t) for t in typical], dtype=np.int32),
     )
 
 
@@ -207,7 +207,7 @@ class TestMeanVectorOracle:
         ix.struct_raw = ix.struct_raw.copy()
         ix.heur = ix.heur.copy()
         for phi in FAMILY_TYPES:
-            p = int(ix.families[phi].typical[1][0])
+            p = int(ix.families[phi].typical[ix.families[phi].typical_ptr[1]])
             if phi == "sem":
                 sem[p] = 0.0
             elif phi == "struct":
@@ -216,7 +216,7 @@ class TestMeanVectorOracle:
                 ix.heur.data[ix.heur.indptr[p]:ix.heur.indptr[p + 1]] = 0.0
         ix.sem_rows, ix.sem_group = reference_sem_grouping(sem)
         for phi in FAMILY_TYPES:  # fixture precondition: the surgery zeroed each row
-            row = score_space_rows(ix, phi)[int(ix.families[phi].typical[1][0])]
+            row = score_space_rows(ix, phi)[int(ix.families[phi].typical[ix.families[phi].typical_ptr[1]])]
             assert not (row.toarray() if sparse.issparse(row) else row).any(), phi
         for t in range(4):
             self.assert_matches_reference(query_features(make_topic_query(t, seed=5), ix, handle), ix)
@@ -294,7 +294,7 @@ class TestCoarseRetrieve:
         for phi in ("struct", "heur"):
             ix.families[phi] = dataclasses.replace(
                 fam, feature_type=phi, assignments=fam.assignments.copy(),
-                typical=[t.copy() for t in fam.typical],
+                typical=fam.typical.copy(), typical_ptr=fam.typical_ptr.copy(),
             )
         qf = NodeFeatures(sem=np.array([1.0, 0, 0, 0]), struct=struct_z[0],
                           heur=sparse.csr_matrix(np.array([[1.0, 0.0]])))
@@ -323,7 +323,8 @@ class TestCoarseRetrieve:
             return dataclasses.replace(
                 ix.families[phi],
                 assignments=assignments,
-                typical=[np.flatnonzero(assignments == j)[:1] for j in range(2)],
+                typical=np.array([np.flatnonzero(assignments == j)[0] for j in range(2)], dtype=np.int32),
+                typical_ptr=np.array([0, 1, 2], dtype=np.int32),
             )
 
         mask_sem = np.arange(n) < 3

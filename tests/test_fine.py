@@ -34,9 +34,23 @@ def sem_rows(vectors: dict[str, np.ndarray]) -> np.ndarray:
     return np.vstack([vectors[tid] for tid in sorted(vectors)])
 
 
+def node_graph(rows: np.ndarray, tau: float) -> np.ndarray:
+    """Weights with every row its own node: each group a singleton."""
+    return build_local_subgraph(rows, tau, np.arange(len(rows)))
+
+
+def node_personalization(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    return personalization(q, rows, np.ones(len(rows)))
+
+
+def node_ppr(W: np.ndarray, h: np.ndarray, cfg: PPRConfig):
+    """PPR with every entry one node; W has a zero diagonal."""
+    return ppr(W, h, cfg, np.ones(len(h)))
+
+
 def subgraph(vectors: dict[str, np.ndarray], tau: float) -> np.ndarray:
     """Weights over the vectors; node i is the i-th id in ascending order."""
-    return build_local_subgraph(sem_rows(vectors), tau)
+    return node_graph(sem_rows(vectors), tau)
 
 
 def ranked_ids(ids: list[str], scores: np.ndarray, top_n: int) -> list[str]:
@@ -84,7 +98,7 @@ def random_graph(rng, max_nodes=64):
     vecs = rng.normal(size=(n, 16))
     vecs /= np.linalg.norm(vecs, axis=1)[:, None]
     tau = float(rng.uniform(0.0, 1.0))
-    W = build_local_subgraph(vecs, tau)
+    W = node_graph(vecs, tau)
     h = rng.dirichlet(np.ones(n))
     return W, h
 
@@ -242,7 +256,7 @@ class TestBuildLocalSubgraph:
         W = subgraph(vecs, tau=0.3)
         assert len(W) == len(ids)
         # node i is row i: reversed rows give the reversed matrix
-        backwards = build_local_subgraph(sem_rows(vecs)[::-1], 0.3)
+        backwards = node_graph(sem_rows(vecs)[::-1], 0.3)
         assert np.array_equal(backwards, W[::-1, ::-1])
         for _, _, w in edge_list(W, 0.3):
             assert 0.3 <= w <= 1.0 + 1e-12
@@ -268,7 +282,7 @@ class TestSimilarityMatrix:
             assert np.all(S.diagonal() == 0)
         # a large Gram matrix over exactly repeated rows is bitwise symmetric too
         rows = rows_with_duplicates(rng, 1500)
-        S = build_local_subgraph(rows, 0.0)
+        S = node_graph(rows, 0.0)
         assert np.array_equal(S, S.T)
         assert np.all(S.diagonal() == 0)
 
@@ -282,10 +296,10 @@ class TestTieAwareEquivalence:
             rows = rows_with_duplicates(rng, n)
             ids = [f"n{i:04d}" for i in range(n)]
             q = rng.normal(size=rows.shape[1])
-            h = personalization(q, rows)
-            W = build_local_subgraph(rows, tau)
+            h = node_personalization(q, rows)
+            W = node_graph(rows, tau)
             weights = W.copy()
-            got = ppr(W, h, cfg)
+            got = node_ppr(W, h, cfg)
             ref_weights, ref_adjacency = reference_subgraph(rows, tau)
             assert np.array_equal(W, weights)  # ppr leaves W untouched
             assert np.array_equal(W, ref_weights)
@@ -344,9 +358,9 @@ class TestGroupedPath:
         q = rng.normal(size=rows.shape[1])
         h = personalization(q, distinct, sizes)
         assert (h * sizes).sum() == pytest.approx(1.0, abs=1e-15)
-        assert np.allclose(h[group], personalization(q, rows), rtol=1e-14, atol=0.0)
+        assert np.allclose(h[group], node_personalization(q, rows), rtol=1e-14, atol=0.0)
         got = ppr(W, h, cfg, sizes)
-        plain = ppr(weight, h[group], cfg)
+        plain = node_ppr(weight, h[group], cfg)
         oracle, _ = power_iteration(weight, h[group], cfg)
         scores = got.scores[group]
         assert got.iterations == plain.iterations
@@ -356,21 +370,6 @@ class TestGroupedPath:
         groups = duplicate_groups(rows)
         assert all(len(set(scores[members])) == 1 for members in groups)
         assert ranked_ids(ids, scores, n) == ranked_ids(ids, tie_by_group(oracle, groups), n)
-
-    def test_singletons_are_the_plain_graph(self):
-        rng = np.random.default_rng(5)
-        rows = rng.normal(size=(50, 8))
-        plain = build_local_subgraph(rows, 0.2)
-        grouped = build_local_subgraph(rows, 0.2, np.arange(50))
-        assert np.array_equal(plain, grouped)
-        q = rng.normal(size=8)
-        ones = np.ones(50, dtype=np.int64)
-        h = personalization(q, rows)
-        assert np.array_equal(personalization(q, rows, ones), h)
-        a = ppr(plain, h, PPRConfig())
-        b = ppr(grouped, h, PPRConfig(), ones)
-        assert np.array_equal(a.scores, b.scores)
-        assert (a.iterations, a.residual) == (b.iterations, b.residual)
 
 
 class TestTransitionMatrix:
@@ -394,7 +393,7 @@ class TestTransitionMatrix:
         assert np.array_equal(P[2], np.zeros(3))
         h = np.array([0.5, 0.3, 0.2])
         cfg = PPRConfig(alpha=0.85, epsilon=1e-14, max_iter=10000)
-        got = ppr(S, h, cfg).scores
+        got = node_ppr(S, h, cfg).scores
         expect = solve_ppr_oracle(P, h, 0.85)
         assert np.max(np.abs(got - expect)) < 1e-6
 
@@ -402,12 +401,12 @@ class TestTransitionMatrix:
 class TestPersonalization:
     def test_single_node(self):
         vecs = {"only": np.array([1.0, 0.0])}
-        h = personalization([1.0, 0.0], sem_rows(vecs))
+        h = node_personalization([1.0, 0.0], sem_rows(vecs))
         assert np.allclose(h, [1.0])
 
     def test_equal_scores_split_evenly(self):
         vecs = {"a": np.array([1.0, 0.0]), "b": np.array([1.0, 0.0])}
-        h = personalization([1.0, 0.0], sem_rows(vecs))
+        h = node_personalization([1.0, 0.0], sem_rows(vecs))
         assert np.allclose(h, [0.5, 0.5])
 
     def test_clamped_scores_normalized(self):
@@ -419,14 +418,14 @@ class TestPersonalization:
         q = np.array([1.0, 0.0, 0.0])
         raw = {tid: max(0.0, representative_score(v, q)) for tid, v in vecs.items()}
         total = sum(raw.values())
-        h = personalization(q, sem_rows(vecs))
+        h = node_personalization(q, sem_rows(vecs))
         for i, tid in enumerate(sorted(vecs)):
             assert h[i] == pytest.approx(raw[tid] / total)
         assert h[sorted(vecs).index("c")] == 0.0
 
     def test_all_zero_scores_fall_back_to_uniform(self):
         vecs = {"a": np.array([0.0, 1.0]), "b": np.array([0.0, 1.0])}
-        h = personalization([1.0, 0.0], sem_rows(vecs))
+        h = node_personalization([1.0, 0.0], sem_rows(vecs))
         assert np.allclose(h, [0.5, 0.5])
 
     def test_allocates_no_copy_of_the_rows(self):
@@ -448,14 +447,14 @@ class TestPersonalization:
 
 class TestPPR:
     def test_single_node_immediately_converges(self):
-        result = ppr(np.zeros((1, 1)), np.array([1.0]), PPRConfig())
+        result = node_ppr(np.zeros((1, 1)), np.array([1.0]), PPRConfig())
         assert np.allclose(result.scores, [1.0])
         assert result.converged and result.iterations == 1
 
     def test_two_disconnected_nodes_fixpoint(self):
         P = np.zeros((2, 2))
         h = np.array([0.5, 0.5])
-        result = ppr(P, h, PPRConfig())
+        result = node_ppr(P, h, PPRConfig())
         assert np.allclose(result.scores, [0.5, 0.5])
 
     def test_weighted_path_matches_dense_solve(self):
@@ -466,7 +465,7 @@ class TestPPR:
         for i, w in enumerate(weights):
             S[i, i + 1] = S[i + 1, i] = w
         h = np.array([0.4, 0.1, 0.2, 0.1, 0.2])
-        got = ppr(S, h, PPRConfig(alpha=0.85, epsilon=1e-14, max_iter=10000)).scores
+        got = node_ppr(S, h, PPRConfig(alpha=0.85, epsilon=1e-14, max_iter=10000)).scores
         expect = solve_ppr_oracle(transition_matrix(S), h, 0.85)
         assert np.max(np.abs(got - expect)) < 1e-6
 
@@ -474,7 +473,7 @@ class TestPPR:
         rng = np.random.default_rng(21)
         for _ in range(20):
             W, h = random_graph(rng, max_nodes=32)
-            result = ppr(W, h, PPRConfig(alpha=0.85))
+            result = node_ppr(W, h, PPRConfig(alpha=0.85))
             assert result.scores.min() >= 0
             assert result.scores.sum() == pytest.approx(1.0, abs=1e-6)
 
@@ -483,7 +482,7 @@ class TestPPR:
         rng = np.random.default_rng(27)
         W, h = random_graph(rng, max_nodes=16)
         for cap in range(1, 12):
-            result = ppr(W, h, PPRConfig(alpha=0.9, epsilon=1e-30, max_iter=cap))
+            result = node_ppr(W, h, PPRConfig(alpha=0.9, epsilon=1e-30, max_iter=cap))
             assert result.scores.min() >= 0
             assert result.scores.sum() == pytest.approx(1.0, abs=1e-6)
 
@@ -491,23 +490,23 @@ class TestPPR:
         rng = np.random.default_rng(22)
         for _ in range(10):
             W, h = random_graph(rng, max_nodes=32)
-            result = ppr(W, h, PPRConfig(alpha=0.9, epsilon=1e-12, max_iter=500))
+            result = node_ppr(W, h, PPRConfig(alpha=0.9, epsilon=1e-12, max_iter=500))
             assert result.converged and result.residual < 1e-12
             assert fixpoint_residual(W, h, 0.9, result.scores) < 1e-12
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(23)
         W, h = random_graph(rng, max_nodes=24)
-        v = ppr(W, h, PPRConfig(epsilon=1e-12, max_iter=2000)).scores
+        v = node_ppr(W, h, PPRConfig(epsilon=1e-12, max_iter=2000)).scores
         perm = rng.permutation(len(h))
         Wp = W[np.ix_(perm, perm)]
-        vp = ppr(Wp, h[perm], PPRConfig(epsilon=1e-12, max_iter=2000)).scores
+        vp = node_ppr(Wp, h[perm], PPRConfig(epsilon=1e-12, max_iter=2000)).scores
         assert np.allclose(vp, v[perm], atol=1e-9)
 
     def test_truncation_flagged(self):
         S = np.array([[0.0, 1.0], [1.0, 0.0]])
         h = np.array([0.9, 0.1])
-        result = ppr(S, h, PPRConfig(alpha=0.85, epsilon=1e-30, max_iter=3))
+        result = node_ppr(S, h, PPRConfig(alpha=0.85, epsilon=1e-30, max_iter=3))
         assert not result.converged and result.iterations == 3
 
     def test_oracle_equivalence_random_graphs(self):
@@ -515,7 +514,7 @@ class TestPPR:
         for trial in range(20):
             W, h = random_graph(rng, max_nodes=48)
             alpha = [0.3, 0.85, 0.95][trial % 3]
-            got = ppr(W, h, PPRConfig(alpha=alpha, epsilon=1e-12, max_iter=5000)).scores
+            got = node_ppr(W, h, PPRConfig(alpha=alpha, epsilon=1e-12, max_iter=5000)).scores
             expect = solve_ppr_oracle(transition_matrix(W), h, alpha)
             assert np.max(np.abs(got - expect)) < 1e-6
 
@@ -605,8 +604,8 @@ class TestFineRetrieve:
         coarse, result = retrieve(make_topic_query(0, seed=2), ix, handle, cfg, tau=0.5)
         groups = duplicate_groups(ix.sem)  # K=1: the union is every row, in order
         assert any(len(members) > 1 for members in groups)
-        full = build_local_subgraph(ix.sem, 0.5)
-        raw = ppr(full, personalization(coarse.query_features.sem, ix.sem), cfg)
+        full = node_graph(ix.sem, 0.5)
+        raw = node_ppr(full, node_personalization(coarse.query_features.sem, ix.sem), cfg)
         assert np.max(np.abs(result.all_scores - raw.scores)) < 1e-15
         assert all(len(set(result.all_scores[members])) == 1 for members in groups)
         scores = tie_by_group(raw.scores, groups)

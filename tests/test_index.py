@@ -255,9 +255,13 @@ class TestKMeansOracle:
     @pytest.mark.parametrize("space", ["sem", "struct", "heur", "duplicates"])
     @pytest.mark.parametrize("K", [5, 20])
     @pytest.mark.parametrize("n_init,max_iter", [(1, 100), (3, 100), (3, 1)])
-    def test_bitwise_equal_to_reference(self, clustering_spaces, space, K, n_init, max_iter):
+    def test_bitwise_equal_to_reference(self, clustering_spaces, monkeypatch, space, K, n_init, max_iter):
+        # Fewer restarts and sweeps than build_index's keep the oracle fast
+        # and, at max_iter = 1, reach the truncated path.
+        monkeypatch.setattr(index, "KMEANS_RESTARTS", n_init)
+        monkeypatch.setattr(index, "KMEANS_MAX_ITER", max_iter)
         x = clustering_spaces[space]
-        got = kmeans(x, K, seed=17, max_iter=max_iter, n_init=n_init)
+        got = kmeans(x, K, seed=17)
         want = reference_kmeans(x, K, seed=17, max_iter=max_iter, n_init=n_init)
         assert np.array_equal(got.assignments, want.assignments)
         assert np.array_equal(got.centroids.view(np.uint64), want.centroids.view(np.uint64))
@@ -284,17 +288,12 @@ class TestKMeansOracle:
             return real(x)
 
         monkeypatch.setattr(index, "_row_sq_norms", counting)
-        kmeans(clustering_spaces[space], K, seed=3, n_init=n_init)
+        monkeypatch.setattr(index, "KMEANS_RESTARTS", n_init)
+        kmeans(clustering_spaces[space], K, seed=3)
         assert len(calls) <= 1
 
 
 class TestKMeansArguments:
-    @pytest.mark.parametrize("max_iter,n_init", [(0, 1), (0, 2), (-1, 1)])
-    def test_max_iter_below_one_rejected(self, max_iter, n_init):
-        x = two_blobs(seed=1)
-        with pytest.raises(ValueError, match="max_iter"):
-            kmeans(x, 3, seed=1, max_iter=max_iter, n_init=n_init)
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("as_sparse", [False, True], ids=["dense", "sparse"])
     def test_non_finite_input_rejected(self, bad, as_sparse):
@@ -343,7 +342,8 @@ class TestBuildIndex:
             assert fam.assignments.min() >= 0 and fam.assignments.max() < 10
             sizes = np.bincount(fam.assignments, minlength=10)
             assert all(sizes > 0)
-            for j, typ in enumerate(fam.typical):
+            for j in range(10):
+                typ = fam.typical[fam.typical_ptr[j] : fam.typical_ptr[j + 1]]
                 assert np.all(fam.assignments[typ] == j)
                 assert len(set(typ.tolist())) == len(typ) == min(100, sizes[j])
 
@@ -491,7 +491,7 @@ class TestPersistence:
         at += ix.sem_rows.nbytes + (-ix.sem_rows.nbytes % 64)
         assert np.frombuffer(blob, "<i4", len(ix), at).tolist() == ix.sem_group.tolist()
         ptr = np.frombuffer(blob[-16:], "<i4")
-        assert ptr.tolist() == np.cumsum([0] + [len(t) for t in ix.families["heur"].typical]).tolist()
+        assert ptr.tolist() == ix.families["heur"].typical_ptr.tolist()
 
     def test_int32_overflow_refused_before_writing(self, built, tmp_path):
         _, ix = built
@@ -515,8 +515,8 @@ class TestPersistence:
             "heur.indptr": loaded.heur.indptr,
         }
         for phi, fam in loaded.families.items():
-            arrays[f"{phi}.assignments"] = fam.assignments
-            arrays.update({f"{phi}.typical[{j}]": t for j, t in enumerate(fam.typical)})
+            arrays.update({f"{phi}.assignments": fam.assignments, f"{phi}.typical": fam.typical,
+                           f"{phi}.typical_ptr": fam.typical_ptr})
         for name, a in arrays.items():
             assert a.base is buf and np.shares_memory(a, buf), name
         with pytest.raises(ValueError, match="read-only"):
@@ -575,11 +575,14 @@ def _empty_cluster(ix):
 
 def _foreign_typical(ix):
     fam = ix.families["sem"]
-    fam.typical[0][0] = np.flatnonzero(fam.assignments == 1)[0]
+    fam.typical[0] = np.flatnonzero(fam.assignments == 1)[0]
 
 
 def _no_typical(ix):
-    ix.families["heur"].typical[2] = ix.families["heur"].typical[2][:0]
+    fam = ix.families["heur"]
+    lo, hi = fam.typical_ptr[2:4]
+    fam.typical = np.delete(fam.typical, np.arange(lo, hi))
+    fam.typical_ptr[3:] -= hi - lo
 
 
 def _indptr_falls(ix):
@@ -896,7 +899,7 @@ class TestTypicalConsistency:
         for fam_idx, phi in enumerate(FAMILY_TYPES):
             fam = ix.families[phi]
             child_seed = int(np.random.SeedSequence([4, fam_idx]).generate_state(1)[0])
-            result = kmeans(spaces[phi], 3, seed=child_seed, n_init=10)
+            result = kmeans(spaces[phi], 3, seed=child_seed)
             assert np.array_equal(result.assignments, fam.assignments)
             assert (result.n_iter, result.converged, result.objective_history[-1]) == (
                 fam.n_iter, fam.converged, fam.objective)
@@ -906,7 +909,8 @@ class TestTypicalConsistency:
                     (ix.table_ids[i], rows[i]) for i in np.flatnonzero(fam.assignments == j)
                 ]
                 expect = select_typical(members, result.centroids[j], k=5)
-                assert [ix.table_ids[i] for i in fam.typical[j]] == expect
+                typical = fam.typical[fam.typical_ptr[j] : fam.typical_ptr[j + 1]]
+                assert [ix.table_ids[i] for i in typical] == expect
 
     def test_ties_break_on_id_not_position(self, handle):
         # Topic tables repeat their struct and heur rows, and often their sem
@@ -923,14 +927,13 @@ class TestTypicalConsistency:
         for fam_idx, phi in enumerate(FAMILY_TYPES):
             fam = ix.families[phi]
             child_seed = int(np.random.SeedSequence([4, fam_idx]).generate_state(1)[0])
-            result = kmeans(spaces[phi], 3, seed=child_seed,
-                            max_iter=index.KMEANS_MAX_ITER, n_init=index.KMEANS_RESTARTS)
+            result = kmeans(spaces[phi], 3, seed=child_seed)
             space = spaces[phi]
             norms = row_norms(space)
             for j in range(3):
                 pos = np.flatnonzero(result.assignments == j)
                 scores = cosines(space[pos], norms[pos], result.centroids[j])
                 order = sorted(range(len(pos)), key=lambda i: (-scores[i], table_ids[pos[i]]))
-                assert fam.typical[j].tolist() == pos[order[:5]].tolist()
+                assert fam.typical[fam.typical_ptr[j] : fam.typical_ptr[j + 1]].tolist() == pos[order[:5]].tolist()
                 by_position += order[:5] != sorted(range(len(pos)), key=lambda i: (-scores[i], i))[:5]
         assert by_position > 0  # fixture precondition: some ties fall across the cutoff

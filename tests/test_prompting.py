@@ -105,8 +105,7 @@ class TestBuildPrompt:
     def test_structural_blocks_present_in_order(self):
         result = make_result(["ta", "tb"], np.array([[0.0, 0.5], [0.5, 0.0]]))
         bundle = build_prompt("the query text", result,
-                              [make_table("ta"), make_table("tb")], TaskType.SINGLE_HOP,
-                              fewshot=["<answer>example</answer>"])
+                              [make_table("ta"), make_table("tb")], TaskType.SINGLE_HOP)
         u = bundle.user
         assert bundle.system == SYSTEM_MESSAGE
         positions = [
@@ -118,11 +117,12 @@ class TestBuildPrompt:
             u.index("# Step Two: Answer the query based on the retrieved tables"),
             u.index("# Step Three: Output Instructions (MUST strictly follow)"),
             u.index("<reasoning>"),
+            u.index("Here are few-shot examples to demonstrate the final answer component format:\n"
+                    "(no examples provided)\n"),
             u.index("<answer>NA</answer>"),
             u.index("Now Output Your response below:"),
         ]
         assert positions == sorted(positions)
-        assert "<answer>example</answer>" in u
 
     def test_records_only_reference_ranked_tables(self):
         rng = np.random.default_rng(1)
