@@ -3,7 +3,8 @@
 Subcommands: ingest, build-index, retrieve, build-benchmark, eval-retrieval,
 eval-e2e, inspect. Option precedence is flags > environment variables
 (endpoints only) > --config file > built-in defaults; every run logs the
-resolved configuration to stderr. Exit codes: 0 success, 1 runtime failure,
+configuration it uses to stderr, a command that opens an index once the
+index has set the embedding dimension. Exit codes: 0 success, 1 runtime failure,
 2 usage error.
 """
 
@@ -107,8 +108,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     too_small = [name for name in _POSITIVE_INTS if getattr(cfg, name) < 1]
     if too_small:
         raise UsageError(f"{', '.join(too_small)} must be at least 1")
-    log.info("resolved config: %s", json.dumps(asdict(cfg), sort_keys=True))
     return cfg
+
+
+def _log_config(cfg: RunConfig) -> None:
+    log.info("resolved config: %s", json.dumps(asdict(cfg), sort_keys=True))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -217,6 +221,7 @@ def _open_index(args, cfg: RunConfig):
     ix = load_index(args.index)
     if args.dimension is None:
         cfg.dimension = ix.params["embedder_dimension"]
+    _log_config(cfg)
     return ix
 
 
@@ -283,7 +288,7 @@ def _cmd_eval_e2e(args, cfg: RunConfig) -> int:
 
 
 def _cmd_inspect(args, cfg: RunConfig) -> int:
-    ix = load_index(args.index)
+    ix = _open_index(args, cfg)
     sizes = {
         phi: np.bincount(fam.assignments, minlength=fam.n_clusters).tolist()
         for phi, fam in ix.families.items()
@@ -320,6 +325,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
+        if not hasattr(args, "index"):  # the others log once _open_index has read the index
+            _log_config(cfg)
         return _COMMANDS[args.command](args, cfg)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)

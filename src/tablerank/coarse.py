@@ -4,9 +4,10 @@ For each family, the query is scored against every cluster's typical nodes;
 the cluster with the highest mean cosine wins. Means within TIE_ULPS units in
 the last place of the largest |mean| count as tied, and the lowest tied
 cluster index wins, so the choice does not hang on rounding. That mean comes
-from the cluster's mean unit-normalized typical vector, precomputed once per
-family, so a query costs one (K, dim) product per family rather than a pass
-over every typical node. The candidate set handed to fine-grained retrieval
+from the cluster's mean unit-normalized typical vector, which the index
+build computes and the index file stores (``ClusterFamily.typical_means``),
+so a query costs one (K, dim) product per family rather than a pass over
+every typical node. The candidate set handed to fine-grained retrieval
 is the union of the three winning clusters, which typically discards the
 bulk of the corpus while keeping the relevant region from three
 complementary viewpoints.
@@ -66,13 +67,11 @@ def query_features(q: Query, ix: HypergraphIndex, h: EmbedderHandle) -> NodeFeat
     return NodeFeatures(sem=sem, struct=struct, heur=heur)
 
 
-def assign_cluster(
-    qf: NodeFeatures, family: ClusterFamily, ix: HypergraphIndex
-) -> tuple[int, list[float]]:
+def assign_cluster(qf: NodeFeatures, family: ClusterFamily) -> tuple[int, list[float]]:
     """Mean typical-node cosine per cluster; returns (argmax index, all means).
 
     The mean of cluster j's typical cosines to the query v equals
-    ``M[j] @ v / |v|``, where ``M = ix.typical_means(...)`` holds each
+    ``M[j] @ v / |v|``, where ``M = family.typical_means`` holds each
     cluster's mean unit-normalized typical vector, so a query costs one
     (K, dim) product per family. A zero query scores 0 everywhere. Means
     within ``TIE_ULPS * np.spacing(max |means|)`` of the best are tied, and the
@@ -85,7 +84,7 @@ def assign_cluster(
     if v_norm == 0.0:
         means = np.zeros(family.n_clusters)
     else:
-        m = ix.typical_means(family.feature_type)
+        m = family.typical_means
         # Not a BLAS product for dense m: gemv may round a row differently by
         # its position, which would split an exact tie between identical rows.
         dots = m @ v if sparse.issparse(m) else np.einsum("ij,j->i", m, v)
@@ -109,7 +108,7 @@ def coarse_retrieve(
     in_union = np.zeros(len(ix), dtype=bool)
     for phi in FAMILY_TYPES:
         family = ix.families[phi]
-        best, _ = assign_cluster(qf, family, ix)
+        best, _ = assign_cluster(qf, family)
         choices[phi] = best
         in_union |= family.assignments == best
     union = np.flatnonzero(in_union)

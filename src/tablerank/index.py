@@ -5,7 +5,12 @@ k-means; a cluster is a hyperedge grouping its member tables, and the three
 cluster families together form the heterogeneous hypergraph. Each cluster
 also records its "typical" members -- the top-k nodes by cosine to the
 centroid, ties by table id (``top_k``, which also ranks the fine stage) --
-which stand in for the whole cluster at query time.
+which stand in for the whole cluster at query time. Coarse retrieval reads
+a cluster only through its typical mean: the mean of its L2-normalized
+typical rows in score space (raw sem and heur rows, standardized struct
+rows). ``build_index`` computes each family's (K, dim) matrix of typical
+means once, and the file stores it in place of the per-table struct and
+TF-IDF rows, which no query reads.
 
 Clustering spaces: sem and heur rows are L2-normalized (Euclidean there is
 monotone with cosine); struct rows are z-scored per column because the raw
@@ -18,11 +23,12 @@ its row (``sem_group``). Rows are distinct when their 64-bit words differ, so
 -0.0 and 0.0 are distinct. ``build_index`` finds the grouping once, and the
 file stores it.
 
-The on-disk container (format version 3) is a fixed preamble (magic,
+The on-disk container (format version 4) is a fixed preamble (magic,
 format version, header length, sha256 of the file without the digest), a
 sorted-keys JSON header (params, digests, table ids, vocabulary, distinct
-sem row count, per-family k-means report), then the raw little-endian
-arrays, each on a 64-byte boundary. Every integer array is int32.
+sem row count, stored entries of the heur means, per-family k-means
+report), then the raw little-endian arrays, each on a 64-byte boundary.
+Every integer array is int32.
 ``load_index`` reads the file into one read-only buffer, checks the digest
 and every structural invariant, the grouping included, and hands out views
 of that buffer, so nothing is copied and a stray write into a loaded index
@@ -37,7 +43,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -58,7 +64,7 @@ from .features import (
     unit_rows,
 )
 
-INDEX_FORMAT_VERSION = 3
+INDEX_FORMAT_VERSION = 4
 _MAGIC = b"TRKHGIDX"
 _DIGEST_AT = len(_MAGIC) + 4 + 8    # magic, format version (<u4), header length (<u8)
 _PREAMBLE = _DIGEST_AT + 32         # ... then the sha256 digest
@@ -194,6 +200,23 @@ def _means_with_repair(x, x2: np.ndarray, assign: np.ndarray, k: int) -> np.ndar
     return centers
 
 
+def _typical_means(rows, positions: np.ndarray, typical_ptr: np.ndarray):
+    """(K, dim) matrix whose row j is the mean of cluster j's L2-normalized
+    typical rows, ``rows[positions[typical_ptr[j]:typical_ptr[j + 1]]]``:
+    dense for dense rows, CSR for CSR rows. A zero row adds nothing.
+
+    One sparse weight matrix, 1 / (norm * size) per typical row, times the
+    rows, so no row is gathered or copied. The mean cosine of cluster j's
+    typical rows to a query v is then ``means[j] @ v / |v|``.
+    """
+    sizes = np.diff(typical_ptr)
+    norms = row_norms(rows)[positions]
+    denom = norms * np.repeat(sizes, sizes)
+    weights = np.divide(1.0, denom, out=np.zeros(len(positions)), where=norms > 0)
+    w = sparse.csr_matrix((weights, positions, typical_ptr), shape=(len(sizes), rows.shape[0]))
+    return w @ rows
+
+
 @dataclass
 class KMeansResult:
     assignments: np.ndarray
@@ -266,22 +289,21 @@ class ClusterFamily:
     ``assignments[i]`` is the cluster of index row i. The typical nodes are
     stored as the file stores them: ``typical[typical_ptr[j]:typical_ptr[j + 1]]``
     holds the index rows of cluster j's typical nodes, best first (both int32).
-    ``n_iter``, ``converged`` and ``objective`` report the winning k-means
-    restart. ``typical_means`` is derived from the typical nodes and the index
-    rows by ``HypergraphIndex.typical_means`` on first use; it is never
-    persisted.
+    Row j of ``typical_means`` is the mean of cluster j's L2-normalized
+    typical rows in score space (``_typical_means``): a dense (K, dim) array
+    for sem and struct, a (K, V) CSR matrix for heur, which the build
+    computes and the file stores. ``n_iter``, ``converged`` and
+    ``objective`` report the winning k-means restart.
     """
 
     feature_type: str
     assignments: np.ndarray
     typical: np.ndarray
     typical_ptr: np.ndarray
+    typical_means: np.ndarray | sparse.csr_matrix
     n_iter: int
     converged: bool
     objective: float
-    typical_means: np.ndarray | sparse.csr_matrix | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def n_clusters(self) -> int:
@@ -296,10 +318,8 @@ class HypergraphIndex:
     table_ids: list[str]
     sem_rows: np.ndarray       # (u, d) distinct raw embeddings, by first position
     sem_group: np.ndarray      # (n,) int32: table i's embedding is sem_rows[sem_group[i]]
-    struct_raw: np.ndarray     # (n, STRUCT_DIM) raw counts
-    struct_mean: np.ndarray
+    struct_mean: np.ndarray    # the struct standardization, for query rows
     struct_std: np.ndarray
-    heur: sparse.csr_matrix    # (n, V) raw tf-idf rows
     vectorizer: HeuristicVectorizer
     families: dict[str, ClusterFamily]
 
@@ -314,34 +334,6 @@ class HypergraphIndex:
         rows = self.sem_rows[self.sem_group]
         rows.flags.writeable = False
         return rows
-
-    def typical_means(self, feature_type: str):
-        """(K, dim) matrix whose row j is the mean of cluster j's L2-normalized
-        typical rows in score space: dense for sem/struct, CSR for heur.
-
-        The mean cosine of cluster j's typical rows to a query v is then
-        ``typical_means[j] @ v / |v|``; a zero row counts as cosine 0. Built
-        once per family as a sparse weight matrix times the rows, so no row
-        is gathered or copied, and kept on the family in memory only. The
-        weights address the standardized struct rows, the heur rows, or for
-        sem the ``sem_rows`` that ``sem_group`` maps the typical tables to.
-        """
-        fam = self.families[feature_type]
-        if fam.typical_means is None:
-            positions = fam.typical
-            if feature_type == "sem":
-                rows, positions = self.sem_rows, self.sem_group[positions]
-            elif feature_type == "struct":
-                rows = standardize_struct(self.struct_raw, self.struct_mean, self.struct_std)
-            else:
-                rows = self.heur
-            sizes = np.diff(fam.typical_ptr)
-            norms = row_norms(rows)[positions]
-            denom = norms * np.repeat(sizes, sizes)
-            weights = np.divide(1.0, denom, out=np.zeros(len(positions)), where=norms > 0)
-            w = sparse.csr_matrix((weights, positions, fam.typical_ptr), shape=(len(sizes), rows.shape[0]))
-            fam.typical_means = w @ rows
-        return fam.typical_means
 
 
 def corpus_digest(corpus: TableCorpus) -> str:
@@ -370,8 +362,9 @@ def build_index(
     returns them. Every family gets K clusters; its clustering runs
     KMEANS_RESTARTS seeded restarts, keeping the best objective. The sem
     rows are grouped after the clustering, and copied only if some row
-    repeats. Like ``load_index``, it tunes the allocator
-    (``_retain_freed_memory``).
+    repeats; then each family's typical means are computed, the sem family's
+    from the distinct rows through the grouping. Like ``load_index``, it
+    tunes the allocator (``_retain_freed_memory``).
     """
     table_ids = corpus.ids()
     sem = np.asarray(features.sem, dtype=np.float64)
@@ -398,7 +391,7 @@ def build_index(
     }
 
     K = int(K)
-    families: dict[str, ClusterFamily] = {}
+    clusterings = {}
     for fam_idx, phi in enumerate(FAMILY_TYPES):
         child_seed = int(np.random.SeedSequence([seed, fam_idx]).generate_state(1)[0])
         space = spaces[phi]
@@ -409,17 +402,30 @@ def build_index(
             pos = np.flatnonzero(result.assignments == j)
             scores = cosines(space[pos], norms[pos], result.centroids[j])
             typical.append(pos[top_k(scores, pos, table_ids, k)])
+        clusterings[phi] = (result, typical)
+    struct_z = spaces["struct"]
+    del spaces, space  # freed before the distinct rows are copied
+    firsts, sem_group = _group_rows(sem)
+    sem_rows = sem if len(firsts) == len(sem) else sem[firsts]
+
+    families: dict[str, ClusterFamily] = {}
+    for phi, (result, typical) in clusterings.items():
+        positions = np.concatenate(typical).astype(np.int32)
+        typical_ptr = np.cumsum([0] + [len(t) for t in typical], dtype=np.int32)
+        if phi == "sem":
+            means = _typical_means(sem_rows, sem_group[positions], typical_ptr)
+        else:
+            means = _typical_means(struct_z if phi == "struct" else heur, positions, typical_ptr)
         families[phi] = ClusterFamily(
             feature_type=phi,
             assignments=result.assignments,
-            typical=np.concatenate(typical).astype(np.int32),
-            typical_ptr=np.cumsum([0] + [len(t) for t in typical], dtype=np.int32),
+            typical=positions,
+            typical_ptr=typical_ptr,
+            typical_means=means,
             n_iter=result.n_iter,
             converged=result.converged,
             objective=result.objective_history[-1],
         )
-    del spaces, space  # freed before the distinct rows are copied
-    firsts, sem_group = _group_rows(sem)
 
     return HypergraphIndex(
         params={
@@ -433,12 +439,10 @@ def build_index(
         corpus_digest=corpus_digest(corpus),
         source_tag=corpus.source_tag,
         table_ids=table_ids,
-        sem_rows=sem if len(firsts) == len(sem) else sem[firsts],
+        sem_rows=sem_rows,
         sem_group=sem_group,
-        struct_raw=struct_raw,
         struct_mean=mean,
         struct_std=std,
-        heur=heur,
         vectorizer=vectorizer,
         families=families,
     )
@@ -455,7 +459,7 @@ _HEADER_SCHEMA = {
     "distinct_sem_rows": int,
     "doc_count": int,
     "families": {phi: {"kmeans": _KMEANS_REPORT, "n_typical": int} for phi in FAMILY_TYPES},
-    "heur_nnz": int,
+    "means_heur_nnz": int,
     "params": {
         "embedder_dimension": int,
         "k_per_family": {phi: int for phi in FAMILY_TYPES},
@@ -472,27 +476,32 @@ _HEADER_SCHEMA = {
 
 def _layout(header: dict) -> list[tuple[str, str, tuple[int, ...]]]:
     """(name, dtype, shape) of every array in file order; the shapes follow
-    from the header's n, d, u, V, nnz, K and typical counts."""
+    from the header's n, d, u, V, K, typical counts and heur-means nnz."""
     n, V = len(header["table_ids"]), len(header["vocabulary"])
     params = header["params"]
-    nnz = header["heur_nnz"]
+    d, nnz = params["embedder_dimension"], header["means_heur_nnz"]
     layout = [
-        ("sem_rows", "<f8", (header["distinct_sem_rows"], params["embedder_dimension"])),
+        ("sem_rows", "<f8", (header["distinct_sem_rows"], d)),
         ("sem_group", "<i4", (n,)),
-        ("struct_raw", "<f8", (n, STRUCT_DIM)),
         ("struct_mean", "<f8", (STRUCT_DIM,)),
         ("struct_std", "<f8", (STRUCT_DIM,)),
         ("idf", "<f8", (V,)),
-        ("heur_data", "<f8", (nnz,)),
-        ("heur_indices", "<i4", (nnz,)),
-        ("heur_indptr", "<i4", (n + 1,)),
     ]
     for phi in FAMILY_TYPES:
+        K = params["k_per_family"][phi]
         layout += [
             (f"assign_{phi}", "<i4", (n,)),
             (f"typical_{phi}", "<i4", (header["families"][phi]["n_typical"],)),
-            (f"typical_ptr_{phi}", "<i4", (params["k_per_family"][phi] + 1,)),
+            (f"typical_ptr_{phi}", "<i4", (K + 1,)),
         ]
+        if phi == "heur":
+            layout += [
+                ("means_heur_data", "<f8", (nnz,)),
+                ("means_heur_indices", "<i4", (nnz,)),
+                ("means_heur_indptr", "<i4", (K + 1,)),
+            ]
+        else:
+            layout.append((f"means_{phi}", "<f8", (K, d if phi == "sem" else STRUCT_DIM)))
     return layout
 
 
@@ -511,16 +520,19 @@ def save_index(ix: HypergraphIndex, path: str | Path) -> None:
     written, so the file is never assembled in memory.
     """
     p = Path(path)
+    heur_means = ix.families["heur"].typical_means
     values = {
         "sem_rows": ix.sem_rows,
         "sem_group": ix.sem_group,
-        "struct_raw": ix.struct_raw,
         "struct_mean": ix.struct_mean,
         "struct_std": ix.struct_std,
         "idf": ix.vectorizer.idf,
-        "heur_data": ix.heur.data,
-        "heur_indices": ix.heur.indices,
-        "heur_indptr": ix.heur.indptr,
+        "means_sem": ix.families["sem"].typical_means,
+        "means_struct": ix.families["struct"].typical_means,
+        # in the product's storage order: a query sums each row in that order
+        "means_heur_data": heur_means.data,
+        "means_heur_indices": heur_means.indices,
+        "means_heur_indptr": heur_means.indptr,
     }
     families = {}
     for phi in FAMILY_TYPES:
@@ -538,7 +550,7 @@ def save_index(ix: HypergraphIndex, path: str | Path) -> None:
         "distinct_sem_rows": len(ix.sem_rows),
         "doc_count": ix.vectorizer.doc_count,
         "families": families,
-        "heur_nnz": int(ix.heur.nnz),
+        "means_heur_nnz": int(heur_means.nnz),
         "params": ix.params,
         "source_tag": ix.source_tag,
         "table_ids": ix.table_ids,
@@ -612,20 +624,18 @@ def _check_header(header) -> None:
 
 def _check_arrays(header: dict, a: dict[str, np.ndarray]) -> None:
     """The structural invariants retrieval relies on."""
-    n, V, nnz = len(header["table_ids"]), len(header["vocabulary"]), header["heur_nnz"]
-    for name in ("sem_rows", "struct_raw", "struct_mean", "struct_std", "idf", "heur_data"):
+    n, V, nnz = len(header["table_ids"]), len(header["vocabulary"]), header["means_heur_nnz"]
+    for name in ("sem_rows", "struct_mean", "struct_std", "idf", "means_sem", "means_struct", "means_heur_data"):
         if not np.isfinite(a[name]).all():
             raise IOFailure(f"array {name} holds a non-finite value")
     _check_sem_grouping(a["sem_rows"], a["sem_group"])
-    ptr, ind = a["heur_indptr"], a["heur_indices"]
+    # The heur means keep the product's storage order, so the columns of a
+    # row need not ascend.
+    ptr, ind = a["means_heur_indptr"], a["means_heur_indices"]
     if ptr[0] != 0 or ptr[-1] != nnz or (ptr[1:] < ptr[:-1]).any():
-        raise IOFailure("heur_indptr does not rise monotonically from 0 to nnz")
+        raise IOFailure("means_heur_indptr does not rise monotonically from 0 to nnz")
     if nnz and (ind.min() < 0 or ind.max() >= V):
-        raise IOFailure("heur_indices holds a column outside [0, V)")
-    row_start = np.zeros(nnz, dtype=bool)
-    row_start[ptr[:-1][ptr[:-1] < nnz]] = True
-    if ((ind[1:] <= ind[:-1]) & ~row_start[1:]).any():
-        raise IOFailure("heur_indices does not ascend within a row")
+        raise IOFailure("means_heur_indices holds a column outside [0, V)")
     for phi in FAMILY_TYPES:
         K = header["params"]["k_per_family"][phi]
         assign, typical, tptr = a[f"assign_{phi}"], a[f"typical_{phi}"], a[f"typical_ptr_{phi}"]
@@ -739,14 +749,17 @@ def load_index(path: str | Path) -> HypergraphIndex:
     )
     # Attach the views to an empty matrix: the (data, indices, indptr)
     # constructor copies a view whose buffer is much larger than it.
-    heur = sparse.csr_matrix((len(table_ids), len(vocab_tokens)))
-    heur.data, heur.indices, heur.indptr = arrays["heur_data"], arrays["heur_indices"], arrays["heur_indptr"]
+    heur_means = sparse.csr_matrix((header["params"]["k_per_family"]["heur"], len(vocab_tokens)))
+    heur_means.data, heur_means.indices, heur_means.indptr = (
+        arrays["means_heur_data"], arrays["means_heur_indices"], arrays["means_heur_indptr"])
+    means = {"sem": arrays["means_sem"], "struct": arrays["means_struct"], "heur": heur_means}
     families = {
         phi: ClusterFamily(
             feature_type=phi,
             assignments=arrays[f"assign_{phi}"],
             typical=arrays[f"typical_{phi}"],
             typical_ptr=arrays[f"typical_ptr_{phi}"],
+            typical_means=means[phi],
             **header["families"][phi]["kmeans"],
         )
         for phi in FAMILY_TYPES
@@ -758,10 +771,8 @@ def load_index(path: str | Path) -> HypergraphIndex:
         table_ids=table_ids,
         sem_rows=arrays["sem_rows"],
         sem_group=arrays["sem_group"],
-        struct_raw=arrays["struct_raw"],
         struct_mean=arrays["struct_mean"],
         struct_std=arrays["struct_std"],
-        heur=heur,
         vectorizer=vectorizer,
         families=families,
     )

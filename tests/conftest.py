@@ -159,12 +159,13 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def score_space_rows(ix, phi: str):
-    """Oracle for the rows a family's cosines use, one per table: the raw sem
-    and heur rows and the standardized struct rows."""
+def score_space_rows(feats: CorpusFeatures, phi: str, ix):
+    """Oracle for the rows a family's cosines use, one per table, from the
+    features ``extract_all`` returned for the index's corpus: the raw sem and
+    heur rows, and the struct rows standardized with the index's stats."""
     if phi == "struct":
-        return standardize_struct(ix.struct_raw, ix.struct_mean, ix.struct_std)
-    return ix.sem if phi == "sem" else ix.heur
+        return standardize_struct(feats.struct, ix.struct_mean, ix.struct_std)
+    return feats.sem if phi == "sem" else feats.heur
 
 
 def reference_sem_grouping(sem: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

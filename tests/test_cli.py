@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -268,6 +269,17 @@ class TestConfigPrecedence:
         assert main(["retrieve", "--index", str(out), "--query", "tp0c00 tp0c01",
                      "--top-n", "2"]) == 0
         assert capsys.readouterr().out.strip()
+
+    def test_logged_config_has_the_index_dimension(self, tmp_path, corpus_file, caplog):
+        out = tmp_path / "dim32.idx"
+        assert main(["build-index", "--corpus", str(corpus_file), "--out", str(out),
+                     "--K", "2", "--k", "5", "--dimension", "32"]) == 0
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="tablerank"):
+            assert main(["retrieve", "--index", str(out), "--query", "tp0c00 tp0c01", "--top-n", "2"]) == 0
+        logged = [r.getMessage() for r in caplog.records if r.getMessage().startswith("resolved config: ")]
+        assert len(logged) == 1
+        assert json.loads(logged[0].removeprefix("resolved config: "))["dimension"] == 32
 
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_chosen_dimension_is_kept(self, tmp_path, corpus_file, capsys, via):

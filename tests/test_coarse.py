@@ -9,23 +9,22 @@ from tablerank.coarse import TIE_ULPS, assign_cluster, coarse_retrieve, query_fe
 from tablerank.corpus import Query, TaskType
 from tablerank.errors import DimensionMismatch
 from tablerank.features import EmbedderHandle, NodeFeatures, extract_all
-from tablerank.index import FAMILY_TYPES, build_index
+from tablerank.index import FAMILY_TYPES, _typical_means, build_index
 
 from conftest import (
     make_topic_corpus,
     make_topic_query,
-    reference_sem_grouping,
     representative_score,
     score_space_rows,
 )
 
 
-def reference_assign_cluster(qf, family, ix):
-    """Per-node oracle for assign_cluster: gather every typical row, score each
-    by cosine to the query, and average the scores per cluster. The choice is
-    the lowest index among the means within TIE_ULPS ulps of the best."""
+def reference_assign_cluster(qf, family, rows):
+    """Per-node oracle for assign_cluster: gather every typical row from
+    ``rows`` (the family's score-space rows, one per table), score each by
+    cosine to the query, and average the scores per cluster. The choice is the
+    lowest index among the means within TIE_ULPS ulps of the best."""
     sizes = np.diff(family.typical_ptr)
-    rows = score_space_rows(ix, family.feature_type)
     v = getattr(qf, family.feature_type)
     scores = np.array([representative_score(rows[i], v) for i in family.typical])
     means = np.add.reduceat(scores, family.typical_ptr[:-1]) / sizes
@@ -41,24 +40,24 @@ def indexed(handle):
     return corpus, feats, ix
 
 
-def _set_struct_z(ix, z: np.ndarray):
-    """White-box surgery: make ``z`` the standardized struct rows. With mean
-    0 and std 1 the standardization returns ``z`` bit for bit."""
-    ix.struct_raw = z
-    ix.struct_mean = np.zeros(z.shape[1])
-    ix.struct_std = np.ones(z.shape[1])
+def _set_rows(ix, phi: str, rows):
+    """White-box surgery: family ``phi``'s typical means become those of
+    ``rows`` (score-space rows, one per table), computed as the build does."""
+    fam = ix.families[phi]
+    fam.typical_means = _typical_means(rows, fam.typical, fam.typical_ptr)
 
 
-def _swap_sem(ix, vectors: np.ndarray, assignments: np.ndarray, typical: list[list[int]]):
-    """White-box surgery: replace the sem family with handcrafted geometry.
-    ``typical`` lists index positions per cluster."""
-    ix.sem_rows, ix.sem_group = reference_sem_grouping(vectors)
-    ix.families["sem"] = dataclasses.replace(
-        ix.families["sem"],
+def _replace_family(ix, phi: str, rows, assignments: np.ndarray, typical: list[list[int]]):
+    """White-box surgery: replace family ``phi`` with handcrafted geometry.
+    ``typical`` lists index positions per cluster; the typical means are
+    computed from ``rows``."""
+    ix.families[phi] = dataclasses.replace(
+        ix.families[phi],
         assignments=assignments,
         typical=np.concatenate(typical).astype(np.int32),
         typical_ptr=np.cumsum([0] + [len(t) for t in typical], dtype=np.int32),
     )
+    _set_rows(ix, phi, rows)
 
 
 class TestQueryFeatures:
@@ -100,7 +99,7 @@ class TestAssignCluster:
         feats = extract_all(corpus, handle)
         ix = build_index(corpus, feats, K=1, k=5, seed=0)
         qf = query_features(make_topic_query(0, seed=2), ix, handle)
-        best, means = assign_cluster(qf, ix.families["sem"], ix)
+        best, means = assign_cluster(qf, ix.families["sem"])
         assert best == 0 and len(means) == 1
 
     def test_matching_typical_node_wins_with_mean_one(self, indexed):
@@ -114,9 +113,9 @@ class TestAssignCluster:
         assignments = np.ones(n, dtype=np.int64)
         assignments[0] = 0
         typical = [[0], [1]]
-        _swap_sem(ix, vectors, assignments, typical)
+        _replace_family(ix, "sem", vectors, assignments, typical)
         qf = NodeFeatures(sem=vectors[0].copy(), struct=np.zeros(20), heur=sparse.csr_matrix((1, 1)))
-        best, means = assign_cluster(qf, ix.families["sem"], ix)
+        best, means = assign_cluster(qf, ix.families["sem"])
         assert best == 0
         assert means[0] == pytest.approx(1.0)
         assert means[1] == pytest.approx(0.0)
@@ -132,11 +131,11 @@ class TestAssignCluster:
         typical = []
         for j in range(3):
             typical.append(np.flatnonzero(assignments == j)[:2].tolist())
-        _swap_sem(ix, vectors, assignments, typical)
+        _replace_family(ix, "sem", vectors, assignments, typical)
         for trial in range(25):
             qv = rng.normal(size=8)
             qf = NodeFeatures(sem=qv, struct=np.zeros(20), heur=sparse.csr_matrix((1, 1)))
-            best, means = assign_cluster(qf, ix.families["sem"], ix)
+            best, means = assign_cluster(qf, ix.families["sem"])
             brute = [
                 float(np.mean([
                     representative_score(vectors[i], qv) for i in typical[j]
@@ -154,10 +153,10 @@ class TestAssignCluster:
         assignments = np.zeros(n, dtype=np.int64)
         assignments[n // 2:] = 1
         typical = [[0], [n // 2]]
-        _swap_sem(ix, vectors, assignments, typical)
+        _replace_family(ix, "sem", vectors, assignments, typical)
         qf = NodeFeatures(sem=np.array([0.0, 1.0, 0.0, 0.0]), struct=np.zeros(20),
                           heur=sparse.csr_matrix((1, 1)))
-        best, means = assign_cluster(qf, ix.families["sem"], ix)
+        best, means = assign_cluster(qf, ix.families["sem"])
         assert means[0] == pytest.approx(means[1])
         assert best == 0
 
@@ -167,11 +166,11 @@ class TestMeanVectorOracle:
     three families: means within 1e-12 and the same choice."""
 
     @staticmethod
-    def assert_matches_reference(qf, ix):
+    def assert_matches_reference(qf, ix, rows):
         for phi in FAMILY_TYPES:
             family = ix.families[phi]
-            best, means = assign_cluster(qf, family, ix)
-            _, ref_means = reference_assign_cluster(qf, family, ix)
+            best, means = assign_cluster(qf, family)
+            _, ref_means = reference_assign_cluster(qf, family, rows[phi])
             ref = np.asarray(ref_means)
             assert np.max(np.abs(means - ref)) <= 1e-12, phi
             # The reference's BLAS product can round two identical typical sets
@@ -180,46 +179,43 @@ class TestMeanVectorOracle:
             assert best == int(np.argmax(ref >= ref.max() - 1e-12)), phi
 
     def test_many_queries(self, indexed, handle):
-        _, _, ix = indexed
+        _, feats, ix = indexed
+        rows = {phi: score_space_rows(feats, phi, ix) for phi in FAMILY_TYPES}
         queries = [make_topic_query(t, seed=s) for t in range(4) for s in range(12)]
         queries.append(Query(id="mix", text="tp0c00 tp1c01 tp2h00 tp3c02", task_type=TaskType.SINGLE_HOP))
         exact_ties = 0
         for q in queries:
             qf = query_features(q, ix, handle)
-            self.assert_matches_reference(qf, ix)
-            _, means = assign_cluster(qf, ix.families["struct"], ix)
+            self.assert_matches_reference(qf, ix, rows)
+            _, means = assign_cluster(qf, ix.families["struct"])
             exact_ties += means.count(max(means)) > 1
         # Topics share struct vectors here, so struct clusters tie exactly.
         assert exact_ties > 0
 
     def test_out_of_vocab_query_picks_cluster_zero(self, indexed, handle):
-        _, _, ix = indexed
+        _, feats, ix = indexed
         q = Query(id="q", text="zz yy xx ww vv", task_type=TaskType.SINGLE_HOP)
         qf = query_features(q, ix, handle)
-        self.assert_matches_reference(qf, ix)
-        best, means = assign_cluster(qf, ix.families["heur"], ix)
+        self.assert_matches_reference(qf, ix, {phi: score_space_rows(feats, phi, ix) for phi in FAMILY_TYPES})
+        best, means = assign_cluster(qf, ix.families["heur"])
         assert best == 0
         assert means == [0.0] * len(means)
 
     def test_zero_norm_typical_row(self, indexed, handle):
-        _, _, ix = indexed
-        sem = ix.sem.copy()
-        ix.struct_raw = ix.struct_raw.copy()
-        ix.heur = ix.heur.copy()
+        _, feats, ix = indexed
+        rows = {phi: score_space_rows(feats, phi, ix).copy() for phi in FAMILY_TYPES}
         for phi in FAMILY_TYPES:
             p = int(ix.families[phi].typical[ix.families[phi].typical_ptr[1]])
-            if phi == "sem":
-                sem[p] = 0.0
-            elif phi == "struct":
-                ix.struct_raw[p] = ix.struct_mean  # standardizes to the zero row
+            if phi == "heur":
+                rows[phi].data[rows[phi].indptr[p]:rows[phi].indptr[p + 1]] = 0.0
             else:
-                ix.heur.data[ix.heur.indptr[p]:ix.heur.indptr[p + 1]] = 0.0
-        ix.sem_rows, ix.sem_group = reference_sem_grouping(sem)
+                rows[phi][p] = 0.0
+            _set_rows(ix, phi, rows[phi])
         for phi in FAMILY_TYPES:  # fixture precondition: the surgery zeroed each row
-            row = score_space_rows(ix, phi)[int(ix.families[phi].typical[ix.families[phi].typical_ptr[1]])]
+            row = rows[phi][int(ix.families[phi].typical[ix.families[phi].typical_ptr[1]])]
             assert not (row.toarray() if sparse.issparse(row) else row).any(), phi
         for t in range(4):
-            self.assert_matches_reference(query_features(make_topic_query(t, seed=5), ix, handle), ix)
+            self.assert_matches_reference(query_features(make_topic_query(t, seed=5), ix, handle), ix, rows)
 
     def test_identical_typical_vectors_tie_to_lower_index(self, indexed):
         _, _, ix = indexed
@@ -231,14 +227,14 @@ class TestMeanVectorOracle:
         typical = [[0, 3], [1, 4, 7], [2, 5, 8]]
         vectors[[2, 5, 8]] = vectors[[1, 4, 7]]
         vectors[[0, 3]] = -vectors[1]
-        _swap_sem(ix, vectors, assignments, typical)
+        _replace_family(ix, "sem", vectors, assignments, typical)
         for _ in range(10):
             qv = vectors[1] + 0.1 * rng.normal(size=8)
             qf = NodeFeatures(sem=qv, struct=np.zeros(20), heur=sparse.csr_matrix((1, 1)))
-            best, means = assign_cluster(qf, ix.families["sem"], ix)
+            best, means = assign_cluster(qf, ix.families["sem"])
             assert means[1] == means[2]
             assert best == 1
-            _, ref_means = reference_assign_cluster(qf, ix.families["sem"], ix)
+            _, ref_means = reference_assign_cluster(qf, ix.families["sem"], vectors)
             assert np.max(np.abs(np.subtract(means, ref_means))) <= 1e-12
 
 
@@ -247,12 +243,14 @@ class TestMeanVectorOracle:
         # struct clusters 0 and 4 (and 2 and 5) sharing one vector with 10
         # against 1 typical nodes; their means differ only by rounding.
         corpus = make_topic_corpus(60, 4, seed=6)
-        ix = build_index(corpus, extract_all(corpus, handle), K=6, k=10, seed=3)
+        feats = extract_all(corpus, handle)
+        ix = build_index(corpus, feats, K=6, k=10, seed=3)
+        rows = {phi: score_space_rows(feats, phi, ix) for phi in FAMILY_TYPES}
         for q in (make_topic_query(t, seed=s) for t in range(4) for s in range(10)):
             qf = query_features(q, ix, handle)
             for phi in FAMILY_TYPES:
-                best, _ = assign_cluster(qf, ix.families[phi], ix)
-                assert best == reference_assign_cluster(qf, ix.families[phi], ix)[0], (q.id, phi)
+                best, _ = assign_cluster(qf, ix.families[phi])
+                assert best == reference_assign_cluster(qf, ix.families[phi], rows[phi])[0], (q.id, phi)
 
 
 class TestCoarseRetrieve:
@@ -282,24 +280,17 @@ class TestCoarseRetrieve:
         assignments = np.zeros(n, dtype=np.int64)
         assignments[5:] = 1
         typical = [[0, 1, 2, 3, 4], [5]]
-        _swap_sem(ix, vectors, assignments, typical)
+        _replace_family(ix, "sem", vectors, assignments, typical)
         # Make struct and heur mirror the sem family exactly.
-        fam = ix.families["sem"]
         struct_z = np.zeros((n, 20))
         struct_z[:5, 0] = 1.0
         struct_z[5:, 1] = 1.0
-        _set_struct_z(ix, struct_z)
-        heur = sparse.csr_matrix(vectors[:, :2])
-        ix.heur = heur
-        for phi in ("struct", "heur"):
-            ix.families[phi] = dataclasses.replace(
-                fam, feature_type=phi, assignments=fam.assignments.copy(),
-                typical=fam.typical.copy(), typical_ptr=fam.typical_ptr.copy(),
-            )
+        _replace_family(ix, "struct", struct_z, assignments.copy(), typical)
+        _replace_family(ix, "heur", sparse.csr_matrix(vectors[:, :2]), assignments.copy(), typical)
         qf = NodeFeatures(sem=np.array([1.0, 0, 0, 0]), struct=struct_z[0],
                           heur=sparse.csr_matrix(np.array([[1.0, 0.0]])))
         for phi in FAMILY_TYPES:
-            assert assign_cluster(qf, ix.families[phi], ix)[1] == pytest.approx([1.0, 0.0]), phi
+            assert assign_cluster(qf, ix.families[phi])[1] == pytest.approx([1.0, 0.0]), phi
         result = coarse_retrieve(None, ix, None, qf=qf)
         assert result.per_family_choice == {"sem": 0, "struct": 0, "heur": 0}
         assert result.union_ids.tolist() == [0, 1, 2, 3, 4]
@@ -318,31 +309,21 @@ class TestCoarseRetrieve:
         struct_z[3:7] = 0.0; struct_z[3:7, 1] = 1.0
         heur_rows[7:12] = 0.0; heur_rows[7:12, 2] = 1.0
 
-        def family(phi, mask):
+        def family(phi, rows, mask):
             assignments = np.where(mask, 0, 1).astype(np.int64)
-            return dataclasses.replace(
-                ix.families[phi],
-                assignments=assignments,
-                typical=np.array([np.flatnonzero(assignments == j)[0] for j in range(2)], dtype=np.int32),
-                typical_ptr=np.array([0, 1, 2], dtype=np.int32),
-            )
+            typical = [[np.flatnonzero(assignments == j)[0]] for j in range(2)]
+            _replace_family(ix, phi, rows, assignments, typical)
 
-        mask_sem = np.arange(n) < 3
-        mask_struct = (np.arange(n) >= 3) & (np.arange(n) < 7)
-        mask_heur = (np.arange(n) >= 7) & (np.arange(n) < 12)
-        ix.sem_rows, ix.sem_group = reference_sem_grouping(sem)
-        _set_struct_z(ix, struct_z)
-        ix.heur = sparse.csr_matrix(heur_rows)
-        ix.families["sem"] = family("sem", mask_sem)
-        ix.families["struct"] = family("struct", mask_struct)
-        ix.families["heur"] = family("heur", mask_heur)
+        family("sem", sem, np.arange(n) < 3)
+        family("struct", struct_z, (np.arange(n) >= 3) & (np.arange(n) < 7))
+        family("heur", sparse.csr_matrix(heur_rows), (np.arange(n) >= 7) & (np.arange(n) < 12))
         qf = NodeFeatures(
             sem=np.array([1.0, 0, 0, 0, 0, 0]),
             struct=np.eye(20)[1],
             heur=sparse.csr_matrix(np.array([[0, 0, 1.0, 0, 0, 0]])),
         )
         for phi in FAMILY_TYPES:
-            assert assign_cluster(qf, ix.families[phi], ix)[1] == pytest.approx([1.0, 0.0]), phi
+            assert assign_cluster(qf, ix.families[phi])[1] == pytest.approx([1.0, 0.0]), phi
         result = coarse_retrieve(None, ix, None, qf=qf)
         assert result.per_family_choice == {"sem": 0, "struct": 0, "heur": 0}
         assert len(result.union_ids) == 12
@@ -369,7 +350,7 @@ class TestCoarseRetrieve:
         ix = build_index(corpus, feats, K=4, k=100, seed=3)
         q = make_topic_query(1, seed=9)
         qf = query_features(q, ix, handle)
-        coarse_retrieve(q, ix, handle, qf=qf)  # warm-up: builds the per-family means
+        coarse_retrieve(q, ix, handle, qf=qf)  # warm-up
         tracemalloc.start()
         try:
             coarse_retrieve(q, ix, handle, qf=qf)

@@ -12,6 +12,7 @@ import pytest
 from scipy import sparse
 
 from tablerank import index, save_corpus
+from tablerank.coarse import coarse_retrieve
 from tablerank.errors import IOFailure, KTooLarge, TableRankError, VersionMismatch
 from tablerank.corpus import TableCorpus
 from tablerank.features import (
@@ -442,7 +443,18 @@ class TestPersistence:
         (tmp_path / "v2.bin").write_bytes(bytes(blob))
         with pytest.raises(VersionMismatch) as err:
             load_index(tmp_path / "v2.bin")
-        assert (err.value.found, err.value.expected) == (2, 3)
+        assert (err.value.found, err.value.expected) == (2, 4)
+
+    def test_format_3_file_refused(self, built, tmp_path):
+        # Format 3 stored every table's struct and TF-IDF rows; no reader for it is kept.
+        p = tmp_path / "ix.bin"
+        save_index(built[1], p)
+        blob = bytearray(p.read_bytes())
+        blob[8:12] = np.uint32(3).tobytes()
+        (tmp_path / "v3.bin").write_bytes(bytes(blob))
+        with pytest.raises(VersionMismatch) as err:
+            load_index(tmp_path / "v3.bin")
+        assert (err.value.found, err.value.expected) == (3, 4)
 
     def test_format_1_file_refused(self, tmp_path):
         # Format 1: magic, version, header length, JSON header, arrays; no digest.
@@ -482,7 +494,7 @@ class TestPersistence:
                 fam.n_iter, fam.converged, fam.objective)
         # The arrays start on the first 64-byte boundary after the header,
         # the distinct sem rows first, then the table-to-row map; the file
-        # ends with the last typical_ptr array.
+        # ends with the row starts of the heur family's typical means.
         u = header["distinct_sem_rows"]
         assert u == len(ix.sem_rows) < len(ix)  # fixture precondition: some rows repeat
         at = 52 + header_len + (-(52 + header_len) % 64)
@@ -491,7 +503,8 @@ class TestPersistence:
         at += ix.sem_rows.nbytes + (-ix.sem_rows.nbytes % 64)
         assert np.frombuffer(blob, "<i4", len(ix), at).tolist() == ix.sem_group.tolist()
         ptr = np.frombuffer(blob[-16:], "<i4")
-        assert ptr.tolist() == ix.families["heur"].typical_ptr.tolist()
+        assert ptr.tolist() == ix.families["heur"].typical_means.indptr.tolist()
+        assert ptr[-1] == header["means_heur_nnz"] > 0
 
     def test_int32_overflow_refused_before_writing(self, built, tmp_path):
         _, ix = built
@@ -508,11 +521,14 @@ class TestPersistence:
         loaded = load_index(p)
         buf = loaded.sem_rows.base
         assert buf.dtype == np.uint8 and buf.flags.owndata and buf.nbytes == p.stat().st_size
+        heur_means = loaded.families["heur"].typical_means
         arrays = {
             "sem_rows": loaded.sem_rows, "sem_group": loaded.sem_group,
-            "struct_raw": loaded.struct_raw, "idf": loaded.vectorizer.idf,
-            "heur.data": loaded.heur.data, "heur.indices": loaded.heur.indices,
-            "heur.indptr": loaded.heur.indptr,
+            "struct_mean": loaded.struct_mean, "idf": loaded.vectorizer.idf,
+            "heur.means.data": heur_means.data, "heur.means.indices": heur_means.indices,
+            "heur.means.indptr": heur_means.indptr,
+            "sem.means": loaded.families["sem"].typical_means,
+            "struct.means": loaded.families["struct"].typical_means,
         }
         for phi, fam in loaded.families.items():
             arrays.update({f"{phi}.assignments": fam.assignments, f"{phi}.typical": fam.typical,
@@ -586,20 +602,30 @@ def _no_typical(ix):
 
 
 def _indptr_falls(ix):
-    ix.heur.indptr[5] = ix.heur.indptr[6] + 1
+    ptr = ix.families["heur"].typical_means.indptr
+    ptr[1] = ptr[2] + 1
+
+
+def _indptr_not_from_zero(ix):
+    ix.families["heur"].typical_means.indptr[0] = 1
 
 
 def _column_out_of_range(ix):
-    ix.heur.indices[-1] = ix.vectorizer.size
+    ix.families["heur"].typical_means.indices[-1] = ix.vectorizer.size
 
 
-def _columns_unsorted(ix):
-    ix.heur.indices[[0, 1]] = ix.heur.indices[[1, 0]]
+def _negative_column(ix):
+    ix.families["heur"].typical_means.indices[0] = -1
 
 
 def _non_finite(name):
     def edit(ix):
-        arr = {"sem_rows": ix.sem_rows, "struct_raw": ix.struct_raw, "idf": ix.vectorizer.idf, "heur_data": ix.heur.data}[name]
+        arr = {
+            "sem_rows": ix.sem_rows, "idf": ix.vectorizer.idf,
+            "means_sem": ix.families["sem"].typical_means,
+            "means_struct": ix.families["struct"].typical_means,
+            "means_heur_data": ix.families["heur"].typical_means.data,
+        }[name]
         arr.flat[3] = np.nan
     return edit
 
@@ -633,7 +659,7 @@ class TestResignedFiles:
     ``_edit_header``, both of which sign what they write."""
 
     @pytest.mark.parametrize("edit, match", [
-        (lambda h: h.pop("heur_nnz"), "must be an object with keys"),
+        (lambda h: h.pop("means_heur_nnz"), "must be an object with keys"),
         (lambda h: h.update(extra=1), "must be an object with keys"),
         (_set("params.seed", "11"), r"params\.seed must be of type int"),
         (_set("families.sem.kmeans.n_iter", True), "n_iter must be of type int"),
@@ -659,8 +685,8 @@ class TestResignedFiles:
     # the array checks instead; the fuzz test covers them.)
     @pytest.mark.parametrize("edit, match", [
         (lambda h: h["params"].update(embedder_dimension=h["params"]["embedder_dimension"] + 1), "past the end"),
-        (lambda h: h.update(heur_nnz=h["heur_nnz"] - 16), "follow the last array"),
-        (lambda h: h["table_ids"].pop(), "follow the last array"),
+        (lambda h: h.update(means_heur_nnz=h["means_heur_nnz"] - 16), "follow the last array"),
+        (lambda h: h.update(table_ids=h["table_ids"][:-16]), "follow the last array"),
         (lambda h: h["vocabulary"].extend(f"zz{i}" for i in range(8)), "past the end"),
         (lambda h: h["params"]["k_per_family"].update(sem=19), "past the end"),
         (lambda h: h.update(distinct_sem_rows=h["distinct_sem_rows"] + 1), "past the end"),
@@ -678,21 +704,23 @@ class TestResignedFiles:
         (_empty_cluster, "family struct has an empty cluster"),
         (_foreign_typical, "typical_sem lists a node outside its own cluster"),
         (_no_typical, "typical_ptr_heur does not rise strictly"),
-        (_indptr_falls, "heur_indptr does not rise monotonically"),
-        (_column_out_of_range, r"heur_indices holds a column outside \[0, V\)"),
-        (_columns_unsorted, "heur_indices does not ascend within a row"),
+        (_indptr_falls, "means_heur_indptr does not rise monotonically from 0 to nnz"),
+        (_indptr_not_from_zero, "means_heur_indptr does not rise monotonically from 0 to nnz"),
+        (_column_out_of_range, r"means_heur_indices holds a column outside \[0, V\)"),
+        (_negative_column, r"means_heur_indices holds a column outside \[0, V\)"),
         (_non_finite("sem_rows"), "sem_rows holds a non-finite value"),
-        (_non_finite("struct_raw"), "struct_raw holds a non-finite value"),
+        (_non_finite("means_sem"), "means_sem holds a non-finite value"),
+        (_non_finite("means_struct"), "means_struct holds a non-finite value"),
         (_non_finite("idf"), "idf holds a non-finite value"),
-        (_non_finite("heur_data"), "heur_data holds a non-finite value"),
+        (_non_finite("means_heur_data"), "means_heur_data holds a non-finite value"),
         (_objective_inf, "objective is not finite"),
         (_equal_stored_rows, "sem_rows holds two bitwise-equal rows"),
         (_group_out_of_range, r"sem_group holds a row outside \[0, 21\)"),
         (_groups_out_of_order, "sem_group ids are not in first-occurrence order"),
         (_unused_stored_row, "sem_rows holds a row no table uses"),
     ], ids=["assignment-out-of-range", "empty-cluster", "typical-outside-cluster", "cluster-without-typical",
-            "indptr-falls", "column-out-of-range", "columns-unsorted", "nan-sem", "nan-struct", "nan-idf",
-            "nan-heur", "inf-objective", "equal-stored-rows", "group-out-of-range", "groups-out-of-order",
+            "indptr-falls", "indptr-not-from-zero", "column-out-of-range", "negative-column", "nan-sem",
+            "nan-sem-means", "nan-struct", "nan-idf", "nan-heur", "inf-objective", "equal-stored-rows", "group-out-of-range", "groups-out-of-order",
             "unused-stored-row"])
     def test_arrays(self, built, tmp_path, doctor, match):
         _, ix = built
@@ -892,9 +920,9 @@ class TestTypicalConsistency:
         feats = extract_all(corpus, handle)
         ix = build_index(corpus, feats, K=3, k=5, seed=4)
         spaces = {
-            "sem": unit_rows(ix.sem),
-            "struct": score_space_rows(ix, "struct"),
-            "heur": unit_rows(ix.heur),
+            "sem": unit_rows(feats.sem),
+            "struct": score_space_rows(feats, "struct", ix),
+            "heur": unit_rows(feats.heur),
         }
         for fam_idx, phi in enumerate(FAMILY_TYPES):
             fam = ix.families[phi]
@@ -903,7 +931,7 @@ class TestTypicalConsistency:
             assert np.array_equal(result.assignments, fam.assignments)
             assert (result.n_iter, result.converged, result.objective_history[-1]) == (
                 fam.n_iter, fam.converged, fam.objective)
-            rows = score_space_rows(ix, phi)
+            rows = score_space_rows(feats, phi, ix)
             for j in range(fam.n_clusters):
                 members = [
                     (ix.table_ids[i], rows[i]) for i in np.flatnonzero(fam.assignments == j)
@@ -920,9 +948,11 @@ class TestTypicalConsistency:
         base = make_topic_corpus(60, 3, seed=8)
         shuffled = np.random.default_rng(1).permutation(len(base))
         corpus = TableCorpus([dataclasses.replace(t, id=f"r{j:03d}") for t, j in zip(base, shuffled)])
-        ix = build_index(corpus, extract_all(corpus, handle), K=3, k=5, seed=4)
+        feats = extract_all(corpus, handle)
+        ix = build_index(corpus, feats, K=3, k=5, seed=4)
         table_ids = ix.table_ids
-        spaces = {"sem": unit_rows(ix.sem), "struct": score_space_rows(ix, "struct"), "heur": unit_rows(ix.heur)}
+        spaces = {"sem": unit_rows(feats.sem), "struct": score_space_rows(feats, "struct", ix),
+                  "heur": unit_rows(feats.heur)}
         by_position = 0
         for fam_idx, phi in enumerate(FAMILY_TYPES):
             fam = ix.families[phi]
@@ -937,3 +967,75 @@ class TestTypicalConsistency:
                 assert fam.typical[fam.typical_ptr[j] : fam.typical_ptr[j + 1]].tolist() == pos[order[:5]].tolist()
                 by_position += order[:5] != sorted(range(len(pos)), key=lambda i: (-scores[i], i))[:5]
         assert by_position > 0  # fixture precondition: some ties fall across the cutoff
+
+
+class TestTypicalMeans:
+    """Format 4 stores each family's typical means; a query reads them as
+    loaded and never derives them from per-table rows."""
+
+    @staticmethod
+    def means_bits(m) -> list[bytes]:
+        if sparse.issparse(m):
+            return [m.data.tobytes(), np.asarray(m.indices, "<i4").tobytes(), np.asarray(m.indptr, "<i4").tobytes()]
+        return [m.tobytes()]
+
+    @pytest.mark.parametrize("kind", ["topic", "gold"])
+    def test_loaded_means_are_the_built_means(self, handle, tmp_path, kind):
+        corpus = make_topic_corpus(120, 4, seed=9) if kind == "topic" else make_gold_corpus(25, seed=5)
+        ix = build_index(corpus, extract_all(corpus, handle), K=4, k=10, seed=2)
+        p = tmp_path / "ix.bin"
+        save_index(ix, p)
+        loaded = load_index(p)
+        for phi in FAMILY_TYPES:
+            built_means, loaded_means = ix.families[phi].typical_means, loaded.families[phi].typical_means
+            assert type(loaded_means) is type(built_means), phi
+            assert loaded_means.shape == built_means.shape, phi
+            assert self.means_bits(loaded_means) == self.means_bits(built_means), phi
+        assert not ix.families["heur"].typical_means.has_sorted_indices  # kept in the product's order
+
+    def test_loaded_families_hold_their_means(self, built, handle, tmp_path):
+        _, ix = built
+        p = tmp_path / "ix.bin"
+        save_index(ix, p)
+        loaded = load_index(p)
+        d, V = loaded.params["embedder_dimension"], loaded.vectorizer.size
+        shapes = {"sem": (3, d), "struct": (3, 20), "heur": (3, V)}
+        for phi, fam in loaded.families.items():
+            assert fam.typical_means.shape == shapes[phi], phi
+        assert not hasattr(loaded, "typical_means") and not hasattr(loaded, "heur")
+        # Coarse choices come from the stored means alone: rows it could
+        # derive them from are poisoned, and no choice moves.
+        poisoned = dataclasses.replace(loaded, sem_rows=np.full_like(loaded.sem_rows, np.nan))
+        for topic in range(3):
+            q = make_topic_query(topic, seed=7)
+            want = coarse_retrieve(q, loaded, handle)
+            assert coarse_retrieve(q, poisoned, handle).per_family_choice == want.per_family_choice
+
+    @pytest.mark.parametrize("phi", ["sem", "struct"])
+    @pytest.mark.parametrize("extra, match", [(1, "follow the last array"), (-1, "past the end")],
+                             ids=["row-more", "row-fewer"])
+    def test_means_block_of_wrong_shape_refused(self, built, tmp_path, monkeypatch, phi, extra, match):
+        _, ix = built
+        fam = ix.families[phi]
+        K, dim = fam.typical_means.shape
+        fam.typical_means = np.resize(fam.typical_means, (K + extra, dim))
+        layout = index._layout
+        monkeypatch.setattr(index, "_layout", lambda header: [
+            (name, dtype, (K + extra, dim) if name == f"means_{phi}" else shape)
+            for name, dtype, shape in layout(header)
+        ])
+        p = tmp_path / "ix.bin"
+        save_index(ix, p)  # signed, with a means block the header does not describe
+        monkeypatch.undo()
+        with pytest.raises(IOFailure, match=match):
+            load_index(p)
+
+    def test_heur_means_indptr_short_of_nnz_refused(self, built, tmp_path):
+        p = tmp_path / "ix.bin"
+        save_index(built[1], p)
+        blob = bytearray(p.read_bytes())
+        blob[-4:] = (np.frombuffer(bytes(blob[-4:]), "<i4") - 1).astype("<i4").tobytes()  # the last row start
+        blob[20:52] = _digest(bytes(blob))
+        (tmp_path / "short.bin").write_bytes(bytes(blob))
+        with pytest.raises(IOFailure, match="means_heur_indptr does not rise monotonically from 0 to nnz"):
+            load_index(tmp_path / "short.bin")

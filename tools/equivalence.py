@@ -6,8 +6,9 @@ and loads the index the way a perfbench set-up does, then runs every query
 of the round through ``retrieve`` and ``build_prompt``. It prints one JSON
 line per corpus:
 
-- ``index_sha256``: the index file's sha256;
-- ``u``: the number of distinct sem rows (bitwise) among the tables;
+- ``index_sha256`` and ``index_bytes``: the index file's sha256 and size;
+- ``u``: the number of distinct sem rows (bitwise) among the tables, which
+  ``load_index`` has proved the stored rows to be;
 - ``inspect_sha256``: sha256 over the cluster sizes and k-means reports;
 - ``outputs_sha256``: one sha256 over every query's top-10 ids, the bits
   of its ranked scores and ``all_scores``, and its prompt's ``system`` and
@@ -20,6 +21,13 @@ identical. Run it from a checkout's root, with one BLAS thread as the
 benchmark uses:
 
     python3 tools/equivalence.py
+    python3 tools/equivalence.py --check tools/equivalence.expected.jsonl
+
+With ``--check FILE`` it compares each line with the line of the same
+workload and round in FILE, prints every corpus and field that differ, and
+exits 1 if any does. Score bits depend on the BLAS kernel and the CPU, so
+``tools/equivalence.expected.jsonl`` is a reference for the machine type
+named in ``tools/equivalence.machine.json``, not a check for any machine.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy is imported
 
+import argparse
 import hashlib
 import json
 import struct
@@ -77,7 +86,8 @@ def check_corpus(w, rnd: int, workdir: Path) -> dict:
         "workload": w.name,
         "round": rnd,
         "index_sha256": hashlib.sha256(index_path.read_bytes()).hexdigest(),
-        "u": len({row.tobytes() for row in ix.sem}),
+        "index_bytes": index_path.stat().st_size,
+        "u": len(ix.sem_rows),
         "queries": len(queries),
         "inspect_sha256": hashlib.sha256(json.dumps(inspect, sort_keys=True).encode()).hexdigest(),
         "outputs_sha256": outputs.hexdigest(),
@@ -90,13 +100,43 @@ def check_corpus(w, rnd: int, workdir: Path) -> dict:
     return line
 
 
+def differences(line: dict, expected: dict[tuple[str, int], dict]) -> list[str]:
+    """One message per field in which ``line`` differs from the expected line
+    of its workload and round."""
+    where = f"{line['workload']} round {line['round']}"
+    want = expected.get((line["workload"], line["round"]))
+    if want is None:
+        return [f"{where}: no expected line"]
+    return [
+        f"{where}: {key} is {line.get(key)!r}, expected {want.get(key)!r}"
+        for key in sorted(set(line) | set(want))
+        if line.get(key) != want.get(key)
+    ]
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", metavar="FILE", help="compare with the JSON lines in FILE")
+    args = parser.parse_args()
+    expected = None
+    if args.check:
+        lines = [json.loads(text) for text in Path(args.check).read_text(encoding="utf-8").splitlines() if text]
+        expected = {(e["workload"], e["round"]): e for e in lines}
+    found: list[str] = []
+    seen = set()
     with tempfile.TemporaryDirectory(prefix="tablerank-equivalence-") as tmp:
         for w in WORKLOADS.values():
             for rnd in range(w.rounds):
                 line = check_corpus(w, rnd, Path(tmp) / f"{w.name}-{rnd}")
                 print(json.dumps(line, sort_keys=True), flush=True)
-    return 0
+                seen.add((w.name, rnd))
+                if expected is not None:
+                    found += differences(line, expected)
+    if expected is not None:
+        found += [f"{name} round {rnd}: expected but not produced" for name, rnd in sorted(set(expected) - seen)]
+        for message in found:
+            print(message, file=sys.stderr)
+    return 1 if found else 0
 
 
 if __name__ == "__main__":
