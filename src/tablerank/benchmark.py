@@ -509,11 +509,22 @@ def load_benchmark(in_dir: str | Path) -> BenchmarkDataset:
     return BenchmarkDataset(tables=tables, examples=examples, stats=stats)
 
 
+def _id_text(rec: dict, key: str) -> str:
+    """``rec[key]`` as text: a string, or an integer written out."""
+    value = rec[key]
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError(f"{key} must be a string or an integer, got {value!r}")
+    return str(value)
+
+
 def _source_query_from_record(rec: dict) -> SourceQuery:
+    text = rec["text"]
+    if not isinstance(text, str):
+        raise ValueError(f"text must be a string, got {text!r}")
     q = SourceQuery(
-        id=str(rec["id"]),
-        root_table_id=str(rec["root_table_id"]),
-        text=str(rec["text"]),
+        id=_id_text(rec, "id"),
+        root_table_id=_id_text(rec, "root_table_id"),
+        text=text,
         task_type=TaskType(rec["task_type"]),
         answer=rec.get("answer"),
     )

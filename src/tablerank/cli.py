@@ -26,9 +26,9 @@ from . import corpus as corpus_mod
 from . import evaluation as ev
 from .errors import TableRankError, UsageError
 from .features import EmbedderHandle, extract_all
-from .fine import PPRConfig, retrieve
+from .fine import DEFAULT_ALPHA, DEFAULT_EPSILON, DEFAULT_MAX_ITER, DEFAULT_TAU, DEFAULT_TOP_N, PPRConfig, retrieve
 from .coarse import coarse_retrieve
-from .index import build_index, load_index, save_index
+from .index import DEFAULT_CLUSTERS, DEFAULT_TYPICAL, build_index, load_index, save_index
 from .prompting import make_generator
 
 log = logging.getLogger("tablerank")
@@ -39,17 +39,17 @@ ENV_GENERATOR = "TABLERANK_GENERATOR"
 
 @dataclass
 class RunConfig:
-    K: int = 10
-    k: int = 100
-    alpha: float = 0.85
-    tau: float = 0.5
-    epsilon: float = 1e-8
-    max_iter: int = 100
-    top_n: int = 10
+    K: int = DEFAULT_CLUSTERS
+    k: int = DEFAULT_TYPICAL
+    alpha: float = DEFAULT_ALPHA
+    tau: float = DEFAULT_TAU
+    epsilon: float = DEFAULT_EPSILON
+    max_iter: int = DEFAULT_MAX_ITER
+    top_n: int = DEFAULT_TOP_N
     seed: int = 0
-    embedder: str = "builtin:hash"
-    dimension: int = 64
-    batch_limit: int = 64
+    embedder: str = EmbedderHandle.endpoint
+    dimension: int = EmbedderHandle.dimension
+    batch_limit: int = EmbedderHandle.batch_limit
     generator: str = "stub:na"
 
     def handle(self) -> EmbedderHandle:

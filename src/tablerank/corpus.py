@@ -153,6 +153,14 @@ def _cell_text(value: object) -> str:
     raise TypeError(f"cell value of unsupported type {type(value).__name__}")
 
 
+def _array(value: object, what: str) -> list:
+    """``value`` if it is a JSON array; a string would otherwise be iterated
+    character by character."""
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a JSON array, got {value!r}")
+    return value
+
+
 def _table_from_record(rec: dict, lineno: int, violations: list[tuple[str, str]]) -> Table | None:
     if not isinstance(rec, dict):
         violations.append((f"<line {lineno}>", "record is not an object"))
@@ -167,12 +175,15 @@ def _table_from_record(rec: dict, lineno: int, violations: list[tuple[str, str]]
         table = Table(
             id=_cell_text(rec.get("id", "")),
             caption=_cell_text(rec.get("caption", "")),
-            headers=[_cell_text(h) for h in rec.get("headers", [])],
-            entries=[[_cell_text(c) for c in row] for row in rec.get("entries", [])],
+            headers=[_cell_text(h) for h in _array(rec.get("headers", []), "headers")],
+            entries=[
+                [_cell_text(c) for c in _array(row, f"row {i}")]
+                for i, row in enumerate(_array(rec.get("entries", []), "entries"))
+            ],
             metadata={str(k): _cell_text(v) for k, v in (rec.get("metadata") or {}).items()},
         )
     except (TypeError, AttributeError) as exc:
-        violations.append((label, f"malformed record: {exc}"))
+        violations.append((f"<line {lineno}>", f"malformed record: {exc}"))
         return None
     for v in validate_table(table):
         violations.append((table.id or label, v.message))

@@ -23,7 +23,7 @@ import numpy as np
 from .benchmark import BenchmarkDataset
 from .errors import EmptyGold, MissingAnswerTags, UsageError
 from .features import EmbedderHandle
-from .fine import PPRConfig, retrieve
+from .fine import DEFAULT_TAU, PPRConfig, retrieve
 from .index import HypergraphIndex, corpus_digest
 from .prompting import GenerateFn, build_prompt, parse_response
 
@@ -175,7 +175,7 @@ def run_retrieval_eval(
     ix: HypergraphIndex,
     embedder: EmbedderHandle,
     cfg: PPRConfig | None = None,
-    tau: float = 0.5,
+    tau: float = DEFAULT_TAU,
     ks: Sequence[int] = (10, 20, 50),
     acc_mode: str = "all",
 ) -> RetrievalReport:
@@ -216,7 +216,7 @@ def run_e2e_eval(
     embedder: EmbedderHandle,
     generate: GenerateFn,
     cfg: PPRConfig | None = None,
-    tau: float = 0.5,
+    tau: float = DEFAULT_TAU,
 ) -> AnswerReport:
     """Retrieve, prompt, generate, parse, score. NA and parse failures score 0."""
     _check_same_corpus(dataset, ix)

@@ -256,7 +256,6 @@ class HeuristicVectorizer:
 
     vocabulary: dict[str, int]
     idf: np.ndarray
-    doc_count: int
 
     @property
     def size(self) -> int:
@@ -298,7 +297,7 @@ def fit_heuristic(token_lists: Sequence[Sequence[str]]) -> HeuristicVectorizer:
     idf = np.zeros(len(vocab), dtype=np.float64)
     for tok, i in vocab.items():
         idf[i] = np.log((1.0 + n_docs) / (1.0 + df[tok])) + 1.0
-    return HeuristicVectorizer(vocabulary=vocab, idf=idf, doc_count=n_docs)
+    return HeuristicVectorizer(vocabulary=vocab, idf=idf)
 
 
 def _row_sq_norms(x) -> np.ndarray:

@@ -73,6 +73,7 @@ DEFAULT_ALPHA = 0.85
 DEFAULT_EPSILON = 1e-8
 DEFAULT_MAX_ITER = 100
 DEFAULT_TOP_N = 10
+DEFAULT_TAU = 0.5
 
 STAGE_COARSE = "Coarse-grained"
 STAGE_FINE = "Fine-grained"
@@ -242,7 +243,7 @@ def fine_retrieve(
     coarse: CoarseResult,
     ix: HypergraphIndex,
     cfg: PPRConfig,
-    tau: float = 0.5,
+    tau: float = DEFAULT_TAU,
 ) -> RetrievalResult:
     """Subgraph + PPR over the coarse union, one group per distinct sem row.
 
@@ -283,7 +284,7 @@ def retrieve(
     ix: HypergraphIndex,
     h: EmbedderHandle,
     cfg: PPRConfig | None = None,
-    tau: float = 0.5,
+    tau: float = DEFAULT_TAU,
 ) -> tuple[CoarseResult, RetrievalResult]:
     """Full coarse-to-fine pipeline for one query, with per-stage timings."""
     cfg = cfg or PPRConfig()

@@ -2,15 +2,15 @@
 
 Each feature type (sem / struct / heur) is clustered independently with
 k-means; a cluster is a hyperedge grouping its member tables, and the three
-cluster families together form the heterogeneous hypergraph. Each cluster
-also records its "typical" members -- the top-k nodes by cosine to the
-centroid, ties by table id (``top_k``, which also ranks the fine stage) --
-which stand in for the whole cluster at query time. Coarse retrieval reads
-a cluster only through its typical mean: the mean of its L2-normalized
-typical rows in score space (raw sem and heur rows, standardized struct
-rows). ``build_index`` computes each family's (K, dim) matrix of typical
-means once, and the file stores it in place of the per-table struct and
-TF-IDF rows, which no query reads.
+cluster families together form the heterogeneous hypergraph. Each cluster's
+"typical" members -- the top-k nodes by cosine to the centroid, ties by
+table id (``top_k``, which also ranks the fine stage) -- stand in for the
+whole cluster at query time. Coarse retrieval reads a cluster only through
+its typical mean: the mean of its L2-normalized typical rows in score space
+(raw sem and heur rows, standardized struct rows). ``build_index`` picks the
+typical members and computes each family's (K, dim) matrix of typical means
+once; the file stores the means, and neither the typical lists nor the
+per-table struct and TF-IDF rows, which no query reads.
 
 Clustering spaces: sem and heur rows are L2-normalized (Euclidean there is
 monotone with cosine); struct rows are z-scored per column because the raw
@@ -23,10 +23,10 @@ its row (``sem_group``). Rows are distinct when their 64-bit words differ, so
 -0.0 and 0.0 are distinct. ``build_index`` finds the grouping once, and the
 file stores it.
 
-The on-disk container (format version 4) is a fixed preamble (magic,
+The on-disk container (format version 5) is a fixed preamble (magic,
 format version, header length, sha256 of the file without the digest), a
-sorted-keys JSON header (params, digests, table ids, vocabulary, distinct
-sem row count, stored entries of the heur means, per-family k-means
+sorted-keys JSON header (params, corpus digest, table ids, vocabulary,
+distinct sem row count, stored entries of the heur means, per-family k-means
 report), then the raw little-endian arrays, each on a 64-byte boundary.
 Every integer array is int32.
 ``load_index`` reads the file into one read-only buffer, checks the digest
@@ -64,7 +64,7 @@ from .features import (
     unit_rows,
 )
 
-INDEX_FORMAT_VERSION = 4
+INDEX_FORMAT_VERSION = 5
 _MAGIC = b"TRKHGIDX"
 _DIGEST_AT = len(_MAGIC) + 4 + 8    # magic, format version (<u4), header length (<u8)
 _PREAMBLE = _DIGEST_AT + 32         # ... then the sha256 digest
@@ -200,20 +200,34 @@ def _means_with_repair(x, x2: np.ndarray, assign: np.ndarray, k: int) -> np.ndar
     return centers
 
 
-def _typical_means(rows, positions: np.ndarray, typical_ptr: np.ndarray):
+def _typical_nodes(space, result: KMeansResult, table_ids: Sequence[str], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, ptr), both int32: cluster j's typical nodes are
+    ``positions[ptr[j]:ptr[j + 1]]``, its k members (all, if fewer) of highest
+    cosine to its centroid in the clustering ``space``, best first, ties by
+    table id (``top_k``)."""
+    norms = row_norms(space)
+    typical = []
+    for j, centroid in enumerate(result.centroids):
+        pos = np.flatnonzero(result.assignments == j)
+        scores = cosines(space[pos], norms[pos], centroid)
+        typical.append(pos[top_k(scores, pos, table_ids, k)])
+    return np.concatenate(typical).astype(np.int32), np.cumsum([0] + [len(t) for t in typical], dtype=np.int32)
+
+
+def _typical_means(rows, positions: np.ndarray, ptr: np.ndarray):
     """(K, dim) matrix whose row j is the mean of cluster j's L2-normalized
-    typical rows, ``rows[positions[typical_ptr[j]:typical_ptr[j + 1]]]``:
+    typical rows, ``rows[positions[ptr[j]:ptr[j + 1]]]``:
     dense for dense rows, CSR for CSR rows. A zero row adds nothing.
 
     One sparse weight matrix, 1 / (norm * size) per typical row, times the
     rows, so no row is gathered or copied. The mean cosine of cluster j's
     typical rows to a query v is then ``means[j] @ v / |v|``.
     """
-    sizes = np.diff(typical_ptr)
+    sizes = np.diff(ptr)
     norms = row_norms(rows)[positions]
     denom = norms * np.repeat(sizes, sizes)
     weights = np.divide(1.0, denom, out=np.zeros(len(positions)), where=norms > 0)
-    w = sparse.csr_matrix((weights, positions, typical_ptr), shape=(len(sizes), rows.shape[0]))
+    w = sparse.csr_matrix((weights, positions, ptr), shape=(len(sizes), rows.shape[0]))
     return w @ rows
 
 
@@ -286,20 +300,17 @@ def kmeans(vectors, K: int, seed: int) -> KMeansResult:
 class ClusterFamily:
     """One hyperedge family: the K clusters of a single feature type.
 
-    ``assignments[i]`` is the cluster of index row i. The typical nodes are
-    stored as the file stores them: ``typical[typical_ptr[j]:typical_ptr[j + 1]]``
-    holds the index rows of cluster j's typical nodes, best first (both int32).
-    Row j of ``typical_means`` is the mean of cluster j's L2-normalized
-    typical rows in score space (``_typical_means``): a dense (K, dim) array
-    for sem and struct, a (K, V) CSR matrix for heur, which the build
-    computes and the file stores. ``n_iter``, ``converged`` and
-    ``objective`` report the winning k-means restart.
+    ``assignments[i]`` is the cluster of index row i. Row j of
+    ``typical_means`` is the mean of cluster j's L2-normalized typical rows in
+    score space (``_typical_nodes``, ``_typical_means``): a dense (K, dim)
+    array for sem and struct, a (K, V) CSR matrix for heur, which the build
+    computes and the file stores. The typical nodes themselves are not kept.
+    ``n_iter``, ``converged`` and ``objective`` report the winning k-means
+    restart.
     """
 
     feature_type: str
     assignments: np.ndarray
-    typical: np.ndarray
-    typical_ptr: np.ndarray
     typical_means: np.ndarray | sparse.csr_matrix
     n_iter: int
     converged: bool
@@ -307,14 +318,13 @@ class ClusterFamily:
 
     @property
     def n_clusters(self) -> int:
-        return len(self.typical_ptr) - 1
+        return self.typical_means.shape[0]
 
 
 @dataclass
 class HypergraphIndex:
     params: dict               # the header's params, as _HEADER_SCHEMA lists them
     corpus_digest: str
-    source_tag: str
     table_ids: list[str]
     sem_rows: np.ndarray       # (u, d) distinct raw embeddings, by first position
     sem_group: np.ndarray      # (n,) int32: table i's embedding is sem_rows[sem_group[i]]
@@ -342,11 +352,6 @@ def corpus_digest(corpus: TableCorpus) -> str:
         h.update(table_record_bytes(t))
         h.update(b"\n")
     return h.hexdigest()
-
-
-def vocabulary_digest(vectorizer: HeuristicVectorizer) -> str:
-    tokens = sorted(vectorizer.vocabulary, key=vectorizer.vocabulary.get)
-    return hashlib.sha256("\n".join(tokens).encode("utf-8")).hexdigest()
 
 
 def build_index(
@@ -396,31 +401,21 @@ def build_index(
         child_seed = int(np.random.SeedSequence([seed, fam_idx]).generate_state(1)[0])
         space = spaces[phi]
         result = kmeans(space, K, seed=child_seed)
-        norms = row_norms(space)
-        typical: list[np.ndarray] = []
-        for j in range(K):
-            pos = np.flatnonzero(result.assignments == j)
-            scores = cosines(space[pos], norms[pos], result.centroids[j])
-            typical.append(pos[top_k(scores, pos, table_ids, k)])
-        clusterings[phi] = (result, typical)
+        clusterings[phi] = (result, _typical_nodes(space, result, table_ids, k))
     struct_z = spaces["struct"]
     del spaces, space  # freed before the distinct rows are copied
     firsts, sem_group = _group_rows(sem)
     sem_rows = sem if len(firsts) == len(sem) else sem[firsts]
 
     families: dict[str, ClusterFamily] = {}
-    for phi, (result, typical) in clusterings.items():
-        positions = np.concatenate(typical).astype(np.int32)
-        typical_ptr = np.cumsum([0] + [len(t) for t in typical], dtype=np.int32)
+    for phi, (result, (positions, ptr)) in clusterings.items():
         if phi == "sem":
-            means = _typical_means(sem_rows, sem_group[positions], typical_ptr)
+            means = _typical_means(sem_rows, sem_group[positions], ptr)
         else:
-            means = _typical_means(struct_z if phi == "struct" else heur, positions, typical_ptr)
+            means = _typical_means(struct_z if phi == "struct" else heur, positions, ptr)
         families[phi] = ClusterFamily(
             feature_type=phi,
             assignments=result.assignments,
-            typical=positions,
-            typical_ptr=typical_ptr,
             typical_means=means,
             n_iter=result.n_iter,
             converged=result.converged,
@@ -428,16 +423,8 @@ def build_index(
         )
 
     return HypergraphIndex(
-        params={
-            "embedder_dimension": sem.shape[1],
-            "k_per_family": {phi: K for phi in FAMILY_TYPES},
-            "seed": seed,
-            "struct_dimension": STRUCT_DIM,
-            "typical_k": k,
-            "vocab_digest": vocabulary_digest(vectorizer),
-        },
+        params={"K": K, "embedder_dimension": sem.shape[1], "seed": seed, "typical_k": k},
         corpus_digest=corpus_digest(corpus),
-        source_tag=corpus.source_tag,
         table_ids=table_ids,
         sem_rows=sem_rows,
         sem_group=sem_group,
@@ -457,18 +444,9 @@ _KMEANS_REPORT = {"converged": bool, "n_iter": int, "objective": float}
 _HEADER_SCHEMA = {
     "corpus_digest": str,
     "distinct_sem_rows": int,
-    "doc_count": int,
-    "families": {phi: {"kmeans": _KMEANS_REPORT, "n_typical": int} for phi in FAMILY_TYPES},
+    "families": {phi: {"kmeans": _KMEANS_REPORT} for phi in FAMILY_TYPES},
     "means_heur_nnz": int,
-    "params": {
-        "embedder_dimension": int,
-        "k_per_family": {phi: int for phi in FAMILY_TYPES},
-        "seed": int,
-        "struct_dimension": int,
-        "typical_k": int,
-        "vocab_digest": str,
-    },
-    "source_tag": str,
+    "params": {"K": int, "embedder_dimension": int, "seed": int, "typical_k": int},
     "table_ids": [str],
     "vocabulary": [str],
 }
@@ -476,10 +454,9 @@ _HEADER_SCHEMA = {
 
 def _layout(header: dict) -> list[tuple[str, str, tuple[int, ...]]]:
     """(name, dtype, shape) of every array in file order; the shapes follow
-    from the header's n, d, u, V, K, typical counts and heur-means nnz."""
+    from the header's n, d, u, V, K and heur-means nnz."""
     n, V = len(header["table_ids"]), len(header["vocabulary"])
-    params = header["params"]
-    d, nnz = params["embedder_dimension"], header["means_heur_nnz"]
+    K, d, nnz = header["params"]["K"], header["params"]["embedder_dimension"], header["means_heur_nnz"]
     layout = [
         ("sem_rows", "<f8", (header["distinct_sem_rows"], d)),
         ("sem_group", "<i4", (n,)),
@@ -488,12 +465,7 @@ def _layout(header: dict) -> list[tuple[str, str, tuple[int, ...]]]:
         ("idf", "<f8", (V,)),
     ]
     for phi in FAMILY_TYPES:
-        K = params["k_per_family"][phi]
-        layout += [
-            (f"assign_{phi}", "<i4", (n,)),
-            (f"typical_{phi}", "<i4", (header["families"][phi]["n_typical"],)),
-            (f"typical_ptr_{phi}", "<i4", (K + 1,)),
-        ]
+        layout.append((f"assign_{phi}", "<i4", (n,)))
         if phi == "heur":
             layout += [
                 ("means_heur_data", "<f8", (nnz,)),
@@ -538,21 +510,14 @@ def save_index(ix: HypergraphIndex, path: str | Path) -> None:
     for phi in FAMILY_TYPES:
         fam = ix.families[phi]
         values[f"assign_{phi}"] = fam.assignments
-        values[f"typical_{phi}"] = fam.typical
-        values[f"typical_ptr_{phi}"] = fam.typical_ptr
-        families[phi] = {
-            "kmeans": {"converged": bool(fam.converged), "n_iter": int(fam.n_iter),
-                       "objective": float(fam.objective)},
-            "n_typical": len(fam.typical),
-        }
+        families[phi] = {"kmeans": {"converged": bool(fam.converged), "n_iter": int(fam.n_iter),
+                                    "objective": float(fam.objective)}}
     header = {
         "corpus_digest": ix.corpus_digest,
         "distinct_sem_rows": len(ix.sem_rows),
-        "doc_count": ix.vectorizer.doc_count,
         "families": families,
         "means_heur_nnz": int(heur_means.nnz),
         "params": ix.params,
-        "source_tag": ix.source_tag,
         "table_ids": ix.table_ids,
         "vocabulary": sorted(ix.vectorizer.vocabulary, key=ix.vectorizer.vocabulary.get),
     }
@@ -613,10 +578,8 @@ def _check_header(header) -> None:
         raise IOFailure("header lacks a corpus digest")
     if not header["table_ids"]:
         raise IOFailure("header lists no tables")
-    if params["struct_dimension"] != STRUCT_DIM:
-        raise IOFailure(f"header.params.struct_dimension is {params['struct_dimension']}, expected {STRUCT_DIM}")
-    if min(params["embedder_dimension"], params["typical_k"], *params["k_per_family"].values()) < 1:
-        raise IOFailure("header embedder_dimension, typical_k and k_per_family must be at least 1")
+    if min(params["K"], params["embedder_dimension"], params["typical_k"]) < 1:
+        raise IOFailure("header K, embedder_dimension and typical_k must be at least 1")
     for phi in FAMILY_TYPES:
         if not math.isfinite(header["families"][phi]["kmeans"]["objective"]):
             raise IOFailure(f"header.families.{phi}.kmeans.objective is not finite")
@@ -624,7 +587,7 @@ def _check_header(header) -> None:
 
 def _check_arrays(header: dict, a: dict[str, np.ndarray]) -> None:
     """The structural invariants retrieval relies on."""
-    n, V, nnz = len(header["table_ids"]), len(header["vocabulary"]), header["means_heur_nnz"]
+    K, V, nnz = header["params"]["K"], len(header["vocabulary"]), header["means_heur_nnz"]
     for name in ("sem_rows", "struct_mean", "struct_std", "idf", "means_sem", "means_struct", "means_heur_data"):
         if not np.isfinite(a[name]).all():
             raise IOFailure(f"array {name} holds a non-finite value")
@@ -637,20 +600,11 @@ def _check_arrays(header: dict, a: dict[str, np.ndarray]) -> None:
     if nnz and (ind.min() < 0 or ind.max() >= V):
         raise IOFailure("means_heur_indices holds a column outside [0, V)")
     for phi in FAMILY_TYPES:
-        K = header["params"]["k_per_family"][phi]
-        assign, typical, tptr = a[f"assign_{phi}"], a[f"typical_{phi}"], a[f"typical_ptr_{phi}"]
+        assign = a[f"assign_{phi}"]
         if assign.min() < 0 or assign.max() >= K:
             raise IOFailure(f"assign_{phi} holds a cluster outside [0, {K})")
         if (np.bincount(assign, minlength=K) == 0).any():
             raise IOFailure(f"family {phi} has an empty cluster")
-        if tptr[0] != 0 or tptr[-1] != len(typical) or (tptr[1:] <= tptr[:-1]).any():
-            raise IOFailure(f"typical_ptr_{phi} does not rise strictly from 0 to the typical count")
-        if (
-            typical.min() < 0
-            or typical.max() >= n
-            or (assign[typical] != np.repeat(np.arange(K), np.diff(tptr))).any()
-        ):
-            raise IOFailure(f"typical_{phi} lists a node outside its own cluster")
 
 
 def _check_sem_grouping(rows: np.ndarray, group: np.ndarray) -> None:
@@ -745,11 +699,10 @@ def load_index(path: str | Path) -> HypergraphIndex:
     vectorizer = HeuristicVectorizer(
         vocabulary={tok: i for i, tok in enumerate(vocab_tokens)},
         idf=arrays["idf"],
-        doc_count=header["doc_count"],
     )
     # Attach the views to an empty matrix: the (data, indices, indptr)
     # constructor copies a view whose buffer is much larger than it.
-    heur_means = sparse.csr_matrix((header["params"]["k_per_family"]["heur"], len(vocab_tokens)))
+    heur_means = sparse.csr_matrix((header["params"]["K"], len(vocab_tokens)))
     heur_means.data, heur_means.indices, heur_means.indptr = (
         arrays["means_heur_data"], arrays["means_heur_indices"], arrays["means_heur_indptr"])
     means = {"sem": arrays["means_sem"], "struct": arrays["means_struct"], "heur": heur_means}
@@ -757,8 +710,6 @@ def load_index(path: str | Path) -> HypergraphIndex:
         phi: ClusterFamily(
             feature_type=phi,
             assignments=arrays[f"assign_{phi}"],
-            typical=arrays[f"typical_{phi}"],
-            typical_ptr=arrays[f"typical_ptr_{phi}"],
             typical_means=means[phi],
             **header["families"][phi]["kmeans"],
         )
@@ -767,7 +718,6 @@ def load_index(path: str | Path) -> HypergraphIndex:
     return HypergraphIndex(
         params=header["params"],
         corpus_digest=header["corpus_digest"],
-        source_tag=header["source_tag"],
         table_ids=table_ids,
         sem_rows=arrays["sem_rows"],
         sem_group=arrays["sem_group"],

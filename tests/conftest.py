@@ -24,7 +24,9 @@ from tablerank.features import (
     HeuristicVectorizer,
     standardize_struct,
     tokenize,
+    unit_rows,
 )
+from tablerank.index import FAMILY_TYPES, _typical_nodes, kmeans
 from tablerank.linearize import linearize
 
 
@@ -73,7 +75,7 @@ def reference_fit_heuristic(texts) -> HeuristicVectorizer:
     idf = np.zeros(len(vocab), dtype=np.float64)
     for tok, i in vocab.items():
         idf[i] = np.log((1.0 + len(texts)) / (1.0 + df[tok])) + 1.0
-    return HeuristicVectorizer(vocabulary=vocab, idf=idf, doc_count=len(texts))
+    return HeuristicVectorizer(vocabulary=vocab, idf=idf)
 
 
 def reference_transform(v: HeuristicVectorizer, text: str) -> sparse.csr_matrix:
@@ -166,6 +168,20 @@ def score_space_rows(feats: CorpusFeatures, phi: str, ix):
     if phi == "struct":
         return standardize_struct(feats.struct, ix.struct_mean, ix.struct_std)
     return feats.sem if phi == "sem" else feats.heur
+
+
+def typical_nodes(feats: CorpusFeatures, phi: str, ix) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, ptr) of family ``phi``'s typical nodes, which the index
+    does not keep: ``kmeans`` re-run with the build's child seed in the
+    family's clustering space, made from the features ``extract_all``
+    returned for the index's corpus, then ``_typical_nodes``. Cluster j's
+    typical nodes are ``positions[ptr[j]:ptr[j + 1]]``."""
+    rows = score_space_rows(feats, phi, ix)
+    space = rows if phi == "struct" else unit_rows(rows)
+    child_seed = int(np.random.SeedSequence([ix.params["seed"], FAMILY_TYPES.index(phi)]).generate_state(1)[0])
+    result = kmeans(space, ix.params["K"], seed=child_seed)
+    assert np.array_equal(result.assignments, ix.families[phi].assignments), phi
+    return _typical_nodes(space, result, ix.table_ids, ix.params["typical_k"])
 
 
 def reference_sem_grouping(sem: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -642,11 +642,28 @@ class TestLoadSourceQueries:
             ("<queries.jsonl line 6>", "malformed record: TFV answer must be 0 or 1, got None"),
         ]
 
+    @pytest.mark.parametrize("change, reason", [
+        ({"text": ["what", "is"]}, "text must be a string, got ['what', 'is']"),
+        ({"text": 5}, "text must be a string, got 5"),
+        ({"root_table_id": {"a": 1}}, "root_table_id must be a string or an integer, got {'a': 1}"),
+        ({"id": None}, "id must be a string or an integer, got None"),
+        ({"id": True}, "id must be a string or an integer, got True"),
+    ], ids=["list-text", "number-text", "object-root", "null-id", "bool-id"])
+    def test_malformed_record_is_a_line_numbered_violation(self, tmp_path, change, reason):
+        rec = {"id": "a", "root_table_id": "r", "text": "what is it", "task_type": "SingleHopTQA"}
+        path = tmp_path / "queries.jsonl"
+        path.write_text(json.dumps(rec) + "\n" + json.dumps({**rec, "id": "b", **change}) + "\n")
+        with pytest.raises(SchemaViolation) as info:
+            load_source_queries(path)
+        assert info.value.violations == [("<queries.jsonl line 2>", f"malformed record: {reason}")]
+
     def test_valid_tfv_labels_and_unlabelled_qa_load(self, tmp_path):
         path = tmp_path / "queries.jsonl"
         path.write_text(
             json.dumps({"id": "a", "root_table_id": "r", "text": "t", "task_type": "TFV", "answer": 1}) + "\n"
             + json.dumps({"id": "b", "root_table_id": "r", "text": "t", "task_type": "TFV", "answer": 0}) + "\n"
             + json.dumps({"id": "c", "root_table_id": "r", "text": "t", "task_type": "SingleHopTQA"}) + "\n"
+            + json.dumps({"id": 7, "root_table_id": 12, "text": "t", "task_type": "SingleHopTQA"}) + "\n"
         )
-        assert [(q.id, q.answer) for q in load_source_queries(path)] == [("a", 1), ("b", 0), ("c", None)]
+        assert [(q.id, q.root_table_id, q.answer) for q in load_source_queries(path)] == [
+            ("a", "r", 1), ("b", "r", 0), ("c", "r", None), ("7", "12", None)]

@@ -223,7 +223,7 @@ class TestConfigPrecedence:
         capsys.readouterr()
         assert main(["inspect", "--index", str(out)]) == 0
         info = json.loads(capsys.readouterr().out)
-        assert info["params"]["k_per_family"]["sem"] == 2
+        assert info["params"]["K"] == 2
         assert info["params"]["seed"] == 9
 
     def test_flag_beats_config_file(self, tmp_path, corpus_file, capsys):
@@ -235,7 +235,7 @@ class TestConfigPrecedence:
         capsys.readouterr()
         main(["inspect", "--index", str(out)])
         info = json.loads(capsys.readouterr().out)
-        assert info["params"]["k_per_family"]["sem"] == 4
+        assert info["params"]["K"] == 4
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, corpus_file, capsys):
         cfg = tmp_path / "cfg.json"

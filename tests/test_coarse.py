@@ -16,18 +16,21 @@ from conftest import (
     make_topic_query,
     representative_score,
     score_space_rows,
+    typical_nodes,
 )
 
 
-def reference_assign_cluster(qf, family, rows):
+def reference_assign_cluster(qf, family, rows, typical):
     """Per-node oracle for assign_cluster: gather every typical row from
     ``rows`` (the family's score-space rows, one per table), score each by
-    cosine to the query, and average the scores per cluster. The choice is the
-    lowest index among the means within TIE_ULPS ulps of the best."""
-    sizes = np.diff(family.typical_ptr)
+    cosine to the query, and average the scores per cluster. ``typical`` is
+    the family's (positions, ptr), as ``typical_nodes`` returns them. The
+    choice is the lowest index among the means within TIE_ULPS ulps of the
+    best."""
+    positions, ptr = typical
     v = getattr(qf, family.feature_type)
-    scores = np.array([representative_score(rows[i], v) for i in family.typical])
-    means = np.add.reduceat(scores, family.typical_ptr[:-1]) / sizes
+    scores = np.array([representative_score(rows[i], v) for i in positions])
+    means = np.add.reduceat(scores, ptr[:-1]) / np.diff(ptr)
     tied = np.flatnonzero(means >= means.max() - TIE_ULPS * np.spacing(np.abs(means).max()))
     return int(tied[0]), means.tolist()
 
@@ -40,24 +43,21 @@ def indexed(handle):
     return corpus, feats, ix
 
 
-def _set_rows(ix, phi: str, rows):
+def _set_rows(ix, phi: str, rows, typical):
     """White-box surgery: family ``phi``'s typical means become those of
-    ``rows`` (score-space rows, one per table), computed as the build does."""
-    fam = ix.families[phi]
-    fam.typical_means = _typical_means(rows, fam.typical, fam.typical_ptr)
+    ``rows`` (score-space rows, one per table) over the typical nodes
+    ``typical`` = (positions, ptr), computed as the build does."""
+    ix.families[phi].typical_means = _typical_means(rows, *typical)
 
 
 def _replace_family(ix, phi: str, rows, assignments: np.ndarray, typical: list[list[int]]):
     """White-box surgery: replace family ``phi`` with handcrafted geometry.
     ``typical`` lists index positions per cluster; the typical means are
-    computed from ``rows``."""
-    ix.families[phi] = dataclasses.replace(
-        ix.families[phi],
-        assignments=assignments,
-        typical=np.concatenate(typical).astype(np.int32),
-        typical_ptr=np.cumsum([0] + [len(t) for t in typical], dtype=np.int32),
-    )
-    _set_rows(ix, phi, rows)
+    computed from ``rows``. Returns the typical nodes as (positions, ptr)."""
+    nodes = (np.concatenate(typical).astype(np.int32), np.cumsum([0] + [len(t) for t in typical], dtype=np.int32))
+    ix.families[phi] = dataclasses.replace(ix.families[phi], assignments=assignments)
+    _set_rows(ix, phi, rows, nodes)
+    return nodes
 
 
 class TestQueryFeatures:
@@ -166,11 +166,11 @@ class TestMeanVectorOracle:
     three families: means within 1e-12 and the same choice."""
 
     @staticmethod
-    def assert_matches_reference(qf, ix, rows):
+    def assert_matches_reference(qf, ix, rows, typical):
         for phi in FAMILY_TYPES:
             family = ix.families[phi]
             best, means = assign_cluster(qf, family)
-            _, ref_means = reference_assign_cluster(qf, family, rows[phi])
+            _, ref_means = reference_assign_cluster(qf, family, rows[phi], typical[phi])
             ref = np.asarray(ref_means)
             assert np.max(np.abs(means - ref)) <= 1e-12, phi
             # The reference's BLAS product can round two identical typical sets
@@ -181,12 +181,13 @@ class TestMeanVectorOracle:
     def test_many_queries(self, indexed, handle):
         _, feats, ix = indexed
         rows = {phi: score_space_rows(feats, phi, ix) for phi in FAMILY_TYPES}
+        typical = {phi: typical_nodes(feats, phi, ix) for phi in FAMILY_TYPES}
         queries = [make_topic_query(t, seed=s) for t in range(4) for s in range(12)]
         queries.append(Query(id="mix", text="tp0c00 tp1c01 tp2h00 tp3c02", task_type=TaskType.SINGLE_HOP))
         exact_ties = 0
         for q in queries:
             qf = query_features(q, ix, handle)
-            self.assert_matches_reference(qf, ix, rows)
+            self.assert_matches_reference(qf, ix, rows, typical)
             _, means = assign_cluster(qf, ix.families["struct"])
             exact_ties += means.count(max(means)) > 1
         # Topics share struct vectors here, so struct clusters tie exactly.
@@ -196,7 +197,8 @@ class TestMeanVectorOracle:
         _, feats, ix = indexed
         q = Query(id="q", text="zz yy xx ww vv", task_type=TaskType.SINGLE_HOP)
         qf = query_features(q, ix, handle)
-        self.assert_matches_reference(qf, ix, {phi: score_space_rows(feats, phi, ix) for phi in FAMILY_TYPES})
+        self.assert_matches_reference(qf, ix, {phi: score_space_rows(feats, phi, ix) for phi in FAMILY_TYPES},
+                                      {phi: typical_nodes(feats, phi, ix) for phi in FAMILY_TYPES})
         best, means = assign_cluster(qf, ix.families["heur"])
         assert best == 0
         assert means == [0.0] * len(means)
@@ -204,18 +206,22 @@ class TestMeanVectorOracle:
     def test_zero_norm_typical_row(self, indexed, handle):
         _, feats, ix = indexed
         rows = {phi: score_space_rows(feats, phi, ix).copy() for phi in FAMILY_TYPES}
+        typical = {phi: typical_nodes(feats, phi, ix) for phi in FAMILY_TYPES}
         for phi in FAMILY_TYPES:
-            p = int(ix.families[phi].typical[ix.families[phi].typical_ptr[1]])
+            positions, ptr = typical[phi]
+            p = int(positions[ptr[1]])  # cluster 1's best typical node
             if phi == "heur":
                 rows[phi].data[rows[phi].indptr[p]:rows[phi].indptr[p + 1]] = 0.0
             else:
                 rows[phi][p] = 0.0
-            _set_rows(ix, phi, rows[phi])
+            _set_rows(ix, phi, rows[phi], typical[phi])
         for phi in FAMILY_TYPES:  # fixture precondition: the surgery zeroed each row
-            row = rows[phi][int(ix.families[phi].typical[ix.families[phi].typical_ptr[1]])]
+            positions, ptr = typical[phi]
+            row = rows[phi][int(positions[ptr[1]])]
             assert not (row.toarray() if sparse.issparse(row) else row).any(), phi
         for t in range(4):
-            self.assert_matches_reference(query_features(make_topic_query(t, seed=5), ix, handle), ix, rows)
+            qf = query_features(make_topic_query(t, seed=5), ix, handle)
+            self.assert_matches_reference(qf, ix, rows, typical)
 
     def test_identical_typical_vectors_tie_to_lower_index(self, indexed):
         _, _, ix = indexed
@@ -227,14 +233,14 @@ class TestMeanVectorOracle:
         typical = [[0, 3], [1, 4, 7], [2, 5, 8]]
         vectors[[2, 5, 8]] = vectors[[1, 4, 7]]
         vectors[[0, 3]] = -vectors[1]
-        _replace_family(ix, "sem", vectors, assignments, typical)
+        nodes = _replace_family(ix, "sem", vectors, assignments, typical)
         for _ in range(10):
             qv = vectors[1] + 0.1 * rng.normal(size=8)
             qf = NodeFeatures(sem=qv, struct=np.zeros(20), heur=sparse.csr_matrix((1, 1)))
             best, means = assign_cluster(qf, ix.families["sem"])
             assert means[1] == means[2]
             assert best == 1
-            _, ref_means = reference_assign_cluster(qf, ix.families["sem"], vectors)
+            _, ref_means = reference_assign_cluster(qf, ix.families["sem"], vectors, nodes)
             assert np.max(np.abs(np.subtract(means, ref_means))) <= 1e-12
 
 
@@ -246,11 +252,12 @@ class TestMeanVectorOracle:
         feats = extract_all(corpus, handle)
         ix = build_index(corpus, feats, K=6, k=10, seed=3)
         rows = {phi: score_space_rows(feats, phi, ix) for phi in FAMILY_TYPES}
+        typical = {phi: typical_nodes(feats, phi, ix) for phi in FAMILY_TYPES}
         for q in (make_topic_query(t, seed=s) for t in range(4) for s in range(10)):
             qf = query_features(q, ix, handle)
             for phi in FAMILY_TYPES:
                 best, _ = assign_cluster(qf, ix.families[phi])
-                assert best == reference_assign_cluster(qf, ix.families[phi], rows[phi])[0], (q.id, phi)
+                assert best == reference_assign_cluster(qf, ix.families[phi], rows[phi], typical[phi])[0], (q.id, phi)
 
 
 class TestCoarseRetrieve:

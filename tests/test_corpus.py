@@ -84,6 +84,20 @@ class TestLoadJsonl:
         with pytest.raises(IOFailure):
             load_corpus(tmp_path / "missing.jsonl")
 
+    @pytest.mark.parametrize("change, reason", [
+        ({"headers": "ab"}, "headers must be a JSON array, got 'ab'"),
+        ({"entries": "xyz"}, "entries must be a JSON array, got 'xyz'"),
+        ({"entries": [["Broncos", "7"], "12"]}, "row 1 must be a JSON array, got '12'"),
+        ({"entries": [["Broncos", {"n": 7}]]}, "cell value of unsupported type dict"),
+        ({"metadata": ["source", "unit"]}, "'list' object has no attribute 'items'"),
+    ], ids=["string-headers", "string-entries", "string-row", "object-cell", "list-metadata"])
+    def test_malformed_record_is_a_line_numbered_violation(self, tmp_path, change, reason):
+        p = tmp_path / "c.jsonl"
+        _write_jsonl(p, [GOOD_RECORD, dict(GOOD_RECORD, id="t2", **change)])
+        with pytest.raises(SchemaViolation) as err:
+            load_corpus(p)
+        assert err.value.violations == [("<line 2>", f"malformed record: {reason}")]
+
     def test_numeric_cells_become_text(self, tmp_path):
         rec = dict(GOOD_RECORD, entries=[[7, 2.5], [True, None]])
         p = tmp_path / "c.jsonl"

@@ -569,7 +569,6 @@ class TestExtractAllOracle:
             assert same_bits(getattr(got.heur, part), getattr(want.heur, part)), part
         assert got.vectorizer.vocabulary == want.vectorizer.vocabulary
         assert same_bits(got.vectorizer.idf, want.vectorizer.idf)
-        assert got.vectorizer.doc_count == want.vectorizer.doc_count
 
     def test_no_bigram_crosses_a_table(self):
         """Precondition of the boundary fixture: embedding the tables as one

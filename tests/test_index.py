@@ -43,6 +43,7 @@ from conftest import (
     reference_sem_grouping,
     same_bits,
     score_space_rows,
+    typical_nodes,
 )
 from test_fine import duplicate_groups
 
@@ -343,8 +344,9 @@ class TestBuildIndex:
             assert fam.assignments.min() >= 0 and fam.assignments.max() < 10
             sizes = np.bincount(fam.assignments, minlength=10)
             assert all(sizes > 0)
+            positions, ptr = typical_nodes(feats, phi, ix)
             for j in range(10):
-                typ = fam.typical[fam.typical_ptr[j] : fam.typical_ptr[j + 1]]
+                typ = positions[ptr[j] : ptr[j + 1]]
                 assert np.all(fam.assignments[typ] == j)
                 assert len(set(typ.tolist())) == len(typ) == min(100, sizes[j])
 
@@ -443,7 +445,7 @@ class TestPersistence:
         (tmp_path / "v2.bin").write_bytes(bytes(blob))
         with pytest.raises(VersionMismatch) as err:
             load_index(tmp_path / "v2.bin")
-        assert (err.value.found, err.value.expected) == (2, 4)
+        assert (err.value.found, err.value.expected) == (2, 5)
 
     def test_format_3_file_refused(self, built, tmp_path):
         # Format 3 stored every table's struct and TF-IDF rows; no reader for it is kept.
@@ -454,7 +456,18 @@ class TestPersistence:
         (tmp_path / "v3.bin").write_bytes(bytes(blob))
         with pytest.raises(VersionMismatch) as err:
             load_index(tmp_path / "v3.bin")
-        assert (err.value.found, err.value.expected) == (3, 4)
+        assert (err.value.found, err.value.expected) == (3, 5)
+
+    def test_format_4_file_refused(self, built, tmp_path):
+        # Format 4 stored every cluster's typical-node lists; no reader for it is kept.
+        p = tmp_path / "ix.bin"
+        save_index(built[1], p)
+        blob = bytearray(p.read_bytes())
+        blob[8:12] = np.uint32(4).tobytes()
+        (tmp_path / "v4.bin").write_bytes(bytes(blob))
+        with pytest.raises(VersionMismatch) as err:
+            load_index(tmp_path / "v4.bin")
+        assert (err.value.found, err.value.expected) == (4, 5)
 
     def test_format_1_file_refused(self, tmp_path):
         # Format 1: magic, version, header length, JSON header, arrays; no digest.
@@ -531,8 +544,7 @@ class TestPersistence:
             "struct.means": loaded.families["struct"].typical_means,
         }
         for phi, fam in loaded.families.items():
-            arrays.update({f"{phi}.assignments": fam.assignments, f"{phi}.typical": fam.typical,
-                           f"{phi}.typical_ptr": fam.typical_ptr})
+            arrays[f"{phi}.assignments"] = fam.assignments
         for name, a in arrays.items():
             assert a.base is buf and np.shares_memory(a, buf), name
         with pytest.raises(ValueError, match="read-only"):
@@ -587,18 +599,6 @@ def _break_assignment(ix):
 def _empty_cluster(ix):
     a = ix.families["struct"].assignments
     a[a == 1] = 0
-
-
-def _foreign_typical(ix):
-    fam = ix.families["sem"]
-    fam.typical[0] = np.flatnonzero(fam.assignments == 1)[0]
-
-
-def _no_typical(ix):
-    fam = ix.families["heur"]
-    lo, hi = fam.typical_ptr[2:4]
-    fam.typical = np.delete(fam.typical, np.arange(lo, hi))
-    fam.typical_ptr[3:] -= hi - lo
 
 
 def _indptr_falls(ix):
@@ -666,13 +666,12 @@ class TestResignedFiles:
         (_set("families.heur.kmeans.converged", 1), "converged must be of type bool"),
         (_set("table_ids", "t0"), "table_ids must be a list of str"),
         (lambda h: h["vocabulary"].append(7), "vocabulary must be a list of str"),
-        (_set("doc_count", -1), "doc_count is negative"),
-        (_set("params.struct_dimension", 19), "struct_dimension"),
-        (_set("params.k_per_family.heur", 0), "at least 1"),
+        (_set("params.seed", -1), r"params\.seed is negative"),
+        (_set("params.K", 0), "at least 1"),
         (_set("table_ids", []), "no tables"),
         (_set("families.sem.kmeans.objective", float("nan")), "not finite"),
     ], ids=["missing-key", "extra-key", "str-for-int", "bool-for-int", "int-for-bool",
-            "str-for-list", "int-in-str-list", "negative", "struct-dimension", "zero-clusters",
+            "str-for-list", "int-in-str-list", "negative", "zero-clusters",
             "no-tables", "nan-objective"])
     def test_header_schema(self, built, tmp_path, edit, match):
         p = tmp_path / "ix.bin"
@@ -688,11 +687,9 @@ class TestResignedFiles:
         (lambda h: h.update(means_heur_nnz=h["means_heur_nnz"] - 16), "follow the last array"),
         (lambda h: h.update(table_ids=h["table_ids"][:-16]), "follow the last array"),
         (lambda h: h["vocabulary"].extend(f"zz{i}" for i in range(8)), "past the end"),
-        (lambda h: h["params"]["k_per_family"].update(sem=19), "past the end"),
+        (_set("params.K", 19), "past the end"),
         (lambda h: h.update(distinct_sem_rows=h["distinct_sem_rows"] + 1), "past the end"),
-        (lambda h: h["families"]["struct"].update(n_typical=h["families"]["struct"]["n_typical"] + 16),
-         "past the end"),
-    ], ids=["d", "nnz", "n", "V", "K", "u", "typical-count"])
+    ], ids=["d", "nnz", "n", "V", "K", "u"])
     def test_shapes(self, built, tmp_path, edit, match):
         p = tmp_path / "ix.bin"
         save_index(built[1], p)
@@ -702,8 +699,6 @@ class TestResignedFiles:
     @pytest.mark.parametrize("doctor, match", [
         (_break_assignment, r"assign_struct holds a cluster outside \[0, 3\)"),
         (_empty_cluster, "family struct has an empty cluster"),
-        (_foreign_typical, "typical_sem lists a node outside its own cluster"),
-        (_no_typical, "typical_ptr_heur does not rise strictly"),
         (_indptr_falls, "means_heur_indptr does not rise monotonically from 0 to nnz"),
         (_indptr_not_from_zero, "means_heur_indptr does not rise monotonically from 0 to nnz"),
         (_column_out_of_range, r"means_heur_indices holds a column outside \[0, V\)"),
@@ -718,8 +713,7 @@ class TestResignedFiles:
         (_group_out_of_range, r"sem_group holds a row outside \[0, 21\)"),
         (_groups_out_of_order, "sem_group ids are not in first-occurrence order"),
         (_unused_stored_row, "sem_rows holds a row no table uses"),
-    ], ids=["assignment-out-of-range", "empty-cluster", "typical-outside-cluster", "cluster-without-typical",
-            "indptr-falls", "indptr-not-from-zero", "column-out-of-range", "negative-column", "nan-sem",
+    ], ids=["assignment-out-of-range", "empty-cluster", "indptr-falls", "indptr-not-from-zero", "column-out-of-range", "negative-column", "nan-sem",
             "nan-sem-means", "nan-struct", "nan-idf", "nan-heur", "inf-objective", "equal-stored-rows", "group-out-of-range", "groups-out-of-order",
             "unused-stored-row"])
     def test_arrays(self, built, tmp_path, doctor, match):
@@ -913,9 +907,10 @@ class TestSemGroup:
 
 class TestTypicalConsistency:
     def test_build_matches_select_typical(self, handle):
-        # The vectorized selection inside build_index must agree with the
+        # The vectorized selection the build runs must agree with the
         # reference operation on every cluster of every family, given the
-        # centroids of the family's own k-means run.
+        # centroids of the family's own k-means run, and the stored typical
+        # means must be the means of exactly those nodes.
         corpus = make_topic_corpus(36, 3, seed=8)
         feats = extract_all(corpus, handle)
         ix = build_index(corpus, feats, K=3, k=5, seed=4)
@@ -932,13 +927,15 @@ class TestTypicalConsistency:
             assert (result.n_iter, result.converged, result.objective_history[-1]) == (
                 fam.n_iter, fam.converged, fam.objective)
             rows = score_space_rows(feats, phi, ix)
+            positions, ptr = typical_nodes(feats, phi, ix)
             for j in range(fam.n_clusters):
                 members = [
                     (ix.table_ids[i], rows[i]) for i in np.flatnonzero(fam.assignments == j)
                 ]
                 expect = select_typical(members, result.centroids[j], k=5)
-                typical = fam.typical[fam.typical_ptr[j] : fam.typical_ptr[j + 1]]
-                assert [ix.table_ids[i] for i in typical] == expect
+                assert [ix.table_ids[i] for i in positions[ptr[j] : ptr[j + 1]]] == expect
+            means = index._typical_means(rows, positions, ptr)
+            assert TestTypicalMeans.means_bits(means) == TestTypicalMeans.means_bits(fam.typical_means), phi
 
     def test_ties_break_on_id_not_position(self, handle):
         # Topic tables repeat their struct and heur rows, and often their sem
@@ -955,23 +952,23 @@ class TestTypicalConsistency:
                   "heur": unit_rows(feats.heur)}
         by_position = 0
         for fam_idx, phi in enumerate(FAMILY_TYPES):
-            fam = ix.families[phi]
             child_seed = int(np.random.SeedSequence([4, fam_idx]).generate_state(1)[0])
             result = kmeans(spaces[phi], 3, seed=child_seed)
             space = spaces[phi]
             norms = row_norms(space)
+            positions, ptr = typical_nodes(feats, phi, ix)
             for j in range(3):
                 pos = np.flatnonzero(result.assignments == j)
                 scores = cosines(space[pos], norms[pos], result.centroids[j])
                 order = sorted(range(len(pos)), key=lambda i: (-scores[i], table_ids[pos[i]]))
-                assert fam.typical[fam.typical_ptr[j] : fam.typical_ptr[j + 1]].tolist() == pos[order[:5]].tolist()
+                assert positions[ptr[j] : ptr[j + 1]].tolist() == pos[order[:5]].tolist()
                 by_position += order[:5] != sorted(range(len(pos)), key=lambda i: (-scores[i], i))[:5]
         assert by_position > 0  # fixture precondition: some ties fall across the cutoff
 
 
 class TestTypicalMeans:
-    """Format 4 stores each family's typical means; a query reads them as
-    loaded and never derives them from per-table rows."""
+    """Since format 4 the file stores each family's typical means; a query
+    reads them as loaded and never derives them from per-table rows."""
 
     @staticmethod
     def means_bits(m) -> list[bytes]:
