@@ -27,7 +27,7 @@ from scipy import sparse
 
 from .corpus import Query, Table, TableCorpus, TaskType, load_corpus, read_text, save_corpus, validate_query
 from .errors import IOFailure, SchemaViolation, TooFewCols, TooFewQueries, TooFewRows
-from .features import STOPWORDS, fit_heuristic, tokenize
+from .features import STOPWORDS, fit_heuristic, token_ids, tokenize
 from .linearize import normalize_whitespace
 
 MIN_SPLIT_DIM = 3  # tables with at most this many rows AND columns are dropped
@@ -227,7 +227,8 @@ def filter_queries(queries: Sequence[SourceQuery]) -> list[SourceQuery]:
     if not queries:
         return []
     token_lists = [tokenize(q.text) for q in queries]
-    tfidf = fit_heuristic(token_lists).matrix(token_lists)
+    tok = token_ids(token_lists)
+    tfidf = fit_heuristic(tok).matrix(tok)
     kept: list[SourceQuery] = []
     kept_rows: dict[str, list[_Row]] = {}
     for i, (q, toks) in enumerate(zip(queries, token_lists)):
@@ -480,6 +481,11 @@ def _example_from_record(rec: dict) -> BenchmarkExample:
         raise ValueError(f"text must be a string, got {text!r}")
     if not isinstance(gold, list) or not all(isinstance(tid, str) for tid in gold):
         raise ValueError(f"gold_table_ids must be a list of strings, got {gold!r}")
+    for key in ("id", "root_table_id"):
+        if not isinstance(rec[key], str):
+            raise ValueError(f"{key} must be a string, got {rec[key]!r}")
+    if rec["difficulty"] not in DIFFICULTY_BY_PARTS.values():
+        raise ValueError(f"difficulty must be Easy, Medium or Hard, got {rec['difficulty']!r}")
     q = Query(
         id=rec["id"],
         text=text,

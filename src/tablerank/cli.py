@@ -31,6 +31,11 @@ from .coarse import coarse_retrieve
 from .index import DEFAULT_CLUSTERS, DEFAULT_TYPICAL, build_index, load_index, save_index
 from .prompting import make_generator
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 log = logging.getLogger("tablerank")
 
 ENV_EMBEDDER = "TABLERANK_EMBEDDER"
@@ -190,6 +195,16 @@ def _cmd_ingest(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _peak_rss_mb() -> dict:
+    """``{"peak_rss_mb": ...}``, the process's peak resident set so far in
+    MiB, or ``{}`` where the ``resource`` module is missing. ``ru_maxrss``
+    counts KiB on Linux and bytes on macOS."""
+    if resource is None:
+        return {}
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return {"peak_rss_mb": round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)}
+
+
 def _cmd_build_index(args, cfg: RunConfig) -> int:
     corpus = corpus_mod.load_corpus(args.corpus)
     t0 = time.perf_counter()
@@ -209,6 +224,7 @@ def _cmd_build_index(args, cfg: RunConfig) -> int:
         "build_seconds": at_end,
         "extract_seconds": at_extract,
         "cluster_seconds": round(at_cluster - at_extract, 3),
+        **_peak_rss_mb(),
     }))
     return 0
 

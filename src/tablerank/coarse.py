@@ -28,6 +28,7 @@ from .features import (
     embed_semantic,
     extract_structural,
     standardize_struct,
+    token_ids,
     tokenize,
 )
 from .index import FAMILY_TYPES, ClusterFamily, HypergraphIndex
@@ -60,10 +61,10 @@ def query_features(q: Query, ix: HypergraphIndex, h: EmbedderHandle) -> NodeFeat
     if h.dimension != ix.params["embedder_dimension"]:
         raise DimensionMismatch(ix.params["embedder_dimension"], h.dimension)
     texts = [linearize_query(q)]
-    token_lists = [tokenize(texts[0])]
-    sem = embed_semantic(texts, h, token_lists)[0]
+    tok = token_ids([tokenize(texts[0])])
+    sem = embed_semantic(texts, h, tok)[0]
     struct = standardize_struct(extract_structural(texts)[0], ix.struct_mean, ix.struct_std)
-    heur = ix.vectorizer.matrix(token_lists)
+    heur = ix.vectorizer.matrix(tok)
     return NodeFeatures(sem=sem, struct=struct, heur=heur)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import re
 import string
-from collections import Counter
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -99,19 +99,46 @@ class EmbedderHandle:
             raise ValueError("batch_limit must be at least 1")
 
 
-def _gram_codes(grams: Iterable[str], dimension: int) -> list[int]:
-    """Each gram's blake2b hash as one int: its slot, plus ``dimension`` when
-    its sign is negative."""
+@dataclass
+class TokenIds:
+    """Token lists held as integer ids: text i's tokens are the next
+    ``lengths[i]`` entries of ``ids`` after those of the texts before it, and
+    id j stands for ``distinct[j]``, the j-th distinct token to appear."""
+
+    ids: np.ndarray       # (total tokens,) int64
+    lengths: np.ndarray   # (n,) int64 tokens per text
+    distinct: list[str]
+
+    def rows(self) -> np.ndarray:
+        """The text that each entry of ``ids`` belongs to."""
+        return np.repeat(np.arange(len(self.lengths)), self.lengths)
+
+
+def token_ids(token_lists: Iterable[Sequence[str]]) -> TokenIds:
+    """Encode token lists (``tokenize`` of each text) as ids. Only the
+    distinct tokens are kept, so a generator of lists keeps one text's token
+    strings alive at a time."""
+    id_of: dict[str, int] = {}
+    ids, lengths = array("q"), array("q")
+    for toks in token_lists:
+        if isinstance(toks, str):
+            raise TypeError("token_ids takes token lists; tokenize each text first")
+        ids.extend([id_of.setdefault(t, len(id_of)) for t in toks])
+        lengths.append(len(toks))
+    return TokenIds(np.frombuffer(ids, dtype=np.int64), np.frombuffer(lengths, dtype=np.int64), list(id_of))
+
+
+def _gram_codes(grams: Iterable[str], dimension: int) -> np.ndarray:
+    """Each gram's blake2b hash as one int64: its slot, plus ``dimension``
+    when its sign is negative."""
     codes = []
     for g in grams:
         val = int.from_bytes(hashlib.blake2b(g.encode("utf-8"), digest_size=8).digest(), "little")
         codes.append((val >> 1) % dimension + (dimension if val & 1 else 0))
-    return codes
+    return np.array(codes, dtype=np.int64)
 
 
-def _hash_embed(
-    texts: Sequence[str], token_lists: Sequence[Sequence[str]], dimension: int
-) -> np.ndarray:
+def _hash_embed(texts: Sequence[str], tok: TokenIds, dimension: int) -> np.ndarray:
     """Signed bag of 1-2 gram hashes per text, L2-normalized; (n, dimension).
 
     A text's grams are its tokens and the pairs of adjacent tokens within it,
@@ -119,39 +146,44 @@ def _hash_embed(
     tokens, or 1: always an odd number of +-1 counts, so they never all
     cancel and no vector is zero.
 
-    Tokens get ids and pairs of token ids within a text get ids, so each
-    distinct gram is hashed once per call, and no bigram string is built per
-    occurrence; nothing outlives the call. A text's vector comes from its own
-    ``bincount`` of gram codes (positive minus negative counts, exact
-    integers) and its own 1-D norm, so it does not depend on the rest of the
-    batch. The per-text work stays in plain Python lists: a query is a batch
-    of one, and a fixed run of numpy calls would cost it more than it saves.
+    Each distinct token and each distinct pair of token ids is hashed once
+    per call. One weighted ``bincount`` adds every text's signed gram counts
+    into its row of the output, which is then divided in place by its norm.
+    The counts are small integers, so every sum, the sums of squares
+    included, is exact in any order: a text's vector does not depend on the
+    rest of the batch.
     """
-    token_id: dict[str, int] = {}
-    pair_id: dict[tuple[int, int], int] = {}
-    grams = []  # per text: its token ids and its pair ids
-    for text, toks in zip(texts, token_lists):
-        ids = [token_id.setdefault(t, len(token_id)) for t in toks or (text,)]
-        grams.append((ids, [pair_id.setdefault(p, len(pair_id)) for p in zip(ids, ids[1:])]))
-    tokens = list(token_id)
-    unigram_code = _gram_codes(tokens, dimension)
-    bigram_code = _gram_codes((f"{tokens[a]} {tokens[b]}" for a, b in pair_id), dimension)
-
-    out = np.empty((len(texts), dimension), dtype=np.float64)
-    for row, (ids, pairs) in zip(out, grams):
-        codes = [unigram_code[i] for i in ids] + [bigram_code[p] for p in pairs]
-        slot_counts = np.bincount(codes, minlength=2 * dimension)
-        vec = (slot_counts[:dimension] - slot_counts[dimension:]).astype(np.float64)
-        row[:] = vec / np.linalg.norm(vec)
+    n, d = len(texts), dimension
+    rows = tok.rows()
+    pair = np.flatnonzero(rows[1:] == rows[:-1])  # entries pair and pair + 1 are adjacent in one text
+    width = len(tok.distinct)
+    pair_key = tok.ids[pair] * width + tok.ids[pair + 1]
+    pairs = np.unique(pair_key)
+    words = tok.distinct
+    bigram_code = _gram_codes((f"{words[key // width]} {words[key % width]}" for key in pairs.tolist()), d)
+    bare = np.flatnonzero(tok.lengths == 0)
+    codes = np.concatenate((
+        _gram_codes(words, d)[tok.ids],
+        bigram_code[np.searchsorted(pairs, pair_key)],
+        _gram_codes((texts[i] for i in bare), d),
+    ))
+    # Each gram's cell in the flat (n, d) output is row * d + slot, built in
+    # place: at the corpus's size these arrays hold two entries per token.
+    signs = np.where(codes < d, 1.0, -1.0)
+    codes %= d
+    cells = np.concatenate((rows, rows[pair], bare))
+    cells *= d
+    cells += codes
+    del codes, rows, pair, pair_key
+    out = np.bincount(cells, weights=signs, minlength=n * d).reshape(n, d)
+    out /= np.sqrt(np.einsum("ij,ij->i", out, out))[:, None]
     return out
 
 
-def embed_semantic(
-    texts: Sequence[str], h: EmbedderHandle, token_lists: Sequence[Sequence[str]] | None = None
-) -> np.ndarray:
+def embed_semantic(texts: Sequence[str], h: EmbedderHandle, tok: TokenIds | None = None) -> np.ndarray:
     """Embed texts in order into an (n, dimension) array, batching remote
-    calls at the handle's limit. The builtin encoder reads ``token_lists``
-    (``tokenize`` of each text) when the caller already has them."""
+    calls at the handle's limit. The builtin encoder reads ``tok`` (the
+    texts' ``token_ids``) when the caller already has it."""
     if not texts:
         raise ValueError("embed_semantic requires at least one text")
     for t in texts:
@@ -159,9 +191,9 @@ def embed_semantic(
             raise ValueError("cannot embed an empty text")
 
     if h.endpoint == "builtin:hash":
-        if token_lists is None:
-            token_lists = [tokenize(t) for t in texts]
-        return _hash_embed(texts, token_lists, h.dimension)
+        if tok is None:
+            tok = token_ids(tokenize(t) for t in texts)
+        return _hash_embed(texts, tok, h.dimension)
 
     out: list[np.ndarray] = []
     url = h.endpoint.rstrip("/") + "/embed"
@@ -261,43 +293,37 @@ class HeuristicVectorizer:
     def size(self) -> int:
         return len(self.vocabulary)
 
-    def matrix(self, token_lists: Sequence[Sequence[str]]) -> sparse.csr_matrix:
-        """The (n, V) tf-idf rows of n token lists in canonical CSR form:
-        ascending columns, each at most once per row. Tokens outside the
-        vocabulary are dropped.
+    def matrix(self, tok: TokenIds) -> sparse.csr_matrix:
+        """The (n, V) tf-idf rows of the texts ``tok`` holds, in canonical CSR
+        form: ascending columns, each at most once per row. Tokens outside
+        the vocabulary are dropped.
 
         One ``np.unique`` over the keys ``row * V + column`` of every token
         gives the term counts in CSR order, and the matrix is one constructor
         call; a value is ``tf * idf[column]``.
         """
+        n, width = len(tok.lengths), max(self.size, 1)
         vocab = self.vocabulary
-        n, width = len(token_lists), max(self.size, 1)
-        keys = np.fromiter(
-            (row * width + c for row, toks in enumerate(token_lists) for t in toks if (c := vocab.get(t)) is not None),
-            dtype=np.int64,
-        )
-        keys, tf = np.unique(keys, return_counts=True)
+        column = np.fromiter((vocab.get(t, -1) for t in tok.distinct), dtype=np.int64, count=len(tok.distinct))
+        cols = column[tok.ids]
+        keys, tf = np.unique((tok.rows() * width + cols)[cols >= 0], return_counts=True)
         col = keys % width
         indptr = np.searchsorted(keys, np.arange(n + 1) * width)
         return sparse.csr_matrix((tf * self.idf[col], col, indptr), shape=(n, self.size))
 
 
-def fit_heuristic(token_lists: Sequence[Sequence[str]]) -> HeuristicVectorizer:
-    """Fit the vocabulary and idf weights over the whole corpus, given as
-    one token list (``tokenize`` of a text) per document."""
-    if not token_lists:
+def fit_heuristic(tok: TokenIds) -> HeuristicVectorizer:
+    """Fit the vocabulary and idf weights over the documents ``tok`` holds,
+    one text each. A token's document frequency counts the distinct keys
+    ``row * T + id`` it has, T being the number of distinct tokens."""
+    n_docs = len(tok.lengths)
+    if n_docs == 0:
         raise EmptyCorpus("cannot fit a vectorizer on zero documents")
-    df: Counter[str] = Counter()
-    for toks in token_lists:
-        if isinstance(toks, str):
-            raise TypeError("fit_heuristic takes token lists; tokenize each text first")
-        df.update(set(toks))
-    vocab = {tok: i for i, tok in enumerate(sorted(df))}
-    n_docs = len(token_lists)
-    idf = np.zeros(len(vocab), dtype=np.float64)
-    for tok, i in vocab.items():
-        idf[i] = np.log((1.0 + n_docs) / (1.0 + df[tok])) + 1.0
-    return HeuristicVectorizer(vocabulary=vocab, idf=idf)
+    width = max(len(tok.distinct), 1)
+    df = np.bincount(np.unique(tok.rows() * width + tok.ids) % width, minlength=len(tok.distinct))
+    order = sorted(range(len(tok.distinct)), key=tok.distinct.__getitem__)
+    idf = np.log((1.0 + n_docs) / (1.0 + df[order])) + 1.0
+    return HeuristicVectorizer(vocabulary={tok.distinct[i]: c for c, i in enumerate(order)}, idf=idf)
 
 
 def _row_sq_norms(x) -> np.ndarray:
@@ -346,16 +372,17 @@ class CorpusFeatures:
 def extract_all(corpus: TableCorpus, h: EmbedderHandle) -> CorpusFeatures:
     """Compute all three feature views for every table, in corpus order.
 
-    Each linearized table is tokenized once; the heuristic vectorizer is
-    fitted over every table before any row is built. Any embedding failure
+    Each linearized table is tokenized once, and only the token ids are
+    kept (``token_ids``): the builtin embedding, the vocabulary, the idf
+    weights and the tf-idf rows all come from them. Any embedding failure
     aborts the build, naming the first table of the failed batch.
     """
     ordered = list(corpus)
     sequences = [linearize(t) for t in ordered]
-    token_lists = [tokenize(seq) for seq in sequences]
-    vectorizer = fit_heuristic(token_lists)
+    tok = token_ids(tokenize(seq) for seq in sequences)
+    vectorizer = fit_heuristic(tok)
     try:
-        sem = embed_semantic(sequences, h, token_lists)
+        sem = embed_semantic(sequences, h, tok)
     except EmbedderUnavailable as exc:
         at = exc.batch_start or 0
         tid = ordered[at].id if at < len(ordered) else "?"
@@ -365,7 +392,7 @@ def extract_all(corpus: TableCorpus, h: EmbedderHandle) -> CorpusFeatures:
     return CorpusFeatures(
         sem=sem,
         struct=extract_structural(sequences),
-        heur=vectorizer.matrix(token_lists),
+        heur=vectorizer.matrix(tok),
         vectorizer=vectorizer,
     )
 

@@ -124,8 +124,13 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _row(x, i: int) -> np.ndarray:
+    """Row i as a dense 1-D float64 array. A CSR row's entries are added in
+    storage order into +0.0, as ``x[i].todense()`` does, without its
+    overhead. (``bincount`` of no entries gives integer zeros.)"""
     if sparse.issparse(x):
-        return np.asarray(x[i].todense()).ravel()
+        s, e = x.indptr[i], x.indptr[i + 1]
+        row = np.bincount(x.indices[s:e], weights=x.data[s:e], minlength=x.shape[1])
+        return row.astype(np.float64, copy=False)
     return x[i]
 
 
@@ -253,6 +258,7 @@ def _lloyd(vectors, x2: np.ndarray, K: int, rng: np.random.Generator) -> KMeansR
         d2 = _sq_dists_to(vectors, x2, centers)
         new_assign = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(n), new_assign].sum()))
+        del d2  # freed before the next sweep computes its own
         if np.array_equal(new_assign, assign):
             converged = True
             break
@@ -365,11 +371,15 @@ def build_index(
 
     ``features`` holds one row per table in corpus order, as ``extract_all``
     returns them. Every family gets K clusters; its clustering runs
-    KMEANS_RESTARTS seeded restarts, keeping the best objective. The sem
-    rows are grouped after the clustering, and copied only if some row
-    repeats; then each family's typical means are computed, the sem family's
-    from the distinct rows through the grouping. Like ``load_index``, it
-    tunes the allocator (``_retain_freed_memory``).
+    KMEANS_RESTARTS seeded restarts, keeping the best objective. A family's
+    clustering space is made just before its k-means, and the sem and heur
+    unit rows are dropped once the family's typical nodes are chosen, so no
+    two families' unit rows are alive at once; the standardized struct rows
+    stay for the struct means. The sem rows are grouped after the
+    clustering, and copied only if some row repeats; then each family's
+    typical means are computed, the sem family's from the distinct rows
+    through the grouping. Like ``load_index``, it tunes the allocator
+    (``_retain_freed_memory``).
     """
     table_ids = corpus.ids()
     sem = np.asarray(features.sem, dtype=np.float64)
@@ -389,21 +399,16 @@ def build_index(
     _retain_freed_memory()
 
     mean, std = struct_stats(struct_raw)
-    spaces = {
-        "sem": unit_rows(sem),
-        "struct": standardize_struct(struct_raw, mean, std),
-        "heur": unit_rows(heur),
-    }
+    struct_z = standardize_struct(struct_raw, mean, std)  # kept: the struct means are taken from it
 
     K = int(K)
     clusterings = {}
     for fam_idx, phi in enumerate(FAMILY_TYPES):
         child_seed = int(np.random.SeedSequence([seed, fam_idx]).generate_state(1)[0])
-        space = spaces[phi]
+        space = struct_z if phi == "struct" else unit_rows(sem if phi == "sem" else heur)
         result = kmeans(space, K, seed=child_seed)
         clusterings[phi] = (result, _typical_nodes(space, result, table_ids, k))
-    struct_z = spaces["struct"]
-    del spaces, space  # freed before the distinct rows are copied
+        del space  # one family's unit rows alive at a time
     firsts, sem_group = _group_rows(sem)
     sem_rows = sem if len(firsts) == len(sem) else sem[firsts]
 

@@ -23,7 +23,7 @@ from tablerank.benchmark import (
 )
 from tablerank.corpus import Table, TableCorpus, TaskType
 from tablerank.errors import SchemaViolation, TooFewCols, TooFewQueries, TooFewRows
-from tablerank.features import STOPWORDS, HeuristicVectorizer, fit_heuristic, tokenize
+from tablerank.features import STOPWORDS, HeuristicVectorizer, fit_heuristic, token_ids, tokenize
 
 from conftest import reference_fit_heuristic, reference_transform, representative_score
 
@@ -315,7 +315,7 @@ def _same_root_pairs(queries):
 
 
 def _row(v: HeuristicVectorizer, text: str):
-    return _tfidf_row(v.matrix([tokenize(text)]), 0)
+    return _tfidf_row(v.matrix(token_ids([tokenize(text)])), 0)
 
 
 def _bits(x: float) -> int:
@@ -361,7 +361,7 @@ class TestFilterQueriesOracle:
     @pytest.mark.parametrize("name", sorted(_QUERY_SETS))
     def test_pair_cosines_bitwise_equal_representative_score(self, name):
         queries = _QUERY_SETS[name](0)
-        v = fit_heuristic([tokenize(q.text) for q in queries])
+        v = fit_heuristic(token_ids(tokenize(q.text) for q in queries))
         pairs = _same_root_pairs(queries)
         assert pairs
         for a, b in pairs:
@@ -370,7 +370,7 @@ class TestFilterQueriesOracle:
             assert _bits(got) == _bits(want), (a.text, b.text)
 
     def test_zero_row_scores_zero(self):
-        v = fit_heuristic([["team", "wins"], ["city", "rain"]])
+        v = fit_heuristic(token_ids([["team", "wins"], ["city", "rain"]]))
         empty = _row(v, "nothing known")
         assert empty[2] == 0.0
         assert _row_cosine(empty, _row(v, "team wins")) == 0.0
@@ -576,7 +576,15 @@ class TestBuildBenchmark:
         ({"gold_table_ids": "root00"}, "gold_table_ids must be a list of strings, got 'root00'"),
         ({"gold_table_ids": ["root00", 3]}, "gold_table_ids must be a list of strings, got ['root00', 3]"),
         ({"task_type": "TFV", "gold_answer": 2}, "TFV answer must be 0 or 1, got 2"),
-    ], ids=["blank-text", "number-text", "string-gold", "number-in-gold", "bad-tfv-label"])
+        ({"id": ["x"]}, "id must be a string, got ['x']"),
+        ({"id": 7}, "id must be a string, got 7"),
+        ({"root_table_id": {"a": 1}}, "root_table_id must be a string, got {'a': 1}"),
+        ({"difficulty": 7}, "difficulty must be Easy, Medium or Hard, got 7"),
+        ({"difficulty": "easy"}, "difficulty must be Easy, Medium or Hard, got 'easy'"),
+        ({"difficulty": ["Easy"]}, "difficulty must be Easy, Medium or Hard, got ['Easy']"),
+    ], ids=["blank-text", "number-text", "string-gold", "number-in-gold", "bad-tfv-label",
+            "list-id", "number-id", "dict-root-id", "number-difficulty", "lowercase-difficulty",
+            "list-difficulty"])
     def test_malformed_example_is_a_line_numbered_violation(self, tmp_path, change, reason):
         corpus, queries = _benchmark_sources()
         save_benchmark(build_benchmark(corpus, queries, seed=3), tmp_path / "out")

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tablerank import cli
 from tablerank.cli import main
 from tablerank.corpus import Table, TableCorpus, save_corpus
 from tablerank.index import load_index
@@ -154,6 +155,20 @@ class TestBuildIndex:
         assert all(p >= 0.0 for p in parts)
         # 1e-9 absorbs the float addition of two 3-decimal values.
         assert sum(parts) <= line["build_seconds"] + 1e-9
+
+    def test_reports_peak_rss(self, tmp_path, corpus_file, capsys):
+        assert main(["build-index", "--corpus", str(corpus_file), "--out", str(tmp_path / "x.idx"),
+                     "--K", "3", "--k", "10"]) == 0
+        line = json.loads(capsys.readouterr().out)
+        # This process has imported numpy and scipy, so its peak is megabytes,
+        # far from a count of KiB or bytes read as MiB.
+        assert 10.0 < line["peak_rss_mb"] < 100_000.0
+
+    def test_peak_rss_is_omitted_without_resource(self, tmp_path, corpus_file, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "resource", None)
+        assert main(["build-index", "--corpus", str(corpus_file), "--out", str(tmp_path / "x.idx"),
+                     "--K", "3", "--k", "10"]) == 0
+        assert "peak_rss_mb" not in json.loads(capsys.readouterr().out)
 
     @pytest.mark.parametrize("flag", ["--K", "--k", "--dimension", "--batch-limit"])
     def test_count_below_one_exits_2(self, tmp_path, corpus_file, capsys, flag):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -384,6 +385,26 @@ class TestBuildIndex:
                 save_index(build_index(corpus, feats, K=4, k=10, seed=2), p)
                 paths.append(p)
             assert paths[0].read_bytes() == paths[1].read_bytes(), name
+
+    def test_one_family_unit_rows_alive_at_a_time(self, handle, monkeypatch):
+        """Each ``unit_rows`` result (the sem, then the heur clustering
+        space) is dead before the next family's space is made, and none
+        outlives the build."""
+        corpus = make_topic_corpus(60, 4, seed=3)
+        feats = extract_all(corpus, handle)
+        made = []
+
+        def tracked(x):
+            assert all(ref() is None for ref in made), "an earlier family's unit rows are still alive"
+            out = unit_rows(x)
+            made.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(index, "unit_rows", tracked)
+        ix = build_index(corpus, feats, K=3, k=5, seed=1)
+        assert len(made) == 2
+        assert all(ref() is None for ref in made)
+        assert ix.families["heur"].n_clusters == 3
 
 
 @pytest.fixture
