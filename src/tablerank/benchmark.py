@@ -111,7 +111,7 @@ class BenchmarkDataset:
 def filter_small(corpus: TableCorpus) -> TableCorpus:
     """Drop tables whose row AND column counts are both at most 3."""
     kept = [t for t in corpus if not (t.n_cols <= MIN_SPLIT_DIM and t.n_rows <= MIN_SPLIT_DIM)]
-    return TableCorpus(kept, source_tag=corpus.source_tag)
+    return TableCorpus(kept)
 
 
 def _take(t: Table, rows: list[int], cols: list[int] | None, id: str, caption: str) -> Table:
@@ -382,7 +382,7 @@ def build_benchmark(
             )
         )
 
-    dataset_tables = TableCorpus(out_tables, source_tag=f"{sources.source_tag}:benchmark")
+    dataset_tables = TableCorpus(out_tables)
     return BenchmarkDataset(
         tables=dataset_tables,
         examples=examples,
@@ -475,12 +475,15 @@ def _parse_records(lines: list[str], name: str, build: Callable[[dict], object])
     return out
 
 
-def _example_from_record(rec: dict) -> BenchmarkExample:
+def _example_from_record(rec: dict, tables: TableCorpus) -> BenchmarkExample:
     text, gold = rec["text"], rec["gold_table_ids"]
     if not isinstance(text, str):
         raise ValueError(f"text must be a string, got {text!r}")
     if not isinstance(gold, list) or not all(isinstance(tid, str) for tid in gold):
         raise ValueError(f"gold_table_ids must be a list of strings, got {gold!r}")
+    unknown = [tid for tid in gold if tid not in tables]
+    if unknown:
+        raise ValueError(f"gold table ids {unknown} are not tables of the dataset")
     for key in ("id", "root_table_id"):
         if not isinstance(rec[key], str):
             raise ValueError(f"{key} must be a string, got {rec[key]!r}")
@@ -511,7 +514,7 @@ def load_benchmark(in_dir: str | Path) -> BenchmarkDataset:
         stats = json.loads(read_text(src / "stats.json"))
     except json.JSONDecodeError as exc:
         raise SchemaViolation([("<stats.json>", f"invalid JSON: {exc.msg}")]) from exc
-    examples = _parse_records(lines, "examples.jsonl", _example_from_record)
+    examples = _parse_records(lines, "examples.jsonl", lambda rec: _example_from_record(rec, tables))
     return BenchmarkDataset(tables=tables, examples=examples, stats=stats)
 
 

@@ -1,11 +1,13 @@
 """Command-line entry point.
 
 Subcommands: ingest, build-index, retrieve, build-benchmark, eval-retrieval,
-eval-e2e, inspect. Option precedence is flags > environment variables
-(endpoints only) > --config file > built-in defaults; every run logs the
-configuration it uses to stderr, a command that opens an index once the
-index has set the embedding dimension. Exit codes: 0 success, 1 runtime failure,
-2 usage error.
+eval-e2e, inspect. Each takes only the flags it reads; ingest and inspect
+take no settings. Option precedence is flags > environment variables
+(endpoints only) > --config file > built-in defaults. One config file can
+serve every command: a key that a command does not read is checked and then
+ignored. Every command that takes settings logs the configuration it uses
+to stderr, a command that opens an index once the index has set the
+embedding dimension. Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import TableRankError, UsageError
 from .features import EmbedderHandle, extract_all
 from .fine import DEFAULT_ALPHA, DEFAULT_EPSILON, DEFAULT_MAX_ITER, DEFAULT_TAU, DEFAULT_TOP_N, PPRConfig, retrieve
 from .coarse import coarse_retrieve
-from .index import DEFAULT_CLUSTERS, DEFAULT_TYPICAL, build_index, load_index, save_index
+from .index import DEFAULT_CLUSTERS, DEFAULT_TYPICAL, HypergraphIndex, build_index, load_index, save_index
 from .prompting import make_generator
 
 try:
@@ -69,19 +71,20 @@ _ACCEPTED_TYPES = {"int": int, "float": (int, float), "str": str}
 _POSITIVE_INTS = ("K", "k")
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """flags > env (endpoints) > config file > defaults. A dimension the
-    config file sets is recorded in ``args`` as if it came from --dimension,
-    so that ``_open_index`` keeps it."""
+def resolve_config(args: argparse.Namespace, index_dimension: int | None = None) -> RunConfig:
+    """flags > env (endpoints) > config file > defaults, logged to stderr.
+    ``index_dimension``, the embedding dimension of the index the command
+    queries, takes the place of the built-in default dimension."""
     values = asdict(RunConfig())
-    config_path = getattr(args, "config", None)
-    if config_path:
+    if index_dimension is not None:
+        values["dimension"] = index_dimension
+    if args.config:
         try:
-            file_values = json.loads(Path(config_path).read_text(encoding="utf-8"))
+            file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file {config_path}: {exc}") from exc
+            raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(file_values, dict):
-            raise UsageError(f"config file {config_path} must hold a JSON object")
+            raise UsageError(f"config file {args.config} must hold a JSON object")
         unknown = set(file_values) - set(_FIELD_TYPES)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -90,8 +93,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             if isinstance(value, bool) or not isinstance(value, _ACCEPTED_TYPES[_FIELD_TYPES[name]]):
                 raise UsageError(f"config key {name!r} must be of type {_FIELD_TYPES[name]}, got {value!r}")
         values.update(file_values)
-        if "dimension" in file_values and getattr(args, "dimension", None) is None:
-            args.dimension = file_values["dimension"]
     if os.environ.get(ENV_EMBEDDER):
         values["embedder"] = os.environ[ENV_EMBEDDER]
     if os.environ.get(ENV_GENERATOR):
@@ -113,27 +114,26 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     too_small = [name for name in _POSITIVE_INTS if getattr(cfg, name) < 1]
     if too_small:
         raise UsageError(f"{', '.join(too_small)} must be at least 1")
+    log.info("resolved config: %s", json.dumps(asdict(cfg), sort_keys=True))
     return cfg
 
 
-def _log_config(cfg: RunConfig) -> None:
-    log.info("resolved config: %s", json.dumps(asdict(cfg), sort_keys=True))
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_embedding_settings(p: argparse.ArgumentParser) -> None:
+    """The config file and the embedding endpoint, which every command that
+    embeds text reads."""
     p.add_argument("--config", help="JSON file with config overrides")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--embedder", default=None, help="embedding endpoint URL or builtin:hash")
     p.add_argument("--dimension", type=int, default=None, help="embedding dimension")
     p.add_argument("--batch-limit", dest="batch_limit", type=int, default=None)
 
 
-def _add_retrieval_params(p: argparse.ArgumentParser) -> None:
+def _add_query_settings(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     p.add_argument("--top-n", dest="top_n", type=int, default=None)
+    _add_embedding_settings(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,51 +144,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=["jsonl", "csv_dir"], default="jsonl")
     p.add_argument("--out", required=True)
-    _add_common(p)
 
     p = sub.add_parser("build-index", help="extract features and build the hypergraph index")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--K", type=int, default=None, help="clusters per feature family")
     p.add_argument("--k", type=int, default=None, help="typical nodes per cluster")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=None)
+    _add_embedding_settings(p)
 
     p = sub.add_parser("retrieve", help="run coarse/fine retrieval for one query")
     p.add_argument("--index", required=True)
     p.add_argument("--query", required=True, help="query text")
     p.add_argument("--task-type", default="SingleHopTQA", choices=[t.value for t in corpus_mod.TaskType])
     p.add_argument("--stage", choices=["coarse", "fine", "full"], default="full")
-    _add_retrieval_params(p)
-    _add_common(p)
+    _add_query_settings(p)
 
     p = sub.add_parser("build-benchmark", help="construct a multi-table benchmark from sources")
     p.add_argument("--sources", required=True, help="directory with tables.jsonl and queries.jsonl")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--config", help="JSON file with config overrides")
 
     p = sub.add_parser("eval-retrieval", help="score retrieval over a benchmark")
     p.add_argument("--index", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--ks", default="10,20,50")
     p.add_argument("--acc-mode", dest="acc_mode", choices=["all", "any"], default="all")
-    _add_retrieval_params(p)
-    _add_common(p)
+    _add_query_settings(p)
 
     p = sub.add_parser("eval-e2e", help="retrieve, prompt, generate, and score answers")
     p.add_argument("--index", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--generator", default=None, help="generation endpoint URL or stub:na")
-    _add_retrieval_params(p)
-    _add_common(p)
+    _add_query_settings(p)
 
     p = sub.add_parser("inspect", help="print index parameters and cluster sizes")
     p.add_argument("--index", required=True)
-    _add_common(p)
 
     return parser
 
 
-def _cmd_ingest(args, cfg: RunConfig) -> int:
+def _cmd_ingest(args) -> int:
     corpus = corpus_mod.load_corpus(args.input, format=args.format)
     corpus_mod.save_corpus(corpus, args.out)
     print(json.dumps({"tables": len(corpus), "out": args.out}))
@@ -205,7 +202,8 @@ def _peak_rss_mb() -> dict:
     return {"peak_rss_mb": round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)}
 
 
-def _cmd_build_index(args, cfg: RunConfig) -> int:
+def _cmd_build_index(args) -> int:
+    cfg = resolve_config(args)
     corpus = corpus_mod.load_corpus(args.corpus)
     t0 = time.perf_counter()
     features = extract_all(corpus, cfg.handle())
@@ -229,22 +227,19 @@ def _cmd_build_index(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _open_index(args, cfg: RunConfig):
+def _open_index(args) -> tuple[RunConfig, HypergraphIndex]:
     # The index records the embedding dimension it was built with; querying
     # with anything else can only fail, so the built-in default gives way to
     # it. A dimension from --dimension or the config file stays, and a
     # mismatch fails with DimensionMismatch.
     ix = load_index(args.index)
-    if args.dimension is None:
-        cfg.dimension = ix.params["embedder_dimension"]
-    _log_config(cfg)
-    return ix
+    return resolve_config(args, ix.params["embedder_dimension"]), ix
 
 
-def _cmd_retrieve(args, cfg: RunConfig) -> int:
+def _cmd_retrieve(args) -> int:
     if not args.query.strip():
         raise UsageError("--query must contain text")
-    ix = _open_index(args, cfg)
+    cfg, ix = _open_index(args)
     q = corpus_mod.Query(id="cli", text=args.query, task_type=corpus_mod.TaskType(args.task_type))
     if args.stage == "coarse":
         coarse = coarse_retrieve(q, ix, cfg.handle())
@@ -267,7 +262,8 @@ def _cmd_retrieve(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_build_benchmark(args, cfg: RunConfig) -> int:
+def _cmd_build_benchmark(args) -> int:
+    cfg = resolve_config(args)
     src = Path(args.sources)
     corpus = corpus_mod.load_corpus(src / "tables.jsonl")
     queries = bench.load_source_queries(src / "queries.jsonl")
@@ -277,11 +273,11 @@ def _cmd_build_benchmark(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_eval_retrieval(args, cfg: RunConfig) -> int:
+def _cmd_eval_retrieval(args) -> int:
     ks = [x.strip() for x in args.ks.split(",") if x.strip()]  # checked before anything is loaded
     if not ks or not all(x.isdecimal() and int(x) >= 1 for x in ks):
         raise UsageError(f"--ks must list cutoffs of at least 1, separated by commas; got {args.ks!r}")
-    ix = _open_index(args, cfg)
+    cfg, ix = _open_index(args)
     ds = bench.load_benchmark(args.dataset)
     report = ev.run_retrieval_eval(
         ds, ix, cfg.handle(), cfg.ppr(), tau=cfg.tau, ks=[int(x) for x in ks], acc_mode=args.acc_mode
@@ -292,8 +288,8 @@ def _cmd_eval_retrieval(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_eval_e2e(args, cfg: RunConfig) -> int:
-    ix = _open_index(args, cfg)
+def _cmd_eval_e2e(args) -> int:
+    cfg, ix = _open_index(args)
     ds = bench.load_benchmark(args.dataset)
     generate = make_generator(cfg.generator)
     report = ev.run_e2e_eval(ds, ix, cfg.handle(), generate, cfg.ppr(), tau=cfg.tau)
@@ -303,8 +299,8 @@ def _cmd_eval_e2e(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_inspect(args, cfg: RunConfig) -> int:
-    ix = _open_index(args, cfg)
+def _cmd_inspect(args) -> int:
+    ix = load_index(args.index)
     sizes = {
         phi: np.bincount(fam.assignments, minlength=fam.n_clusters).tolist()
         for phi, fam in ix.families.items()
@@ -337,13 +333,9 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        if not hasattr(args, "index"):  # the others log once _open_index has read the index
-            _log_config(cfg)
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2

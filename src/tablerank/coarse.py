@@ -68,8 +68,9 @@ def query_features(q: Query, ix: HypergraphIndex, h: EmbedderHandle) -> NodeFeat
     return NodeFeatures(sem=sem, struct=struct, heur=heur)
 
 
-def assign_cluster(qf: NodeFeatures, family: ClusterFamily) -> tuple[int, list[float]]:
-    """Mean typical-node cosine per cluster; returns (argmax index, all means).
+def assign_cluster(v: np.ndarray | sparse.csr_matrix, family: ClusterFamily) -> tuple[int, list[float]]:
+    """Mean typical-node cosine per cluster of the query's vector ``v`` in
+    ``family``'s feature type; returns (argmax index, all means).
 
     The mean of cluster j's typical cosines to the query v equals
     ``M[j] @ v / |v|``, where ``M = family.typical_means`` holds each
@@ -78,7 +79,6 @@ def assign_cluster(qf: NodeFeatures, family: ClusterFamily) -> tuple[int, list[f
     within ``TIE_ULPS * np.spacing(max |means|)`` of the best are tied, and the
     smallest tied cluster index wins.
     """
-    v = getattr(qf, family.feature_type)
     if sparse.issparse(v):
         v = v.toarray().ravel()
     v_norm = np.linalg.norm(v)
@@ -109,7 +109,7 @@ def coarse_retrieve(
     in_union = np.zeros(len(ix), dtype=bool)
     for phi in FAMILY_TYPES:
         family = ix.families[phi]
-        best, _ = assign_cluster(qf, family)
+        best, _ = assign_cluster(getattr(qf, phi), family)
         choices[phi] = best
         in_union |= family.assignments == best
     union = np.flatnonzero(in_union)

@@ -22,8 +22,6 @@ from typing import Iterator
 
 from .errors import IOFailure, SchemaViolation
 
-CORPUS_FORMAT_VERSION = 1
-
 _RECORD_KEYS = {"id", "caption", "headers", "entries", "metadata"}
 
 
@@ -73,9 +71,8 @@ class TableCorpus:
     Read-only after construction; safe to share across threads.
     """
 
-    def __init__(self, tables: list[Table], source_tag: str = ""):
+    def __init__(self, tables: list[Table]):
         self.tables = list(tables)
-        self.source_tag = source_tag
         self._by_id: dict[str, Table] = {}
         for t in self.tables:
             if t.id in self._by_id:
@@ -247,7 +244,7 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> TableCorpus:
     SchemaViolation; nothing is silently dropped. ``format`` is either
     ``jsonl`` (canonical, one record per line) or ``csv_dir`` (a directory of
     delimited files; filename stem becomes the table id, first row the
-    headers). The corpus's ``source_tag`` is the file or directory name.
+    headers).
     """
     p = Path(path)
     if not p.exists():
@@ -269,7 +266,7 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> TableCorpus:
         seen.add(t.id)
     if violations:
         raise SchemaViolation(violations)
-    return TableCorpus(tables, source_tag=p.name)
+    return TableCorpus(tables)
 
 
 def table_record_bytes(t: Table) -> bytes:

@@ -205,14 +205,28 @@ def embed_semantic(texts: Sequence[str], h: EmbedderHandle, tok: TokenIds | None
             raise EmbedderUnavailable(h.endpoint, exc.cause, batch_start=start) from exc
         vectors = resp.get("vectors")
         declared = resp.get("dimension")
-        if vectors is None or len(vectors) != len(batch):
+        if not isinstance(vectors, list) or len(vectors) != len(batch):
             raise EmbedderUnavailable(
                 h.endpoint, "response missing vectors or wrong count", batch_start=start
             )
-        if declared is not None and int(declared) != h.dimension:
-            raise DimensionMismatch(h.dimension, int(declared))
-        for v in vectors:
-            arr = np.asarray(v, dtype=np.float64)
+        if declared is not None:
+            if type(declared) is not int:  # a JSON true is a bool, not an int
+                raise EmbedderUnavailable(
+                    h.endpoint, f"response dimension {declared!r} is not an integer", batch_start=start
+                )
+            if declared != h.dimension:
+                raise DimensionMismatch(h.dimension, declared)
+        for i, v in enumerate(vectors):
+            try:
+                arr = np.asarray(v)
+                numeric = arr.dtype.kind in "if"  # not strings, booleans or nulls
+            except ValueError:  # lists of unequal lengths
+                numeric = False
+            if not numeric:
+                raise EmbedderUnavailable(
+                    h.endpoint, f"response vector {i} is not a list of numbers", batch_start=start
+                )
+            arr = arr.astype(np.float64, copy=False)
             if arr.ndim != 1 or arr.shape[0] != h.dimension:
                 raise DimensionMismatch(h.dimension, int(arr.shape[-1] if arr.ndim else 0))
             if not np.isfinite(arr).all():

@@ -315,7 +315,6 @@ class ClusterFamily:
     restart.
     """
 
-    feature_type: str
     assignments: np.ndarray
     typical_means: np.ndarray | sparse.csr_matrix
     n_iter: int
@@ -419,7 +418,6 @@ def build_index(
         else:
             means = _typical_means(struct_z if phi == "struct" else heur, positions, ptr)
         families[phi] = ClusterFamily(
-            feature_type=phi,
             assignments=result.assignments,
             typical_means=means,
             n_iter=result.n_iter,
@@ -583,6 +581,8 @@ def _check_header(header) -> None:
         raise IOFailure("header lacks a corpus digest")
     if not header["table_ids"]:
         raise IOFailure("header lists no tables")
+    if len(set(header["table_ids"])) != len(header["table_ids"]):
+        raise IOFailure("header lists a table id twice")
     if min(params["K"], params["embedder_dimension"], params["typical_k"]) < 1:
         raise IOFailure("header K, embedder_dimension and typical_k must be at least 1")
     for phi in FAMILY_TYPES:
@@ -693,6 +693,9 @@ def load_index(path: str | Path) -> HypergraphIndex:
         if at != len(buf):
             raise IOFailure(f"{len(buf) - at} bytes follow the last array")
         _check_arrays(header, arrays)
+        vocabulary = {tok: i for i, tok in enumerate(header["vocabulary"])}
+        if len(vocabulary) != len(header["vocabulary"]):
+            raise IOFailure("header lists a vocabulary token twice")
     except IOFailure as exc:
         raise IOFailure(f"{p}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
@@ -700,20 +703,15 @@ def load_index(path: str | Path) -> HypergraphIndex:
     _retain_freed_memory()
 
     table_ids = header["table_ids"]
-    vocab_tokens = header["vocabulary"]
-    vectorizer = HeuristicVectorizer(
-        vocabulary={tok: i for i, tok in enumerate(vocab_tokens)},
-        idf=arrays["idf"],
-    )
+    vectorizer = HeuristicVectorizer(vocabulary=vocabulary, idf=arrays["idf"])
     # Attach the views to an empty matrix: the (data, indices, indptr)
     # constructor copies a view whose buffer is much larger than it.
-    heur_means = sparse.csr_matrix((header["params"]["K"], len(vocab_tokens)))
+    heur_means = sparse.csr_matrix((header["params"]["K"], len(vocabulary)))
     heur_means.data, heur_means.indices, heur_means.indptr = (
         arrays["means_heur_data"], arrays["means_heur_indices"], arrays["means_heur_indptr"])
     means = {"sem": arrays["means_sem"], "struct": arrays["means_struct"], "heur": heur_means}
     families = {
         phi: ClusterFamily(
-            feature_type=phi,
             assignments=arrays[f"assign_{phi}"],
             typical_means=means[phi],
             **header["families"][phi]["kmeans"],

@@ -217,7 +217,7 @@ def topic_header_pool(topic: int) -> list[str]:
     return [f"tp{topic}h{j:02d}" for j in range(2)]
 
 
-def make_topic_corpus(n_tables: int, n_topics: int, seed: int, tag: str = "fixture") -> TableCorpus:
+def make_topic_corpus(n_tables: int, n_topics: int, seed: int) -> TableCorpus:
     """Synthetic corpus of well-separated topic blobs.
 
     Every table of a topic uses the same caption token set (shuffled order)
@@ -241,7 +241,7 @@ def make_topic_corpus(n_tables: int, n_topics: int, seed: int, tag: str = "fixtu
                 metadata={},
             )
         )
-    return TableCorpus(tables, source_tag=tag)
+    return TableCorpus(tables)
 
 
 def make_topic_query(topic: int, seed: int, length: int = 6) -> Query:
@@ -272,7 +272,7 @@ def make_gold_corpus(n_roots: int, seed: int) -> TableCorpus:
                 text=f"what is the value of h{r}x{qn} for ent{r}a in the {caption} table?",
                 task_type=TaskType.SINGLE_HOP, answer=f"v{r}r0c{qn}",
             ))
-    return build_benchmark(TableCorpus(tables, source_tag="gold"), queries, seed=seed).tables
+    return build_benchmark(TableCorpus(tables), queries, seed=seed).tables
 
 
 def make_angle_corpus(n_tables: int, base_count: int = 60) -> tuple[TableCorpus, Query]:
@@ -288,7 +288,7 @@ def make_angle_corpus(n_tables: int, base_count: int = 60) -> tuple[TableCorpus,
             Table(id=f"t{i:03d}", caption=cap, headers=["colone", "coltwo"],
                   entries=[["a", "b"]], metadata={})
         )
-    corpus = TableCorpus(tables, source_tag="angles")
+    corpus = TableCorpus(tables)
     query = Query(id="q-angle", text="alpha", task_type=TaskType.SINGLE_HOP)
     return corpus, query
 
@@ -310,7 +310,7 @@ def tiny_corpus() -> TableCorpus:
         make_table("rain", caption="Monthly rainfall totals", headers=["Month", "mm"],
                    entries=[["Jan", "80"], ["Feb", "62"]]),
     ]
-    return TableCorpus(tables, source_tag="tiny")
+    return TableCorpus(tables)
 
 
 @pytest.fixture

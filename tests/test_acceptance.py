@@ -64,7 +64,7 @@ def _report(name: str, detail: str) -> None:
 def blob10k():
     handle = EmbedderHandle(dimension=128, batch_limit=512)
     t0 = time.perf_counter()
-    corpus = make_topic_corpus(10_000, 10, seed=101, tag="blobs10k")
+    corpus = make_topic_corpus(10_000, 10, seed=101)
     features = extract_all(corpus, handle)
     ix = build_index(corpus, features, K=10, k=100, seed=13)
     build_seconds = time.perf_counter() - t0
@@ -189,7 +189,7 @@ def test_gold_retrieval_sanity():
                 text=f"what is the value of h{r}x{qn} for ent{r}a in the {caption} table?",
                 task_type=TaskType.SINGLE_HOP, answer=f"v{r}r0c{qn}",
             ))
-    dataset = build_benchmark(TableCorpus(tables, source_tag="gold"), queries, seed=21)
+    dataset = build_benchmark(TableCorpus(tables), queries, seed=21)
     assert 250 <= len(dataset.tables) <= 350
 
     handle = EmbedderHandle(dimension=512, batch_limit=512)
@@ -304,7 +304,7 @@ def test_prompt_contract():
 
 def test_determinism(tmp_path):
     """Equal seeds give byte-identical index files and benchmark datasets."""
-    corpus = make_topic_corpus(200, 5, seed=42, tag="determinism")
+    corpus = make_topic_corpus(200, 5, seed=42)
     handle = EmbedderHandle(dimension=64, batch_limit=64)
     paths = []
     for run in ("a", "b"):
@@ -329,7 +329,7 @@ def test_determinism(tmp_path):
     ]
     dirs = []
     for run in ("a", "b"):
-        ds = build_benchmark(TableCorpus(tables, source_tag="det"), queries, seed=17)
+        ds = build_benchmark(TableCorpus(tables), queries, seed=17)
         out = tmp_path / f"dataset_{run}"
         save_benchmark(ds, out)
         dirs.append(out)

@@ -497,7 +497,7 @@ def _benchmark_sources(n_roots=12, seed=0):
                 f"what is the value of h{r}x{qn} for ent{r}a in the listed {caption}?",
                 answer=f"r0c{qn}r{r}",
             ))
-    return TableCorpus(tables, source_tag="bench-src"), queries
+    return TableCorpus(tables), queries
 
 
 class TestBuildBenchmark:
@@ -575,6 +575,7 @@ class TestBuildBenchmark:
         ({"text": 5}, "text must be a string, got 5"),
         ({"gold_table_ids": "root00"}, "gold_table_ids must be a list of strings, got 'root00'"),
         ({"gold_table_ids": ["root00", 3]}, "gold_table_ids must be a list of strings, got ['root00', 3]"),
+        ({"gold_table_ids": ["root00", "nope"]}, "gold table ids ['nope'] are not tables of the dataset"),
         ({"task_type": "TFV", "gold_answer": 2}, "TFV answer must be 0 or 1, got 2"),
         ({"id": ["x"]}, "id must be a string, got ['x']"),
         ({"id": 7}, "id must be a string, got 7"),
@@ -582,7 +583,7 @@ class TestBuildBenchmark:
         ({"difficulty": 7}, "difficulty must be Easy, Medium or Hard, got 7"),
         ({"difficulty": "easy"}, "difficulty must be Easy, Medium or Hard, got 'easy'"),
         ({"difficulty": ["Easy"]}, "difficulty must be Easy, Medium or Hard, got ['Easy']"),
-    ], ids=["blank-text", "number-text", "string-gold", "number-in-gold", "bad-tfv-label",
+    ], ids=["blank-text", "number-text", "string-gold", "number-in-gold", "unknown-gold", "bad-tfv-label",
             "list-id", "number-id", "dict-root-id", "number-difficulty", "lowercase-difficulty",
             "list-difficulty"])
     def test_malformed_example_is_a_line_numbered_violation(self, tmp_path, change, reason):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 import os
@@ -52,11 +53,68 @@ def _sources_dir(tmp_path):
             })
     src = tmp_path / "sources"
     src.mkdir()
-    save_corpus(TableCorpus(tables, source_tag="cli-src"), src / "tables.jsonl")
+    save_corpus(TableCorpus(tables), src / "tables.jsonl")
     with (src / "queries.jsonl").open("w") as f:
         for q in queries:
             f.write(json.dumps(q) + "\n")
     return src
+
+
+_QUERY_SETTINGS = {"--alpha", "--tau", "--epsilon", "--max-iter", "--top-n",
+                   "--config", "--embedder", "--dimension", "--batch-limit"}
+
+# Each subcommand's flags, --help aside: only the settings its handler reads.
+FLAGS = {
+    "ingest": {"--input", "--format", "--out"},
+    "build-index": {"--corpus", "--out", "--K", "--k", "--seed",
+                    "--config", "--embedder", "--dimension", "--batch-limit"},
+    "retrieve": {"--index", "--query", "--task-type", "--stage", *_QUERY_SETTINGS},
+    "build-benchmark": {"--sources", "--out", "--seed", "--config"},
+    "eval-retrieval": {"--index", "--dataset", "--ks", "--acc-mode", *_QUERY_SETTINGS},
+    "eval-e2e": {"--index", "--dataset", "--generator", *_QUERY_SETTINGS},
+    "inspect": {"--index"},
+}
+
+# The required flags of the commands that lost flags, with placeholder values.
+REQUIRED = {
+    "ingest": ["--input", "x", "--out", "y"],
+    "retrieve": ["--index", "x", "--query", "q"],
+    "build-benchmark": ["--sources", "x", "--out", "y"],
+    "eval-retrieval": ["--index", "x", "--dataset", "d"],
+    "eval-e2e": ["--index", "x", "--dataset", "d"],
+    "inspect": ["--index", "x"],
+}
+
+
+class TestFlags:
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        declared = {
+            name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert declared == FLAGS
+        assert sum(map(len, declared.values())) == 55
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag)
+        for command in ("ingest", "inspect")
+        for flag in ("--config", "--seed", "--embedder", "--dimension", "--batch-limit")
+    ] + [("build-benchmark", flag) for flag in ("--embedder", "--dimension", "--batch-limit")]
+      + [(command, "--seed") for command in ("retrieve", "eval-retrieval", "eval-e2e")])
+    def test_a_flag_the_command_does_not_read_exits_2(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as err:
+            main([command, *REQUIRED[command], flag, "1"])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ingest", "inspect"])
+    def test_commands_without_settings_log_no_config(self, tmp_path, corpus_file, index_file, caplog, command):
+        argv = {"ingest": ["ingest", "--input", str(corpus_file), "--out", str(tmp_path / "o.jsonl")],
+                "inspect": ["inspect", "--index", str(index_file)]}[command]
+        with caplog.at_level(logging.INFO, logger="tablerank"):
+            assert main(argv) == 0
+        assert not [r for r in caplog.records if r.getMessage().startswith("resolved config: ")]
 
 
 class TestIngest:
@@ -134,11 +192,26 @@ class TestRetrieve:
         ["--query", "tp1c00", "--max-iter", "0"],
         ["--query", "tp1c00", "--epsilon", "nan"],
         ["--query", "tp1c00", "--epsilon", "inf"],
-        ["--query", "tp1c00", "--seed", "-1"],
     ])
     def test_out_of_range_input_exits_2(self, index_file, capsys, flags):
         assert main(["retrieve", "--index", str(index_file), *flags]) == 2
         assert "error: usage:" in capsys.readouterr().err
+
+    def test_malformed_embedder_reply_exits_1_without_traceback(self, index_file, http_server):
+        def respond(path, payload):
+            return 200, {"vectors": 5}
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        with http_server(respond) as url:
+            proc = subprocess.run([sys.executable, "-m", "tablerank.cli", "retrieve", "--index", str(index_file),
+                                   "--query", "tp1c00", "--embedder", url],
+                                  env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert ("error: EmbedderUnavailable: embedding endpoint " + repr(url)
+                + " unavailable (batch starting at item 0): response missing vectors or wrong count") in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_unknown_flag_exits_2(self, index_file):
         with pytest.raises(SystemExit) as err:
@@ -251,6 +324,22 @@ class TestConfigPrecedence:
         main(["inspect", "--index", str(out)])
         info = json.loads(capsys.readouterr().out)
         assert info["params"]["K"] == 4
+
+    def test_one_config_file_serves_every_command(self, tmp_path, corpus_file, capsys):
+        # Each command reads its own keys from the file and ignores the rest.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"K": 2, "k": 5, "seed": 4, "top_n": 3, "generator": "stub:na"}))
+        src = _sources_dir(tmp_path)
+        for out, extra in (("via_cfg", ["--config", str(cfg)]), ("via_flag", ["--seed", "4"])):
+            assert main(["build-benchmark", "--sources", str(src), "--out", str(tmp_path / out), *extra]) == 0
+        assert (tmp_path / "via_cfg" / "examples.jsonl").read_bytes() == (
+            tmp_path / "via_flag" / "examples.jsonl").read_bytes()
+        idx = tmp_path / "cfg.idx"
+        assert main(["build-index", "--corpus", str(corpus_file), "--out", str(idx), "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["retrieve", "--index", str(idx), "--query", "tp1c00 tp1c01", "--config", str(cfg)]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 3  # the summary, then top_n ranks
+        assert load_index(idx).params["K"] == 2
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, corpus_file, capsys):
         cfg = tmp_path / "cfg.json"
@@ -458,7 +547,7 @@ def _non_utf8_target(reader: str, tmp_path, index_file) -> tuple[list[str], Path
         return ["ingest", "--format", "csv_dir", "--input", str(bad.parent), "--out", str(tmp_path / "o")], bad
     if reader == "config":
         bad = tmp_path / "config.json"
-        return ["inspect", "--index", str(index_file), "--config", str(bad)], bad
+        return ["retrieve", "--index", str(index_file), "--query", "tp1c00", "--config", str(bad)], bad
     src = _sources_dir(tmp_path)
     if reader == "source-queries":
         return ["build-benchmark", "--sources", str(src), "--out", str(tmp_path / "d")], src / "queries.jsonl"

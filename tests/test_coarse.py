@@ -20,15 +20,15 @@ from conftest import (
 )
 
 
-def reference_assign_cluster(qf, family, rows, typical):
+def reference_assign_cluster(qf, phi, rows, typical):
     """Per-node oracle for assign_cluster: gather every typical row from
     ``rows`` (the family's score-space rows, one per table), score each by
     cosine to the query, and average the scores per cluster. ``typical`` is
     the family's (positions, ptr), as ``typical_nodes`` returns them. The
     choice is the lowest index among the means within TIE_ULPS ulps of the
-    best."""
+    best. ``phi`` names the family."""
     positions, ptr = typical
-    v = getattr(qf, family.feature_type)
+    v = getattr(qf, phi)
     scores = np.array([representative_score(rows[i], v) for i in positions])
     means = np.add.reduceat(scores, ptr[:-1]) / np.diff(ptr)
     tied = np.flatnonzero(means >= means.max() - TIE_ULPS * np.spacing(np.abs(means).max()))
@@ -99,7 +99,7 @@ class TestAssignCluster:
         feats = extract_all(corpus, handle)
         ix = build_index(corpus, feats, K=1, k=5, seed=0)
         qf = query_features(make_topic_query(0, seed=2), ix, handle)
-        best, means = assign_cluster(qf, ix.families["sem"])
+        best, means = assign_cluster(qf.sem, ix.families["sem"])
         assert best == 0 and len(means) == 1
 
     def test_matching_typical_node_wins_with_mean_one(self, indexed):
@@ -115,7 +115,7 @@ class TestAssignCluster:
         typical = [[0], [1]]
         _replace_family(ix, "sem", vectors, assignments, typical)
         qf = NodeFeatures(sem=vectors[0].copy(), struct=np.zeros(20), heur=sparse.csr_matrix((1, 1)))
-        best, means = assign_cluster(qf, ix.families["sem"])
+        best, means = assign_cluster(qf.sem, ix.families["sem"])
         assert best == 0
         assert means[0] == pytest.approx(1.0)
         assert means[1] == pytest.approx(0.0)
@@ -135,7 +135,7 @@ class TestAssignCluster:
         for trial in range(25):
             qv = rng.normal(size=8)
             qf = NodeFeatures(sem=qv, struct=np.zeros(20), heur=sparse.csr_matrix((1, 1)))
-            best, means = assign_cluster(qf, ix.families["sem"])
+            best, means = assign_cluster(qf.sem, ix.families["sem"])
             brute = [
                 float(np.mean([
                     representative_score(vectors[i], qv) for i in typical[j]
@@ -156,7 +156,7 @@ class TestAssignCluster:
         _replace_family(ix, "sem", vectors, assignments, typical)
         qf = NodeFeatures(sem=np.array([0.0, 1.0, 0.0, 0.0]), struct=np.zeros(20),
                           heur=sparse.csr_matrix((1, 1)))
-        best, means = assign_cluster(qf, ix.families["sem"])
+        best, means = assign_cluster(qf.sem, ix.families["sem"])
         assert means[0] == pytest.approx(means[1])
         assert best == 0
 
@@ -169,8 +169,8 @@ class TestMeanVectorOracle:
     def assert_matches_reference(qf, ix, rows, typical):
         for phi in FAMILY_TYPES:
             family = ix.families[phi]
-            best, means = assign_cluster(qf, family)
-            _, ref_means = reference_assign_cluster(qf, family, rows[phi], typical[phi])
+            best, means = assign_cluster(getattr(qf, phi), family)
+            _, ref_means = reference_assign_cluster(qf, phi, rows[phi], typical[phi])
             ref = np.asarray(ref_means)
             assert np.max(np.abs(means - ref)) <= 1e-12, phi
             # The reference's BLAS product can round two identical typical sets
@@ -188,7 +188,7 @@ class TestMeanVectorOracle:
         for q in queries:
             qf = query_features(q, ix, handle)
             self.assert_matches_reference(qf, ix, rows, typical)
-            _, means = assign_cluster(qf, ix.families["struct"])
+            _, means = assign_cluster(qf.struct, ix.families["struct"])
             exact_ties += means.count(max(means)) > 1
         # Topics share struct vectors here, so struct clusters tie exactly.
         assert exact_ties > 0
@@ -199,7 +199,7 @@ class TestMeanVectorOracle:
         qf = query_features(q, ix, handle)
         self.assert_matches_reference(qf, ix, {phi: score_space_rows(feats, phi, ix) for phi in FAMILY_TYPES},
                                       {phi: typical_nodes(feats, phi, ix) for phi in FAMILY_TYPES})
-        best, means = assign_cluster(qf, ix.families["heur"])
+        best, means = assign_cluster(qf.heur, ix.families["heur"])
         assert best == 0
         assert means == [0.0] * len(means)
 
@@ -237,10 +237,10 @@ class TestMeanVectorOracle:
         for _ in range(10):
             qv = vectors[1] + 0.1 * rng.normal(size=8)
             qf = NodeFeatures(sem=qv, struct=np.zeros(20), heur=sparse.csr_matrix((1, 1)))
-            best, means = assign_cluster(qf, ix.families["sem"])
+            best, means = assign_cluster(qf.sem, ix.families["sem"])
             assert means[1] == means[2]
             assert best == 1
-            _, ref_means = reference_assign_cluster(qf, ix.families["sem"], vectors, nodes)
+            _, ref_means = reference_assign_cluster(qf, "sem", vectors, nodes)
             assert np.max(np.abs(np.subtract(means, ref_means))) <= 1e-12
 
 
@@ -256,8 +256,8 @@ class TestMeanVectorOracle:
         for q in (make_topic_query(t, seed=s) for t in range(4) for s in range(10)):
             qf = query_features(q, ix, handle)
             for phi in FAMILY_TYPES:
-                best, _ = assign_cluster(qf, ix.families[phi])
-                assert best == reference_assign_cluster(qf, ix.families[phi], rows[phi], typical[phi])[0], (q.id, phi)
+                best, _ = assign_cluster(getattr(qf, phi), ix.families[phi])
+                assert best == reference_assign_cluster(qf, phi, rows[phi], typical[phi])[0], (q.id, phi)
 
 
 class TestCoarseRetrieve:
@@ -297,7 +297,7 @@ class TestCoarseRetrieve:
         qf = NodeFeatures(sem=np.array([1.0, 0, 0, 0]), struct=struct_z[0],
                           heur=sparse.csr_matrix(np.array([[1.0, 0.0]])))
         for phi in FAMILY_TYPES:
-            assert assign_cluster(qf, ix.families[phi])[1] == pytest.approx([1.0, 0.0]), phi
+            assert assign_cluster(getattr(qf, phi), ix.families[phi])[1] == pytest.approx([1.0, 0.0]), phi
         result = coarse_retrieve(None, ix, None, qf=qf)
         assert result.per_family_choice == {"sem": 0, "struct": 0, "heur": 0}
         assert result.union_ids.tolist() == [0, 1, 2, 3, 4]
@@ -330,7 +330,7 @@ class TestCoarseRetrieve:
             heur=sparse.csr_matrix(np.array([[0, 0, 1.0, 0, 0, 0]])),
         )
         for phi in FAMILY_TYPES:
-            assert assign_cluster(qf, ix.families[phi])[1] == pytest.approx([1.0, 0.0]), phi
+            assert assign_cluster(getattr(qf, phi), ix.families[phi])[1] == pytest.approx([1.0, 0.0]), phi
         result = coarse_retrieve(None, ix, None, qf=qf)
         assert result.per_family_choice == {"sem": 0, "struct": 0, "heur": 0}
         assert len(result.union_ids) == 12

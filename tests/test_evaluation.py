@@ -130,7 +130,7 @@ def _mini_benchmark(handle, K=3):
                 text=f"what is the recorded value of h{r}x{qn} for ent{r}a in {caption}?",
                 task_type=TaskType.SINGLE_HOP, answer=f"r0c{qn}v{r}",
             ))
-    ds = build_benchmark(TableCorpus(tables, source_tag="mini"), queries, seed=5)
+    ds = build_benchmark(TableCorpus(tables), queries, seed=5)
     feats = extract_all(ds.tables, handle)
     ix = build_index(ds.tables, feats, K=K, k=10, seed=5)
     return ds, ix

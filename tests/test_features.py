@@ -186,6 +186,34 @@ class TestRemoteEmbedder:
             with pytest.raises(EmbedderUnavailable):
                 embed_semantic(["a"], h)
 
+    @pytest.mark.parametrize("reply, cause", [
+        ({"vectors": 5}, "response missing vectors or wrong count"),
+        ({"vectors": {"a": 1, "b": 2}}, "response missing vectors or wrong count"),
+        ({"dimension": "x"}, "response missing vectors or wrong count"),
+        ({"vectors": ["a", "b"]}, "response vector 0 is not a list of numbers"),
+        ({"vectors": [[1.0, 0.0], {"a": 1}]}, "response vector 1 is not a list of numbers"),
+        ({"vectors": [[1.0, [0.0]], [1.0, 0.0]]}, "response vector 0 is not a list of numbers"),
+        ({"vectors": [[1.0, 0.0], ["1", "0"]]}, "response vector 1 is not a list of numbers"),
+        ({"vectors": [[True, False], [1.0, 0.0]]}, "response vector 0 is not a list of numbers"),
+        ({"vectors": [[1.0, 0.0], [None, 1.0]]}, "response vector 1 is not a list of numbers"),
+        ({"vectors": [[1.0, 0.0]] * 2, "dimension": "x"}, "response dimension 'x' is not an integer"),
+        ({"vectors": [[1.0, 0.0]] * 2, "dimension": 2.0}, "response dimension 2.0 is not an integer"),
+    ], ids=["number-vectors", "object-vectors", "no-vectors", "string-vectors", "object-vector",
+            "ragged-vector", "numeric-strings", "booleans", "null", "string-dimension", "float-dimension"])
+    def test_malformed_reply_is_unavailable(self, http_server, reply, cause):
+        # The second batch, items 2 and 3, gets the malformed reply.
+        def respond(path, payload):
+            if payload["texts"] == ["c", "d"]:
+                return 200, reply
+            return 200, {"vectors": [[1.0, 0.0]] * len(payload["texts"]), "dimension": 2}
+
+        with http_server(respond) as url:
+            h = EmbedderHandle(endpoint=url, dimension=2, batch_limit=2)
+            with pytest.raises(EmbedderUnavailable) as err:
+                embed_semantic(["a", "b", "c", "d", "e"], h)
+        assert (err.value.batch_start, err.value.cause) == (2, cause)
+        assert "(batch starting at item 2)" in str(err.value)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_vector_is_unavailable(self, monkeypatch, bad):
         def post_json(url, payload):
@@ -543,7 +571,7 @@ class TestExtractAll:
 
 def _oracle_corpora() -> dict[str, TableCorpus]:
     def corpus(*tables):
-        return TableCorpus(list(tables), source_tag="oracle")
+        return TableCorpus(list(tables))
 
     return {
         # The markers still give every linearized table the tokens "table"

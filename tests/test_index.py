@@ -613,6 +613,13 @@ def _set(path: str, value):
     return edit
 
 
+def _repeat_first(key: str):
+    """Header edit that overwrites the second entry of list ``key`` with the first."""
+    def edit(header):
+        header[key][1] = header[key][0]
+    return edit
+
+
 def _break_assignment(ix):
     ix.families["struct"].assignments[0] = 3
 
@@ -691,9 +698,11 @@ class TestResignedFiles:
         (_set("params.K", 0), "at least 1"),
         (_set("table_ids", []), "no tables"),
         (_set("families.sem.kmeans.objective", float("nan")), "not finite"),
+        (_repeat_first("table_ids"), "header lists a table id twice"),
+        (_repeat_first("vocabulary"), "header lists a vocabulary token twice"),
     ], ids=["missing-key", "extra-key", "str-for-int", "bool-for-int", "int-for-bool",
             "str-for-list", "int-in-str-list", "negative", "zero-clusters",
-            "no-tables", "nan-objective"])
+            "no-tables", "nan-objective", "repeated-table-id", "repeated-token"])
     def test_header_schema(self, built, tmp_path, edit, match):
         p = tmp_path / "ix.bin"
         save_index(built[1], p)
