@@ -1,8 +1,8 @@
 """tablerank: graph-based retrieval over corpora of individual tables."""
 
 from .corpus import Query, Table, TableCorpus, TaskType, load_corpus, save_corpus, validate_table
-from .features import CorpusFeatures, EmbedderHandle, NodeFeatures, extract_all
-from .index import HypergraphIndex, build_index, kmeans, load_index, save_index
+from .features import EmbedderHandle, NodeFeatures
+from .index import HypergraphIndex, load_index, save_index
 from .coarse import CoarseResult, coarse_retrieve, query_features
 from .fine import PPRConfig, RetrievalResult, fine_retrieve, ppr, retrieve
 from .prompting import PromptBundle, ParsedResponse, build_prompt, parse_response, render_table_html
@@ -26,6 +26,22 @@ from .evaluation import (
 )
 
 __version__ = "0.1.0"
+
+# Set-up names, imported from ``tablerank.build`` (and so scipy) on first use:
+# a process that only loads an index and answers queries never imports them.
+_BUILD_NAMES = ("CorpusFeatures", "build_index", "extract_all", "kmeans")
+
+
+def __getattr__(name: str):
+    if name in _BUILD_NAMES:
+        from . import build
+
+        return getattr(build, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_BUILD_NAMES])
 
 __all__ = [
     "AnswerReport",

@@ -23,11 +23,10 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import Query, Table, TableCorpus, TaskType, load_corpus, read_text, save_corpus, validate_query
 from .errors import IOFailure, SchemaViolation, TooFewCols, TooFewQueries, TooFewRows
-from .features import STOPWORDS, fit_heuristic, token_ids, tokenize
+from .features import STOPWORDS, SparseRows, fit_heuristic, token_ids, tokenize
 from .linearize import normalize_whitespace
 
 MIN_SPLIT_DIM = 3  # tables with at most this many rows AND columns are dropped
@@ -196,8 +195,8 @@ def debias(sub_tables: Sequence[Table], mode: str, seed: int) -> list[Table]:
 _Row = tuple[np.ndarray, np.ndarray, float]
 
 
-def _tfidf_row(m: sparse.csr_matrix, i: int) -> _Row:
-    """Row i of a canonical CSR tf-idf matrix as plain arrays."""
+def _tfidf_row(m: SparseRows, i: int) -> _Row:
+    """Row i of canonical CSR tf-idf rows as plain arrays."""
     lo, hi = m.indptr[i], m.indptr[i + 1]
     cols, vals = m.indices[lo:hi], m.data[lo:hi]
     return cols, vals, float(np.sqrt(np.sum(vals * vals)))

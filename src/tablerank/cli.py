@@ -27,10 +27,10 @@ from . import benchmark as bench
 from . import corpus as corpus_mod
 from . import evaluation as ev
 from .errors import TableRankError, UsageError
-from .features import EmbedderHandle, extract_all
+from .features import EmbedderHandle
 from .fine import DEFAULT_ALPHA, DEFAULT_EPSILON, DEFAULT_MAX_ITER, DEFAULT_TAU, DEFAULT_TOP_N, PPRConfig, retrieve
 from .coarse import coarse_retrieve
-from .index import DEFAULT_CLUSTERS, DEFAULT_TYPICAL, HypergraphIndex, build_index, load_index, save_index
+from .index import DEFAULT_CLUSTERS, DEFAULT_TYPICAL, HypergraphIndex, load_index, save_index
 from .prompting import make_generator
 
 try:
@@ -203,12 +203,14 @@ def _peak_rss_mb() -> dict:
 
 
 def _cmd_build_index(args) -> int:
+    from . import build  # scipy is loaded by the commands that build, not by those that query
+
     cfg = resolve_config(args)
     corpus = corpus_mod.load_corpus(args.corpus)
     t0 = time.perf_counter()
-    features = extract_all(corpus, cfg.handle())
+    features = build.extract_all(corpus, cfg.handle())
     t_extract = time.perf_counter()
-    ix = build_index(corpus, features, K=cfg.K, k=cfg.k, seed=cfg.seed)
+    ix = build.build_index(corpus, features, K=cfg.K, k=cfg.k, seed=cfg.seed)
     t_cluster = time.perf_counter()
     save_index(ix, args.out)
     # Round the timestamps, then difference them, so the parts never sum

@@ -18,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import Query
 from .errors import DimensionMismatch
 from .features import (
     EmbedderHandle,
     NodeFeatures,
+    SparseRows,
     embed_semantic,
     extract_structural,
     standardize_struct,
@@ -55,8 +55,8 @@ def query_features(q: Query, ix: HypergraphIndex, h: EmbedderHandle) -> NodeFeat
 
     The struct vector comes back already projected through the index's stored
     standardization so it is directly comparable with node vectors; sem and
-    heur are raw (cosine is scale-invariant). The text goes through the
-    corpus featurizers as a batch of one.
+    heur are raw (cosine is scale-invariant), and all three are dense. The
+    text goes through the corpus featurizers as a batch of one.
     """
     if h.dimension != ix.params["embedder_dimension"]:
         raise DimensionMismatch(ix.params["embedder_dimension"], h.dimension)
@@ -64,13 +64,15 @@ def query_features(q: Query, ix: HypergraphIndex, h: EmbedderHandle) -> NodeFeat
     tok = token_ids([tokenize(texts[0])])
     sem = embed_semantic(texts, h, tok)[0]
     struct = standardize_struct(extract_structural(texts)[0], ix.struct_mean, ix.struct_std)
-    heur = ix.vectorizer.matrix(tok)
+    row = ix.vectorizer.matrix(tok)  # ascending columns, each once
+    heur = np.zeros(ix.vectorizer.size)
+    heur[row.indices] = row.data
     return NodeFeatures(sem=sem, struct=struct, heur=heur)
 
 
-def assign_cluster(v: np.ndarray | sparse.csr_matrix, family: ClusterFamily) -> tuple[int, list[float]]:
-    """Mean typical-node cosine per cluster of the query's vector ``v`` in
-    ``family``'s feature type; returns (argmax index, all means).
+def assign_cluster(v: np.ndarray, family: ClusterFamily) -> tuple[int, list[float]]:
+    """Mean typical-node cosine per cluster of the query's dense vector ``v``
+    in ``family``'s feature type; returns (argmax index, all means).
 
     The mean of cluster j's typical cosines to the query v equals
     ``M[j] @ v / |v|``, where ``M = family.typical_means`` holds each
@@ -79,17 +81,19 @@ def assign_cluster(v: np.ndarray | sparse.csr_matrix, family: ClusterFamily) -> 
     within ``TIE_ULPS * np.spacing(max |means|)`` of the best are tied, and the
     smallest tied cluster index wins.
     """
-    if sparse.issparse(v):
-        v = v.toarray().ravel()
     v_norm = np.linalg.norm(v)
+    m = family.typical_means
     if v_norm == 0.0:
         means = np.zeros(family.n_clusters)
+    elif isinstance(m, SparseRows):
+        # Each row's products added in storage order into +0.0, as scipy's
+        # CSR mat-vec adds them: the same bits.
+        entry_row = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        means = np.bincount(entry_row, weights=m.data * v[m.indices], minlength=m.shape[0]) / v_norm
     else:
-        m = family.typical_means
-        # Not a BLAS product for dense m: gemv may round a row differently by
-        # its position, which would split an exact tie between identical rows.
-        dots = m @ v if sparse.issparse(m) else np.einsum("ij,j->i", m, v)
-        means = dots / v_norm
+        # Not a BLAS product: gemv may round a row differently by its
+        # position, which would split an exact tie between identical rows.
+        means = np.einsum("ij,j->i", m, v) / v_norm
     bound = TIE_ULPS * np.spacing(np.abs(means).max())
     best = int(np.argmax(means >= means.max() - bound))  # first tied index
     return best, means.tolist()

@@ -10,13 +10,17 @@ Every table (and every query) gets three views of the same linearized text:
 * ``struct`` -- a fixed 20-slot vector of surface-shape counts (token counts,
   rule-tag counts, punctuation counts). The exact slot order is part of the
   index format; see STRUCT_FIELDS.
-* ``heur``   -- a sparse TF-IDF row over the corpus vocabulary.
+* ``heur``   -- a TF-IDF row over the corpus vocabulary. ``matrix`` gives a
+  batch of them as ``SparseRows``, the three arrays of a CSR matrix; a
+  query's row is dense.
 
 Similarity between same-type vectors is their cosine, and the build and the
 query compute every one with three helpers: ``row_norms`` (the L2 norm of
 each row, dense or CSR), ``unit_rows`` (each row divided by its norm) and
 ``cosines`` (rows against one dense vector, given the rows' norms). Zero
 vectors score 0 by convention so empty inputs rank last instead of crashing.
+Only the build hands these helpers a scipy CSR matrix (``tablerank.build``);
+this module imports scipy only inside ``unit_rows``'s CSR branch.
 """
 
 from __future__ import annotations
@@ -29,12 +33,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from ._http import HttpCallError, post_json
-from .corpus import TableCorpus
 from .errors import DimensionMismatch, EmbedderUnavailable, EmptyCorpus
-from .linearize import linearize
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -81,7 +82,19 @@ class NodeFeatures:
 
     sem: np.ndarray
     struct: np.ndarray
-    heur: sparse.csr_matrix  # shape (1, vocabulary size)
+    heur: np.ndarray  # (vocabulary size,) tf-idf weights
+
+
+@dataclass(frozen=True)
+class SparseRows:
+    """The arrays of an (m, n) CSR matrix: row i's entries are
+    ``data[indptr[i]:indptr[i + 1]]``, in columns ``indices[...]`` of the same
+    slice, in storage order."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -307,14 +320,13 @@ class HeuristicVectorizer:
     def size(self) -> int:
         return len(self.vocabulary)
 
-    def matrix(self, tok: TokenIds) -> sparse.csr_matrix:
+    def matrix(self, tok: TokenIds) -> SparseRows:
         """The (n, V) tf-idf rows of the texts ``tok`` holds, in canonical CSR
         form: ascending columns, each at most once per row. Tokens outside
         the vocabulary are dropped.
 
         One ``np.unique`` over the keys ``row * V + column`` of every token
-        gives the term counts in CSR order, and the matrix is one constructor
-        call; a value is ``tf * idf[column]``.
+        gives the term counts in CSR order; a value is ``tf * idf[column]``.
         """
         n, width = len(tok.lengths), max(self.size, 1)
         vocab = self.vocabulary
@@ -323,7 +335,7 @@ class HeuristicVectorizer:
         keys, tf = np.unique((tok.rows() * width + cols)[cols >= 0], return_counts=True)
         col = keys % width
         indptr = np.searchsorted(keys, np.arange(n + 1) * width)
-        return sparse.csr_matrix((tf * self.idf[col], col, indptr), shape=(n, self.size))
+        return SparseRows(tf * self.idf[col], col, indptr, (n, self.size))
 
 
 def fit_heuristic(tok: TokenIds) -> HeuristicVectorizer:
@@ -342,9 +354,9 @@ def fit_heuristic(tok: TokenIds) -> HeuristicVectorizer:
 
 def _row_sq_norms(x) -> np.ndarray:
     """Squared L2 norm of every row of a dense (m, d) array or a CSR matrix."""
-    if sparse.issparse(x):
-        return np.asarray(x.multiply(x).sum(axis=1)).ravel()
-    return np.einsum("ij,ij->i", x, x)
+    if isinstance(x, np.ndarray):
+        return np.einsum("ij,ij->i", x, x)
+    return np.asarray(x.multiply(x).sum(axis=1)).ravel()
 
 
 def row_norms(x) -> np.ndarray:
@@ -356,9 +368,11 @@ def unit_rows(x):
     """Every row of ``x`` divided by its L2 norm; zero rows stay zero. A CSR
     matrix stays CSR, its rows multiplied by the reciprocal norms."""
     norms = row_norms(x)
-    if sparse.issparse(x):
-        return sparse.diags(np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)) @ x
-    return x / np.where(norms > 0, norms, 1.0)[:, None]
+    if isinstance(x, np.ndarray):
+        return x / np.where(norms > 0, norms, 1.0)[:, None]
+    from scipy import sparse  # only the build has CSR rows
+
+    return sparse.diags(np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)) @ x
 
 
 def cosines(rows, norms: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -370,45 +384,6 @@ def cosines(rows, norms: np.ndarray, v: np.ndarray) -> np.ndarray:
     if v_norm > 0.0:
         np.divide(rows @ v, norms * v_norm, out=out, where=norms > 0)
     return out
-
-
-@dataclass
-class CorpusFeatures:
-    """The three feature views of a whole corpus; row i belongs to the
-    corpus's i-th table."""
-
-    sem: np.ndarray               # (n, d) embeddings
-    struct: np.ndarray            # (n, STRUCT_DIM) raw counts
-    heur: sparse.csr_matrix       # (n, V) tf-idf rows
-    vectorizer: HeuristicVectorizer  # fitted over the corpus; V = vectorizer.size
-
-
-def extract_all(corpus: TableCorpus, h: EmbedderHandle) -> CorpusFeatures:
-    """Compute all three feature views for every table, in corpus order.
-
-    Each linearized table is tokenized once, and only the token ids are
-    kept (``token_ids``): the builtin embedding, the vocabulary, the idf
-    weights and the tf-idf rows all come from them. Any embedding failure
-    aborts the build, naming the first table of the failed batch.
-    """
-    ordered = list(corpus)
-    sequences = [linearize(t) for t in ordered]
-    tok = token_ids(tokenize(seq) for seq in sequences)
-    vectorizer = fit_heuristic(tok)
-    try:
-        sem = embed_semantic(sequences, h, tok)
-    except EmbedderUnavailable as exc:
-        at = exc.batch_start or 0
-        tid = ordered[at].id if at < len(ordered) else "?"
-        raise EmbedderUnavailable(
-            exc.endpoint, f"{exc.cause} (first table of failed batch: {tid})", exc.batch_start
-        ) from exc
-    return CorpusFeatures(
-        sem=sem,
-        struct=extract_structural(sequences),
-        heur=vectorizer.matrix(tok),
-        vectorizer=vectorizer,
-    )
 
 
 def standardize_struct(vec: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:

@@ -1,27 +1,19 @@
-"""Hypergraph memory index: per-feature-type clustering over the corpus.
+"""The hypergraph index as queries read it, and its file format.
 
-Each feature type (sem / struct / heur) is clustered independently with
-k-means; a cluster is a hyperedge grouping its member tables, and the three
-cluster families together form the heterogeneous hypergraph. Each cluster's
-"typical" members -- the top-k nodes by cosine to the centroid, ties by
-table id (``top_k``, which also ranks the fine stage) -- stand in for the
-whole cluster at query time. Coarse retrieval reads a cluster only through
-its typical mean: the mean of its L2-normalized typical rows in score space
-(raw sem and heur rows, standardized struct rows). ``build_index`` picks the
-typical members and computes each family's (K, dim) matrix of typical means
-once; the file stores the means, and neither the typical lists nor the
-per-table struct and TF-IDF rows, which no query reads.
-
-Clustering spaces: sem and heur rows are L2-normalized (Euclidean there is
-monotone with cosine); struct rows are z-scored per column because the raw
-counts live on wildly different scales. The standardization stats are stored
-in the index so queries can be projected into the same space.
+A ``HypergraphIndex`` holds, for each feature family (sem / struct / heur),
+every table's cluster and each cluster's typical mean: the mean of its
+L2-normalized typical rows in score space, as ``tablerank.build`` computes
+them. Coarse retrieval reads a cluster only through that mean. The sem and
+struct means are dense (K, dim) arrays; the heur means are the
+``SparseRows`` of a (K, V) matrix, each row in the storage order the build's
+sparse product gave it, because a query sums a row in that order. The index
+also keeps the struct standardization and the fitted TF-IDF vectorizer, so a
+query is featurized the way the tables were.
 
 Tables often share an embedding, so the index keeps each distinct sem row
 once (``sem_rows``, in order of first table position) and maps every table to
 its row (``sem_group``). Rows are distinct when their 64-bit words differ, so
--0.0 and 0.0 are distinct. ``build_index`` finds the grouping once, and the
-file stores it.
+-0.0 and 0.0 are distinct.
 
 The on-disk container (format version 5) is a fixed preamble (magic,
 format version, header length, sha256 of the file without the digest), a
@@ -32,8 +24,10 @@ Every integer array is int32.
 ``load_index`` reads the file into one read-only buffer, checks the digest
 and every structural invariant, the grouping included, and hands out views
 of that buffer, so nothing is copied and a stray write into a loaded index
-raises. Builds are byte-deterministic for a fixed corpus and seed. Layout
+raises. ``save_index`` writes the same bytes for the same index. Layout
 details in docs/FORMATS.md.
+
+This module imports numpy only, like the rest of the query path.
 """
 
 from __future__ import annotations
@@ -48,21 +42,10 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import TableCorpus, table_record_bytes
-from .errors import IOFailure, KTooLarge, VersionMismatch
-from .features import (
-    STRUCT_DIM,
-    CorpusFeatures,
-    HeuristicVectorizer,
-    _row_sq_norms,
-    cosines,
-    row_norms,
-    standardize_struct,
-    struct_stats,
-    unit_rows,
-)
+from .errors import IOFailure, VersionMismatch
+from .features import STRUCT_DIM, HeuristicVectorizer, SparseRows
 
 INDEX_FORMAT_VERSION = 5
 _MAGIC = b"TRKHGIDX"
@@ -76,8 +59,6 @@ FAMILY_TYPES = ("sem", "struct", "heur")
 
 DEFAULT_CLUSTERS = 10
 DEFAULT_TYPICAL = 100
-KMEANS_MAX_ITER = 100  # Lloyd sweeps per k-means restart
-KMEANS_RESTARTS = 10   # seeded restarts per k-means run
 
 
 def top_k(scores: np.ndarray, rows: np.ndarray, table_ids: Sequence[str], k: int) -> np.ndarray:
@@ -108,215 +89,22 @@ def _sorted_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, starts
 
 
-def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(firsts, group): ``firsts`` holds the first position of each distinct
-    row, ascending, and ``group[i]`` (int32) the index in ``firsts`` of row
-    i's first position, so ``rows[firsts][group]`` equals ``rows`` bitwise
-    and group ids appear in first-occurrence order."""
-    order, starts = _sorted_runs(rows)
-    firsts = order[starts]  # each run's lowest position
-    by_position = np.argsort(firsts)
-    run_group = np.empty(len(firsts), dtype=np.int32)
-    run_group[by_position] = np.arange(len(firsts), dtype=np.int32)
-    group = np.empty(len(order), dtype=np.int32)
-    group[order] = run_group[np.cumsum(starts) - 1]
-    return firsts[by_position], group
-
-
-def _row(x, i: int) -> np.ndarray:
-    """Row i as a dense 1-D float64 array. A CSR row's entries are added in
-    storage order into +0.0, as ``x[i].todense()`` does, without its
-    overhead. (``bincount`` of no entries gives integer zeros.)"""
-    if sparse.issparse(x):
-        s, e = x.indptr[i], x.indptr[i + 1]
-        row = np.bincount(x.indices[s:e], weights=x.data[s:e], minlength=x.shape[1])
-        return row.astype(np.float64, copy=False)
-    return x[i]
-
-
-def _sq_dists_to(x, x2: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, shape (n, K). x may be sparse; ``x2`` is
-    ``_row_sq_norms(x)``, computed once per ``kmeans`` call by the caller."""
-    c2 = np.einsum("ij,ij->i", centers, centers)
-    d2 = x2[:, None] + c2[None, :] - 2.0 * (x @ centers.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
-def _plus_plus_init(x, x2: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = x.shape[0]
-    dim = x.shape[1]
-    centers = np.zeros((k, dim), dtype=np.float64)
-    first = int(rng.integers(n))
-    centers[0] = _row(x, first)
-    d2 = _sq_dists_to(x, x2, centers[:1])[:, 0]
-    for j in range(1, k):
-        total = float(d2.sum())
-        if total <= 0.0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centers[j] = _row(x, idx)
-        nd2 = _sq_dists_to(x, x2, centers[j : j + 1])[:, 0]
-        np.minimum(d2, nd2, out=d2)
-    return centers
-
-
-def _means_with_repair(x, x2: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
-    """Cluster means; empty clusters absorb the point farthest from its own
-    centroid (mutates ``assign``).
-
-    All K means come from one product ``w @ x``, where row j of the (K, n)
-    CSR weight matrix ``w`` holds cluster j's members in ascending row order.
-    That product is bitwise equal to the per-cluster ``x[members].mean(axis=0)``:
-    both start from +0.0 and add a cluster's members one at a time in
-    ascending row order. For dense rows the weights are an exact 1.0 and the
-    sums are then divided by the counts, as numpy's ``mean`` does. For sparse
-    rows the weights are ``1/count``, because scipy's sparse ``mean`` scales
-    every entry by 1/n before it sums. (One corner differs: numpy sums a
-    single-column dense array pairwise, not in order.)
-    """
-    n = x.shape[0]
-    counts = np.bincount(assign, minlength=k)
-    members = np.argsort(assign, kind="stable")
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    if sparse.issparse(x):
-        w = sparse.csr_matrix((1.0 / np.repeat(counts, counts), members, indptr), shape=(k, n))
-        centers = (w @ x).toarray()
-    else:
-        w = sparse.csr_matrix((np.ones(n), members, indptr), shape=(k, n))
-        centers = w @ x
-        filled = counts > 0
-        centers[filled] /= counts[filled, None]
-    empties = np.flatnonzero(counts == 0)
-    if empties.size:
-        d_own = _sq_dists_to(x, x2, centers)[np.arange(n), assign]
-        for j in empties:
-            donor_ok = counts[assign] >= 2
-            if not donor_ok.any():
-                donor_ok = np.ones(n, dtype=bool)
-            masked = np.where(donor_ok, d_own, -np.inf)
-            i = int(np.argmax(masked))
-            counts[assign[i]] -= 1
-            assign[i] = j
-            counts[j] = 1
-            centers[j] = _row(x, i)
-            d_own[i] = 0.0
-    return centers
-
-
-def _typical_nodes(space, result: KMeansResult, table_ids: Sequence[str], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(positions, ptr), both int32: cluster j's typical nodes are
-    ``positions[ptr[j]:ptr[j + 1]]``, its k members (all, if fewer) of highest
-    cosine to its centroid in the clustering ``space``, best first, ties by
-    table id (``top_k``)."""
-    norms = row_norms(space)
-    typical = []
-    for j, centroid in enumerate(result.centroids):
-        pos = np.flatnonzero(result.assignments == j)
-        scores = cosines(space[pos], norms[pos], centroid)
-        typical.append(pos[top_k(scores, pos, table_ids, k)])
-    return np.concatenate(typical).astype(np.int32), np.cumsum([0] + [len(t) for t in typical], dtype=np.int32)
-
-
-def _typical_means(rows, positions: np.ndarray, ptr: np.ndarray):
-    """(K, dim) matrix whose row j is the mean of cluster j's L2-normalized
-    typical rows, ``rows[positions[ptr[j]:ptr[j + 1]]]``:
-    dense for dense rows, CSR for CSR rows. A zero row adds nothing.
-
-    One sparse weight matrix, 1 / (norm * size) per typical row, times the
-    rows, so no row is gathered or copied. The mean cosine of cluster j's
-    typical rows to a query v is then ``means[j] @ v / |v|``.
-    """
-    sizes = np.diff(ptr)
-    norms = row_norms(rows)[positions]
-    denom = norms * np.repeat(sizes, sizes)
-    weights = np.divide(1.0, denom, out=np.zeros(len(positions)), where=norms > 0)
-    w = sparse.csr_matrix((weights, positions, ptr), shape=(len(sizes), rows.shape[0]))
-    return w @ rows
-
-
-@dataclass
-class KMeansResult:
-    assignments: np.ndarray
-    centroids: np.ndarray
-    n_iter: int
-    objective_history: list[float]
-    converged: bool
-
-
-def _lloyd(vectors, x2: np.ndarray, K: int, rng: np.random.Generator) -> KMeansResult:
-    n = vectors.shape[0]
-    centers = _plus_plus_init(vectors, x2, K, rng)
-    assign = np.argmin(_sq_dists_to(vectors, x2, centers), axis=1)
-
-    history: list[float] = []
-    converged = False
-    it = 0
-    for it in range(1, KMEANS_MAX_ITER + 1):
-        centers = _means_with_repair(vectors, x2, assign, K)
-        d2 = _sq_dists_to(vectors, x2, centers)
-        new_assign = np.argmin(d2, axis=1)
-        history.append(float(d2[np.arange(n), new_assign].sum()))
-        del d2  # freed before the next sweep computes its own
-        if np.array_equal(new_assign, assign):
-            converged = True
-            break
-        assign = new_assign
-
-    if not converged:
-        # Truncated: make sure the reported clustering is still repair-clean.
-        centers = _means_with_repair(vectors, x2, assign, K)
-    return KMeansResult(
-        assignments=assign.astype(np.int64),
-        centroids=centers,
-        n_iter=it,
-        objective_history=history,
-        converged=converged,
-    )
-
-
-def kmeans(vectors, K: int, seed: int) -> KMeansResult:
-    """Lloyd's algorithm with seeded ++-style init.
-
-    Deterministic for a given seed. Runs KMEANS_RESTARTS independent seeded
-    restarts and keeps the one with the lowest final objective (first on
-    ties). Each restart stops when its assignments reach a fixpoint or after
-    KMEANS_MAX_ITER sweeps; the returned assignment never leaves a cluster
-    empty. The row norms are computed once here and shared by every restart.
-    """
-    n = vectors.shape[0]
-    if K > n:
-        raise KTooLarge(K, n)
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    values = vectors.data if sparse.issparse(vectors) else vectors
-    if not np.isfinite(values).all():
-        raise ValueError("k-means input holds a non-finite value")
-    x2 = _row_sq_norms(vectors)
-    best: KMeansResult | None = None
-    for child in np.random.SeedSequence(seed).spawn(KMEANS_RESTARTS):
-        result = _lloyd(vectors, x2, K, np.random.default_rng(child))
-        if best is None or result.objective_history[-1] < best.objective_history[-1]:
-            best = result
-    return best
-
-
 @dataclass
 class ClusterFamily:
     """One hyperedge family: the K clusters of a single feature type.
 
     ``assignments[i]`` is the cluster of index row i. Row j of
     ``typical_means`` is the mean of cluster j's L2-normalized typical rows in
-    score space (``_typical_nodes``, ``_typical_means``): a dense (K, dim)
-    array for sem and struct, a (K, V) CSR matrix for heur, which the build
-    computes and the file stores. The typical nodes themselves are not kept.
+    score space (``build._typical_nodes``, ``build._typical_means``): a dense
+    (K, dim) array for sem and struct, the ``SparseRows`` of a (K, V) matrix
+    for heur, which the build computes and the file stores. The typical nodes
+    themselves are not kept.
     ``n_iter``, ``converged`` and ``objective`` report the winning k-means
     restart.
     """
 
     assignments: np.ndarray
-    typical_means: np.ndarray | sparse.csr_matrix
+    typical_means: np.ndarray | SparseRows
     n_iter: int
     converged: bool
     objective: float
@@ -357,85 +145,6 @@ def corpus_digest(corpus: TableCorpus) -> str:
         h.update(table_record_bytes(t))
         h.update(b"\n")
     return h.hexdigest()
-
-
-def build_index(
-    corpus: TableCorpus,
-    features: CorpusFeatures,
-    K: int = DEFAULT_CLUSTERS,
-    k: int = DEFAULT_TYPICAL,
-    seed: int = 0,
-) -> HypergraphIndex:
-    """Cluster every feature family and assemble the persistent index.
-
-    ``features`` holds one row per table in corpus order, as ``extract_all``
-    returns them. Every family gets K clusters; its clustering runs
-    KMEANS_RESTARTS seeded restarts, keeping the best objective. A family's
-    clustering space is made just before its k-means, and the sem and heur
-    unit rows are dropped once the family's typical nodes are chosen, so no
-    two families' unit rows are alive at once; the standardized struct rows
-    stay for the struct means. The sem rows are grouped after the
-    clustering, and copied only if some row repeats; then each family's
-    typical means are computed, the sem family's from the distinct rows
-    through the grouping. Like ``load_index``, it tunes the allocator
-    (``_retain_freed_memory``).
-    """
-    table_ids = corpus.ids()
-    sem = np.asarray(features.sem, dtype=np.float64)
-    struct_raw = np.asarray(features.struct, dtype=np.float64)
-    heur = features.heur
-    # The fitted vectorizer travels with the index so queries embed identically.
-    vectorizer = features.vectorizer
-    rows = {"sem": sem.shape[0], "struct": struct_raw.shape[0], "heur": heur.shape[0]}
-    if any(r != len(table_ids) for r in rows.values()):
-        raise ValueError(f"feature rows {rows} do not match the corpus's {len(table_ids)} tables")
-    if heur.shape[1] != vectorizer.size:
-        raise ValueError(
-            f"heur matrix has {heur.shape[1]} columns but the vectorizer has {vectorizer.size} terms"
-        )
-    if k < 1:
-        raise ValueError("typical-node count k must be at least 1")
-    _retain_freed_memory()
-
-    mean, std = struct_stats(struct_raw)
-    struct_z = standardize_struct(struct_raw, mean, std)  # kept: the struct means are taken from it
-
-    K = int(K)
-    clusterings = {}
-    for fam_idx, phi in enumerate(FAMILY_TYPES):
-        child_seed = int(np.random.SeedSequence([seed, fam_idx]).generate_state(1)[0])
-        space = struct_z if phi == "struct" else unit_rows(sem if phi == "sem" else heur)
-        result = kmeans(space, K, seed=child_seed)
-        clusterings[phi] = (result, _typical_nodes(space, result, table_ids, k))
-        del space  # one family's unit rows alive at a time
-    firsts, sem_group = _group_rows(sem)
-    sem_rows = sem if len(firsts) == len(sem) else sem[firsts]
-
-    families: dict[str, ClusterFamily] = {}
-    for phi, (result, (positions, ptr)) in clusterings.items():
-        if phi == "sem":
-            means = _typical_means(sem_rows, sem_group[positions], ptr)
-        else:
-            means = _typical_means(struct_z if phi == "struct" else heur, positions, ptr)
-        families[phi] = ClusterFamily(
-            assignments=result.assignments,
-            typical_means=means,
-            n_iter=result.n_iter,
-            converged=result.converged,
-            objective=result.objective_history[-1],
-        )
-
-    return HypergraphIndex(
-        params={"K": K, "embedder_dimension": sem.shape[1], "seed": seed, "typical_k": k},
-        corpus_digest=corpus_digest(corpus),
-        table_ids=table_ids,
-        sem_rows=sem_rows,
-        sem_group=sem_group,
-        struct_mean=mean,
-        struct_std=std,
-        vectorizer=vectorizer,
-        families=families,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +228,7 @@ def save_index(ix: HypergraphIndex, path: str | Path) -> None:
         "corpus_digest": ix.corpus_digest,
         "distinct_sem_rows": len(ix.sem_rows),
         "families": families,
-        "means_heur_nnz": int(heur_means.nnz),
+        "means_heur_nnz": len(heur_means.data),
         "params": ix.params,
         "table_ids": ix.table_ids,
         "vocabulary": sorted(ix.vectorizer.vocabulary, key=ix.vectorizer.vocabulary.get),
@@ -704,11 +413,8 @@ def load_index(path: str | Path) -> HypergraphIndex:
 
     table_ids = header["table_ids"]
     vectorizer = HeuristicVectorizer(vocabulary=vocabulary, idf=arrays["idf"])
-    # Attach the views to an empty matrix: the (data, indices, indptr)
-    # constructor copies a view whose buffer is much larger than it.
-    heur_means = sparse.csr_matrix((header["params"]["K"], len(vocabulary)))
-    heur_means.data, heur_means.indices, heur_means.indptr = (
-        arrays["means_heur_data"], arrays["means_heur_indices"], arrays["means_heur_indptr"])
+    heur_means = SparseRows(arrays["means_heur_data"], arrays["means_heur_indices"],
+                            arrays["means_heur_indptr"], (header["params"]["K"], len(vocabulary)))
     means = {"sem": arrays["means_sem"], "struct": arrays["means_struct"], "heur": heur_means}
     families = {
         phi: ClusterFamily(

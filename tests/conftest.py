@@ -12,21 +12,21 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from tablerank.benchmark import SourceQuery, build_benchmark
+from tablerank.benchmark import BenchmarkDataset, SourceQuery, build_benchmark
+from tablerank.build import CorpusFeatures, _typical_nodes, kmeans
 from tablerank.corpus import Query, Table, TableCorpus, TaskType
 from tablerank.features import (
     PUNCT_MARKS,
     STOPWORDS,
     STRUCT_DIM,
     TAG_CLASSES,
-    CorpusFeatures,
     EmbedderHandle,
     HeuristicVectorizer,
     standardize_struct,
     tokenize,
     unit_rows,
 )
-from tablerank.index import FAMILY_TYPES, _typical_nodes, kmeans
+from tablerank.index import FAMILY_TYPES
 from tablerank.linearize import linearize
 
 
@@ -252,8 +252,13 @@ def make_topic_query(topic: int, seed: int, length: int = 6) -> Query:
 
 
 def make_gold_corpus(n_roots: int, seed: int) -> TableCorpus:
-    """Tables of a built benchmark over root tables of 4-9 rows x 4-7
-    columns in ten caption domains, three source queries per root."""
+    """Tables of ``make_gold_dataset``'s benchmark."""
+    return make_gold_dataset(n_roots, seed).tables
+
+
+def make_gold_dataset(n_roots: int, seed: int) -> BenchmarkDataset:
+    """A benchmark built over root tables of 4-9 rows x 4-7 columns in ten
+    caption domains, three source queries per root."""
     rng = np.random.default_rng(seed)
     tables, queries = [], []
     for r in range(n_roots):
@@ -272,7 +277,7 @@ def make_gold_corpus(n_roots: int, seed: int) -> TableCorpus:
                 text=f"what is the value of h{r}x{qn} for ent{r}a in the {caption} table?",
                 task_type=TaskType.SINGLE_HOP, answer=f"v{r}r0c{qn}",
             ))
-    return build_benchmark(TableCorpus(tables), queries, seed=seed).tables
+    return build_benchmark(TableCorpus(tables), queries, seed=seed)
 
 
 def make_angle_corpus(n_tables: int, base_count: int = 60) -> tuple[TableCorpus, Query]:

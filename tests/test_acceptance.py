@@ -29,14 +29,15 @@ from tablerank.evaluation import (
     run_retrieval_eval,
     token_f1,
 )
-from tablerank.features import EmbedderHandle, embed_semantic, extract_all
+from tablerank.build import build_index, extract_all
+from tablerank.features import EmbedderHandle, embed_semantic
 from tablerank.fine import (
     STAGE_COARSE,
     STAGE_FINE,
     PPRConfig,
     retrieve,
 )
-from tablerank.index import build_index, save_index
+from tablerank.index import save_index
 from tablerank.linearize import linearize_query
 from tablerank.prompting import build_prompt, parse_response
 

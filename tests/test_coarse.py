@@ -1,15 +1,17 @@
 import dataclasses
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+from tablerank.build import _typical_means, build_index, extract_all
 from tablerank.coarse import TIE_ULPS, assign_cluster, coarse_retrieve, query_features
 from tablerank.corpus import Query, TaskType
 from tablerank.errors import DimensionMismatch
-from tablerank.features import EmbedderHandle, NodeFeatures, extract_all
-from tablerank.index import FAMILY_TYPES, _typical_means, build_index
+from tablerank.features import EmbedderHandle, NodeFeatures, SparseRows
+from tablerank.index import FAMILY_TYPES, ClusterFamily, load_index
 
 from conftest import (
     make_topic_corpus,
@@ -68,13 +70,13 @@ class TestQueryFeatures:
         b = query_features(q, ix, handle)
         assert np.array_equal(a.sem, b.sem)
         assert np.array_equal(a.struct, b.struct)
-        assert (a.heur != b.heur).nnz == 0
+        assert np.array_equal(a.heur, b.heur)
 
     def test_out_of_vocab_query_has_zero_heur(self, indexed, handle):
         _, _, ix = indexed
         q = Query(id="q", text="zz yy xx ww vv", task_type=TaskType.SINGLE_HOP)
         qf = query_features(q, ix, handle)
-        assert qf.heur.nnz == 0
+        assert qf.heur.shape == (ix.vectorizer.size,) and not qf.heur.any()
 
     def test_struct_is_standardized(self, indexed, handle):
         _, _, ix = indexed
@@ -114,7 +116,7 @@ class TestAssignCluster:
         assignments[0] = 0
         typical = [[0], [1]]
         _replace_family(ix, "sem", vectors, assignments, typical)
-        qf = NodeFeatures(sem=vectors[0].copy(), struct=np.zeros(20), heur=sparse.csr_matrix((1, 1)))
+        qf = NodeFeatures(sem=vectors[0].copy(), struct=np.zeros(20), heur=np.zeros(1))
         best, means = assign_cluster(qf.sem, ix.families["sem"])
         assert best == 0
         assert means[0] == pytest.approx(1.0)
@@ -134,7 +136,7 @@ class TestAssignCluster:
         _replace_family(ix, "sem", vectors, assignments, typical)
         for trial in range(25):
             qv = rng.normal(size=8)
-            qf = NodeFeatures(sem=qv, struct=np.zeros(20), heur=sparse.csr_matrix((1, 1)))
+            qf = NodeFeatures(sem=qv, struct=np.zeros(20), heur=np.zeros(1))
             best, means = assign_cluster(qf.sem, ix.families["sem"])
             brute = [
                 float(np.mean([
@@ -155,7 +157,7 @@ class TestAssignCluster:
         typical = [[0], [n // 2]]
         _replace_family(ix, "sem", vectors, assignments, typical)
         qf = NodeFeatures(sem=np.array([0.0, 1.0, 0.0, 0.0]), struct=np.zeros(20),
-                          heur=sparse.csr_matrix((1, 1)))
+                          heur=np.zeros(1))
         best, means = assign_cluster(qf.sem, ix.families["sem"])
         assert means[0] == pytest.approx(means[1])
         assert best == 0
@@ -236,7 +238,7 @@ class TestMeanVectorOracle:
         nodes = _replace_family(ix, "sem", vectors, assignments, typical)
         for _ in range(10):
             qv = vectors[1] + 0.1 * rng.normal(size=8)
-            qf = NodeFeatures(sem=qv, struct=np.zeros(20), heur=sparse.csr_matrix((1, 1)))
+            qf = NodeFeatures(sem=qv, struct=np.zeros(20), heur=np.zeros(1))
             best, means = assign_cluster(qf.sem, ix.families["sem"])
             assert means[1] == means[2]
             assert best == 1
@@ -295,7 +297,7 @@ class TestCoarseRetrieve:
         _replace_family(ix, "struct", struct_z, assignments.copy(), typical)
         _replace_family(ix, "heur", sparse.csr_matrix(vectors[:, :2]), assignments.copy(), typical)
         qf = NodeFeatures(sem=np.array([1.0, 0, 0, 0]), struct=struct_z[0],
-                          heur=sparse.csr_matrix(np.array([[1.0, 0.0]])))
+                          heur=np.array([1.0, 0.0]))
         for phi in FAMILY_TYPES:
             assert assign_cluster(getattr(qf, phi), ix.families[phi])[1] == pytest.approx([1.0, 0.0]), phi
         result = coarse_retrieve(None, ix, None, qf=qf)
@@ -327,7 +329,7 @@ class TestCoarseRetrieve:
         qf = NodeFeatures(
             sem=np.array([1.0, 0, 0, 0, 0, 0]),
             struct=np.eye(20)[1],
-            heur=sparse.csr_matrix(np.array([[0, 0, 1.0, 0, 0, 0]])),
+            heur=np.array([0, 0, 1.0, 0, 0, 0]),
         )
         for phi in FAMILY_TYPES:
             assert assign_cluster(getattr(qf, phi), ix.families[phi])[1] == pytest.approx([1.0, 0.0]), phi
@@ -365,3 +367,64 @@ class TestCoarseRetrieve:
         finally:
             tracemalloc.stop()
         assert peak < ix.sem.nbytes / 10
+
+
+def scipy_heur_means(v: np.ndarray, family) -> np.ndarray:
+    """The heur means as a scipy CSR mat-vec over the family's stored parts
+    computes them, divided by |v|; a zero query scores 0."""
+    m = family.typical_means
+    v_norm = np.linalg.norm(v)
+    if v_norm == 0.0:
+        return np.zeros(m.shape[0])
+    return (sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape) @ v) / v_norm
+
+
+def assert_heur_matches_scipy(v: np.ndarray, family) -> None:
+    _, means = assign_cluster(v, family)
+    assert np.array_equal(np.array(means).view(np.uint64), scipy_heur_means(v, family).view(np.uint64))
+
+
+class TestHeurScoringMatchesScipy:
+    """The heur family's bincount scoring gives the bits of scipy's CSR
+    mat-vec over the stored (unsorted) means."""
+
+    @pytest.mark.parametrize("text", [
+        "zz yy xx ww vv",                    # every token out of vocabulary: a zero row
+        "tp1c01 tp1c01 tp1c01 tp1h00 tp1c01",  # repeated tokens
+        "tp2h01",                            # a one-entry row
+        "tp0c00 tp1c01 tp2h00 tp3c02 zz",    # across topics, one unknown token
+    ])
+    def test_built_index(self, indexed, handle, text):
+        _, _, ix = indexed
+        qf = query_features(Query(id="q", text=text, task_type=TaskType.SINGLE_HOP), ix, handle)
+        assert_heur_matches_scipy(qf.heur, ix.families["heur"])
+
+    def test_means_rows_with_no_entry_and_one_entry(self):
+        # Row 0 has no stored entry, row 1 one, row 2 three in falling columns.
+        means = SparseRows(np.array([0.25, 0.5, 1.0 / 3.0, 0.1]), np.array([2, 4, 1, 0], dtype=np.int32),
+                           np.array([0, 0, 1, 4], dtype=np.int32), (3, 5))
+        family = ClusterFamily(assignments=np.arange(3), typical_means=means, n_iter=1, converged=True, objective=0.0)
+        rng = np.random.default_rng(3)
+        for v in [np.zeros(5), np.eye(5)[3], *rng.random((20, 5))]:
+            assert_heur_matches_scipy(v, family)
+        _, zero_row = assign_cluster(np.ones(5), family)
+        assert zero_row[0] == 0.0
+
+    @pytest.mark.parametrize("workload", ["blob-narrow", "gold-e2e"])
+    def test_every_round_0_check_query(self, tmp_path, monkeypatch, workload):
+        # The benchmark's round-0 check corpus and its queries, as
+        # tools/equivalence.py builds them.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        from worker import load_queries, setup
+        from workloads import WORKLOADS, write_inputs
+
+        w = WORKLOADS[workload]
+        seed = int(np.random.SeedSequence([101, 0]).generate_state(1)[0])
+        write_inputs(w, seed, tmp_path)
+        setup(tmp_path, w, 0)
+        ix = load_index(tmp_path / "index.bin")
+        handle = EmbedderHandle(dimension=w.dimension)
+        _, queries = load_queries(tmp_path, w, seed)
+        assert len(queries) == w.n_queries
+        for q, _ in queries:
+            assert_heur_matches_scipy(query_features(q, ix, handle).heur, ix.families["heur"])

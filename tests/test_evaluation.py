@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tablerank.benchmark import SourceQuery, build_benchmark
+from tablerank.build import build_index, extract_all
 from tablerank.corpus import Query, TableCorpus, TaskType
 from tablerank.errors import EmptyGold
 from tablerank.evaluation import (
@@ -14,9 +15,7 @@ from tablerank.evaluation import (
     run_retrieval_eval,
     token_f1,
 )
-from tablerank.features import extract_all
 from tablerank.fine import PPRConfig
-from tablerank.index import build_index
 
 from conftest import make_table
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from tablerank import features
+from tablerank import build
+from tablerank.build import extract_all
 from tablerank.corpus import TableCorpus
 from tablerank.errors import DimensionMismatch, EmbedderUnavailable, EmptyCorpus
 from tablerank.features import (
@@ -18,8 +19,8 @@ from tablerank.features import (
     STOPWORDS,
     EmbedderHandle,
     HeuristicVectorizer,
+    SparseRows,
     embed_semantic,
-    extract_all,
     extract_structural,
     cosines,
     fit_heuristic,
@@ -46,8 +47,14 @@ def fit_texts(texts) -> HeuristicVectorizer:
     return fit_heuristic(token_ids(tokenize(t) for t in texts))
 
 
-def tfidf_row(v: HeuristicVectorizer, text: str) -> sparse.csr_matrix:
+def tfidf_parts(v: HeuristicVectorizer, text: str) -> SparseRows:
     return v.matrix(token_ids([tokenize(text)]))
+
+
+def tfidf_row(v: HeuristicVectorizer, text: str) -> sparse.csr_matrix:
+    """One text's tf-idf row, its parts wrapped as a 1 x V CSR matrix."""
+    row = tfidf_parts(v, text)
+    return sparse.csr_matrix((row.data, row.indices, row.indptr), shape=row.shape)
 
 
 class TestBuiltinEmbedder:
@@ -388,10 +395,10 @@ class TestHeuristic:
     )
     def test_transform_equals_coo_built_row(self, text):
         v = fit_texts(["team wins", "team city", "city of rain", "wins and losses"])
-        got = tfidf_row(v, text)
+        got = tfidf_parts(v, text)
         want = reference_transform(v, text)
         assert got.shape == want.shape == (1, v.size)
-        assert got.has_canonical_format
+        assert (np.diff(got.indices) > 0).all()  # canonical: ascending columns, each once
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
@@ -538,7 +545,7 @@ class TestExtractAll:
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(features, "tokenize", counting("tokenize", features.tokenize))
+        monkeypatch.setattr(build, "tokenize", counting("tokenize", build.tokenize))
         monkeypatch.setattr(sparse.csr_matrix, "__init__", counting("csr", sparse.csr_matrix.__init__))
         monkeypatch.setattr(sparse, "vstack", counting("vstack", sparse.vstack))
         seen = []

@@ -12,9 +12,10 @@ import pytest
 
 import tablerank.fine as fine
 import tablerank.index as index
+from tablerank.build import build_index, extract_all
 from tablerank.coarse import coarse_retrieve
 from tablerank.corpus import Query, TableCorpus, TaskType
-from tablerank.features import extract_all, embed_semantic
+from tablerank.features import embed_semantic
 from tablerank.fine import (
     PPRConfig,
     build_local_subgraph,
@@ -23,7 +24,7 @@ from tablerank.fine import (
     ppr,
     retrieve,
 )
-from tablerank.index import HypergraphIndex, build_index, load_index, save_index, top_k
+from tablerank.index import HypergraphIndex, load_index, save_index, top_k
 from tablerank.linearize import linearize_query
 
 from conftest import make_angle_corpus, make_topic_corpus, make_topic_query, representative_score
