@@ -7,18 +7,20 @@ cluster families together form the heterogeneous hypergraph. Each cluster's
 table id (``top_k``, which also ranks the fine stage) -- stand in for the
 whole cluster at query time. Coarse retrieval reads a cluster only through
 its typical mean: the mean of its L2-normalized typical rows in score space
-(raw sem and heur rows, standardized struct rows). ``build_index`` picks the
-typical members and computes each family's (K, dim) matrix of typical means
-once; the index keeps the means, and neither the typical lists nor the
-per-table struct and TF-IDF rows, which no query reads.
+(raw sem and heur rows, standardized struct rows). ``build_index`` makes one
+pass per family: clustering space, k-means, typical members, then the
+family's (K, dim) matrix of typical means. The index keeps the means, and
+neither the typical lists nor the per-table struct and TF-IDF rows, which
+no query reads.
 
 Clustering spaces: sem and heur rows are L2-normalized (Euclidean there is
 monotone with cosine); struct rows are z-scored per column because the raw
 counts live on wildly different scales. The standardization stats are kept
 in the index so queries can be projected into the same space.
 
-Tables often share an embedding, so ``build_index`` groups the sem rows
-bitwise once (``_group_rows``) and the index keeps each distinct row once.
+Tables often share an embedding, so after the three passes ``build_index``
+groups the sem rows bitwise (``_group_rows``) and the index keeps each
+distinct row once.
 
 This is the only module that imports scipy: the corpus's TF-IDF rows are a
 CSR matrix here, and k-means, typical selection and the typical means are
@@ -50,7 +52,6 @@ from .features import (
     fit_heuristic,
     row_norms,
     standardize_struct,
-    struct_stats,
     token_ids,
     tokenize,
     unit_rows,
@@ -250,7 +251,7 @@ class KMeansResult:
     assignments: np.ndarray
     centroids: np.ndarray
     n_iter: int
-    objective_history: list[float]
+    objective: float  # the last sweep's sum of squared distances
     converged: bool
 
 
@@ -259,14 +260,13 @@ def _lloyd(vectors, x2: np.ndarray, K: int, rng: np.random.Generator) -> KMeansR
     centers = _plus_plus_init(vectors, x2, K, rng)
     assign = np.argmin(_sq_dists_to(vectors, x2, centers), axis=1)
 
-    history: list[float] = []
     converged = False
     it = 0
     for it in range(1, KMEANS_MAX_ITER + 1):
         centers = _means_with_repair(vectors, x2, assign, K)
         d2 = _sq_dists_to(vectors, x2, centers)
         new_assign = np.argmin(d2, axis=1)
-        history.append(float(d2[np.arange(n), new_assign].sum()))
+        objective = float(d2[np.arange(n), new_assign].sum())
         del d2  # freed before the next sweep computes its own
         if np.array_equal(new_assign, assign):
             converged = True
@@ -280,7 +280,7 @@ def _lloyd(vectors, x2: np.ndarray, K: int, rng: np.random.Generator) -> KMeansR
         assignments=assign.astype(np.int64),
         centroids=centers,
         n_iter=it,
-        objective_history=history,
+        objective=objective,
         converged=converged,
     )
 
@@ -306,7 +306,7 @@ def kmeans(vectors, K: int, seed: int) -> KMeansResult:
     best: KMeansResult | None = None
     for child in np.random.SeedSequence(seed).spawn(KMEANS_RESTARTS):
         result = _lloyd(vectors, x2, K, np.random.default_rng(child))
-        if best is None or result.objective_history[-1] < best.objective_history[-1]:
+        if best is None or result.objective < best.objective:
             best = result
     return best
 
@@ -321,15 +321,14 @@ def build_index(
     """Cluster every feature family and assemble the persistent index.
 
     ``features`` holds one row per table in corpus order, as ``extract_all``
-    returns them. Every family gets K clusters; its clustering runs
-    KMEANS_RESTARTS seeded restarts, keeping the best objective. A family's
-    clustering space is made just before its k-means, and the sem and heur
-    unit rows are dropped once the family's typical nodes are chosen, so no
-    two families' unit rows are alive at once; the standardized struct rows
-    stay for the struct means. The sem rows are grouped after the
-    clustering, and copied only if some row repeats; then each family's
-    typical means are computed, the sem family's from the distinct rows
-    through the grouping. Like ``load_index``, it tunes the allocator
+    returns them. Each family is built in one pass: its score-space rows
+    (raw sem, standardized struct, raw TF-IDF heur) give its clustering
+    space, k-means with KMEANS_RESTARTS seeded restarts gives its K
+    clusters (the best objective wins), the space's centroid cosines pick
+    the typical nodes, and the space is dropped before the typical means
+    are taken from the score-space rows, so no two families' unit rows are
+    alive at once. The sem rows are then grouped, and copied only if some
+    row repeats. Like ``load_index``, it tunes the allocator
     (``_retain_freed_memory``).
     """
     table_ids = corpus.ids()
@@ -338,9 +337,9 @@ def build_index(
     heur = features.heur
     # The fitted vectorizer travels with the index so queries embed identically.
     vectorizer = features.vectorizer
-    rows = {"sem": sem.shape[0], "struct": struct_raw.shape[0], "heur": heur.shape[0]}
-    if any(r != len(table_ids) for r in rows.values()):
-        raise ValueError(f"feature rows {rows} do not match the corpus's {len(table_ids)} tables")
+    n_rows = {"sem": sem.shape[0], "struct": struct_raw.shape[0], "heur": heur.shape[0]}
+    if any(r != len(table_ids) for r in n_rows.values()):
+        raise ValueError(f"feature rows {n_rows} do not match the corpus's {len(table_ids)} tables")
     if heur.shape[1] != vectorizer.size:
         raise ValueError(
             f"heur matrix has {heur.shape[1]} columns but the vectorizer has {vectorizer.size} terms"
@@ -349,39 +348,33 @@ def build_index(
         raise ValueError("typical-node count k must be at least 1")
     _retain_freed_memory()
 
-    mean, std = struct_stats(struct_raw)
-    struct_z = standardize_struct(struct_raw, mean, std)  # kept: the struct means are taken from it
-
+    mean, std = struct_raw.mean(axis=0), struct_raw.std(axis=0)
     K = int(K)
-    clusterings = {}
+    families: dict[str, ClusterFamily] = {}
     for fam_idx, phi in enumerate(FAMILY_TYPES):
         child_seed = int(np.random.SeedSequence([seed, fam_idx]).generate_state(1)[0])
-        space = struct_z if phi == "struct" else unit_rows(sem if phi == "sem" else heur)
-        result = kmeans(space, K, seed=child_seed)
-        clusterings[phi] = (result, _typical_nodes(space, result, table_ids, k))
-        del space  # one family's unit rows alive at a time
-    firsts, sem_group = _group_rows(sem)
-    sem_rows = sem if len(firsts) == len(sem) else sem[firsts]
-
-    families: dict[str, ClusterFamily] = {}
-    for phi, (result, (positions, ptr)) in clusterings.items():
-        if phi == "sem":
-            means = _typical_means(sem_rows, sem_group[positions], ptr)
+        if phi == "struct":
+            rows = space = standardize_struct(struct_raw, mean, std)
         else:
-            means = _typical_means(struct_z if phi == "struct" else heur, positions, ptr)
+            rows = sem if phi == "sem" else heur
+            space = unit_rows(rows)
+        result = kmeans(space, K, seed=child_seed)
+        positions, ptr = _typical_nodes(space, result, table_ids, k)
+        del space  # one family's unit rows alive at a time
         families[phi] = ClusterFamily(
             assignments=result.assignments,
-            typical_means=means,
+            typical_means=_typical_means(rows, positions, ptr),
             n_iter=result.n_iter,
             converged=result.converged,
-            objective=result.objective_history[-1],
+            objective=result.objective,
         )
+    firsts, sem_group = _group_rows(sem)
 
     return HypergraphIndex(
         params={"K": K, "embedder_dimension": sem.shape[1], "seed": seed, "typical_k": k},
         corpus_digest=corpus_digest(corpus),
         table_ids=table_ids,
-        sem_rows=sem_rows,
+        sem_rows=sem if len(firsts) == len(sem) else sem[firsts],
         sem_group=sem_group,
         struct_mean=mean,
         struct_std=std,

@@ -187,7 +187,6 @@ def run_retrieval_eval(
     run_cfg = replace(cfg, top_n=depth)
     sums = {k: {"acc": 0.0, "recall": 0.0} for k in ks}
     retained: list[int] = []
-    n = 0
     for example in dataset.examples:
         if not example.gold_table_ids:
             raise EmptyGold(f"example {example.query.id} has no gold tables")
@@ -197,7 +196,7 @@ def run_retrieval_eval(
         for k in ks:
             sums[k]["acc"] += acc_at_k(ranked_ids, example.gold_table_ids, k, acc_mode)
             sums[k]["recall"] += recall_at_k(ranked_ids, example.gold_table_ids, k)
-        n += 1
+    n = len(dataset.examples)
     if n == 0:
         raise EmptyGold("dataset has no examples")
     per_k = {k: {"acc": sums[k]["acc"] / n, "recall": sums[k]["recall"] / n} for k in ks}
@@ -221,10 +220,6 @@ def run_e2e_eval(
     """Retrieve, prompt, generate, parse, score. NA and parse failures score 0."""
     _check_same_corpus(dataset, ix)
     cfg = cfg or PPRConfig()
-    em_sum = 0.0
-    f1_sum = 0.0
-    n_parse_failures = 0
-    n_na = 0
     per_example: list[dict] = []
     for example in dataset.examples:
         coarse, result = retrieve(example.query, ix, embedder, cfg, tau)
@@ -235,30 +230,21 @@ def run_e2e_eval(
         try:
             parsed = parse_response(raw)
         except MissingAnswerTags:
-            n_parse_failures += 1
             record["parse_ok"] = False
-            per_example.append(record)
-            continue
-        if parsed.is_na:
-            n_na += 1
-            record["is_na"] = True
-            per_example.append(record)
-            continue
-        em, f1 = answer_scores(parsed.answer, example.query.gold_answer)
-        em_sum += em
-        f1_sum += f1
-        record["em"] = em
-        record["f1"] = f1
-        record["pred"] = parsed.answer
+        else:
+            record["is_na"] = parsed.is_na
+            if not parsed.is_na:
+                em, f1 = answer_scores(parsed.answer, example.query.gold_answer)
+                record.update(em=em, f1=f1, pred=parsed.answer)
         per_example.append(record)
     n = len(dataset.examples)
     if n == 0:
         raise EmptyGold("dataset has no examples")
     return AnswerReport(
-        em=em_sum / n,
-        f1=f1_sum / n,
+        em=sum(r["em"] for r in per_example) / n,
+        f1=sum(r["f1"] for r in per_example) / n,
         n_examples=n,
-        n_parse_failures=n_parse_failures,
-        n_na=n_na,
+        n_parse_failures=sum(not r["parse_ok"] for r in per_example),
+        n_na=sum(r["is_na"] for r in per_example),
         per_example=per_example,
     )

@@ -390,9 +390,3 @@ def standardize_struct(vec: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np
     safe = np.where(std > 0, std, 1.0)
     return (vec - mean) / safe
 
-
-def struct_stats(struct_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column mean and population std of raw structural vectors."""
-    mean = struct_rows.mean(axis=0)
-    std = struct_rows.std(axis=0)
-    return mean, std

@@ -116,8 +116,9 @@ class RetrievalResult:
     every node's score. ``weights`` is the graph's weight block among the
     ranked tables, entry (a, b) between ranks a and b, and ``edges`` lists
     the edges among them as (rank a, rank b, weight) with a < b, in
-    row-major order: every pair at ``tau`` = 0, the positive weights above
-    it. ``edges`` is built on its first read."""
+    row-major order: the pairs of weight >= ``tau``, which is every pair at
+    ``tau`` = 0 and the positive weights above it. ``edges`` is built on its
+    first read."""
 
     ranked: list[tuple[str, float]]
     timings: dict[str, float]
@@ -129,9 +130,7 @@ class RetrievalResult:
 
     @cached_property
     def edges(self) -> list[tuple[int, int, float]]:
-        # At tau = 0 every pair is an edge, weight 0 included.
-        pairs = self.weights > 0.0 if self.tau > 0.0 else np.ones(self.weights.shape, dtype=bool)
-        a, b = np.nonzero(np.triu(pairs, 1))
+        a, b = np.nonzero(np.triu(self.weights >= self.tau, 1))
         return list(zip(a.tolist(), b.tolist(), self.weights[a, b].tolist()))
 
 

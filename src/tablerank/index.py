@@ -45,7 +45,7 @@ import numpy as np
 
 from .corpus import TableCorpus, table_record_bytes
 from .errors import IOFailure, VersionMismatch
-from .features import STRUCT_DIM, HeuristicVectorizer, SparseRows
+from .features import STRUCT_DIM, HeuristicVectorizer, SparseRows, _row_sq_norms
 
 INDEX_FORMAT_VERSION = 5
 _MAGIC = b"TRKHGIDX"
@@ -319,6 +319,24 @@ def _check_arrays(header: dict, a: dict[str, np.ndarray]) -> None:
             raise IOFailure(f"assign_{phi} holds a cluster outside [0, {K})")
         if (np.bincount(assign, minlength=K) == 0).any():
             raise IOFailure(f"family {phi} has an empty cluster")
+    # Value ranges: idf = ln((1 + D) / (1 + df)) + 1 with df <= D; the struct
+    # stats are a mean and std of counts; TF-IDF values are non-negative; a
+    # typical mean averages unit rows, so its norm is at most 1 (up to rounding).
+    if (a["idf"] < 1.0).any():
+        raise IOFailure("idf holds a weight below 1")
+    for name in ("struct_mean", "struct_std", "means_heur_data"):
+        if (a[name] < 0.0).any():
+            raise IOFailure(f"array {name} holds a negative value")
+    data = a["means_heur_data"]
+    with np.errstate(over="ignore"):  # a square that overflows is inf, and refused
+        sq_norms = {
+            "sem": _row_sq_norms(a["means_sem"]),
+            "struct": _row_sq_norms(a["means_struct"]),
+            "heur": np.bincount(np.repeat(np.arange(K), np.diff(ptr)), weights=data * data, minlength=K),
+        }
+    for phi, sq in sq_norms.items():
+        if (np.sqrt(sq) > 1.0 + 1e-12).any():
+            raise IOFailure(f"family {phi} has a typical mean of L2 norm above 1")
 
 
 def _check_sem_grouping(rows: np.ndarray, group: np.ndarray) -> None:

@@ -23,7 +23,6 @@ from tablerank.features import (
     cosines,
     row_norms,
     standardize_struct,
-    struct_stats,
     unit_rows,
 )
 from tablerank.fine import retrieve
@@ -78,7 +77,7 @@ class TestKMeans:
         x = np.array([[0.0], [10.0], [20.0], [30.0]])
         result = kmeans(x, 4, seed=0)
         assert sorted(result.assignments.tolist()) == [0, 1, 2, 3]
-        assert result.objective_history[-1] == pytest.approx(0.0)
+        assert result.objective == pytest.approx(0.0)
 
     def test_separated_blobs_recovered(self):
         # Oracle: every point must end up with the points of its own blob,
@@ -106,12 +105,21 @@ class TestKMeans:
         with pytest.raises(KTooLarge):
             kmeans(np.zeros((3, 2)), 4, seed=0)
 
-    def test_objective_never_increases(self):
+    def test_objective_never_increases(self, monkeypatch):
+        # One restart cut after 1, 2, ..., n_iter sweeps reports the objective
+        # of each sweep of the uncut run in turn.
+        monkeypatch.setattr(build, "KMEANS_RESTARTS", 1)
+        sweeps = build.KMEANS_MAX_ITER
         rng = np.random.default_rng(8)
         for trial in range(10):
             x = rng.normal(size=(50, 4))
-            result = kmeans(x, 5, seed=trial)
-            hist = result.objective_history
+            monkeypatch.setattr(build, "KMEANS_MAX_ITER", sweeps)
+            uncut = kmeans(x, 5, seed=trial)
+            hist = []
+            for max_iter in range(1, uncut.n_iter + 1):
+                monkeypatch.setattr(build, "KMEANS_MAX_ITER", max_iter)
+                hist.append(kmeans(x, 5, seed=trial).objective)
+            assert hist[-1] == uncut.objective
             assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
             assert hist[-1] <= hist[0] + 1e-9
 
@@ -215,17 +223,18 @@ def _ref_lloyd(x, K: int, rng: np.random.Generator, max_iter: int) -> KMeansResu
         assign = new_assign
     if not converged:
         centers = _ref_means_with_repair(x, assign, K)
-    return KMeansResult(assign.astype(np.int64), centers, it, history, converged)
+    return KMeansResult(assign.astype(np.int64), centers, it, history[-1], converged)
 
 
 def reference_kmeans(x, K: int, seed: int, max_iter: int = 100, n_init: int = 1) -> KMeansResult:
     """k-means as it was before the row norms were shared and the means
     vectorized: norms recomputed on every distance call, one ``mean`` per
-    cluster. The library must match it bit for bit."""
+    cluster. The library must match it bit for bit. A restart's objective
+    is the last entry of its own per-sweep history."""
     best = None
     for child in np.random.SeedSequence(seed).spawn(n_init):
         result = _ref_lloyd(x, K, np.random.default_rng(child), max_iter)
-        if best is None or result.objective_history[-1] < best.objective_history[-1]:
+        if best is None or result.objective < best.objective:
             best = result
     return best
 
@@ -236,7 +245,7 @@ def clustering_spaces():
     plus a duplicate-heavy input with only 4 distinct rows."""
     corpus = make_topic_corpus(150, 6, seed=21)
     feats = extract_all(corpus, EmbedderHandle(dimension=32))
-    mean, std = struct_stats(feats.struct)
+    mean, std = feats.struct.mean(axis=0), feats.struct.std(axis=0)
     rng = np.random.default_rng(5)
     distinct = unit_rows(rng.normal(size=(4, 6)))
     return {
@@ -262,7 +271,7 @@ class TestKMeansOracle:
         assert np.array_equal(got.assignments, want.assignments)
         assert np.array_equal(got.centroids.view(np.uint64), want.centroids.view(np.uint64))
         assert got.n_iter == want.n_iter
-        assert got.objective_history == want.objective_history
+        assert got.objective == want.objective
         assert got.converged == want.converged
 
     def test_duplicates_exercise_the_repair(self, clustering_spaces):
@@ -651,6 +660,27 @@ def _non_finite(name):
     return edit
 
 
+def _set_value(name, value):
+    """Index edit that writes ``value`` into the first entry of array ``name``."""
+    def edit(ix):
+        {
+            "idf": ix.vectorizer.idf, "struct_mean": ix.struct_mean, "struct_std": ix.struct_std,
+            "means_heur_data": ix.families["heur"].typical_means.data,
+        }[name][0] = value
+    return edit
+
+
+def _first_mean_of_norm(phi, norm):
+    """Index edit that makes family ``phi``'s first typical mean a row of L2
+    norm ``norm``: its first stored entry ``norm``, the others 0."""
+    def edit(ix):
+        means = ix.families[phi].typical_means
+        row = means.data[: means.indptr[1]] if phi == "heur" else means[0]
+        row[:] = 0.0
+        row[0] = norm
+    return edit
+
+
 def _objective_inf(ix):
     ix.families["sem"].objective = float("inf")
 
@@ -736,9 +766,18 @@ class TestResignedFiles:
         (_group_out_of_range, r"sem_group holds a row outside \[0, 21\)"),
         (_groups_out_of_order, "sem_group ids are not in first-occurrence order"),
         (_unused_stored_row, "sem_rows holds a row no table uses"),
+        (_set_value("idf", np.nextafter(1.0, 0.0)), "idf holds a weight below 1"),
+        (_set_value("struct_mean", -1e-300), "struct_mean holds a negative value"),
+        (_set_value("struct_std", -0.5), "struct_std holds a negative value"),
+        (_set_value("means_heur_data", -1e-3), "means_heur_data holds a negative value"),
+        (_first_mean_of_norm("sem", 1.0 + 1e-11), "family sem has a typical mean of L2 norm above 1"),
+        (_first_mean_of_norm("struct", 1.0 + 1e-11), "family struct has a typical mean of L2 norm above 1"),
+        (_first_mean_of_norm("heur", 1.0 + 1e-11), "family heur has a typical mean of L2 norm above 1"),
+        (_set_value("means_heur_data", 1e300), "family heur has a typical mean of L2 norm above 1"),
     ], ids=["assignment-out-of-range", "empty-cluster", "indptr-falls", "indptr-not-from-zero", "column-out-of-range", "negative-column", "nan-sem",
             "nan-sem-means", "nan-struct", "nan-idf", "nan-heur", "inf-objective", "equal-stored-rows", "group-out-of-range", "groups-out-of-order",
-            "unused-stored-row"])
+            "unused-stored-row", "idf-below-1", "negative-struct-mean", "negative-struct-std", "negative-heur-mean",
+            "sem-mean-norm-above-1", "struct-mean-norm-above-1", "heur-mean-norm-above-1", "heur-mean-norm-overflows"])
     def test_arrays(self, built, tmp_path, doctor, match):
         _, ix = built
         doctor(ix)
@@ -746,6 +785,19 @@ class TestResignedFiles:
         save_index(ix, p)
         with pytest.raises(IOFailure, match=match):
             load_index(p)
+
+
+    def test_values_at_their_bounds_load(self, built, tmp_path):
+        # idf 1, a struct mean and std of 0, a heur mean of 0 and a typical
+        # mean of norm 1 (up to rounding) are all values a build can write.
+        _, ix = built
+        for edit in (_set_value("idf", 1.0), _set_value("struct_mean", 0.0), _set_value("struct_std", 0.0),
+                     _set_value("means_heur_data", 0.0), *(_first_mean_of_norm(phi, 1.0) for phi in FAMILY_TYPES)):
+            edit(ix)
+        p = tmp_path / "ix.bin"
+        save_index(ix, p)
+        loaded = load_index(p)
+        assert loaded.vectorizer.idf[0] == 1.0 and loaded.struct_std[0] == 0.0
 
 
 class TestFuzz:
@@ -948,7 +1000,7 @@ class TestTypicalConsistency:
             child_seed = int(np.random.SeedSequence([4, fam_idx]).generate_state(1)[0])
             result = kmeans(spaces[phi], 3, seed=child_seed)
             assert np.array_equal(result.assignments, fam.assignments)
-            assert (result.n_iter, result.converged, result.objective_history[-1]) == (
+            assert (result.n_iter, result.converged, result.objective) == (
                 fam.n_iter, fam.converged, fam.objective)
             rows = score_space_rows(feats, phi, ix)
             positions, ptr = typical_nodes(feats, phi, ix)
