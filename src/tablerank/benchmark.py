@@ -303,13 +303,6 @@ def decontextualize(query_text: str, root_caption: str) -> str:
     return normalize_whitespace(_DECONTEXT_RE.sub(caption, query_text))
 
 
-def _feasible_parts(t: Table, parts: int) -> dict[str, bool]:
-    return {
-        "row": parts <= t.n_rows,
-        "column": parts <= t.n_cols - 1,
-    }
-
-
 def build_benchmark(
     sources: TableCorpus,
     source_queries: Sequence[SourceQuery],
@@ -330,25 +323,22 @@ def build_benchmark(
     for root in corpus:
         root_seed = int(np.random.SeedSequence([seed, 5, _stable_id_key(root.id)]).generate_state(1)[0])
         parts = int(master.integers(1, 4))
-        feasible = _feasible_parts(root, parts)
-        while parts > 1 and not any(feasible.values()):
-            parts -= 1
-            feasible = _feasible_parts(root, parts)
-
         if parts == 1:
             subs = [root]
         else:
-            options = [m for m in ("row", "column") if feasible[m]]
-            if len(options) == 2:
+            # filter_small keeps more than 3 rows or more than 3 columns, so
+            # 2 or 3 parts always fit one way or the other.
+            by_row, by_column = parts <= root.n_rows, parts <= root.n_cols - 1
+            if by_row and by_column:
                 # Keep row-wise and column-wise sub-table counts balanced.
                 if mode_counts["row"] < mode_counts["column"]:
                     mode = "row"
                 elif mode_counts["column"] < mode_counts["row"]:
                     mode = "column"
                 else:
-                    mode = options[int(master.integers(2))]
+                    mode = ("row", "column")[int(master.integers(2))]
             else:
-                mode = options[0]
+                mode = "row" if by_row else "column"
             if mode == "row":
                 subs = split_rows(root, parts, root_seed)
             else:

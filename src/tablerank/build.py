@@ -198,9 +198,9 @@ def _means_with_repair(x, x2: np.ndarray, assign: np.ndarray, k: int) -> np.ndar
     if empties.size:
         d_own = _sq_dists_to(x, x2, centers)[np.arange(n), assign]
         for j in empties:
+            # kmeans refuses K > n, so while cluster j is empty the n >= K
+            # points fill at most K - 1 clusters and some cluster holds two.
             donor_ok = counts[assign] >= 2
-            if not donor_ok.any():
-                donor_ok = np.ones(n, dtype=bool)
             masked = np.where(donor_ok, d_own, -np.inf)
             i = int(np.argmax(masked))
             counts[assign[i]] -= 1

@@ -5,8 +5,10 @@ eval-e2e, inspect. Each takes only the flags it reads; ingest and inspect
 take no settings. Option precedence is flags > environment variables
 (endpoints only) > --config file > built-in defaults. One config file can
 serve every command: a key that a command does not read is checked and then
-ignored. Every command that takes settings logs the configuration it uses
-to stderr, a command that opens an index once the index has set the
+ignored. The query commands (retrieve, eval-retrieval, eval-e2e) embed with
+the dimension the index records, so they take no --dimension or
+--batch-limit. Every command that takes settings logs the configuration it
+uses to stderr, a command that opens an index once the index has set the
 embedding dimension. Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
@@ -28,7 +30,7 @@ from . import corpus as corpus_mod
 from . import evaluation as ev
 from .errors import TableRankError, UsageError
 from .features import EmbedderHandle
-from .fine import DEFAULT_ALPHA, DEFAULT_EPSILON, DEFAULT_MAX_ITER, DEFAULT_TAU, DEFAULT_TOP_N, PPRConfig, retrieve
+from .fine import DEFAULT_ALPHA, DEFAULT_TAU, DEFAULT_TOP_N, PPRConfig, retrieve
 from .coarse import coarse_retrieve
 from .index import DEFAULT_CLUSTERS, DEFAULT_TYPICAL, HypergraphIndex, load_index, save_index
 from .prompting import make_generator
@@ -50,8 +52,6 @@ class RunConfig:
     k: int = DEFAULT_TYPICAL
     alpha: float = DEFAULT_ALPHA
     tau: float = DEFAULT_TAU
-    epsilon: float = DEFAULT_EPSILON
-    max_iter: int = DEFAULT_MAX_ITER
     top_n: int = DEFAULT_TOP_N
     seed: int = 0
     embedder: str = EmbedderHandle.endpoint
@@ -63,7 +63,7 @@ class RunConfig:
         return EmbedderHandle(endpoint=self.embedder, dimension=self.dimension, batch_limit=self.batch_limit)
 
     def ppr(self) -> PPRConfig:
-        return PPRConfig(alpha=self.alpha, epsilon=self.epsilon, max_iter=self.max_iter, top_n=self.top_n)
+        return PPRConfig(alpha=self.alpha, top_n=self.top_n)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}  # type names, as strings
@@ -74,10 +74,8 @@ _POSITIVE_INTS = ("K", "k")
 def resolve_config(args: argparse.Namespace, index_dimension: int | None = None) -> RunConfig:
     """flags > env (endpoints) > config file > defaults, logged to stderr.
     ``index_dimension``, the embedding dimension of the index the command
-    queries, takes the place of the built-in default dimension."""
+    queries, takes the place of any other once every value is checked."""
     values = asdict(RunConfig())
-    if index_dimension is not None:
-        values["dimension"] = index_dimension
     if args.config:
         try:
             file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -114,6 +112,8 @@ def resolve_config(args: argparse.Namespace, index_dimension: int | None = None)
     too_small = [name for name in _POSITIVE_INTS if getattr(cfg, name) < 1]
     if too_small:
         raise UsageError(f"{', '.join(too_small)} must be at least 1")
+    if index_dimension is not None:
+        cfg.dimension = index_dimension
     log.info("resolved config: %s", json.dumps(asdict(cfg), sort_keys=True))
     return cfg
 
@@ -123,15 +123,11 @@ def _add_embedding_settings(p: argparse.ArgumentParser) -> None:
     embeds text reads."""
     p.add_argument("--config", help="JSON file with config overrides")
     p.add_argument("--embedder", default=None, help="embedding endpoint URL or builtin:hash")
-    p.add_argument("--dimension", type=int, default=None, help="embedding dimension")
-    p.add_argument("--batch-limit", dest="batch_limit", type=int, default=None)
 
 
 def _add_query_settings(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     p.add_argument("--top-n", dest="top_n", type=int, default=None)
     _add_embedding_settings(p)
 
@@ -152,6 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="typical nodes per cluster")
     p.add_argument("--seed", type=int, default=None)
     _add_embedding_settings(p)
+    p.add_argument("--dimension", type=int, default=None, help="embedding dimension")
+    p.add_argument("--batch-limit", dest="batch_limit", type=int, default=None)
 
     p = sub.add_parser("retrieve", help="run coarse/fine retrieval for one query")
     p.add_argument("--index", required=True)
@@ -231,9 +229,7 @@ def _cmd_build_index(args) -> int:
 
 def _open_index(args) -> tuple[RunConfig, HypergraphIndex]:
     # The index records the embedding dimension it was built with; querying
-    # with anything else can only fail, so the built-in default gives way to
-    # it. A dimension from --dimension or the config file stays, and a
-    # mismatch fails with DimensionMismatch.
+    # with anything else can only fail, so it takes the place of any other.
     ix = load_index(args.index)
     return resolve_config(args, ix.params["embedder_dimension"]), ix
 

@@ -57,7 +57,6 @@ their work during coarse filtering.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -70,34 +69,28 @@ from .features import EmbedderHandle, cosines, row_norms, unit_rows
 from .index import HypergraphIndex, top_k
 
 DEFAULT_ALPHA = 0.85
-DEFAULT_EPSILON = 1e-8
-DEFAULT_MAX_ITER = 100
 DEFAULT_TOP_N = 10
 DEFAULT_TAU = 0.5
 
 STAGE_COARSE = "Coarse-grained"
 STAGE_FINE = "Fine-grained"
 
+PPR_EPSILON = 1e-8  # bound on the returned scores' fixpoint residual
+PPR_MAX_ITER = 100  # products with W per solve
+
 
 @dataclass(frozen=True)
 class PPRConfig:
-    """PPR settings. ``epsilon`` bounds the fixpoint residual of the returned
-    scores: the L1 distance one power-iteration step would move them. A solve
-    that does not reach it within ``max_iter`` products with W returns
-    ``converged=False``."""
+    """PPR settings: the damping ``alpha`` and the number of ranked tables
+    ``top_n``. The solver's tolerance and cap are the module constants
+    ``PPR_EPSILON`` and ``PPR_MAX_ITER``, which ``ppr`` reads at call time."""
 
     alpha: float = DEFAULT_ALPHA
-    epsilon: float = DEFAULT_EPSILON
-    max_iter: int = DEFAULT_MAX_ITER
     top_n: int = DEFAULT_TOP_N
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
-        if not 0.0 < self.epsilon < math.inf:  # also refuses NaN
-            raise ValueError("epsilon must be finite and positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
         if self.top_n < 1:
             raise ValueError("top_n must be at least 1")
 
@@ -191,10 +184,11 @@ def ppr(W: np.ndarray, h: np.ndarray, cfg: PPRConfig, sizes: np.ndarray) -> PPRR
 
     Each pass first measures the current iterate's fixpoint residual, the L1
     distance one power-iteration step would move the normalized scores, and
-    stops once it is below epsilon; otherwise it takes one CG step, one
-    product with W. ``iterations`` counts those products. The scores are the
-    iterate clipped at 0 and normalized, so they sum to 1 even when
-    truncated.
+    stops once it is below ``PPR_EPSILON``; otherwise it takes one CG step,
+    one product with W, up to ``PPR_MAX_ITER`` products, after which it
+    returns ``converged=False``. ``iterations`` counts those products. The
+    scores are the iterate clipped at 0 and normalized, so they sum to 1
+    even when truncated.
     """
     W = np.asarray(W, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
@@ -221,7 +215,7 @@ def ppr(W: np.ndarray, h: np.ndarray, cfg: PPRConfig, sizes: np.ndarray) -> PPRR
         rho = scale * r
         moved = np.abs(rho - (m * rho).sum() * h)
         residual = float((m * moved).sum() / (m * x).sum())
-        if residual < cfg.epsilon or it == cfg.max_iter:
+        if residual < PPR_EPSILON or it == PPR_MAX_ITER:
             break
         Ap = apply(p)
         step = rr / float((m * p) @ Ap)
@@ -233,7 +227,7 @@ def ppr(W: np.ndarray, h: np.ndarray, cfg: PPRConfig, sizes: np.ndarray) -> PPRR
         it += 1
     np.clip(x, 0.0, None, out=x)
     return PPRResult(
-        scores=x / (m * x).sum(), iterations=it, converged=residual < cfg.epsilon, residual=residual
+        scores=x / (m * x).sum(), iterations=it, converged=residual < PPR_EPSILON, residual=residual
     )
 
 

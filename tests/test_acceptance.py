@@ -49,7 +49,7 @@ from conftest import (
     prompt_graph_records,
     representative_score,
 )
-from test_fine import node_graph, node_ppr, solve_ppr_oracle, transition_matrix
+from test_fine import node_graph, node_ppr, solve_ppr_oracle, solve_to, transition_matrix
 
 
 def _report(name: str, detail: str) -> None:
@@ -72,10 +72,11 @@ def blob10k():
     return corpus, handle, ix, build_seconds
 
 
-def test_ppr_oracle_equivalence():
+def test_ppr_oracle_equivalence(monkeypatch):
     """Iterative PPR matches the dense linear-system solve on 200 random
     graphs of up to 64 nodes, within 1e-6 L-infinity, in under 10 s."""
     rng = np.random.default_rng(2024)
+    solve_to(monkeypatch, 1e-12, 5000)
     t0 = time.perf_counter()
     worst = 0.0
     for trial in range(200):
@@ -86,7 +87,7 @@ def test_ppr_oracle_equivalence():
         W = node_graph(vecs, tau)
         h = rng.dirichlet(np.ones(n))
         alpha = (0.3, 0.85, 0.95)[trial % 3]
-        got = node_ppr(W, h, PPRConfig(alpha=alpha, epsilon=1e-12, max_iter=5000)).scores
+        got = node_ppr(W, h, PPRConfig(alpha=alpha)).scores
         expect = solve_ppr_oracle(transition_matrix(W), h, alpha)
         worst = max(worst, float(np.max(np.abs(got - expect))))
         assert worst < 1e-6

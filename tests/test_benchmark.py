@@ -62,6 +62,23 @@ class TestFilterSmall:
         corpus = TableCorpus([table_with_shape("t", 10, 10)])
         assert len(filter_small(corpus)) == 1
 
+    def test_survivors_split_into_two_and_three_parts(self):
+        # build_benchmark relies on this: a root that filter_small keeps
+        # splits into 2 and into 3 parts, by rows or by columns.
+        shapes = np.random.default_rng(5).integers([0, 1], 9, size=(300, 2))
+        corpus = TableCorpus([table_with_shape(f"t{i}", int(r), int(c)) for i, (r, c) in enumerate(shapes)])
+        survivors = filter_small(corpus)
+        assert 0 < len(survivors) < len(corpus)  # fixture precondition
+        for t in survivors:
+            for parts in (2, 3):
+                fits = []
+                for split in (split_rows, split_cols):
+                    try:
+                        fits.append(len(split(t, parts, seed=0)) == parts)
+                    except (TooFewRows, TooFewCols):
+                        pass
+                assert fits and all(fits), (t.n_rows, t.n_cols, parts)
+
 
 class TestSplitRows:
     def test_four_rows_two_parts(self):

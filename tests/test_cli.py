@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -60,8 +61,7 @@ def _sources_dir(tmp_path):
     return src
 
 
-_QUERY_SETTINGS = {"--alpha", "--tau", "--epsilon", "--max-iter", "--top-n",
-                   "--config", "--embedder", "--dimension", "--batch-limit"}
+_QUERY_SETTINGS = {"--alpha", "--tau", "--top-n", "--config", "--embedder"}
 
 # Each subcommand's flags, --help aside: only the settings its handler reads.
 FLAGS = {
@@ -94,14 +94,20 @@ class TestFlags:
             for name, p in sub.choices.items()
         }
         assert declared == FLAGS
-        assert sum(map(len, declared.values())) == 55
+        assert sum(map(len, declared.values())) == 43
+
+    def test_run_config_holds_ten_keys(self):
+        assert [f.name for f in dataclasses.fields(cli.RunConfig)] == [
+            "K", "k", "alpha", "tau", "top_n", "seed", "embedder", "dimension", "batch_limit", "generator"]
 
     @pytest.mark.parametrize("command, flag", [
         (command, flag)
         for command in ("ingest", "inspect")
         for flag in ("--config", "--seed", "--embedder", "--dimension", "--batch-limit")
     ] + [("build-benchmark", flag) for flag in ("--embedder", "--dimension", "--batch-limit")]
-      + [(command, "--seed") for command in ("retrieve", "eval-retrieval", "eval-e2e")])
+      + [(command, flag)
+         for command in ("retrieve", "eval-retrieval", "eval-e2e")
+         for flag in ("--seed", "--epsilon", "--max-iter", "--dimension", "--batch-limit")])
     def test_a_flag_the_command_does_not_read_exits_2(self, capsys, command, flag):
         with pytest.raises(SystemExit) as err:
             main([command, *REQUIRED[command], flag, "1"])
@@ -189,9 +195,6 @@ class TestRetrieve:
         ["--query", "tp1c00", "--top-n", "0"],
         ["--query", "tp1c00", "--alpha", "1.5"],
         ["--query", "tp1c00", "--tau", "2"],
-        ["--query", "tp1c00", "--max-iter", "0"],
-        ["--query", "tp1c00", "--epsilon", "nan"],
-        ["--query", "tp1c00", "--epsilon", "inf"],
     ])
     def test_out_of_range_input_exits_2(self, index_file, capsys, flags):
         assert main(["retrieve", "--index", str(index_file), *flags]) == 2
@@ -350,7 +353,7 @@ class TestConfigPrecedence:
     @pytest.mark.parametrize("values", [
         {"alpha": "x"},
         {"top_n": 2.5},
-        {"max_iter": True},
+        {"k": True},
         {"tau": None},
         {"embedder": 5},
         {"K": "3"},
@@ -363,6 +366,13 @@ class TestConfigPrecedence:
         assert main(["retrieve", "--index", str(index_file), "--query", "tp1c00",
                      "--config", str(cfg)]) == 2
         assert "error: usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["epsilon", "max_iter"])
+    def test_removed_key_is_unknown(self, index_file, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 100}))
+        assert main(["retrieve", "--index", str(index_file), "--query", "tp1c00", "--config", str(cfg)]) == 2
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
     def test_retrieve_adopts_index_dimension(self, tmp_path, corpus_file, capsys):
         out = tmp_path / "dim32.idx"
@@ -385,19 +395,29 @@ class TestConfigPrecedence:
         assert len(logged) == 1
         assert json.loads(logged[0].removeprefix("resolved config: "))["dimension"] == 32
 
-    @pytest.mark.parametrize("via", ["flag", "config"])
-    def test_chosen_dimension_is_kept(self, tmp_path, corpus_file, capsys, via):
-        # Only the built-in default gives way to the index's dimension; a
-        # dimension from the flag or the config file that differs from it fails.
+    def test_config_file_dimension_gives_way_to_the_index(self, tmp_path, corpus_file, capsys, caplog):
+        # The file's dimension, 16, gives way to the 32 the index records.
         out = tmp_path / "dim32.idx"
         assert main(["build-index", "--corpus", str(corpus_file), "--out", str(out),
                      "--K", "2", "--k", "5", "--dimension", "32"]) == 0
         capsys.readouterr()
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"dimension": 64}))
-        chosen = ["--dimension", "64"] if via == "flag" else ["--config", str(cfg)]
-        assert main(["retrieve", "--index", str(out), "--query", "tp0c00 tp0c01", *chosen]) == 1
-        assert "DimensionMismatch" in capsys.readouterr().err
+        cfg.write_text(json.dumps({"dimension": 16, "batch_limit": 1}))
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="tablerank"):
+            assert main(["retrieve", "--index", str(out), "--query", "tp0c00 tp0c01", "--top-n", "2",
+                         "--config", str(cfg)]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 2
+        logged = [r.getMessage() for r in caplog.records if r.getMessage().startswith("resolved config: ")]
+        assert json.loads(logged[0].removeprefix("resolved config: "))["dimension"] == 32
+
+    @pytest.mark.parametrize("key", ["dimension", "batch_limit"])
+    def test_config_file_count_below_one_exits_2_on_query(self, index_file, tmp_path, capsys, key):
+        # Checked before the index's dimension takes its place.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 0}))
+        assert main(["retrieve", "--index", str(index_file), "--query", "tp1c00", "--config", str(cfg)]) == 2
+        assert "error: usage:" in capsys.readouterr().err
 
     def test_env_var_overrides_default_embedder(self, index_file, capsys, monkeypatch):
         monkeypatch.setenv("TABLERANK_EMBEDDER", "http://127.0.0.1:9")

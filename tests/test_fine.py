@@ -49,6 +49,12 @@ def node_ppr(W: np.ndarray, h: np.ndarray, cfg: PPRConfig):
     return ppr(W, h, cfg, np.ones(len(h)))
 
 
+def solve_to(monkeypatch, epsilon: float, max_iter: int) -> None:
+    """Make ``ppr`` stop below ``epsilon`` or after ``max_iter`` products."""
+    monkeypatch.setattr(fine, "PPR_EPSILON", epsilon)
+    monkeypatch.setattr(fine, "PPR_MAX_ITER", max_iter)
+
+
 def subgraph(vectors: dict[str, np.ndarray], tau: float) -> np.ndarray:
     """Weights over the vectors; node i is the i-th id in ascending order."""
     return node_graph(sem_rows(vectors), tau)
@@ -138,14 +144,15 @@ def power_step(P: np.ndarray, h: np.ndarray, alpha: float, v: np.ndarray) -> np.
 
 def power_iteration(W: np.ndarray, h: np.ndarray, cfg: PPRConfig):
     """The earlier PPR solver, kept as the oracle: iterate from v0 = h until
-    the L1 step difference drops below epsilon. Returns (scores, iterations)."""
+    the L1 step difference drops below ``fine.PPR_EPSILON``, for at most
+    ``fine.PPR_MAX_ITER`` steps. Returns (scores, iterations)."""
     P = transition_matrix(W)
     v = h.copy()
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, fine.PPR_MAX_ITER + 1):
         v_next = power_step(P, h, cfg.alpha, v)
         residual = float(np.abs(v_next - v).sum())
         v = v_next
-        if residual < cfg.epsilon:
+        if residual < fine.PPR_EPSILON:
             break
     return v, it
 
@@ -205,15 +212,12 @@ class TestPPRConfig:
         with pytest.raises(ValueError):
             PPRConfig(alpha=1.0)
         with pytest.raises(ValueError):
-            PPRConfig(epsilon=0.0)
-        with pytest.raises(ValueError):
-            PPRConfig(epsilon=float("nan"))
-        with pytest.raises(ValueError):
-            PPRConfig(epsilon=float("inf"))
-        with pytest.raises(ValueError):
             PPRConfig(top_n=0)
-        with pytest.raises(ValueError):
-            PPRConfig(max_iter=0)
+
+    def test_holds_only_the_settings_that_change_a_ranking(self):
+        # The solver's tolerance and cap are module constants.
+        assert [f.name for f in dataclasses.fields(PPRConfig)] == ["alpha", "top_n"]
+        assert (fine.PPR_EPSILON, fine.PPR_MAX_ITER) == (1e-8, 100)
 
 
 class TestBuildLocalSubgraph:
@@ -307,8 +311,8 @@ class TestTieAwareEquivalence:
             assert np.array_equal(node_matrix(W, np.arange(n), tau)[1], ref_adjacency)
             oracle, _ = power_iteration(ref_weights, h, cfg)
             assert np.max(np.abs(got.scores - oracle)) < 1e-8
-            assert got.converged and got.residual < cfg.epsilon
-            assert fixpoint_residual(ref_weights, h, cfg.alpha, got.scores) < cfg.epsilon
+            assert got.converged and got.residual < fine.PPR_EPSILON
+            assert fixpoint_residual(ref_weights, h, cfg.alpha, got.scores) < fine.PPR_EPSILON
             groups = duplicate_groups(rows)
             assert n == 2 or len(groups) < n  # fixture precondition: rows repeat
             # the grouped path gives every member of a group one score
@@ -365,7 +369,7 @@ class TestGroupedPath:
         oracle, _ = power_iteration(weight, h[group], cfg)
         scores = got.scores[group]
         assert got.iterations == plain.iterations
-        assert got.converged and got.residual < cfg.epsilon
+        assert got.converged and got.residual < fine.PPR_EPSILON
         assert np.max(np.abs(scores - oracle)) < 1e-8
         assert scores.sum() == pytest.approx(1.0, abs=1e-12)
         groups = duplicate_groups(rows)
@@ -386,15 +390,15 @@ class TestTransitionMatrix:
         S2 = np.array([[2.0, 2.0]])
         assert np.allclose(transition_matrix(S2), np.array([[0.5, 0.5]]))
 
-    def test_dangling_row_matches_linear_solve(self):
+    def test_dangling_row_matches_linear_solve(self, monkeypatch):
         # 3-node graph, one isolated node; oracle patches the dangling row
         # with h and solves the fixpoint directly.
         S = np.array([[0.0, 0.9, 0.0], [0.9, 0.0, 0.0], [0.0, 0.0, 0.0]])
         P = transition_matrix(S)
         assert np.array_equal(P[2], np.zeros(3))
         h = np.array([0.5, 0.3, 0.2])
-        cfg = PPRConfig(alpha=0.85, epsilon=1e-14, max_iter=10000)
-        got = node_ppr(S, h, cfg).scores
+        solve_to(monkeypatch, 1e-14, 10000)
+        got = node_ppr(S, h, PPRConfig(alpha=0.85)).scores
         expect = solve_ppr_oracle(P, h, 0.85)
         assert np.max(np.abs(got - expect)) < 1e-6
 
@@ -458,7 +462,7 @@ class TestPPR:
         result = node_ppr(P, h, PPRConfig())
         assert np.allclose(result.scores, [0.5, 0.5])
 
-    def test_weighted_path_matches_dense_solve(self):
+    def test_weighted_path_matches_dense_solve(self, monkeypatch):
         # 5-node weighted path graph; oracle is the direct linear solve.
         n = 5
         S = np.zeros((n, n))
@@ -466,7 +470,8 @@ class TestPPR:
         for i, w in enumerate(weights):
             S[i, i + 1] = S[i + 1, i] = w
         h = np.array([0.4, 0.1, 0.2, 0.1, 0.2])
-        got = node_ppr(S, h, PPRConfig(alpha=0.85, epsilon=1e-14, max_iter=10000)).scores
+        solve_to(monkeypatch, 1e-14, 10000)
+        got = node_ppr(S, h, PPRConfig(alpha=0.85)).scores
         expect = solve_ppr_oracle(transition_matrix(S), h, 0.85)
         assert np.max(np.abs(got - expect)) < 1e-6
 
@@ -478,44 +483,49 @@ class TestPPR:
             assert result.scores.min() >= 0
             assert result.scores.sum() == pytest.approx(1.0, abs=1e-6)
 
-    def test_probability_vector_at_every_iterate(self):
-        # Truncating at increasing max_iter exposes each intermediate iterate.
+    def test_probability_vector_at_every_iterate(self, monkeypatch):
+        # Truncating at an increasing cap exposes each intermediate iterate.
         rng = np.random.default_rng(27)
         W, h = random_graph(rng, max_nodes=16)
         for cap in range(1, 12):
-            result = node_ppr(W, h, PPRConfig(alpha=0.9, epsilon=1e-30, max_iter=cap))
+            solve_to(monkeypatch, 1e-30, cap)
+            result = node_ppr(W, h, PPRConfig(alpha=0.9))
             assert result.scores.min() >= 0
             assert result.scores.sum() == pytest.approx(1.0, abs=1e-6)
 
-    def test_fixpoint_residual_below_epsilon(self):
+    def test_fixpoint_residual_below_epsilon(self, monkeypatch):
         rng = np.random.default_rng(22)
+        solve_to(monkeypatch, 1e-12, 500)
         for _ in range(10):
             W, h = random_graph(rng, max_nodes=32)
-            result = node_ppr(W, h, PPRConfig(alpha=0.9, epsilon=1e-12, max_iter=500))
+            result = node_ppr(W, h, PPRConfig(alpha=0.9))
             assert result.converged and result.residual < 1e-12
             assert fixpoint_residual(W, h, 0.9, result.scores) < 1e-12
 
-    def test_permutation_invariance(self):
+    def test_permutation_invariance(self, monkeypatch):
         rng = np.random.default_rng(23)
         W, h = random_graph(rng, max_nodes=24)
-        v = node_ppr(W, h, PPRConfig(epsilon=1e-12, max_iter=2000)).scores
+        solve_to(monkeypatch, 1e-12, 2000)
+        v = node_ppr(W, h, PPRConfig()).scores
         perm = rng.permutation(len(h))
         Wp = W[np.ix_(perm, perm)]
-        vp = node_ppr(Wp, h[perm], PPRConfig(epsilon=1e-12, max_iter=2000)).scores
+        vp = node_ppr(Wp, h[perm], PPRConfig()).scores
         assert np.allclose(vp, v[perm], atol=1e-9)
 
-    def test_truncation_flagged(self):
+    def test_truncation_flagged(self, monkeypatch):
         S = np.array([[0.0, 1.0], [1.0, 0.0]])
         h = np.array([0.9, 0.1])
-        result = node_ppr(S, h, PPRConfig(alpha=0.85, epsilon=1e-30, max_iter=3))
+        solve_to(monkeypatch, 1e-30, 3)
+        result = node_ppr(S, h, PPRConfig(alpha=0.85))
         assert not result.converged and result.iterations == 3
 
-    def test_oracle_equivalence_random_graphs(self):
+    def test_oracle_equivalence_random_graphs(self, monkeypatch):
         rng = np.random.default_rng(24)
+        solve_to(monkeypatch, 1e-12, 5000)
         for trial in range(20):
             W, h = random_graph(rng, max_nodes=48)
             alpha = [0.3, 0.85, 0.95][trial % 3]
-            got = node_ppr(W, h, PPRConfig(alpha=alpha, epsilon=1e-12, max_iter=5000)).scores
+            got = node_ppr(W, h, PPRConfig(alpha=alpha)).scores
             expect = solve_ppr_oracle(transition_matrix(W), h, alpha)
             assert np.max(np.abs(got - expect)) < 1e-6
 

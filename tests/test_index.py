@@ -2,6 +2,7 @@ import ctypes
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -670,6 +671,12 @@ def _set_value(name, value):
     return edit
 
 
+# The bounds that the 24 tables of ``built`` imply: the idf of a token in one
+# table, and the std of 24 counts of which one differs from the rest by 1.
+_IDF_MAX = math.log(25 / 2) + 1.0
+_STD_MIN = math.sqrt(23) / 24
+
+
 def _first_mean_of_norm(phi, norm):
     """Index edit that makes family ``phi``'s first typical mean a row of L2
     norm ``norm``: its first stored entry ``norm``, the others 0."""
@@ -767,6 +774,10 @@ class TestResignedFiles:
         (_groups_out_of_order, "sem_group ids are not in first-occurrence order"),
         (_unused_stored_row, "sem_rows holds a row no table uses"),
         (_set_value("idf", np.nextafter(1.0, 0.0)), "idf holds a weight below 1"),
+        (_set_value("idf", _IDF_MAX * (1.0 + 1e-11)), r"idf holds a weight above ln\(\(1 \+ n\) / 2\) \+ 1"),
+        (_set_value("idf", 1e308), r"idf holds a weight above ln\(\(1 \+ n\) / 2\) \+ 1"),
+        (_set_value("struct_std", _STD_MIN * (1.0 - 1e-11)), r"struct_std holds a positive value below sqrt\(n - 1\) / n"),
+        (_set_value("struct_std", 1e-320), r"struct_std holds a positive value below sqrt\(n - 1\) / n"),
         (_set_value("struct_mean", -1e-300), "struct_mean holds a negative value"),
         (_set_value("struct_std", -0.5), "struct_std holds a negative value"),
         (_set_value("means_heur_data", -1e-3), "means_heur_data holds a negative value"),
@@ -776,7 +787,8 @@ class TestResignedFiles:
         (_set_value("means_heur_data", 1e300), "family heur has a typical mean of L2 norm above 1"),
     ], ids=["assignment-out-of-range", "empty-cluster", "indptr-falls", "indptr-not-from-zero", "column-out-of-range", "negative-column", "nan-sem",
             "nan-sem-means", "nan-struct", "nan-idf", "nan-heur", "inf-objective", "equal-stored-rows", "group-out-of-range", "groups-out-of-order",
-            "unused-stored-row", "idf-below-1", "negative-struct-mean", "negative-struct-std", "negative-heur-mean",
+            "unused-stored-row", "idf-below-1", "idf-above-one-table-bound", "idf-1e308",
+            "struct-std-below-count-bound", "struct-std-1e-320", "negative-struct-mean", "negative-struct-std", "negative-heur-mean",
             "sem-mean-norm-above-1", "struct-mean-norm-above-1", "heur-mean-norm-above-1", "heur-mean-norm-overflows"])
     def test_arrays(self, built, tmp_path, doctor, match):
         _, ix = built
@@ -798,6 +810,20 @@ class TestResignedFiles:
         save_index(ix, p)
         loaded = load_index(p)
         assert loaded.vectorizer.idf[0] == 1.0 and loaded.struct_std[0] == 0.0
+
+    @pytest.mark.parametrize("rounding", [0.0, 1e-13])
+    def test_values_at_their_table_count_bounds_load(self, built, tmp_path, rounding):
+        # A token in one table has the largest idf; one count that differs
+        # from the other 23 by 1 has the smallest positive std. Their
+        # computed values can sit a few ulps past the exact bounds.
+        _, ix = built
+        assert len(ix) == 24
+        _set_value("idf", _IDF_MAX * (1.0 + rounding))(ix)
+        _set_value("struct_std", _STD_MIN * (1.0 - rounding))(ix)
+        p = tmp_path / "ix.bin"
+        save_index(ix, p)
+        loaded = load_index(p)
+        assert loaded.struct_std[0] == pytest.approx(np.r_[np.zeros(23), 1.0].std(), rel=1e-12)
 
 
 class TestFuzz:
