@@ -6,6 +6,8 @@ import json
 import urllib.error
 import urllib.request
 
+TIMEOUT_S = 60.0
+
 
 class HttpCallError(Exception):
     def __init__(self, cause: str):
@@ -13,7 +15,7 @@ class HttpCallError(Exception):
         super().__init__(cause)
 
 
-def post_json(url: str, payload: dict, timeout: float = 60.0) -> dict:
+def post_json(url: str, payload: dict) -> dict:
     """POST a JSON body and decode a JSON response. Raises HttpCallError on
     any transport, status, or decode problem."""
     body = json.dumps(payload).encode("utf-8")
@@ -21,7 +23,7 @@ def post_json(url: str, payload: dict, timeout: float = 60.0) -> dict:
         url, data=body, headers={"Content-Type": "application/json"}, method="POST"
     )
     try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
+        with urllib.request.urlopen(req, timeout=TIMEOUT_S) as resp:
             status = getattr(resp, "status", 200)
             if status != 200:
                 raise HttpCallError(f"status {status}")
@@ -32,8 +34,8 @@ def post_json(url: str, payload: dict, timeout: float = 60.0) -> dict:
         raise HttpCallError(str(exc)) from exc
     try:
         out = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise HttpCallError(f"invalid JSON response: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a too-long integer, deep nesting
+        raise HttpCallError(f"invalid JSON response: {exc}") from exc
     if not isinstance(out, dict):
         raise HttpCallError("response is not a JSON object")
     return out

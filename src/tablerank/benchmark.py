@@ -10,7 +10,8 @@ Medium = 2 parts, Hard = 3 parts. The whole pipeline is a pure function of
 
 Output layout (documented in docs/FORMATS.md): ``tables.jsonl`` in the
 canonical corpus format, ``examples.jsonl`` with one example per line, and a
-``stats.json`` summary per task type.
+``stats.json`` summary per task type, which is written for readers and which
+``load_benchmark`` does not read.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import Query, Table, TableCorpus, TaskType, load_corpus, read_text, save_corpus, validate_query
+from .corpus import Query, Table, TableCorpus, TaskType, json_error, load_corpus, read_text, save_corpus, validate_query
 from .errors import IOFailure, SchemaViolation, TooFewCols, TooFewQueries, TooFewRows
 from .features import STOPWORDS, SparseRows, fit_heuristic, token_ids, tokenize
 from .linearize import normalize_whitespace
@@ -104,7 +105,6 @@ class BenchmarkExample:
 class BenchmarkDataset:
     tables: TableCorpus
     examples: list[BenchmarkExample]
-    stats: dict
 
 
 def filter_small(corpus: TableCorpus) -> TableCorpus:
@@ -371,12 +371,7 @@ def build_benchmark(
             )
         )
 
-    dataset_tables = TableCorpus(out_tables)
-    return BenchmarkDataset(
-        tables=dataset_tables,
-        examples=examples,
-        stats=_summarize(dataset_tables, examples),
-    )
+    return BenchmarkDataset(tables=TableCorpus(out_tables), examples=examples)
 
 
 def _stable_id_key(table_id: str) -> int:
@@ -423,13 +418,14 @@ def save_benchmark(ds: BenchmarkDataset, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_corpus(ds.tables, out / "tables.jsonl")
+    stats = _summarize(ds.tables, ds.examples)
     try:
         with (out / "examples.jsonl").open("wb") as f:
             for e in ds.examples:
                 f.write(json.dumps(_example_record(e), sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode("utf-8"))
                 f.write(b"\n")
         (out / "stats.json").write_bytes(
-            json.dumps(ds.stats, sort_keys=True, ensure_ascii=False, indent=2).encode("utf-8") + b"\n"
+            json.dumps(stats, sort_keys=True, ensure_ascii=False, indent=2).encode("utf-8") + b"\n"
         )
     except OSError as exc:
         raise IOFailure(f"cannot write benchmark to {out}: {exc}") from exc
@@ -447,8 +443,8 @@ def _parse_records(lines: list[str], name: str, build: Callable[[dict], object])
         where = f"<{name} line {lineno}>"
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            violations.append((where, f"invalid JSON: {exc.msg}"))
+        except (ValueError, RecursionError) as exc:
+            violations.append((where, json_error(exc)))
             continue
         if not isinstance(rec, dict):
             violations.append((where, "record is not an object"))
@@ -499,12 +495,8 @@ def load_benchmark(in_dir: str | Path) -> BenchmarkDataset:
     src = Path(in_dir)
     tables = load_corpus(src / "tables.jsonl", format="jsonl")
     lines = read_text(src / "examples.jsonl").splitlines()
-    try:
-        stats = json.loads(read_text(src / "stats.json"))
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation([("<stats.json>", f"invalid JSON: {exc.msg}")]) from exc
     examples = _parse_records(lines, "examples.jsonl", lambda rec: _example_from_record(rec, tables))
-    return BenchmarkDataset(tables=tables, examples=examples, stats=stats)
+    return BenchmarkDataset(tables=tables, examples=examples)
 
 
 def _id_text(rec: dict, key: str) -> str:

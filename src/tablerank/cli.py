@@ -10,6 +10,12 @@ the dimension the index records, so they take no --dimension or
 --batch-limit. Every command that takes settings logs the configuration it
 uses to stderr, a command that opens an index once the index has set the
 embedding dimension. Exit codes: 0 success, 1 runtime failure, 2 usage error.
+
+retrieve reads only the query text. It prints one line with the coarse
+stage's cluster choices, union size and retained fraction, then one line per
+ranked table. eval-retrieval ranks each query to its largest cutoff, so it
+takes no --top-n, and reports acc (every gold table in the top k), acc_any
+(at least one) and recall per cutoff.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from . import evaluation as ev
 from .errors import TableRankError, UsageError
 from .features import EmbedderHandle
 from .fine import DEFAULT_ALPHA, DEFAULT_TAU, DEFAULT_TOP_N, PPRConfig, retrieve
-from .coarse import coarse_retrieve
 from .index import DEFAULT_CLUSTERS, DEFAULT_TYPICAL, HypergraphIndex, load_index, save_index
 from .prompting import make_generator
 
@@ -79,7 +84,7 @@ def resolve_config(args: argparse.Namespace, index_dimension: int | None = None)
     if args.config:
         try:
             file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8, a too-long integer
             raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object")
@@ -128,7 +133,6 @@ def _add_embedding_settings(p: argparse.ArgumentParser) -> None:
 def _add_query_settings(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--top-n", dest="top_n", type=int, default=None)
     _add_embedding_settings(p)
 
 
@@ -154,8 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("retrieve", help="run coarse/fine retrieval for one query")
     p.add_argument("--index", required=True)
     p.add_argument("--query", required=True, help="query text")
-    p.add_argument("--task-type", default="SingleHopTQA", choices=[t.value for t in corpus_mod.TaskType])
-    p.add_argument("--stage", choices=["coarse", "fine", "full"], default="full")
+    p.add_argument("--top-n", dest="top_n", type=int, default=None)
     _add_query_settings(p)
 
     p = sub.add_parser("build-benchmark", help="construct a multi-table benchmark from sources")
@@ -168,13 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--ks", default="10,20,50")
-    p.add_argument("--acc-mode", dest="acc_mode", choices=["all", "any"], default="all")
     _add_query_settings(p)
 
     p = sub.add_parser("eval-e2e", help="retrieve, prompt, generate, and score answers")
     p.add_argument("--index", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--generator", default=None, help="generation endpoint URL or stub:na")
+    p.add_argument("--top-n", dest="top_n", type=int, default=None)
     _add_query_settings(p)
 
     p = sub.add_parser("inspect", help="print index parameters and cluster sizes")
@@ -238,23 +241,11 @@ def _cmd_retrieve(args) -> int:
     if not args.query.strip():
         raise UsageError("--query must contain text")
     cfg, ix = _open_index(args)
-    q = corpus_mod.Query(id="cli", text=args.query, task_type=corpus_mod.TaskType(args.task_type))
-    if args.stage == "coarse":
-        coarse = coarse_retrieve(q, ix, cfg.handle())
-        print(
-            json.dumps(
-                {
-                    "chosen_clusters": coarse.per_family_choice,
-                    "union_size": len(coarse.union_ids),
-                    "retained_fraction": round(coarse.retained_fraction, 4),
-                }
-            )
-        )
-        return 0
+    # Retrieval reads only the query text; the task type plays no part.
+    q = corpus_mod.Query(id="cli", text=args.query, task_type=corpus_mod.TaskType.SINGLE_HOP)
     coarse, result = retrieve(q, ix, cfg.handle(), cfg.ppr(), cfg.tau)
-    if args.stage == "full":
-        print(json.dumps({"union_size": len(coarse.union_ids),
-                          "retained_fraction": round(coarse.retained_fraction, 4)}))
+    print(json.dumps({"chosen_clusters": coarse.per_family_choice, "union_size": len(coarse.union_ids),
+                      "retained_fraction": round(coarse.retained_fraction, 4)}))
     for rank, (tid, score) in enumerate(result.ranked, start=1):
         print(json.dumps({"rank": rank, "table_id": tid, "score": round(score, 6)}))
     return 0
@@ -277,10 +268,8 @@ def _cmd_eval_retrieval(args) -> int:
         raise UsageError(f"--ks must list cutoffs of at least 1, separated by commas; got {args.ks!r}")
     cfg, ix = _open_index(args)
     ds = bench.load_benchmark(args.dataset)
-    report = ev.run_retrieval_eval(
-        ds, ix, cfg.handle(), cfg.ppr(), tau=cfg.tau, ks=[int(x) for x in ks], acc_mode=args.acc_mode
-    )
-    print(json.dumps({"per_k": {str(k): v for k, v in report.per_k.items()}, "acc_mode": report.acc_mode,
+    report = ev.run_retrieval_eval(ds, ix, cfg.handle(), cfg.ppr(), tau=cfg.tau, ks=[int(x) for x in ks])
+    print(json.dumps({"per_k": {str(k): v for k, v in report.per_k.items()},
                       "mean_coarse_retained": report.mean_coarse_retained}, sort_keys=True))
     print(report.pretty(), file=sys.stderr)
     return 0

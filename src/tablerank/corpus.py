@@ -196,6 +196,13 @@ def read_text(path: Path) -> str:
         raise IOFailure(f"cannot read {path}: {exc}") from exc
 
 
+def json_error(exc: ValueError | RecursionError) -> str:
+    """The violation for a line ``json.loads`` refused: besides a
+    JSONDecodeError, a RecursionError (a line nested too deeply for the
+    parser) or a ValueError (an integer too long to convert)."""
+    return f"invalid JSON: {exc.msg if isinstance(exc, json.JSONDecodeError) else exc}"
+
+
 def _load_jsonl(path: Path, violations: list[tuple[str, str]]) -> list[Table]:
     tables: list[Table] = []
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
@@ -203,8 +210,8 @@ def _load_jsonl(path: Path, violations: list[tuple[str, str]]) -> list[Table]:
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            violations.append((f"<line {lineno}>", f"invalid JSON: {exc.msg}"))
+        except (ValueError, RecursionError) as exc:
+            violations.append((f"<line {lineno}>", json_error(exc)))
             continue
         t = _table_from_record(rec, lineno, violations)
         if t is not None:
@@ -215,12 +222,15 @@ def _load_jsonl(path: Path, violations: list[tuple[str, str]]) -> list[Table]:
 def _load_csv_dir(path: Path, violations: list[tuple[str, str]]) -> list[Table]:
     tables: list[Table] = []
     for fp in sorted(path.glob("*.csv")):
+        tid = fp.stem
         try:
             with fp.open(newline="", encoding="utf-8") as f:
                 rows = list(csv.reader(f))
         except (OSError, UnicodeDecodeError) as exc:
             raise IOFailure(f"cannot read {fp}: {exc}") from exc
-        tid = fp.stem
+        except csv.Error as exc:  # such as a cell past the csv module's field size limit
+            violations.append((tid, f"malformed CSV: {exc}"))
+            continue
         if not rows:
             violations.append((tid, "file has no header row"))
             continue

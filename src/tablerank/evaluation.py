@@ -2,7 +2,9 @@
 
 Retrieval metrics: recall@k is the fraction of gold tables inside the top-k;
 acc@k is 1 when the gold set is fully covered by the top-k ("all" mode, the
-default) or when any gold table appears ("any" mode).
+default) or when any gold table appears ("any" mode). A retrieval run
+reports both modes, as ``acc`` and ``acc_any``, with ``recall`` for each
+cutoff.
 
 Answer metrics follow the usual QA normalization (lowercase, drop
 punctuation, drop articles, collapse whitespace) with token-level F1. List
@@ -129,8 +131,7 @@ def recall_at_k(ranked_ids: Sequence[str], gold: set[str], k: int) -> float:
 
 @dataclass
 class RetrievalReport:
-    per_k: dict[int, dict[str, float]]  # ascending cutoffs
-    acc_mode: str
+    per_k: dict[int, dict[str, float]]  # ascending cutoffs: acc, acc_any, recall
     n_queries: int
     corpus_size: int
     mean_coarse_retained: float
@@ -140,11 +141,10 @@ class RetrievalReport:
             f"queries: {self.n_queries}   corpus: {self.corpus_size} tables",
             f"after coarse (mean): {self.mean_coarse_retained:.1f} tables "
             f"({100 * (self.mean_coarse_retained / max(self.corpus_size, 1)):.1f}% retained)",
-            f"acc mode: {self.acc_mode}",
-            "k      acc@k    recall@k",
+            "k      acc@k    acc_any@k  recall@k",
         ]
         for k, row in self.per_k.items():
-            lines.append(f"{k:<6d} {row['acc']:.4f}   {row['recall']:.4f}")
+            lines.append(f"{k:<6d} {row['acc']:.4f}   {row['acc_any']:.4f}     {row['recall']:.4f}")
         return "\n".join(lines)
 
 
@@ -177,15 +177,13 @@ def run_retrieval_eval(
     cfg: PPRConfig | None = None,
     tau: float = DEFAULT_TAU,
     ks: Sequence[int] = (10, 20, 50),
-    acc_mode: str = "all",
 ) -> RetrievalReport:
-    """Mean acc@k / recall@k over the dataset's examples."""
+    """Mean acc@k (both modes) and recall@k over the dataset's examples.
+    Each query is ranked to max(ks), whatever ``cfg.top_n`` holds."""
     _check_same_corpus(dataset, ix)
-    cfg = cfg or PPRConfig()
     ks = sorted(set(ks))
-    depth = max(max(ks), cfg.top_n)
-    run_cfg = replace(cfg, top_n=depth)
-    sums = {k: {"acc": 0.0, "recall": 0.0} for k in ks}
+    run_cfg = replace(cfg or PPRConfig(), top_n=max(ks))
+    sums = {k: {"acc": 0.0, "acc_any": 0.0, "recall": 0.0} for k in ks}
     retained: list[int] = []
     for example in dataset.examples:
         if not example.gold_table_ids:
@@ -194,15 +192,15 @@ def run_retrieval_eval(
         ranked_ids = [tid for tid, _ in result.ranked]
         retained.append(len(coarse.union_ids))
         for k in ks:
-            sums[k]["acc"] += acc_at_k(ranked_ids, example.gold_table_ids, k, acc_mode)
+            sums[k]["acc"] += acc_at_k(ranked_ids, example.gold_table_ids, k)
+            sums[k]["acc_any"] += acc_at_k(ranked_ids, example.gold_table_ids, k, "any")
             sums[k]["recall"] += recall_at_k(ranked_ids, example.gold_table_ids, k)
     n = len(dataset.examples)
     if n == 0:
         raise EmptyGold("dataset has no examples")
-    per_k = {k: {"acc": sums[k]["acc"] / n, "recall": sums[k]["recall"] / n} for k in ks}
+    per_k = {k: {name: total / n for name, total in sums[k].items()} for k in ks}
     return RetrievalReport(
         per_k=per_k,
-        acc_mode=acc_mode,
         n_queries=n,
         corpus_size=len(ix),
         mean_coarse_retained=float(np.mean(retained)),

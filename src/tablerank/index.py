@@ -321,9 +321,10 @@ def _check_arrays(header: dict, a: dict[str, np.ndarray]) -> None:
             raise IOFailure(f"family {phi} has an empty cluster")
     # Value ranges: idf = ln((1 + n) / (1 + df)) + 1 with 1 <= df <= n, as
     # every token occurs in some table; the struct stats are a mean and std of
-    # counts, and a positive std of n integers is at least sqrt(n - 1) / n;
-    # TF-IDF values are non-negative; a typical mean averages unit rows, so
-    # its norm is at most 1. The bounds allow 1e-12 relative for rounding.
+    # counts of in-memory texts, integers below 2^53, and a positive std of n
+    # integers is at least sqrt(n - 1) / n; TF-IDF values are non-negative; a
+    # typical mean averages unit rows, so its norm is at most 1. The bounds
+    # allow 1e-12 relative for rounding.
     n = len(header["table_ids"])
     if (a["idf"] < 1.0).any():
         raise IOFailure("idf holds a weight below 1")
@@ -332,6 +333,8 @@ def _check_arrays(header: dict, a: dict[str, np.ndarray]) -> None:
     for name in ("struct_mean", "struct_std", "means_heur_data"):
         if (a[name] < 0.0).any():
             raise IOFailure(f"array {name} holds a negative value")
+    if (a["struct_mean"] > 2.0**53 * (1.0 + 1e-12)).any():
+        raise IOFailure("struct_mean holds a value above 2^53")
     std = a["struct_std"]
     if ((std > 0.0) & (std < math.sqrt(n - 1) / n * (1.0 - 1e-12))).any():
         raise IOFailure("struct_std holds a positive value below sqrt(n - 1) / n")

@@ -330,14 +330,15 @@ def topic_query_factory():
 
 @contextmanager
 def local_http_server(respond):
-    """Serve POSTs at 127.0.0.1; ``respond(path, payload) -> (status, body_dict)``."""
+    """Serve POSTs at 127.0.0.1; ``respond(path, payload) -> (status, body)``,
+    where a dict body is sent as JSON and a bytes body as it is."""
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
             length = int(self.headers.get("Content-Length", 0))
             payload = json.loads(self.rfile.read(length) or b"{}")
             status, body = respond(self.path, payload)
-            data = json.dumps(body).encode("utf-8")
+            data = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))

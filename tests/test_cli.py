@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import json
 import logging
@@ -12,7 +13,9 @@ import pytest
 
 from tablerank import cli
 from tablerank.cli import main
-from tablerank.corpus import Table, TableCorpus, save_corpus
+from tablerank.coarse import coarse_retrieve
+from tablerank.corpus import Query, Table, TableCorpus, TaskType, save_corpus
+from tablerank.features import EmbedderHandle
 from tablerank.index import load_index
 
 from conftest import make_topic_corpus
@@ -61,17 +64,17 @@ def _sources_dir(tmp_path):
     return src
 
 
-_QUERY_SETTINGS = {"--alpha", "--tau", "--top-n", "--config", "--embedder"}
+_QUERY_SETTINGS = {"--alpha", "--tau", "--config", "--embedder"}
 
 # Each subcommand's flags, --help aside: only the settings its handler reads.
 FLAGS = {
     "ingest": {"--input", "--format", "--out"},
     "build-index": {"--corpus", "--out", "--K", "--k", "--seed",
                     "--config", "--embedder", "--dimension", "--batch-limit"},
-    "retrieve": {"--index", "--query", "--task-type", "--stage", *_QUERY_SETTINGS},
+    "retrieve": {"--index", "--query", "--top-n", *_QUERY_SETTINGS},
     "build-benchmark": {"--sources", "--out", "--seed", "--config"},
-    "eval-retrieval": {"--index", "--dataset", "--ks", "--acc-mode", *_QUERY_SETTINGS},
-    "eval-e2e": {"--index", "--dataset", "--generator", *_QUERY_SETTINGS},
+    "eval-retrieval": {"--index", "--dataset", "--ks", *_QUERY_SETTINGS},
+    "eval-e2e": {"--index", "--dataset", "--generator", "--top-n", *_QUERY_SETTINGS},
     "inspect": {"--index"},
 }
 
@@ -94,7 +97,7 @@ class TestFlags:
             for name, p in sub.choices.items()
         }
         assert declared == FLAGS
-        assert sum(map(len, declared.values())) == 43
+        assert sum(map(len, declared.values())) == 39
 
     def test_run_config_holds_ten_keys(self):
         assert [f.name for f in dataclasses.fields(cli.RunConfig)] == [
@@ -107,7 +110,9 @@ class TestFlags:
     ] + [("build-benchmark", flag) for flag in ("--embedder", "--dimension", "--batch-limit")]
       + [(command, flag)
          for command in ("retrieve", "eval-retrieval", "eval-e2e")
-         for flag in ("--seed", "--epsilon", "--max-iter", "--dimension", "--batch-limit")])
+         for flag in ("--seed", "--epsilon", "--max-iter", "--dimension", "--batch-limit")]
+      + [("retrieve", "--task-type"), ("retrieve", "--stage"),
+         ("eval-retrieval", "--top-n"), ("eval-retrieval", "--acc-mode")])
     def test_a_flag_the_command_does_not_read_exits_2(self, capsys, command, flag):
         with pytest.raises(SystemExit) as err:
             main([command, *REQUIRED[command], flag, "1"])
@@ -147,6 +152,19 @@ class TestIngest:
         assert main(["ingest", "--input", str(bad), "--out", str(tmp_path / "o.jsonl")]) == 1
         assert "SchemaViolation" in capsys.readouterr().err
 
+    def test_oversized_csv_cell_is_violation(self, tmp_path, capsys):
+        # Past the csv module's 131,072-character field limit, which stays as it is.
+        limit = csv.field_size_limit()
+        d = tmp_path / "csvs"
+        d.mkdir()
+        (d / "one.csv").write_text("A,B\n1,2\n")
+        (d / "wide.csv").write_text("A,B\n" + "x" * 200_000 + ",2\n")
+        assert main(["ingest", "--input", str(d), "--format", "csv_dir", "--out", str(tmp_path / "o.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert ("error: SchemaViolation: 1 schema violation(s): wide: malformed CSV: "
+                "field larger than field limit (131072)") in err
+        assert csv.field_size_limit() == limit
+
     def test_non_object_record_is_violation(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("[1,2]\n")
@@ -167,14 +185,6 @@ class TestRetrieve:
         assert [l["rank"] for l in ranked] == [1, 2, 3, 4, 5]
         assert all(l["table_id"].startswith("t") for l in ranked)
 
-    def test_fine_stage_prints_only_ranked(self, index_file, capsys):
-        code = main(["retrieve", "--index", str(index_file), "--query", "tp1c00 tp1c01",
-                     "--stage", "fine", "--top-n", "3"])
-        assert code == 0
-        lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
-        assert len(lines) == 3
-        assert all("rank" in l for l in lines)
-
     def test_identical_invocations_identical_output(self, index_file, capsys):
         argv = ["retrieve", "--index", str(index_file), "--query", "tp0c03 tp0c04", "--top-n", "3"]
         assert main(argv) == 0
@@ -182,13 +192,15 @@ class TestRetrieve:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
-    def test_coarse_stage_reports_fraction(self, index_file, capsys):
-        code = main(["retrieve", "--index", str(index_file), "--query", "tp2c00 tp2h03",
-                     "--stage", "coarse"])
+    def test_first_line_carries_the_coarse_choice(self, index_file, capsys):
+        code = main(["retrieve", "--index", str(index_file), "--query", "tp2c00 tp2h03", "--top-n", "3"])
         assert code == 0
-        out = json.loads(capsys.readouterr().out)
-        assert set(out) == {"chosen_clusters", "union_size", "retained_fraction"}
-        assert 0.0 < out["retained_fraction"] <= 1.0
+        lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        coarse = coarse_retrieve(Query(id="q", text="tp2c00 tp2h03", task_type=TaskType.TFV),
+                                 load_index(index_file), EmbedderHandle())
+        assert lines[0] == {"chosen_clusters": coarse.per_family_choice, "union_size": len(coarse.union_ids),
+                            "retained_fraction": round(coarse.retained_fraction, 4)}
+        assert [l["rank"] for l in lines[1:]] == [1, 2, 3]
 
     @pytest.mark.parametrize("flags", [
         ["--query", "   "],
@@ -451,25 +463,23 @@ class TestBenchmarkAndEval:
         assert e2e["na"] == e2e["n"]
         assert e2e["em"] == 0.0
 
-    def test_acc_mode_any(self, tmp_path, capsys):
+    def test_each_cutoff_reports_both_acc_modes(self, tmp_path, capsys):
         src = _sources_dir(tmp_path)
         ds_dir, idx = tmp_path / "dataset", tmp_path / "bench.idx"
         assert main(["build-benchmark", "--sources", str(src), "--out", str(ds_dir), "--seed", "11"]) == 0
         assert main(["build-index", "--corpus", str(ds_dir / "tables.jsonl"),
                      "--out", str(idx), "--K", "3", "--k", "20", "--seed", "1"]) == 0
         capsys.readouterr()
-        reports = {}
-        for mode in ("all", "any"):
-            assert main(["eval-retrieval", "--index", str(idx), "--dataset", str(ds_dir),
-                         "--ks", "1,2,5", "--tau", "0.2", "--acc-mode", mode]) == 0
-            reports[mode] = json.loads(capsys.readouterr().out.strip().splitlines()[0])
-        assert reports["any"]["acc_mode"] == "any"
-        every, anyone = reports["all"]["per_k"], reports["any"]["per_k"]
-        assert set(anyone) == set(every) == {"1", "2", "5"}
-        for k in every:
-            assert anyone[k]["acc"] >= every[k]["acc"]
-            assert anyone[k]["recall"] == every[k]["recall"]
-        assert any(anyone[k]["acc"] > every[k]["acc"] for k in every)  # fixture precondition
+        assert main(["eval-retrieval", "--index", str(idx), "--dataset", str(ds_dir),
+                     "--ks", "1,2,5", "--tau", "0.2"]) == 0
+        report = json.loads(capsys.readouterr().out.strip().splitlines()[0])
+        assert set(report) == {"per_k", "mean_coarse_retained"}
+        per_k = report["per_k"]
+        assert set(per_k) == {"1", "2", "5"}
+        for row in per_k.values():
+            assert set(row) == {"acc", "acc_any", "recall"}
+            assert row["acc_any"] >= row["acc"]
+        assert any(row["acc_any"] > row["acc"] for row in per_k.values())  # fixture precondition
 
     @pytest.mark.parametrize("ks", ["0", "-3", "abc", "10,x"])
     def test_bad_ks_exits_2_before_loading(self, tmp_path, capsys, ks):
@@ -556,7 +566,7 @@ class TestBenchmarkAndEval:
         assert captured.out == ""
 
 
-def _non_utf8_target(reader: str, tmp_path, index_file) -> tuple[list[str], Path]:
+def _reader_target(reader: str, tmp_path, index_file) -> tuple[list[str], Path]:
     """The command that reads ``reader``'s file, and that file."""
     if reader == "corpus-jsonl":
         bad = tmp_path / "corpus.jsonl"
@@ -573,13 +583,13 @@ def _non_utf8_target(reader: str, tmp_path, index_file) -> tuple[list[str], Path
         return ["build-benchmark", "--sources", str(src), "--out", str(tmp_path / "d")], src / "queries.jsonl"
     ds_dir = tmp_path / "dataset"
     assert main(["build-benchmark", "--sources", str(src), "--out", str(ds_dir)]) == 0
-    bad = ds_dir / {"examples": "examples.jsonl", "stats": "stats.json"}[reader]
+    bad = ds_dir / "examples.jsonl"
     return ["eval-retrieval", "--index", str(index_file), "--dataset", str(ds_dir)], bad
 
 
-@pytest.mark.parametrize("reader", ["corpus-jsonl", "corpus-csv", "examples", "stats", "source-queries", "config"])
+@pytest.mark.parametrize("reader", ["corpus-jsonl", "corpus-csv", "examples", "source-queries", "config"])
 def test_non_utf8_input_is_a_typed_error(tmp_path, index_file, capsys, reader):
-    argv, bad = _non_utf8_target(reader, tmp_path, index_file)
+    argv, bad = _reader_target(reader, tmp_path, index_file)
     bad.write_bytes(b"id,caption\n\xff\xfe,x\n")  # 0xff never occurs in UTF-8
     capsys.readouterr()
     code = main(argv)
@@ -590,3 +600,50 @@ def test_non_utf8_input_is_a_typed_error(tmp_path, index_file, capsys, reader):
     else:
         assert code == 1
         assert f"error: IOFailure: cannot read {bad}: 'utf-8' codec can't decode" in err
+
+
+# JSON that json.loads refuses with other errors than JSONDecodeError.
+_NESTED = "[" * 100_000, "maximum recursion depth exceeded"  # past the parser's recursion limit
+_LONG_INT = "1" + "0" * 5_000, "Exceeds the limit (4300 digits) for integer string conversion"
+
+
+@pytest.mark.parametrize("text, cause", [_NESTED, _LONG_INT], ids=["nested", "long-int"])
+@pytest.mark.parametrize("reader", ["corpus-jsonl", "examples", "source-queries", "config"])
+def test_unparsable_json_line_is_a_typed_error(tmp_path, index_file, capsys, reader, text, cause):
+    argv, bad = _reader_target(reader, tmp_path, index_file)
+    bad.write_text(text + "\n")
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    if reader == "config":
+        assert code == 2
+        assert f"error: usage: cannot read config file {bad}: {cause}" in err
+    else:
+        assert code == 1
+        assert "error: SchemaViolation: 1 schema violation(s): <" in err
+        assert f"line 1>: invalid JSON: {cause}" in err
+
+
+@pytest.mark.parametrize("body, cause", [
+    (_NESTED[0].encode(), _NESTED[1]),
+    (_LONG_INT[0].encode(), _LONG_INT[1]),
+    (b'{"text": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+], ids=["nested", "long-int", "non-utf8"])
+@pytest.mark.parametrize("endpoint", ["embed", "generate"])
+def test_unparsable_reply_is_a_typed_error(tmp_path, index_file, http_server, capsys, endpoint, body, cause):
+    if endpoint == "embed":
+        argv = ["retrieve", "--index", str(index_file), "--query", "tp1c00"]
+        flag, error = "--embedder", "EmbedderUnavailable"
+    else:
+        ds_dir, idx = tmp_path / "dataset", tmp_path / "bench.idx"
+        assert main(["build-benchmark", "--sources", str(_sources_dir(tmp_path)), "--out", str(ds_dir)]) == 0
+        assert main(["build-index", "--corpus", str(ds_dir / "tables.jsonl"), "--out", str(idx),
+                     "--K", "3", "--k", "20"]) == 0
+        argv = ["eval-e2e", "--index", str(idx), "--dataset", str(ds_dir)]
+        flag, error = "--generator", "GeneratorUnavailable"
+    capsys.readouterr()
+    with http_server(lambda path, payload: (200, body)) as url:
+        code = main([*argv, flag, url])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"error: {error}: " in err and f"invalid JSON response: {cause}" in err

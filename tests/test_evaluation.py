@@ -15,7 +15,7 @@ from tablerank.evaluation import (
     run_retrieval_eval,
     token_f1,
 )
-from tablerank.fine import PPRConfig
+from tablerank.fine import PPRConfig, retrieve
 
 from conftest import make_table
 
@@ -157,9 +157,28 @@ class TestRunRetrievalEval:
         once = run_retrieval_eval(ds, ix, handle, PPRConfig(), tau=0.0, ks=[5, n])
         twice = run_retrieval_eval(ds, ix, handle, PPRConfig(), tau=0.0, ks=[n, 5, n, 5])
         assert twice.per_k == once.per_k
-        assert twice.per_k[n] == {"acc": 1.0, "recall": 1.0}
+        assert twice.per_k[n] == {"acc": 1.0, "acc_any": 1.0, "recall": 1.0}
         assert twice.pretty() == once.pretty()
         assert [line.split()[0] for line in twice.pretty().splitlines()[-2:]] == ["5", str(n)]
+
+    def test_top_n_plays_no_part(self, handle):
+        # Each query is ranked to max(ks), whatever the config's top_n.
+        ds, ix = _mini_benchmark(handle)
+        short = run_retrieval_eval(ds, ix, handle, PPRConfig(top_n=1), tau=0.3, ks=[1, 5, 10])
+        long = run_retrieval_eval(ds, ix, handle, PPRConfig(top_n=200), tau=0.3, ks=[1, 5, 10])
+        assert short == long
+
+    def test_acc_any_is_the_mean_of_any_mode(self, handle):
+        ds, ix = _mini_benchmark(handle)
+        ks = [1, 2, 5]
+        report = run_retrieval_eval(ds, ix, handle, PPRConfig(), tau=0.3, ks=ks)
+        ranked = [[tid for tid, _ in retrieve(e.query, ix, handle, PPRConfig(top_n=5), 0.3)[1].ranked]
+                  for e in ds.examples]
+        for k in ks:
+            for mode, key in (("all", "acc"), ("any", "acc_any")):
+                hits = [acc_at_k(r, e.gold_table_ids, k, mode=mode) for r, e in zip(ranked, ds.examples)]
+                assert report.per_k[k][key] == np.mean(hits)
+        assert any(report.per_k[k]["acc_any"] > report.per_k[k]["acc"] for k in ks)  # fixture precondition
 
     def test_recall_monotone_across_ks(self, handle):
         ds, ix = _mini_benchmark(handle)

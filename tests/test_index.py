@@ -779,6 +779,8 @@ class TestResignedFiles:
         (_set_value("struct_std", _STD_MIN * (1.0 - 1e-11)), r"struct_std holds a positive value below sqrt\(n - 1\) / n"),
         (_set_value("struct_std", 1e-320), r"struct_std holds a positive value below sqrt\(n - 1\) / n"),
         (_set_value("struct_mean", -1e-300), "struct_mean holds a negative value"),
+        (_set_value("struct_mean", 2.0**53 * (1.0 + 1e-11)), r"struct_mean holds a value above 2\^53"),
+        (_set_value("struct_mean", 1e308), r"struct_mean holds a value above 2\^53"),
         (_set_value("struct_std", -0.5), "struct_std holds a negative value"),
         (_set_value("means_heur_data", -1e-3), "means_heur_data holds a negative value"),
         (_first_mean_of_norm("sem", 1.0 + 1e-11), "family sem has a typical mean of L2 norm above 1"),
@@ -788,7 +790,8 @@ class TestResignedFiles:
     ], ids=["assignment-out-of-range", "empty-cluster", "indptr-falls", "indptr-not-from-zero", "column-out-of-range", "negative-column", "nan-sem",
             "nan-sem-means", "nan-struct", "nan-idf", "nan-heur", "inf-objective", "equal-stored-rows", "group-out-of-range", "groups-out-of-order",
             "unused-stored-row", "idf-below-1", "idf-above-one-table-bound", "idf-1e308",
-            "struct-std-below-count-bound", "struct-std-1e-320", "negative-struct-mean", "negative-struct-std", "negative-heur-mean",
+            "struct-std-below-count-bound", "struct-std-1e-320", "negative-struct-mean",
+            "struct-mean-above-2-53", "struct-mean-1e308", "negative-struct-std", "negative-heur-mean",
             "sem-mean-norm-above-1", "struct-mean-norm-above-1", "heur-mean-norm-above-1", "heur-mean-norm-overflows"])
     def test_arrays(self, built, tmp_path, doctor, match):
         _, ix = built
@@ -824,6 +827,19 @@ class TestResignedFiles:
         save_index(ix, p)
         loaded = load_index(p)
         assert loaded.struct_std[0] == pytest.approx(np.r_[np.zeros(23), 1.0].std(), rel=1e-12)
+
+    @pytest.mark.parametrize("rounding", [0.0, 1e-13])
+    def test_struct_mean_at_its_bound_loads_and_answers(self, built, handle, tmp_path, rounding):
+        # Every slot at the largest mean and the smallest positive std: the
+        # query's z-scores reach about 2^55, and no square overflows (tier-1
+        # turns a RuntimeWarning into an error).
+        _, ix = built
+        ix.struct_mean[:] = 2.0**53 * (1.0 + rounding)
+        ix.struct_std[:] = _STD_MIN
+        p = tmp_path / "ix.bin"
+        save_index(ix, p)
+        _, result = retrieve(make_topic_query(0, seed=1), load_index(p), handle, tau=0.5)
+        assert result.ranked and np.isfinite(result.all_scores).all()
 
 
 class TestFuzz:
