@@ -1,12 +1,12 @@
 """Benchmark construction: turn single-table QA sources into a multi-table set.
 
-Each sufficiently large root table is split row-wise or column-wise into 2-3
-sub-tables (or left whole), siblings are debiased (caption rewording plus a
-random row/column permutation), and the root's surviving queries are merged
-into one combined, decontextualized query whose gold set is every sub-table
-derived from that root. Difficulty mirrors the split width: Easy = no split,
-Medium = 2 parts, Hard = 3 parts. The whole pipeline is a pure function of
-(sources, seed).
+Each sufficiently large root table is left whole or cut row-wise or
+column-wise into 2-3 sub-tables, and the cut debiases the siblings in the
+same pass (caption rewording plus a random row/column order per sibling).
+The root's surviving queries are merged into one combined, decontextualized
+query whose gold set is every sub-table derived from that root. Difficulty
+mirrors the split width: Easy = no split, Medium = 2 parts, Hard = 3 parts.
+The whole pipeline is a pure function of (sources, seed).
 
 Output layout (documented in docs/FORMATS.md): ``tables.jsonl`` in the
 canonical corpus format, ``examples.jsonl`` with one example per line, and a
@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corpus import Query, Table, TableCorpus, TaskType, json_error, load_corpus, read_text, save_corpus, validate_query
-from .errors import IOFailure, SchemaViolation, TooFewCols, TooFewQueries, TooFewRows
+from .errors import IOFailure, SchemaViolation, TooFewQueries
 from .features import STOPWORDS, SparseRows, fit_heuristic, token_ids, tokenize
 from .linearize import normalize_whitespace
 
@@ -113,46 +113,16 @@ def filter_small(corpus: TableCorpus) -> TableCorpus:
     return TableCorpus(kept)
 
 
-def _take(t: Table, rows: list[int], cols: list[int] | None, id: str, caption: str) -> Table:
-    """``t`` cut to ``rows`` and ``cols`` (``None`` keeps every column in
-    order), in that order, under ``id`` and ``caption``."""
-    picked = [t.entries[i] for i in rows]
-    if cols is None:
-        headers, entries = list(t.headers), [list(row) for row in picked]
-    else:
-        headers, entries = [t.headers[c] for c in cols], [[row[c] for c in cols] for row in picked]
-    return Table(id=id, caption=caption, headers=headers, entries=entries, metadata=dict(t.metadata))
-
-
-def split_rows(t: Table, n: int, seed: int) -> list[Table]:
-    """Shuffle the rows, then cut them into n contiguous near-equal parts.
-
-    Every sub-table keeps the root's caption, headers, and metadata.
-    """
-    if n not in (2, 3):
-        raise ValueError("row splits use 2 or 3 parts")
-    if n > t.n_rows:
-        raise TooFewRows(f"cannot split {t.n_rows} rows into {n} parts")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    parts = np.array_split(rng.permutation(t.n_rows), n)
-    return [_take(t, rows.tolist(), None, f"{t.id}::part{i + 1}", t.caption) for i, rows in enumerate(parts)]
-
-
-def split_cols(t: Table, m: int, seed: int) -> list[Table]:
-    """Keep the first column everywhere; deal the rest into m balanced groups.
-
-    Headers are sliced along with their columns.
-    """
-    if m not in (2, 3):
-        raise ValueError("column splits use 2 or 3 parts")
-    if m > t.n_cols - 1:
-        raise TooFewCols(f"cannot split {t.n_cols - 1} non-leading columns into {m} parts")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    parts = np.array_split(rng.permutation(np.arange(1, t.n_cols)), m)
-    rows = list(range(t.n_rows))
-    return [
-        _take(t, rows, [0] + cols.tolist(), f"{t.id}::part{i + 1}", t.caption) for i, cols in enumerate(parts)
-    ]
+def _take(t: Table, rows: list[int], cols: list[int], id: str, caption: str) -> Table:
+    """``t`` cut to ``rows`` and ``cols``, in that order, under ``id`` and
+    ``caption``."""
+    return Table(
+        id=id,
+        caption=caption,
+        headers=[t.headers[c] for c in cols],
+        entries=[[t.entries[r][c] for c in cols] for r in rows],
+        metadata=dict(t.metadata),
+    )
 
 
 def _reword_caption(caption: str, variant: int) -> str:
@@ -164,30 +134,33 @@ def _reword_caption(caption: str, variant: int) -> str:
     return template.format(c=body) if body else template.format(c="untitled table")
 
 
-def debias(sub_tables: Sequence[Table], mode: str, seed: int) -> list[Table]:
-    """Reword sibling captions (all distinct) and independently permute row
-    order (row mode) or non-leading column order (column mode)."""
-    if len(sub_tables) < 2:
-        raise ValueError("debias expects at least two sibling sub-tables")
-    captions: list[str] = []
-    for i, t in enumerate(sub_tables):
-        variant = i
-        cap = _reword_caption(t.caption, variant)
-        while cap in captions:
-            variant += 1
-            cap = _reword_caption(t.caption, variant)
-        captions.append(cap)
+def _split_root(t: Table, parts: int, mode: str, seed: int) -> list[Table]:
+    """Cut ``t`` into ``parts`` debiased siblings ``<id>::part1`` onwards.
 
+    ``mode`` "row" shuffles the rows and deals them into contiguous
+    near-equal parts; "column" does the same with every column but the
+    first, which each part keeps in front. Each sibling then gets a distinct
+    reworded caption and its own random order of the rows (or non-leading
+    columns) it holds. Precondition, which ``build_benchmark`` guarantees:
+    ``parts`` is 2 or 3 and at most ``t.n_rows`` in row mode, or at most
+    ``t.n_cols - 1`` in column mode, so no part is empty.
+    """
+    by_row = mode == "row"
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0 if by_row else 1]))
+    cut = rng.permutation(t.n_rows if by_row else t.n_cols - 1)
+    captions: list[str] = []
     out: list[Table] = []
-    for i, t in enumerate(sub_tables):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 2, i]))
-        if mode == "row":
-            rows, cols = rng.permutation(t.n_rows).tolist(), None
-        elif mode == "column":
-            rows, cols = list(range(t.n_rows)), [0] + rng.permutation(np.arange(1, t.n_cols)).tolist()
+    for i, piece in enumerate(np.array_split(cut, parts)):
+        variant = i
+        while _reword_caption(t.caption, variant) in captions:
+            variant += 1
+        captions.append(_reword_caption(t.caption, variant))
+        order = piece[np.random.default_rng(np.random.SeedSequence([seed, 2, i])).permutation(len(piece))]
+        if by_row:
+            rows, cols = order.tolist(), list(range(t.n_cols))
         else:
-            raise ValueError("mode must be 'row' or 'column'")
-        out.append(_take(t, rows, cols, t.id, captions[i]))
+            rows, cols = list(range(t.n_rows)), [0] + (order + 1).tolist()
+        out.append(_take(t, rows, cols, f"{t.id}::part{i + 1}", captions[i]))
     return out
 
 
@@ -250,9 +223,10 @@ def combine_queries(queries: Sequence[SourceQuery], seed: int = 0) -> Query:
 
     Connectors are drawn per junction from CONNECTORS; the
     "[previous query]" slot, when present, is filled with the preceding
-    query's text. Answers become the list of source answers; the task is
-    promoted to multi-hop whenever the sources span more than one answer
-    cell. All-claim inputs stay TFV with the conjunction of their labels.
+    query's text. Answers become the list of source answers, or ``None`` if
+    any source has none; the task is promoted to multi-hop whenever the
+    sources span more than one answer cell. All-claim inputs stay TFV with
+    the conjunction of their labels.
     """
     if not 2 <= len(queries) <= 3:
         raise TooFewQueries(f"need 2-3 queries to combine, got {len(queries)}")
@@ -281,7 +255,7 @@ def combine_queries(queries: Sequence[SourceQuery], seed: int = 0) -> Query:
                 parts.extend(str(a) for a in q.answer)
             else:
                 parts.append(str(q.answer))
-        answer = parts
+        answer = None if any(q.answer is None for q in queries) else parts
         task = TaskType.MULTI_HOP if len(parts) > 1 else queries[0].task_type
     return Query(
         id="+".join(q.id for q in queries),
@@ -339,11 +313,7 @@ def build_benchmark(
                     mode = ("row", "column")[int(master.integers(2))]
             else:
                 mode = "row" if by_row else "column"
-            if mode == "row":
-                subs = split_rows(root, parts, root_seed)
-            else:
-                subs = split_cols(root, parts, root_seed)
-            subs = debias(subs, mode, root_seed)
+            subs = _split_root(root, parts, mode, root_seed)
             mode_counts[mode] += len(subs)
         out_tables.extend(subs)
 

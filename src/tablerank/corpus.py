@@ -158,6 +158,15 @@ def _array(value: object, what: str) -> list:
     return value
 
 
+def _metadata(value: object) -> dict[str, str]:
+    """Absent or null metadata is empty; any other non-object is refused."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise TypeError(f"metadata must be a JSON object, got {value!r}")
+    return {str(k): _cell_text(v) for k, v in value.items()}
+
+
 def _table_from_record(rec: dict, lineno: int, violations: list[tuple[str, str]]) -> Table | None:
     if not isinstance(rec, dict):
         violations.append((f"<line {lineno}>", "record is not an object"))
@@ -177,9 +186,9 @@ def _table_from_record(rec: dict, lineno: int, violations: list[tuple[str, str]]
                 [_cell_text(c) for c in _array(row, f"row {i}")]
                 for i, row in enumerate(_array(rec.get("entries", []), "entries"))
             ],
-            metadata={str(k): _cell_text(v) for k, v in (rec.get("metadata") or {}).items()},
+            metadata=_metadata(rec.get("metadata")),
         )
-    except (TypeError, AttributeError) as exc:
+    except TypeError as exc:
         violations.append((f"<line {lineno}>", f"malformed record: {exc}"))
         return None
     for v in validate_table(table):

@@ -63,14 +63,6 @@ class VersionMismatch(TableRankError):
         super().__init__(f"index format version {found} does not match expected {expected}")
 
 
-class TooFewRows(TableRankError):
-    pass
-
-
-class TooFewCols(TableRankError):
-    pass
-
-
 class TooFewQueries(TableRankError):
     pass
 

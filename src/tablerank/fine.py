@@ -57,7 +57,6 @@ their work during coarse filtering.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -71,9 +70,6 @@ from .index import HypergraphIndex, top_k
 DEFAULT_ALPHA = 0.85
 DEFAULT_TOP_N = 10
 DEFAULT_TAU = 0.5
-
-STAGE_COARSE = "Coarse-grained"
-STAGE_FINE = "Fine-grained"
 
 PPR_EPSILON = 1e-8  # bound on the returned scores' fixpoint residual
 PPR_MAX_ITER = 100  # products with W per solve
@@ -114,7 +110,6 @@ class RetrievalResult:
     first read."""
 
     ranked: list[tuple[str, float]]
-    timings: dict[str, float]
     all_scores: np.ndarray
     iterations: int
     converged: bool
@@ -248,7 +243,6 @@ def fine_retrieve(
     """
     if len(coarse.union_ids) == 0:
         raise ValueError("coarse result has no candidate tables")
-    t0 = time.perf_counter()
     union = coarse.union_ids
     reps, group, sizes = np.unique(ix.sem_group[union], return_inverse=True, return_counts=True)
     sem_rows = ix.sem_rows[reps]
@@ -260,10 +254,8 @@ def fine_retrieve(
     ranked = [(ix.table_ids[union[i]], float(scores[i])) for i in nodes]
     ranked_groups = group[nodes]
     weights = W[np.ix_(ranked_groups, ranked_groups)]
-    elapsed = time.perf_counter() - t0
     return RetrievalResult(
         ranked=ranked,
-        timings={STAGE_FINE: elapsed},
         all_scores=scores,
         iterations=result.iterations,
         converged=result.converged,
@@ -279,11 +271,6 @@ def retrieve(
     cfg: PPRConfig | None = None,
     tau: float = DEFAULT_TAU,
 ) -> tuple[CoarseResult, RetrievalResult]:
-    """Full coarse-to-fine pipeline for one query, with per-stage timings."""
-    cfg = cfg or PPRConfig()
-    t0 = time.perf_counter()
+    """Full coarse-to-fine pipeline for one query."""
     coarse = coarse_retrieve(q, ix, h)
-    coarse_dt = time.perf_counter() - t0
-    result = fine_retrieve(q, coarse, ix, cfg, tau)
-    result.timings[STAGE_COARSE] = coarse_dt
-    return coarse, result
+    return coarse, fine_retrieve(q, coarse, ix, cfg or PPRConfig(), tau)

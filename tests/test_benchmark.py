@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from collections import Counter
 
@@ -10,21 +11,19 @@ from tablerank.benchmark import (
     BenchmarkDataset,
     SourceQuery,
     _row_cosine,
+    _split_root,
     _tfidf_row,
     build_benchmark,
     combine_queries,
-    debias,
     decontextualize,
     filter_queries,
     filter_small,
     load_benchmark,
     load_source_queries,
     save_benchmark,
-    split_cols,
-    split_rows,
 )
 from tablerank.corpus import Table, TableCorpus, TaskType
-from tablerank.errors import SchemaViolation, TooFewCols, TooFewQueries, TooFewRows
+from tablerank.errors import SchemaViolation, TooFewQueries
 from tablerank.features import STOPWORDS, HeuristicVectorizer, fit_heuristic, token_ids, tokenize
 
 from conftest import reference_fit_heuristic, reference_transform, representative_score
@@ -65,36 +64,39 @@ class TestFilterSmall:
         assert len(filter_small(corpus)) == 1
 
     def test_survivors_split_into_two_and_three_parts(self):
-        # build_benchmark relies on this: a root that filter_small keeps
-        # splits into 2 and into 3 parts, by rows or by columns.
+        # build_benchmark relies on this: a root that filter_small keeps fits
+        # 2 and 3 parts by rows or by columns, and whichever mode fits gives
+        # that many parts: row parts hold at least one row, column parts
+        # every row and at least two columns.
         shapes = np.random.default_rng(5).integers([0, 1], 9, size=(300, 2))
         corpus = TableCorpus([table_with_shape(f"t{i}", int(r), int(c)) for i, (r, c) in enumerate(shapes)])
         survivors = filter_small(corpus)
         assert 0 < len(survivors) < len(corpus)  # fixture precondition
         for t in survivors:
             for parts in (2, 3):
-                fits = []
-                for split in (split_rows, split_cols):
-                    try:
-                        fits.append(len(split(t, parts, seed=0)) == parts)
-                    except (TooFewRows, TooFewCols):
-                        pass
-                assert fits and all(fits), (t.n_rows, t.n_cols, parts)
+                modes = [m for m, fits in (("row", parts <= t.n_rows), ("column", parts <= t.n_cols - 1)) if fits]
+                assert modes, (t.n_rows, t.n_cols, parts)
+                for mode in modes:
+                    subs = _split_root(t, parts, mode, seed=0)
+                    assert len(subs) == parts, (t.n_rows, t.n_cols, parts, mode)
+                    if mode == "row":
+                        assert all(s.n_rows >= 1 for s in subs)
+                    else:
+                        assert all(s.n_rows == t.n_rows and s.n_cols >= 2 for s in subs)
 
 
 class TestSplitRows:
     def test_four_rows_two_parts(self):
         t = table_with_shape("t", 4, 2)
-        subs = split_rows(t, 2, seed=0)
+        subs = _split_root(t, 2, "row", seed=0)
         assert [s.n_rows for s in subs] == [2, 2]
         for s in subs:
             assert s.headers == t.headers
-            assert s.caption == t.caption
             assert s.metadata == t.metadata
 
     def test_five_rows_three_parts_balanced(self):
         t = table_with_shape("t", 5, 2)
-        subs = split_rows(t, 3, seed=0)
+        subs = _split_root(t, 3, "row", seed=0)
         assert sorted(s.n_rows for s in subs) == [1, 2, 2]
 
     def test_row_multiset_preserved(self):
@@ -103,79 +105,67 @@ class TestSplitRows:
             n_rows = int(rng.integers(2, 12))
             n = int(rng.integers(2, min(3, n_rows) + 1))
             t = table_with_shape(f"t{trial}", n_rows, 3)
-            subs = split_rows(t, n, seed=trial)
+            subs = _split_root(t, n, "row", seed=trial)
             got = Counter(tuple(r) for s in subs for r in s.entries)
             assert got == Counter(tuple(r) for r in t.entries)
-
-    def test_too_few_rows(self):
-        with pytest.raises(TooFewRows):
-            split_rows(table_with_shape("t", 2, 2), 3, seed=0)
 
 
 class TestSplitCols:
     def test_five_cols_two_parts(self):
         t = table_with_shape("t", 3, 5)
-        subs = split_cols(t, 2, seed=0)
+        subs = _split_root(t, 2, "column", seed=0)
         assert [s.n_cols for s in subs] == [3, 3]  # shared first column + 2 each
 
     def test_first_column_everywhere(self):
         t = table_with_shape("t", 4, 6)
-        subs = split_cols(t, 3, seed=1)
+        subs = _split_root(t, 3, "column", seed=1)
         for s in subs:
             assert s.headers[0] == t.headers[0]
             assert [row[0] for row in s.entries] == [row[0] for row in t.entries]
 
     def test_non_first_columns_disjointly_cover(self):
         t = table_with_shape("t", 3, 7)
-        subs = split_cols(t, 3, seed=2)
+        subs = _split_root(t, 3, "column", seed=2)
         seen = [h for s in subs for h in s.headers[1:]]
         assert sorted(seen) == sorted(t.headers[1:])
 
     def test_header_cells_stay_aligned(self):
         t = table_with_shape("t", 3, 5)
         col_of = {h: [row[j] for row in t.entries] for j, h in enumerate(t.headers)}
-        for s in split_cols(t, 2, seed=3):
+        for s in _split_root(t, 2, "column", seed=3):
             for j, h in enumerate(s.headers):
                 assert [row[j] for row in s.entries] == col_of[h]
-
-    def test_too_few_cols(self):
-        with pytest.raises(TooFewCols):
-            split_cols(table_with_shape("t", 5, 2), 2, seed=0)
 
 
 class TestDebias:
     def test_sibling_captions_distinct(self):
         t = table_with_shape("t", 6, 4)
-        subs = split_rows(t, 3, seed=0)
-        out = debias(subs, mode="row", seed=5)
-        captions = [s.caption for s in out]
-        assert len(set(captions)) == 3
+        for mode in ("row", "column"):
+            captions = [s.caption for s in _split_root(t, 3, mode, seed=5)]
+            assert len(set(captions)) == 3
 
     def test_row_mode_preserves_row_multiset(self):
         t = table_with_shape("t", 8, 3)
-        subs = split_rows(t, 2, seed=1)
-        out = debias(subs, mode="row", seed=7)
-        before = Counter(tuple(r) for s in subs for r in s.entries)
-        after = Counter(tuple(r) for s in out for r in s.entries)
-        assert before == after
+        out = _split_root(t, 2, "row", seed=7)
+        assert Counter(tuple(r) for s in out for r in s.entries) == Counter(tuple(r) for r in t.entries)
+        assert all(s.metadata == t.metadata for s in out)
 
     def test_column_mode_keeps_first_column_and_cells(self):
         t = table_with_shape("t", 4, 6)
-        subs = split_cols(t, 2, seed=2)
-        out = debias(subs, mode="column", seed=9)
-        for before, after in zip(subs, out):
-            assert after.headers[0] == before.headers[0]
-            assert sorted(after.headers) == sorted(before.headers)
-            col_of = {h: [row[j] for row in before.entries] for j, h in enumerate(before.headers)}
-            for j, h in enumerate(after.headers):
-                assert [row[j] for row in after.entries] == col_of[h]
+        col_of = {h: [row[j] for row in t.entries] for j, h in enumerate(t.headers)}
+        out = _split_root(t, 2, "column", seed=9)
+        for s in out:
+            assert s.headers[0] == t.headers[0]
+            assert s.metadata == t.metadata
+            for j, h in enumerate(s.headers):
+                assert [row[j] for row in s.entries] == col_of[h]
 
     def test_deterministic(self):
         t = table_with_shape("t", 6, 4)
-        subs = split_rows(t, 2, seed=3)
-        a = debias(subs, mode="row", seed=11)
-        b = debias(subs, mode="row", seed=11)
-        assert [(s.caption, s.entries) for s in a] == [(s.caption, s.entries) for s in b]
+        for mode in ("row", "column"):
+            a = _split_root(t, 2, mode, seed=11)
+            b = _split_root(t, 2, mode, seed=11)
+            assert [(s.caption, s.headers, s.entries) for s in a] == [(s.caption, s.headers, s.entries) for s in b]
 
 
 def _cuts(subs):
@@ -191,22 +181,9 @@ def _cuts(subs):
 
 
 class TestPinnedCuts:
-    # Exact outputs for seed 5, so a changed RNG stream or cut fails here.
-    ROW_SPLIT = [([10, 7, 1, 3], [0, 1, 2]), ([2, 4, 6, 0], [0, 1, 2]), ([9, 5, 8], [0, 1, 2])]
-    COL_SPLIT = [([0, 1], [0, 7, 8, 5, 3]), ([0, 1], [0, 6, 1, 10]), ([0, 1], [0, 9, 4, 2])]
-
-    def test_split_rows(self):
-        subs = split_rows(table_with_shape("t", 11, 3), 3, seed=5)
-        assert _cuts(subs) == self.ROW_SPLIT
-        assert [s.id for s in subs] == ["t::part1", "t::part2", "t::part3"]
-
-    def test_split_cols(self):
-        subs = split_cols(table_with_shape("t", 2, 11), 3, seed=5)
-        assert _cuts(subs) == self.COL_SPLIT
-        assert [s.id for s in subs] == ["t::part1", "t::part2", "t::part3"]
-
+    # Exact outputs for seed 5, so a changed RNG stream, cut or order fails here.
     def test_debias_row_mode(self):
-        out = debias(split_rows(table_with_shape("t", 11, 3), 3, seed=5), mode="row", seed=5)
+        out = _split_root(table_with_shape("t", 11, 3), 3, "row", seed=5)
         assert _cuts(out) == [([10, 7, 3, 1], [0, 1, 2]), ([6, 4, 2, 0], [0, 1, 2]), ([5, 9, 8], [0, 1, 2])]
         assert [s.id for s in out] == ["t::part1", "t::part2", "t::part3"]
         assert [s.caption for s in out] == [
@@ -216,8 +193,9 @@ class TestPinnedCuts:
         ]
 
     def test_debias_column_mode(self):
-        out = debias(split_cols(table_with_shape("t", 2, 11), 3, seed=5), mode="column", seed=5)
+        out = _split_root(table_with_shape("t", 2, 11), 3, "column", seed=5)
         assert _cuts(out) == [([0, 1], [0, 7, 8, 3, 5]), ([0, 1], [0, 10, 1, 6]), ([0, 1], [0, 4, 9, 2])]
+        assert [s.id for s in out] == ["t::part1", "t::part2", "t::part3"]
         assert all(s.metadata == {"origin": "test"} for s in out)
 
 
@@ -446,6 +424,23 @@ class TestCombineQueries:
         assert combined.gold_answer == ["alpha", "beta"]
         assert combined.task_type == TaskType.MULTI_HOP
 
+    def test_unanswered_source_leaves_no_answer(self):
+        a = sq("q1", "r", "first question", answer="v1")
+        b = sq("q2", "r", "second question", answer=None)
+        combined = combine_queries([a, b], seed=1)
+        assert combined.gold_answer is None
+        assert combined.task_type == TaskType.MULTI_HOP
+
+    def test_unanswered_merge_saves_null(self, tmp_path):
+        root = table_with_shape("root", 6, 5)
+        queries = [sq("q1", "root", "which player scored the most goals overall", answer="v1"),
+                   sq("q2", "root", "how many matches were played during march", answer=None)]
+        ds = build_benchmark(TableCorpus([root]), queries, seed=0)
+        assert [e.query.id for e in ds.examples] == ["q1+q2"]
+        save_benchmark(ds, tmp_path)
+        assert json.loads((tmp_path / "examples.jsonl").read_text())["gold_answer"] is None
+        assert load_benchmark(tmp_path).examples[0].query.gold_answer is None
+
     def test_tfv_labels_conjoin(self):
         a = sq("q1", "r", "claim one", task=TaskType.TFV, answer=1)
         b = sq("q2", "r", "claim two", task=TaskType.TFV, answer=0)
@@ -519,7 +514,40 @@ def _benchmark_sources(n_roots=12, seed=0):
     return TableCorpus(tables), queries
 
 
+def _pinned_sources():
+    """Twelve free roots plus one that only column splits fit into 3 parts
+    and one that only row splits fit, with TFV and single-query roots."""
+    corpus, queries = _benchmark_sources()
+    tables = list(corpus) + [table_with_shape("wide", 2, 8, caption="Annual population statistics"),
+                             table_with_shape("tall", 10, 2, caption="Season results summary")]
+    queries = queries + [
+        sq("wide-c0", "wide", "the annual population statistics list eight regions", task=TaskType.TFV, answer=1),
+        sq("wide-c1", "wide", "every region grew its resident count during the decade", task=TaskType.TFV, answer=0),
+        sq("tall-q0", "tall", "which season produced the best overall results summary entry?", answer="r0c1"),
+    ]
+    return TableCorpus(tables), queries
+
+
 class TestBuildBenchmark:
+    # sha256 of the saved files for _pinned_sources() at seed 2, so a
+    # changed cut, permutation, caption or merge fails here.
+    PINNED_SHA256 = {
+        "tables.jsonl": "0d7b64353fa4bc142e3abf73ce927aaea657226abea5fbe9538393abaff48311",
+        "examples.jsonl": "10a7d2b5bf4be1c1af8b8089c7a6ed84100ebcb4a6febe1732b6dc214f976f63",
+    }
+
+    def test_pinned_dataset_bytes(self, tmp_path):
+        ds = build_benchmark(*_pinned_sources(), seed=2)
+        by_root = Counter(t.id.split("::")[0] for t in ds.tables)
+        assert set(Counter(e.difficulty for e in ds.examples)) == {"Easy", "Medium", "Hard"}
+        assert by_root["wide"] == 3 and all(t.n_rows == 2 for t in ds.tables if t.id.startswith("wide::"))
+        assert by_root["tall"] == 3 and all(t.n_cols == 2 for t in ds.tables if t.id.startswith("tall::"))
+        split = [t for t in ds.tables if "::" in t.id]
+        assert 0 < sum(_was_row_split(ds, t) for t in split) < len(split)
+        save_benchmark(ds, tmp_path)
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.PINNED_SHA256}
+        assert got == self.PINNED_SHA256
+
     def test_deterministic_dataset_bytes(self, tmp_path):
         corpus, queries = _benchmark_sources()
         ds1 = build_benchmark(corpus, queries, seed=33)

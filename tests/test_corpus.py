@@ -89,14 +89,25 @@ class TestLoadJsonl:
         ({"entries": "xyz"}, "entries must be a JSON array, got 'xyz'"),
         ({"entries": [["Broncos", "7"], "12"]}, "row 1 must be a JSON array, got '12'"),
         ({"entries": [["Broncos", {"n": 7}]]}, "cell value of unsupported type dict"),
-        ({"metadata": ["source", "unit"]}, "'list' object has no attribute 'items'"),
-    ], ids=["string-headers", "string-entries", "string-row", "object-cell", "list-metadata"])
+        ({"metadata": ["source", "unit"]}, "metadata must be a JSON object, got ['source', 'unit']"),
+        ({"metadata": []}, "metadata must be a JSON object, got []"),
+        ({"metadata": 0}, "metadata must be a JSON object, got 0"),
+        ({"metadata": False}, "metadata must be a JSON object, got False"),
+        ({"metadata": ""}, "metadata must be a JSON object, got ''"),
+    ], ids=["string-headers", "string-entries", "string-row", "object-cell", "list-metadata",
+            "empty-list-metadata", "zero-metadata", "false-metadata", "empty-string-metadata"])
     def test_malformed_record_is_a_line_numbered_violation(self, tmp_path, change, reason):
         p = tmp_path / "c.jsonl"
         _write_jsonl(p, [GOOD_RECORD, dict(GOOD_RECORD, id="t2", **change)])
         with pytest.raises(SchemaViolation) as err:
             load_corpus(p)
         assert err.value.violations == [("<line 2>", f"malformed record: {reason}")]
+
+    def test_absent_or_null_metadata_is_empty(self, tmp_path):
+        absent = {k: v for k, v in GOOD_RECORD.items() if k != "metadata"}
+        p = tmp_path / "c.jsonl"
+        _write_jsonl(p, [absent, dict(GOOD_RECORD, id="t2", metadata=None)])
+        assert [t.metadata for t in load_corpus(p)] == [{}, {}]
 
     def test_numeric_cells_become_text(self, tmp_path):
         rec = dict(GOOD_RECORD, entries=[[7, 2.5], [True, None]])

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -694,18 +693,6 @@ class TestFineRetrieve:
         _, result = retrieve(q, ix, handle, PPRConfig(top_n=5), tau=0.4)
         assert result.all_scores.sum() == pytest.approx(1.0, abs=1e-6)
         assert len(result.ranked) == min(5, len(result.all_scores))
-
-    def test_stage_clock_covers_the_ranking(self, handle, monkeypatch):
-        corpus = make_topic_corpus(30, 3, seed=5)
-        ix = build_index(corpus, extract_all(corpus, handle), K=3, k=10, seed=3)
-
-        def slow_top_k(*args):
-            time.sleep(0.005)
-            return top_k(*args)
-
-        monkeypatch.setattr(fine, "top_k", slow_top_k)
-        _, result = retrieve(make_topic_query(0, seed=2), ix, handle, PPRConfig(top_n=5), tau=0.4)
-        assert result.timings[fine.STAGE_FINE] >= 0.005
 
     def test_first_query_on_a_loaded_index_sorts_no_rows(self, handle, tmp_path, monkeypatch):
         # The file carries the sem grouping, so the first query neither sorts

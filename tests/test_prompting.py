@@ -35,7 +35,6 @@ def make_result(ids, weights: np.ndarray, scores=None, tau: float = 0.1, top_n=N
     ]
     result = RetrievalResult(
         ranked=[(nodes[i], float(scores[i])) for i in order],
-        timings={},
         all_scores=scores,
         iterations=1,
         converged=True,
