@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import Query, Table, TableCorpus, TaskType, json_error, load_corpus, read_text, save_corpus, validate_query
+from .corpus import Query, Table, TableCorpus, TaskType, json_error, load_corpus, read_text, save_corpus, validate_query, validate_table
 from .errors import IOFailure, SchemaViolation, TooFewQueries
 from .features import STOPWORDS, SparseRows, fit_heuristic, token_ids, tokenize
 from .linearize import normalize_whitespace
@@ -282,7 +282,15 @@ def build_benchmark(
     source_queries: Sequence[SourceQuery],
     seed: int = 0,
 ) -> BenchmarkDataset:
-    """Run the full construction pipeline. Reproducible from the seed."""
+    """Run the full construction pipeline. Reproducible from the seed.
+
+    Every source root must hold to the table contract that ``load_corpus``
+    enforces (``corpus.validate_table``): before any split, the roots that
+    break it are refused together in one SchemaViolation of (root id,
+    message), so no invalid sub-table is ever written."""
+    violations = [(t.id, v.message) for t in sources for v in validate_table(t)]
+    if violations:
+        raise SchemaViolation(violations)
     corpus = filter_small(sources)
     queries = filter_queries(source_queries)
     by_root: dict[str, list[SourceQuery]] = {}

@@ -94,8 +94,12 @@ def answer_scores(pred, gold) -> tuple[int, float]:
     """(exact match, token F1) for string or list answers.
 
     When the gold answer is a list and the prediction is a flat string, the
-    prediction is split on commas/semicolons before matching.
+    prediction is split on commas/semicolons before matching. A null gold
+    answer (an example with no known answer) scores (0, 0.0) whatever the
+    prediction.
     """
+    if gold is None:
+        return 0, 0.0
     if isinstance(gold, (list, tuple)):
         pred_list = _as_list(pred)
         gold_list = [str(g) for g in gold]
@@ -215,7 +219,10 @@ def run_e2e_eval(
     cfg: PPRConfig | None = None,
     tau: float = DEFAULT_TAU,
 ) -> AnswerReport:
-    """Retrieve, prompt, generate, parse, score. NA and parse failures score 0."""
+    """Retrieve, prompt, generate, parse, score. NA answers, parse failures
+    and examples whose gold answer is null score 0: a null gold answer (a
+    merged example with an unanswered source, or an unanswered single
+    source) matches no prediction, not even the text "None"."""
     _check_same_corpus(dataset, ix)
     cfg = cfg or PPRConfig()
     per_example: list[dict] = []

@@ -364,12 +364,14 @@ def row_norms(x) -> np.ndarray:
     return np.sqrt(_row_sq_norms(x))
 
 
-def unit_rows(x):
+def unit_rows(x, out: np.ndarray | None = None):
     """Every row of ``x`` divided by its L2 norm; zero rows stay zero. A CSR
-    matrix stays CSR, its rows multiplied by the reciprocal norms."""
+    matrix stays CSR, its rows multiplied by the reciprocal norms. A dense
+    ``x`` may be divided into ``out``, which may be ``x`` itself; the
+    quotients are the same bits either way."""
     norms = row_norms(x)
     if isinstance(x, np.ndarray):
-        return x / np.where(norms > 0, norms, 1.0)[:, None]
+        return np.divide(x, np.where(norms > 0, norms, 1.0)[:, None], out=out)
     from scipy import sparse  # only the build has CSR rows
 
     return sparse.diags(np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)) @ x

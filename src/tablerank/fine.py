@@ -45,11 +45,15 @@ their group's score, and ``index.top_k`` ranks node i, index row
 ``union_ids[i]``, by (-score, table id). With every node in its own group
 (m = 1), W is the plain n x n weight matrix with a zero diagonal.
 
-A query allocates one u x u float64 array, W, built in place from the Gram
-matrix of the unit distinct rows; the solve needs only products of W with a
-vector. The result keeps only W's block among the ranked nodes, from which
-the prompt's graph records are read, so W is freed when ``fine_retrieve``
-returns.
+A query's working set is one copy of the u distinct rows (u x d float64)
+and one u x u float64 array, W. ``fine_retrieve`` gathers the rows once,
+reads the start vector h from them, divides them by their norms in place
+and forms their Gram matrix; the rows are then freed, and
+``build_local_subgraph`` thresholds the Gram matrix in place into W. So the
+peak is the larger of W plus the rows and W plus the threshold's u x u
+boolean mask. The solve needs only products of W with a vector. The result
+keeps only W's block among the ranked nodes, from which the prompt's graph
+records are read, so W is freed when ``fine_retrieve`` returns.
 
 Only semantic features participate here; the other families already did
 their work during coarse filtering.
@@ -122,39 +126,42 @@ class RetrievalResult:
         return list(zip(a.tolist(), b.tolist(), self.weights[a, b].tolist()))
 
 
-def build_local_subgraph(sem_rows: np.ndarray, tau: float, group: np.ndarray) -> np.ndarray:
+def build_local_subgraph(gram: np.ndarray, tau: float, group: np.ndarray) -> np.ndarray:
     """Pairwise semantic graph over the candidates, thresholded at tau: the
-    weight matrix W, built in one buffer.
+    weight matrix W, made in place from ``gram`` and returned.
 
-    Node i has sem row ``sem_rows[group[i]]``. W is the dense,
-    bitwise-symmetric u x u group matrix: entry (a, b) is the weight between
-    any member of group a and any member of group b, the clamped cosine of
-    their sem rows where it is >= tau and 0 elsewhere; the diagonal is the
-    weight between two distinct members of one group (0 for a singleton).
+    ``gram`` is ``unit @ unit.T`` for ``unit = unit_rows(sem_rows)``, the
+    unit rows of the distinct sem rows, and node i has sem row
+    ``sem_rows[group[i]]``. The caller forms it, so the unit rows can be
+    freed before the threshold mask is made: the mask's u x u bytes are
+    the only allocation here. W is the dense, bitwise-symmetric u x u group
+    matrix: entry (a, b) is the weight between any member of group a and
+    any member of group b, the clamped cosine of their sem rows where it is
+    >= tau and 0 elsewhere; the diagonal is the weight between two distinct
+    members of one group (0 for a singleton).
     Every pair of distinct nodes is an edge at tau = 0, where a clamped
     negative cosine gives a weight-0 edge; above 0, exactly the pairs with a
     positive weight are edges. Isolated nodes are fine.
     """
-    sem = np.asarray(sem_rows, dtype=np.float64)
     if len(group) == 0:
         raise ValueError("cannot build a subgraph from zero candidates")
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
-    unit = unit_rows(sem)
-    weights = unit @ unit.T  # bitwise symmetric: numpy computes it with syrk
-    del unit  # freed before the threshold mask is made
-    np.clip(weights, 0.0, None, out=weights)
-    weights *= weights >= tau
-    singletons = np.flatnonzero(np.bincount(group, minlength=len(sem)) == 1)
-    weights[singletons, singletons] = 0.0
-    return weights
+    np.clip(gram, 0.0, None, out=gram)
+    gram *= gram >= tau
+    singletons = np.flatnonzero(np.bincount(group, minlength=len(gram)) == 1)
+    gram[singletons, singletons] = 0.0
+    return gram
 
 
 def personalization(q_sem: np.ndarray, sem_rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Query-biased start distribution: normalized non-negative semantic
     scores of ``q_sem`` against each row; uniform over the nodes if every
     score clamps to zero. Row a stands for sizes[a] nodes, and the node
-    values sum to 1: ``(h * sizes).sum() == 1``."""
+    values sum to 1: ``(h * sizes).sum() == 1``. It allocates only u-vectors
+    (norms, dot products, scores), no copy of the rows, so
+    ``fine_retrieve`` can hand it the query's one gathered copy before
+    normalizing that copy in place."""
     q = np.asarray(q_sem, dtype=np.float64)
     sem = np.asarray(sem_rows, dtype=np.float64)
     m = np.asarray(sizes, dtype=np.float64)
@@ -245,9 +252,12 @@ def fine_retrieve(
         raise ValueError("coarse result has no candidate tables")
     union = coarse.union_ids
     reps, group, sizes = np.unique(ix.sem_group[union], return_inverse=True, return_counts=True)
-    sem_rows = ix.sem_rows[reps]
-    W = build_local_subgraph(sem_rows, tau, group)
-    h = personalization(coarse.query_features.sem, sem_rows, sizes)
+    rows = ix.sem_rows[reps]  # the query's one u x d array: read for h, then made unit in place
+    h = personalization(coarse.query_features.sem, rows, sizes)
+    unit_rows(rows, out=rows)
+    gram = rows @ rows.T  # bitwise symmetric: numpy computes it with syrk
+    del rows  # freed before the threshold mask is made
+    W = build_local_subgraph(gram, tau, group)
     result = ppr(W, h, cfg, sizes)
     scores = result.scores[group]
     nodes = top_k(scores, union, ix.table_ids, cfg.top_n)

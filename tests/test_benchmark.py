@@ -669,6 +669,18 @@ class TestBuildBenchmark:
             assert {"n_queries", "n_tables", "avg_rows", "avg_cols"} <= set(row)
         assert stats["total_tables"] == len(ds.tables)
 
+    @pytest.mark.parametrize("bad, reason", [
+        (table_with_shape("empty", 0, 5), "table must have at least one entry row"),
+        (dataclasses.replace(table_with_shape("ragged", 5, 5), entries=grid(4, 5) + [["x"] * 4]),
+         "row 4 has 4 cells, expected 5"),
+    ], ids=["zero-row", "ragged"])
+    def test_invalid_root_refused_before_any_split(self, bad, reason):
+        corpus, queries = _benchmark_sources(n_roots=3)
+        for seed in range(4):  # whether the root would stay whole or be cut
+            with pytest.raises(SchemaViolation) as info:
+                build_benchmark(TableCorpus(list(corpus) + [bad]), queries, seed=seed)
+            assert info.value.violations == [(bad.id, reason)]
+
     def test_roots_without_queries_still_contribute_tables(self):
         corpus, queries = _benchmark_sources(n_roots=8)
         silent_roots = {"root00", "root03"}

@@ -112,9 +112,15 @@ class TestAnswerMetrics:
         assert answer_scores("1", 1) == (1, 1.0)
         assert answer_scores("0", 1)[0] == 0
 
+    def test_null_gold_matches_no_prediction(self):
+        for pred in ("None", "none", "", "null", ["None"]):
+            assert answer_scores(pred, None) == (0, 0.0)
 
-def _mini_benchmark(handle, K=3):
-    """Builder-produced dataset plus an index over its tables."""
+
+def _mini_benchmark(handle, K=3, unanswered=0):
+    """Builder-produced dataset plus an index over its tables. The first
+    query of each of the first ``unanswered`` roots has no answer, so its
+    example's gold answer is null."""
     tables, queries = [], []
     for r in range(12):
         caption = f"ent{r}a ent{r}b ent{r}c records"
@@ -127,7 +133,7 @@ def _mini_benchmark(handle, K=3):
             queries.append(SourceQuery(
                 id=f"root{r:02d}-q{qn}", root_table_id=f"root{r:02d}",
                 text=f"what is the recorded value of h{r}x{qn} for ent{r}a in {caption}?",
-                task_type=TaskType.SINGLE_HOP, answer=f"r0c{qn}v{r}",
+                task_type=TaskType.SINGLE_HOP, answer=None if qn == 0 and r < unanswered else f"r0c{qn}v{r}",
             ))
     ds = build_benchmark(TableCorpus(tables), queries, seed=5)
     feats = extract_all(ds.tables, handle)
@@ -217,6 +223,14 @@ class TestRunE2EEval:
         report = run_e2e_eval(ds, ix, handle, lambda s, u: "<answer>NA</answer>")
         assert report.em == 0.0
         assert report.n_na == report.n_examples
+
+    def test_null_gold_answer_scores_zero_against_none(self, handle):
+        ds, ix = _mini_benchmark(handle, unanswered=4)
+        null = [e.query.gold_answer is None for e in ds.examples]
+        assert 0 < sum(null) < len(null)  # fixture precondition
+        report = run_e2e_eval(ds, ix, handle, lambda s, u: "<answer>None</answer>")
+        assert all(rec["pred"] == "None" for rec in report.per_example)
+        assert report.em == 0.0 and report.f1 == 0.0
 
     def test_missing_tags_marked_parse_failure(self, handle):
         ds, ix = _mini_benchmark(handle)

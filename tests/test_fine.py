@@ -14,7 +14,7 @@ import tablerank.index as index
 from tablerank.build import build_index, extract_all
 from tablerank.coarse import coarse_retrieve
 from tablerank.corpus import Query, TableCorpus, TaskType
-from tablerank.features import embed_semantic
+from tablerank.features import EmbedderHandle, embed_semantic, unit_rows
 from tablerank.fine import (
     PPRConfig,
     build_local_subgraph,
@@ -34,9 +34,17 @@ def sem_rows(vectors: dict[str, np.ndarray]) -> np.ndarray:
     return np.vstack([vectors[tid] for tid in sorted(vectors)])
 
 
+def grouped_graph(rows: np.ndarray, tau: float, group: np.ndarray) -> np.ndarray:
+    """Weights over the distinct rows ``rows``, node i having row
+    ``rows[group[i]]``: the Gram matrix of their unit rows, formed as
+    fine_retrieve forms it, thresholded by build_local_subgraph."""
+    unit = unit_rows(rows)
+    return build_local_subgraph(unit @ unit.T, tau, group)
+
+
 def node_graph(rows: np.ndarray, tau: float) -> np.ndarray:
     """Weights with every row its own node: each group a singleton."""
-    return build_local_subgraph(rows, tau, np.arange(len(rows)))
+    return grouped_graph(rows, tau, np.arange(len(rows)))
 
 
 def node_personalization(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -316,7 +324,7 @@ class TestTieAwareEquivalence:
             assert n == 2 or len(groups) < n  # fixture precondition: rows repeat
             # the grouped path gives every member of a group one score
             distinct, group, sizes = group_rows(rows)
-            grouped = build_local_subgraph(distinct, tau, group)
+            grouped = grouped_graph(distinct, tau, group)
             tied = ppr(grouped, personalization(q, distinct, sizes), cfg, sizes).scores[group]
             assert all(len(set(tied[members])) == 1 for members in groups)
             assert ranked_ids(ids, tied, n) == ranked_ids(ids, tie_by_group(oracle, groups), n)
@@ -336,7 +344,7 @@ class TestGroupedPath:
         zero = np.flatnonzero(~distinct.any(axis=1))
         assert len(zero) == 1 and sizes[zero[0]] >= 2  # fixture precondition
         assert n == 2 or len(distinct) < n             # fixture precondition: rows repeat
-        W = build_local_subgraph(distinct, tau, group)
+        W = grouped_graph(distinct, tau, group)
         assert W.shape == (len(distinct), len(distinct))
         weight, edge = node_matrix(W, group, tau)
 
@@ -585,6 +593,41 @@ class TestFineRetrieve:
             tracemalloc.stop()
         assert peak < 1.5 * n * n * 8
 
+    @pytest.fixture(scope="class")
+    def wide_rows(self):
+        """K=1 over 400 topic tables at d = 512: a union of 279 distinct sem
+        rows, so u x d is more than half of the working set u^2 + u d."""
+        h = EmbedderHandle(dimension=512)
+        corpus = make_topic_corpus(400, 4, seed=6)
+        ix = build_index(corpus, extract_all(corpus, h), K=1, k=10, seed=3)
+        q = make_topic_query(1, seed=9)
+        return ix, q, coarse_retrieve(q, ix, h)
+
+    def test_one_copy_of_the_rows_at_the_peak(self, wide_rows):
+        # W is u^2 floats and the gathered rows u d. The rows are gathered
+        # once, read for h, normalized in place and freed before the
+        # threshold mask: a second u x d array (a separate unit-row copy)
+        # would push the peak to about 1.65 times u^2 + u d floats here.
+        ix, q, coarse = wide_rows
+        u, d = len(np.unique(ix.sem_group[coarse.union_ids])), ix.sem_rows.shape[1]
+        assert (u, d) == (279, 512)  # fixture precondition
+        tracemalloc.start()
+        try:
+            fine_retrieve(q, coarse, ix, PPRConfig(), tau=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * (u * u + u * d) * 8
+
+    def test_index_rows_left_untouched(self, wide_rows):
+        # A freshly built index's arrays are writable, so an in-place
+        # normalization of anything but the gathered copy would land here.
+        ix, q, coarse = wide_rows
+        assert ix.sem_rows.flags.writeable  # fixture precondition
+        before = ix.sem_rows.copy()
+        fine_retrieve(q, coarse, ix, PPRConfig(), tau=0.5)
+        assert before.tobytes() == ix.sem_rows.tobytes()
+
     def test_grouped_buffer_is_under_half_a_square(self, handle):
         # K=1 keeps the whole corpus as the union; its 1,200 tables hold fewer
         # than 600 distinct sem rows, so the u x u weights fit in a quarter of
@@ -633,7 +676,7 @@ class TestFineRetrieve:
         coarse, result = retrieve(make_topic_query(0, seed=2), ix, handle, cfg, tau=tau)
         union = coarse.union_ids
         reps, group = np.unique(ix.sem_group[union], return_inverse=True)
-        weight, edge = node_matrix(build_local_subgraph(ix.sem_rows[reps], tau, group), group, tau)
+        weight, edge = node_matrix(grouped_graph(ix.sem_rows[reps], tau, group), group, tau)
         nodes = top_k(result.all_scores, union, ix.table_ids, cfg.top_n)
         pairs = [(a, b) for a in range(len(nodes)) for b in range(a + 1, len(nodes))]
         expect = [(a, b, weight[nodes[a], nodes[b]]) for a, b in pairs if edge[nodes[a], nodes[b]]]
