@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import Query, Table, TableCorpus, TaskType, json_error, load_corpus, read_text, save_corpus, validate_query, validate_table
-from .errors import IOFailure, SchemaViolation, TooFewQueries
+from .corpus import Query, Table, TableCorpus, TaskType, json_error, load_corpus, read_text, save_corpus, tfv_label_error, validate_query, validate_table
+from .errors import IOFailure, SchemaViolation
 from .features import STOPWORDS, SparseRows, fit_heuristic, token_ids, tokenize
 from .linearize import normalize_whitespace
 
@@ -218,21 +218,17 @@ def filter_queries(queries: Sequence[SourceQuery]) -> list[SourceQuery]:
     return kept
 
 
-def combine_queries(queries: Sequence[SourceQuery], seed: int = 0) -> Query:
-    """Merge 2-3 same-root queries into one multi-part query.
+def _combine_queries(queries: Sequence[SourceQuery], seed: int) -> Query:
+    """Merge the queries into one multi-part query.
 
     Connectors are drawn per junction from CONNECTORS; the
     "[previous query]" slot, when present, is filled with the preceding
     query's text. Answers become the list of source answers, or ``None`` if
     any source has none; the task is promoted to multi-hop whenever the
     sources span more than one answer cell. All-claim inputs stay TFV with
-    the conjunction of their labels.
+    the conjunction of their labels. Precondition, which ``build_benchmark``
+    guarantees: 2 or 3 queries, all of one root.
     """
-    if not 2 <= len(queries) <= 3:
-        raise TooFewQueries(f"need 2-3 queries to combine, got {len(queries)}")
-    roots = {q.root_table_id for q in queries}
-    if len(roots) != 1:
-        raise ValueError("combined queries must share one root table")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
 
     text = normalize_whitespace(queries[0].text)
@@ -274,7 +270,8 @@ def decontextualize(query_text: str, root_caption: str) -> str:
         return query_text
     if _DECONTEXT_RE.search(caption):
         return query_text
-    return normalize_whitespace(_DECONTEXT_RE.sub(caption, query_text))
+    # A function, not a template: a backslash in the caption stays literal.
+    return normalize_whitespace(_DECONTEXT_RE.sub(lambda _: caption, query_text))
 
 
 def build_benchmark(
@@ -288,7 +285,7 @@ def build_benchmark(
     enforces (``corpus.validate_table``): before any split, the roots that
     break it are refused together in one SchemaViolation of (root id,
     message), so no invalid sub-table is ever written."""
-    violations = [(t.id, v.message) for t in sources for v in validate_table(t)]
+    violations = [(t.id, message) for t in sources for message in validate_table(t)]
     if violations:
         raise SchemaViolation(violations)
     corpus = filter_small(sources)
@@ -330,7 +327,7 @@ def build_benchmark(
             continue
         if len(root_queries) >= 2:
             take = 3 if len(root_queries) >= 3 and master.integers(2) == 1 else 2
-            combined = combine_queries(root_queries[:take], seed=root_seed)
+            combined = _combine_queries(root_queries[:take], root_seed)
         else:
             src = root_queries[0]
             combined = Query(
@@ -458,9 +455,9 @@ def _example_from_record(rec: dict, tables: TableCorpus) -> BenchmarkExample:
         task_type=TaskType(rec["task_type"]),
         gold_answer=rec["gold_answer"],
     )
-    violations = validate_query(q)
-    if violations:
-        raise ValueError("; ".join(v.message for v in violations))
+    messages = validate_query(q)
+    if messages:
+        raise ValueError("; ".join(messages))
     return BenchmarkExample(
         query=q,
         gold_table_ids=set(gold),
@@ -496,10 +493,9 @@ def _source_query_from_record(rec: dict) -> SourceQuery:
         task_type=TaskType(rec["task_type"]),
         answer=rec.get("answer"),
     )
-    # combine_queries conjoins TFV labels as integers; the rule is
-    # corpus.validate_query's, except that the label is required here.
-    if q.task_type == TaskType.TFV and q.answer not in (0, 1):
-        raise ValueError(f"TFV answer must be 0 or 1, got {q.answer!r}")
+    # Unlike an example's gold answer, a source's TFV label may not be null.
+    if q.task_type == TaskType.TFV and (bad := tfv_label_error(q.answer)):
+        raise ValueError(bad)
     return q
 
 

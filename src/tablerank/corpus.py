@@ -31,15 +31,6 @@ class TaskType(str, Enum):
     MULTI_HOP = "MultiHopTQA"
 
 
-@dataclass(frozen=True)
-class Violation:
-    """A single invariant breach found by a validator. Data, not a fault."""
-
-    kind: str
-    message: str
-    row: int | None = None
-
-
 @dataclass
 class Table:
     id: str
@@ -95,44 +86,50 @@ class TableCorpus:
         return [t.id for t in self.tables]
 
 
-def validate_table(t: Table) -> list[Violation]:
-    """Check one table against its invariants. Empty list means valid.
+def validate_table(t: Table) -> list[str]:
+    """The table's invariant breaches, one message each; empty means valid.
 
     Duplicate-id detection is a corpus-level concern and is not checked here.
     """
-    violations: list[Violation] = []
+    messages: list[str] = []
     if not t.id:
-        violations.append(Violation("empty_id", "table id must be non-empty"))
+        messages.append("table id must be non-empty")
     if not isinstance(t.caption, str):
-        violations.append(Violation("bad_caption", "caption must be text"))
+        messages.append("caption must be text")
     m = len(t.headers)
     if m < 1:
-        violations.append(Violation("empty_headers", "table must have at least one column"))
+        messages.append("table must have at least one column")
     for j, h in enumerate(t.headers):
         if not isinstance(h, str):
-            violations.append(Violation("bad_header", f"header {j} must be text"))
+            messages.append(f"header {j} must be text")
     if len(t.entries) < 1:
-        violations.append(Violation("no_rows", "table must have at least one entry row"))
+        messages.append("table must have at least one entry row")
     for i, row in enumerate(t.entries):
         if len(row) != m:
-            violations.append(
-                Violation("ragged_row", f"row {i} has {len(row)} cells, expected {m}", row=i)
-            )
-        else:
-            for cell in row:
-                if not isinstance(cell, str):
-                    violations.append(Violation("bad_cell", f"row {i} contains a non-text cell", row=i))
-                    break
-    return violations
+            messages.append(f"row {i} has {len(row)} cells, expected {m}")
+        elif not all(isinstance(cell, str) for cell in row):
+            messages.append(f"row {i} contains a non-text cell")
+    return messages
 
 
-def validate_query(q: Query) -> list[Violation]:
-    violations: list[Violation] = []
+def tfv_label_error(label: object) -> str | None:
+    """Why ``label`` is not a TFV label, or None if it is one. A TFV label is
+    the integer 0 or 1: the builder conjoins merged labels as integers, and
+    ``True`` or ``1.0`` would score as the text "True" or "1.0"."""
+    if type(label) is int and label in (0, 1):
+        return None
+    return f"TFV answer must be 0 or 1, got {label!r}"
+
+
+def validate_query(q: Query) -> list[str]:
+    """The query's breaches, one message each: blank text, or a TFV gold
+    answer that is neither null nor a TFV label. Empty means valid."""
+    messages: list[str] = []
     if not q.text.strip():
-        violations.append(Violation("empty_query", "query text is empty after trimming"))
-    if q.task_type == TaskType.TFV and q.gold_answer is not None and q.gold_answer not in (0, 1):
-        violations.append(Violation("bad_label", f"TFV answer must be 0 or 1, got {q.gold_answer!r}"))
-    return violations
+        messages.append("query text is empty after trimming")
+    if q.task_type == TaskType.TFV and q.gold_answer is not None and (bad := tfv_label_error(q.gold_answer)):
+        messages.append(bad)
+    return messages
 
 
 def _cell_text(value: object) -> str:
@@ -191,8 +188,8 @@ def _table_from_record(rec: dict, lineno: int, violations: list[tuple[str, str]]
     except TypeError as exc:
         violations.append((f"<line {lineno}>", f"malformed record: {exc}"))
         return None
-    for v in validate_table(table):
-        violations.append((table.id or label, v.message))
+    for message in validate_table(table):
+        violations.append((table.id or label, message))
     return table
 
 
@@ -250,8 +247,8 @@ def _load_csv_dir(path: Path, violations: list[tuple[str, str]]) -> list[Table]:
             entries=[list(r) for r in rows[1:]],
             metadata={"source_file": fp.name},
         )
-        for v in validate_table(table):
-            violations.append((tid, v.message))
+        for message in validate_table(table):
+            violations.append((tid, message))
         tables.append(table)
     return tables
 

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-Validation findings (ragged rows, bad labels, ...) are plain data returned by
-the validators; exceptions are reserved for faults that stop an operation.
+Validation findings (ragged rows, bad labels, ...) are plain messages returned
+by the validators; exceptions are reserved for faults that stop an operation.
 """
 
 from __future__ import annotations
@@ -61,10 +61,6 @@ class VersionMismatch(TableRankError):
         self.found = found
         self.expected = expected
         super().__init__(f"index format version {found} does not match expected {expected}")
-
-
-class TooFewQueries(TableRankError):
-    pass
 
 
 class MissingAnswerTags(TableRankError):

@@ -168,10 +168,13 @@ class AnswerReport:
         )
 
 
-def _check_same_corpus(dataset: BenchmarkDataset, ix: HypergraphIndex) -> None:
-    """An index of any other corpus ranks tables the dataset does not hold."""
+def _check_dataset(dataset: BenchmarkDataset, ix: HypergraphIndex) -> None:
+    """An index of any other corpus ranks tables the dataset does not hold,
+    and a dataset without examples has no mean to report."""
     if ix.corpus_digest != corpus_digest(dataset.tables):
         raise UsageError("the index was built from another corpus than the dataset's tables")
+    if not dataset.examples:
+        raise EmptyGold("dataset has no examples")
 
 
 def run_retrieval_eval(
@@ -184,7 +187,7 @@ def run_retrieval_eval(
 ) -> RetrievalReport:
     """Mean acc@k (both modes) and recall@k over the dataset's examples.
     Each query is ranked to max(ks), whatever ``cfg.top_n`` holds."""
-    _check_same_corpus(dataset, ix)
+    _check_dataset(dataset, ix)
     ks = sorted(set(ks))
     run_cfg = replace(cfg or PPRConfig(), top_n=max(ks))
     sums = {k: {"acc": 0.0, "acc_any": 0.0, "recall": 0.0} for k in ks}
@@ -200,8 +203,6 @@ def run_retrieval_eval(
             sums[k]["acc_any"] += acc_at_k(ranked_ids, example.gold_table_ids, k, "any")
             sums[k]["recall"] += recall_at_k(ranked_ids, example.gold_table_ids, k)
     n = len(dataset.examples)
-    if n == 0:
-        raise EmptyGold("dataset has no examples")
     per_k = {k: {name: total / n for name, total in sums[k].items()} for k in ks}
     return RetrievalReport(
         per_k=per_k,
@@ -223,7 +224,7 @@ def run_e2e_eval(
     and examples whose gold answer is null score 0: a null gold answer (a
     merged example with an unanswered source, or an unanswered single
     source) matches no prediction, not even the text "None"."""
-    _check_same_corpus(dataset, ix)
+    _check_dataset(dataset, ix)
     cfg = cfg or PPRConfig()
     per_example: list[dict] = []
     for example in dataset.examples:
@@ -243,8 +244,6 @@ def run_e2e_eval(
                 record.update(em=em, f1=f1, pred=parsed.answer)
         per_example.append(record)
     n = len(dataset.examples)
-    if n == 0:
-        raise EmptyGold("dataset has no examples")
     return AnswerReport(
         em=sum(r["em"] for r in per_example) / n,
         f1=sum(r["f1"] for r in per_example) / n,

@@ -527,6 +527,23 @@ class TestBenchmarkAndEval:
         assert f"TFV answer must be 0 or 1, got {shown}" in err
         assert "Traceback" not in err
 
+    def test_backslash_in_root_caption_builds(self, tmp_path, capsys):
+        # decontextualize puts the caption in place of "it"; a backslash in it
+        # is text, not a regular-expression escape.
+        src = _sources_dir(tmp_path)
+        caption = r"Prices in C:\data"
+        tables = [json.loads(ln) for ln in (src / "tables.jsonl").read_text().splitlines()]
+        tables[0]["caption"] = caption
+        (src / "tables.jsonl").write_text("".join(json.dumps(t) + "\n" for t in tables))
+        queries = [json.loads(ln) for ln in (src / "queries.jsonl").read_text().splitlines()]
+        queries[0]["text"] = "what is the price of h0x0 listed in it today"
+        (src / "queries.jsonl").write_text("".join(json.dumps(q) + "\n" for q in queries))
+        ds_dir = tmp_path / "d"
+        assert main(["build-benchmark", "--sources", str(src), "--out", str(ds_dir)]) == 0
+        examples = [json.loads(ln) for ln in (ds_dir / "examples.jsonl").read_text().splitlines()]
+        [text] = [e["text"] for e in examples if e["root_table_id"] == "root00"]
+        assert f"listed in {caption} today" in text
+
     def test_blank_example_text_exits_1(self, tmp_path, capsys):
         src = _sources_dir(tmp_path)
         ds_dir, idx = tmp_path / "dataset", tmp_path / "bench.idx"

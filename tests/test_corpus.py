@@ -178,14 +178,12 @@ class TestValidateTable:
 
     def test_ragged_row_reported_with_index(self):
         t = make_table("bad", entries=[["1", "2"], ["3"]])
-        violations = validate_table(t)
-        assert [v.kind for v in violations] == ["ragged_row"]
-        assert violations[0].row == 1
+        assert validate_table(t) == ["row 1 has 1 cells, expected 2"]
 
     def test_empty_headers_and_no_rows(self):
         t = Table(id="x", caption="", headers=[], entries=[])
-        kinds = {v.kind for v in validate_table(t)}
-        assert "empty_headers" in kinds and "no_rows" in kinds
+        assert validate_table(t) == ["table must have at least one column",
+                                     "table must have at least one entry row"]
 
     def test_duplicate_check_is_corpus_level(self):
         # Two tables with the same id each validate clean on their own.
@@ -202,8 +200,8 @@ class TestValidateQuery:
 
     def test_blank_text(self):
         q = Query(id="q", text="   ", task_type=TaskType.SINGLE_HOP)
-        assert [v.kind for v in validate_query(q)] == ["empty_query"]
+        assert validate_query(q) == ["query text is empty after trimming"]
 
     def test_bad_tfv_label(self):
         q = Query(id="q", text="claim", task_type=TaskType.TFV, gold_answer=2)
-        assert [v.kind for v in validate_query(q)] == ["bad_label"]
+        assert validate_query(q) == ["TFV answer must be 0 or 1, got 2"]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tablerank.benchmark import SourceQuery, build_benchmark
+import tablerank.evaluation as evaluation
+from tablerank.benchmark import BenchmarkDataset, SourceQuery, build_benchmark
 from tablerank.build import build_index, extract_all
 from tablerank.corpus import Query, TableCorpus, TaskType
 from tablerank.errors import EmptyGold
@@ -139,6 +140,20 @@ def _mini_benchmark(handle, K=3, unanswered=0):
     feats = extract_all(ds.tables, handle)
     ix = build_index(ds.tables, feats, K=K, k=10, seed=5)
     return ds, ix
+
+
+@pytest.mark.parametrize("run", [run_retrieval_eval,
+                                 lambda ds, ix, h: run_e2e_eval(ds, ix, h, lambda s, u: "<answer>NA</answer>")],
+                         ids=["retrieval", "e2e"])
+def test_empty_dataset_refused_before_any_retrieval(handle, monkeypatch, run):
+    ds, ix = _mini_benchmark(handle)
+
+    def no_retrieve(*args):
+        raise AssertionError("retrieve called on an empty dataset")
+
+    monkeypatch.setattr(evaluation, "retrieve", no_retrieve)
+    with pytest.raises(EmptyGold, match="dataset has no examples"):
+        run(BenchmarkDataset(tables=ds.tables, examples=[]), ix, handle)
 
 
 class TestRunRetrievalEval:
